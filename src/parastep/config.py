@@ -100,26 +100,33 @@ def parse_config_items(text: str, source: str = "<config>"):
     return items
 
 
-def parse_config(text: str, source: str = "<config>") -> dict:
-    """Parse to a flat dict keyed by the dotted names; duplicates are errors."""
-    out, seen = {}, {}
+def _unique_items(text: str, source: str):
+    """The assignments of :func:`parse_config_items`; a repeated key is an error."""
+    seen = {}
     for lineno, key, val in parse_config_items(text, source):
         if key in seen:
             raise ConfigError(
                 f"{source}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})"
             )
         seen[key] = lineno
-        out[key] = val
-    return out
+        yield lineno, key, val
+
+
+def _read_config_text(path) -> str:
+    try:
+        with open(path, "r") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
+
+
+def parse_config(text: str, source: str = "<config>") -> dict:
+    """Parse to a flat dict keyed by the dotted names; duplicates are errors."""
+    return {key: val for _, key, val in _unique_items(text, source)}
 
 
 def load_config(path) -> dict:
-    try:
-        with open(path, "r") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
-    return parse_config(text, source=str(path))
+    return parse_config(_read_config_text(path), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +235,8 @@ class ProblemConfig:
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "ProblemConfig":
         cfg = cls()
-        seen = {}
-        for lineno, key, val in parse_config_items(text, source):
+        for lineno, key, val in _unique_items(text, source):
             where = f"{source}:{lineno}"
-            if key in seen:
-                raise ConfigError(
-                    f"{where}: duplicate key {key!r} (first set on line {seen[key]})"
-                )
-            seen[key] = lineno
             if key not in cls._KEYS:
                 raise ConfigError(f"{where}: unknown key {key!r}")
             attr, conv = cls._KEYS[key]
@@ -248,12 +249,7 @@ class ProblemConfig:
 
     @classmethod
     def from_file(cls, path) -> "ProblemConfig":
-        try:
-            with open(path, "r") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
-        return cls.from_text(text, source=str(path))
+        return cls.from_text(_read_config_text(path), source=str(path))
 
     def with_overrides(self, **kw) -> "ProblemConfig":
         """Apply command line overrides; ``None`` means 'not given'."""

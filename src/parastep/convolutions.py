@@ -21,8 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .geometry import MeshFunction, MeshSpec, discrete_holder_norm
-from .scheme import Stencil, second_quotient_field
+from .geometry import (
+    MeshFunction,
+    MeshSpec,
+    discrete_holder_norm,
+    lattice_index,
+    second_quotient_field,
+)
+from .scheme import Stencil
 
 __all__ = [
     "ConvolutionParams",
@@ -274,25 +280,14 @@ def sup_convolution_mesh(
 # x-convolutions (space only, at a fixed mesh time)
 # ---------------------------------------------------------------------------
 
-_FP_SLACK = 1e-9
-
-
-def _time_level(spec: MeshSpec, t: float) -> int:
-    m = t / spec.tau
-    if abs(m - round(m)) > _FP_SLACK:
-        raise GridError(f"time {t} is not on the h^2 lattice (tau = {spec.tau})")
-    m = int(round(m))
-    if not 1 <= m <= spec.levels:
-        raise GridError(f"time level {m} outside 1..{spec.levels}")
-    return m
-
-
 def x_inf_convolution(v: MeshFunction, theta: float, x, t: float):
     """Space-only inf-convolution at fixed mesh time t:
     min over spatial nodes y of v(y,t) + |x-y|^2/(2 theta)."""
     ConvolutionParams(theta=theta, variables="space_only")
     spec = v.spec
-    m = _time_level(spec, t)
+    m = lattice_index(t, spec.tau, "time")
+    if not 1 <= m <= spec.levels:
+        raise GridError(f"time level {m} outside 1..{spec.levels}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != spec.n:
         raise GridError(f"query has dimension {x.size}, mesh has {spec.n}")

@@ -25,9 +25,17 @@ from scipy.optimize import linprog
 from scipy.stats import qmc
 
 from .errors import DiagnosticsError
-from .geometry import KBox, MeshFunction, MeshSpec, _coerce_point
+from .geometry import (
+    _FP_SLACK,
+    KBox,
+    MeshFunction,
+    MeshSpec,
+    _coerce_point,
+    lattice_directions,
+    second_quotient_field,
+    shift,
+)
 from .nonlinearity import NonlinearityDescriptor, evaluate_F
-from .scheme import second_quotient_field
 
 __all__ = [
     "Paraboloid",
@@ -137,24 +145,6 @@ def _centered_to_absolute(c, l, m, a, Q, x, t) -> Paraboloid:
     return Paraboloid(c=c_abs, l=l_abs, m=m_abs, a=a, Q=Q)
 
 
-def _shift_all(values: np.ndarray, off) -> np.ndarray:
-    """values[idx + off] over every axis (time included), NaN off the edge."""
-    out = np.full_like(values, np.nan)
-    src, dst = [], []
-    for c in off:
-        if c > 0:
-            src.append(slice(c, None))
-            dst.append(slice(None, -c))
-        elif c < 0:
-            src.append(slice(None, c))
-            dst.append(slice(-c, None))
-        else:
-            src.append(slice(None))
-            dst.append(slice(None))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # delta-viscosity falsifier
 # ---------------------------------------------------------------------------
@@ -250,8 +240,8 @@ def row_to_certificate(row: str) -> ViolationCertificate:
 
 def _cylinder_offsets(spec: MeshSpec, delta: float) -> list[tuple[tuple[int, ...], int]]:
     """Integer offsets (dk, dm) with |dk| h < delta and -delta^2 < dm tau <= 0."""
-    reach = int(delta / spec.h + 1e-9)
-    depth = int(math.ceil(delta**2 / spec.tau - 1e-9)) - 1
+    reach = int(delta / spec.h + _FP_SLACK)
+    depth = int(math.ceil(delta**2 / spec.tau - _FP_SLACK)) - 1
     r2 = (delta / spec.h) ** 2 * (1.0 - 1e-12)
     out = []
     for dk in np.ndindex(*([2 * reach + 1] * spec.n)):
@@ -269,29 +259,25 @@ def _local_model(v: MeshFunction):
     spec = v.spec
     vals = v.values
     n = spec.n
-    axes = [tuple(int(i == a) for i in range(n)) for a in range(n)]
+    axes, pairs = lattice_directions(n)
     grad = np.stack(
         [
-            (_shift_all(vals, (0,) + e) - _shift_all(vals, (0,) + tuple(-c for c in e)))
+            (shift(vals, (0,) + e) - shift(vals, (0,) + tuple(-c for c in e)))
             / (2.0 * spec.h)
             for e in axes
         ],
         axis=-1,
     )
-    slope = (vals - _shift_all(vals, (-1,) + (0,) * n)) / spec.tau
+    slope = (vals - shift(vals, (-1,) + (0,) * n)) / spec.tau
     Q = np.zeros(vals.shape + (n, n))
-    for a in range(n):
-        Q[..., a, a] = 0.5 * second_quotient_field(vals, spec, axes[a])
-    for a in range(n):
-        for b in range(a + 1, n):
-            ep = tuple(int(i == a) + int(i == b) for i in range(n))
-            em = tuple(int(i == a) - int(i == b) for i in range(n))
-            mixed = 0.25 * (
-                second_quotient_field(vals, spec, ep)
-                - second_quotient_field(vals, spec, em)
-            )
-            Q[..., a, b] = mixed
-            Q[..., b, a] = mixed
+    for a, e in enumerate(axes):
+        Q[..., a, a] = 0.5 * second_quotient_field(vals, spec, e)
+    for (a, b), (ep, em) in pairs.items():
+        mixed = 0.25 * (
+            second_quotient_field(vals, spec, ep) - second_quotient_field(vals, spec, em)
+        )
+        Q[..., a, b] = mixed
+        Q[..., b, a] = mixed
     return grad, slope, Q
 
 
@@ -352,7 +338,7 @@ def delta_falsifier(
         )
 
     offsets = _cylinder_offsets(spec, delta)
-    shifted = np.stack([_shift_all(v.values, (dm,) + dk) for dk, dm in offsets], axis=0)
+    shifted = np.stack([shift(v.values, (dm,) + dk) for dk, dm in offsets], axis=0)
     geo = [(spec.h * np.asarray(dk, dtype=float), spec.tau * dm) for dk, dm in offsets]
 
     grad, slope, Qhat = _local_model(v)

@@ -22,8 +22,15 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import EnvelopeError, GridError
-from .geometry import MeshFunction, MeshSpec, ParabolicPoint
-from .scheme import second_quotient_field
+from .geometry import (
+    _FP_SLACK,
+    MeshFunction,
+    MeshSpec,
+    ParabolicPoint,
+    lattice_directions,
+    lattice_index,
+    second_quotient_field,
+)
 
 __all__ = [
     "lower_monotone_envelope",
@@ -33,7 +40,6 @@ __all__ = [
 ]
 
 _SNAP = 1e-12
-_LATTICE_TOL = 1e-9
 
 
 def _chain_envelope(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -158,14 +164,6 @@ def contact_set(u: MeshFunction, gamma: MeshFunction, tol: float | None = None) 
     return {"mask": mask, "count": count, "measure": measure, "tol": tol}
 
 
-def _lattice_int(value: float, step: float, what: str) -> int:
-    q = value / step
-    k = round(q)
-    if abs(q - k) > _LATTICE_TOL:
-        raise EnvelopeError(f"{what} must sit on the lattice (step {step}), got {value}")
-    return int(k)
-
-
 def abp_diagnostic(
     u: MeshFunction,
     K: float | None = None,
@@ -198,23 +196,25 @@ def abp_diagnostic(
         mc = spec.levels
     else:
         center = ParabolicPoint(center[0], center[1]) if isinstance(center, tuple) else center
-        kc = tuple(_lattice_int(c, h, "cylinder center coordinate") for c in center.x)
-        mc = _lattice_int(center.t, tau, "cylinder center time")
+        kc = tuple(
+            lattice_index(c, h, "cylinder center coordinate", EnvelopeError) for c in center.x
+        )
+        mc = lattice_index(center.t, tau, "cylinder center time", EnvelopeError)
     if not 1 <= mc <= spec.levels:
         raise EnvelopeError(f"cylinder top time {mc * tau} outside the mesh")
     cx = tuple(k * h for k in kc)
     lat = min(min(cx[i] - lo, hi - cx[i]) for i, (lo, hi) in enumerate(spec.bounds))
 
     if rho is None:
-        j = min(int(lat / h + _LATTICE_TOL), int(math.isqrt(mc)))
+        j = min(int(lat / h + _FP_SLACK), int(math.isqrt(mc)))
         if j < 1:
             raise EnvelopeError("no backward cylinder of radius h fits this mesh")
         rho = j * h
     else:
-        j = _lattice_int(rho, h, "cylinder radius")
+        j = lattice_index(rho, h, "cylinder radius", EnvelopeError)
         if j < 1:
             raise EnvelopeError(f"cylinder radius must be a positive multiple of h, got {rho}")
-        if j * h > lat + _LATTICE_TOL * h or j * j > mc:
+        if j * h > lat + _FP_SLACK * h or j * j > mc:
             raise EnvelopeError("backward cylinder does not fit inside the mesh")
         rho = j * h
 
@@ -288,8 +288,7 @@ def abp_diagnostic(
             dt = np.abs(np.diff(vals, axis=0)) / tau
             tlip = float(np.nanmax(dt)) if np.isfinite(dt).any() else 0.0
             d2 = 0.0
-            for i in range(n):
-                e = tuple(1 if a == i else 0 for a in range(n))
+            for e in lattice_directions(n)[0]:
                 q = second_quotient_field(vals, spec, e)
                 if np.isfinite(q).any():
                     d2 = max(d2, float(np.nanmax(q)))

@@ -4,6 +4,11 @@ Space-time points carry the parabolic distance d((x,t),(y,s)) =
 (|x-y|^2 + |s-t|)^(1/2); meshes live on the lattice hZ^n x h^2 Z.  A node is
 addressed by its global integer index (k_1, ..., k_n, m) with position
 x_i = k_i*h and t = m*h^2.
+
+This module owns the lattice neighbour arithmetic and its tolerance: the
+neighbour shift (NaN off the mesh), the standard stencil directions, the
+quotient weight 1/|hy|^2 and the second quotient fields, and ``_FP_SLACK``
+with its snap helper :func:`lattice_index`.
 """
 
 from __future__ import annotations
@@ -27,11 +32,66 @@ __all__ = [
     "classify_mesh_points",
     "cylinder_nodes",
     "discrete_holder_norm",
+    "lattice_index",
+    "lattice_directions",
+    "quotient_weight",
+    "shift",
+    "second_quotient_field",
 ]
 
-# Relative slack used when deciding lattice membership / region containment,
-# so that exact rational grids are classified exactly.
+# Relative slack used when deciding lattice membership / region containment
+# and when snapping near-lattice values, so that exact rational grids are
+# classified exactly.
 _FP_SLACK = 1e-9
+
+
+def lattice_index(value: float, step: float, what: str, error: type[Exception] = GridError) -> int:
+    """The integer k with value = k*step up to ``_FP_SLACK``; else raises ``error``."""
+    q = value / step
+    k = round(q)
+    if abs(q - k) > _FP_SLACK:
+        raise error(f"{what} must sit on the lattice (step {step}), got {value}")
+    return int(k)
+
+
+def lattice_directions(n: int) -> tuple[list, dict]:
+    """Unit axes e_i and pair diagonals (e_i + e_j, e_i - e_j), i < j, of Z^n.
+
+    Returns ``(axes, pairs)`` with ``pairs[i, j] = (plus, minus)``; every
+    direction is in canonical +- form (first nonzero entry positive).
+    """
+    axes = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    pairs = {
+        (i, j): tuple(tuple(a + s * b for a, b in zip(axes[i], axes[j])) for s in (1, -1))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return axes, pairs
+
+
+def quotient_weight(h: float, y: Sequence[int]) -> float:
+    """1/|hy|^2, the weight of the second quotient along the scaled direction h*y."""
+    return 1.0 / (h**2 * sum(c * c for c in y))
+
+
+def shift(values: np.ndarray, off: Sequence[int]) -> np.ndarray:
+    """values[idx + off] over every axis (time first on mesh arrays), NaN
+    where idx + off leaves the array."""
+    off = tuple(int(c) for c in off)
+    if len(off) != values.ndim:
+        raise GridError(f"offset {off} has {len(off)} entries, the array has {values.ndim} axes")
+    out = np.full_like(values, np.nan)
+    src = tuple(slice(max(c, 0), min(c, 0) or None) for c in off)
+    dst = tuple(slice(max(-c, 0), min(-c, 0) or None) for c in off)
+    out[dst] = values[src]
+    return out
+
+
+def second_quotient_field(values: np.ndarray, spec: MeshSpec, y: Sequence[int]) -> np.ndarray:
+    """delta^2_y over a whole time-major array; NaN where neighbors are missing.
+    The arithmetic matches the solver's gather bit for bit."""
+    neighbours = shift(values, (0, *y)) + shift(values, (0, *np.negative(y)))
+    return (neighbours - 2.0 * values) * quotient_weight(spec.h, y)
 
 
 @dataclass(frozen=True)
@@ -312,6 +372,7 @@ class MeshClassification:
 
     interior: np.ndarray
     boundary: np.ndarray
+    interior_columns: np.ndarray  # spatial mask: lateral distance >= N*h
 
 
 def classify_mesh_points(spec: MeshSpec) -> MeshClassification:
@@ -327,7 +388,7 @@ def classify_mesh_points(spec: MeshSpec) -> MeshClassification:
     m = np.arange(1, spec.levels + 1).reshape((-1,) + (1,) * spec.n)
     time_ok = m >= spec.N**2  # t = m*h^2 >= (N*h)^2, exact in integers
     interior = np.logical_and(time_ok, lat_ok)
-    return MeshClassification(interior=interior, boundary=~interior)
+    return MeshClassification(interior=interior, boundary=~interior, interior_columns=lat_ok)
 
 
 def cylinder_nodes(spec: MeshSpec, region: Cylinder | KBox) -> list[tuple[int, ...]]:

@@ -19,7 +19,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridError, SchemeError
-from .geometry import MeshFunction, MeshSpec
+from .geometry import (
+    MeshFunction,
+    MeshSpec,
+    lattice_directions,
+    quotient_weight,
+    second_quotient_field,
+    shift,
+)
 from .nonlinearity import NonlinearityDescriptor, evaluate_F
 
 __all__ = [
@@ -86,13 +93,8 @@ class Stencil:
     @classmethod
     def make(cls, n: int, N: int = 2) -> "Stencil":
         """Axes plus (for n >= 2) all pairwise diagonals e_i +- e_j."""
-        dirs = [tuple(1 if i == a else 0 for i in range(n)) for a in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                plus = tuple(1 if k in (i, j) else 0 for k in range(n))
-                minus = tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
-                dirs.append(plus)
-                dirs.append(minus)
+        axes, pairs = lattice_directions(n)
+        dirs = axes + [y for pair in pairs.values() for y in pair]
         return cls(n=n, N=N, directions=tuple(dirs))
 
     def norms(self) -> np.ndarray:
@@ -173,14 +175,16 @@ class SchemeDescriptor:
     def damping_weight(self, spec: MeshSpec) -> float:
         """omega = 1 / (1 + tau * Lambda0 * sum_y 2/|hy|^2) for the damped
         fixed-point iteration."""
-        s = sum(2.0 / (spec.h**2 * sum(c * c for c in y)) for y in self.stencil.directions)
+        s = sum(2.0 * quotient_weight(spec.h, y) for y in self.stencil.directions)
         return 1.0 / (1.0 + spec.tau * self.Lambda0 * s)
 
-
-def _direction_outer(y: Sequence[int], n: int) -> np.ndarray:
-    v = np.asarray(y, dtype=float)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v)
+    def check_mesh(self, spec: MeshSpec) -> None:
+        """Raise SchemeError unless the stencil fits the mesh: same dimension,
+        and reach N no larger than the mesh's boundary band."""
+        if self.stencil.n != spec.n:
+            raise SchemeError(f"scheme dimension {self.stencil.n} != mesh dimension {spec.n}")
+        if self.stencil.N > spec.N:
+            raise SchemeError(f"stencil reach N={self.stencil.N} exceeds the mesh band N={spec.N}")
 
 
 def _decompose_linear(A: np.ndarray, directions: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -189,28 +193,25 @@ def _decompose_linear(A: np.ndarray, directions: Sequence[tuple[int, ...]]) -> n
     n = A.shape[0]
     gamma = np.zeros(len(directions))
     pos = {d: i for i, d in enumerate(directions)}
+    axes, pairs = lattice_directions(n)
     # off-diagonal entries ride on the pair diagonals
     diag_load = np.zeros(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = A[i, j]
-            if b == 0.0:
-                continue
-            plus = tuple(1 if k in (i, j) else 0 for k in range(n))
-            minus = tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
-            if plus not in pos or minus not in pos:
-                raise SchemeError(
-                    "stencil cannot represent F: missing pair diagonal for entry "
-                    f"A[{i},{j}]; enlarge N or supply a bellman_isaacs form"
-                )
-            if b > 0:
-                gamma[pos[plus]] += 2 * b
-            else:
-                gamma[pos[minus]] += -2 * b
-            diag_load[i] += abs(b)
-            diag_load[j] += abs(b)
-    for i in range(n):
-        axis = tuple(1 if k == i else 0 for k in range(n))
+    for (i, j), (plus, minus) in pairs.items():
+        b = A[i, j]
+        if b == 0.0:
+            continue
+        if plus not in pos or minus not in pos:
+            raise SchemeError(
+                "stencil cannot represent F: missing pair diagonal for entry "
+                f"A[{i},{j}]; enlarge N or supply a bellman_isaacs form"
+            )
+        if b > 0:
+            gamma[pos[plus]] += 2 * b
+        else:
+            gamma[pos[minus]] += -2 * b
+        diag_load[i] += abs(b)
+        diag_load[j] += abs(b)
+    for i, axis in enumerate(axes):
         g = A[i, i] - diag_load[i]
         if g < -1e-12 * max(1.0, abs(A[i, i])):
             raise SchemeError(
@@ -255,8 +256,8 @@ def build_monotone_scheme(
         stencil = Stencil.make(n, N)
     if stencil.n != n:
         raise SchemeError(f"stencil dimension {stencil.n} != operator dimension {n}")
-    for a in range(n):
-        axis = tuple(1 if i == a else 0 for i in range(n))
+    axes, pairs = lattice_directions(n)
+    for axis in axes:
         if not stencil.has(axis):
             raise SchemeError(f"construction stencil misses coordinate axis {axis}")
     dirs = stencil.directions
@@ -275,12 +276,9 @@ def build_monotone_scheme(
                 tables = [forms[:1], forms[1:]]  # min(lam r, Lam r)
         elif n == 2:
             # Orthogonal sub-stencils: the axes pair and the diagonal pair.
-            if not (stencil.has((1, 1)) and stencil.has((1, -1))):
+            frames = [axes, pairs[0, 1]]
+            if not all(stencil.has(y) for y in frames[1]):
                 raise SchemeError("2D Pucci schemes need both pair diagonals in the stencil")
-            frames = [
-                [(1, 0), (0, 1)],
-                [(1, 1), (1, -1)],
-            ]
             pos = {d: i for i, d in enumerate(dirs)}
             forms = []
             for frame in frames:
@@ -365,37 +363,12 @@ def apply_scheme(scheme: SchemeDescriptor, u: MeshFunction, index: Sequence[int]
     return delta_tau_minus(u, index) - float(scheme.F_h(r))
 
 
-def _shifted(values: np.ndarray, y: Sequence[int]) -> np.ndarray:
-    """values[(m, k + y)] with NaN where the shift leaves the array."""
-    out = np.full_like(values, np.nan)
-    src = [slice(None)]
-    dst = [slice(None)]
-    for c in y:
-        if c > 0:
-            src.append(slice(c, None))
-            dst.append(slice(None, -c))
-        elif c < 0:
-            src.append(slice(None, c))
-            dst.append(slice(-c, None))
-        else:
-            src.append(slice(None))
-            dst.append(slice(None))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
-def second_quotient_field(values: np.ndarray, spec: MeshSpec, y: Sequence[int]) -> np.ndarray:
-    """delta^2_y over a whole time-major array; NaN where neighbors are missing."""
-    h2y2 = spec.h**2 * sum(c * c for c in y)
-    return (_shifted(values, y) + _shifted(values, tuple(-c for c in y)) - 2.0 * values) / h2y2
-
-
 def scheme_residual_field(scheme: SchemeDescriptor, u: MeshFunction) -> np.ndarray:
     """S_h[u] on the interior set, NaN on the boundary band (vectorized)."""
     spec = u.spec
+    scheme.check_mesh(spec)
     v = u.values
-    dtau = np.full(spec.shape, np.nan)
-    dtau[1:] = (v[1:] - v[:-1]) / spec.tau
+    dtau = (v - shift(v, (-1,) + (0,) * spec.n)) / spec.tau
     quotients = np.stack(
         [second_quotient_field(v, spec, y) for y in scheme.stencil.directions], axis=-1
     )

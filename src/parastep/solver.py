@@ -24,12 +24,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SchemeError, SolverConvergenceError
-from .geometry import MeshFunction, MeshSpec
+from .geometry import MeshFunction, MeshSpec, quotient_weight, shift
 from .scheme import SchemeDescriptor, scheme_residual_field
 
 __all__ = ["SolveReport", "solve", "residual_sweep"]
-
-_FP_SLACK = 1e-9
 
 
 @dataclass
@@ -47,38 +45,26 @@ class SolveReport:
 
 
 class _LevelProblem:
-    """Precomputed index plumbing shared by all time levels."""
+    """Precomputed index plumbing shared by all time levels.  The flat-index
+    gather is 2-3x faster per sweep than ``second_quotient_field`` at solver
+    sizes; its tables come from ``shift`` and its weights from ``quotient_weight``."""
 
     def __init__(self, scheme: SchemeDescriptor, spec: MeshSpec):
-        if scheme.stencil.n != spec.n:
-            raise SchemeError(
-                f"scheme dimension {scheme.stencil.n} != mesh dimension {spec.n}"
-            )
-        if scheme.stencil.N > spec.N:
-            raise SchemeError(
-                f"stencil reach N={scheme.stencil.N} exceeds the mesh band N={spec.N}"
-            )
+        scheme.check_mesh(spec)
         self.scheme = scheme
         self.spec = spec
-        lat = spec.lateral_distance()
-        self.lat_ok = lat >= spec.N * spec.h - _FP_SLACK * spec.h
-        shape = spec.spatial_shape
-        cols = np.argwhere(self.lat_ok)  # (K, n) array offsets
-        self.int_flat = np.ravel_multi_index(cols.T, shape)
-        self.K = cols.shape[0]
-        inv = np.full(int(np.prod(shape)), -1, dtype=np.int64)
-        inv[self.int_flat] = np.arange(self.K)
-        self.inv = inv
+        cols = spec.classification().interior_columns
+        self.int_flat = np.flatnonzero(cols)
+        self.K = self.int_flat.size
+        self.inv = np.full(cols.size, -1, dtype=np.int64)
+        self.inv[self.int_flat] = np.arange(self.K)
         self.dirs = scheme.stencil.directions
-        self.weights = np.array(
-            [1.0 / (spec.h**2 * sum(c * c for c in y)) for y in self.dirs]
-        )
-        self.plus_flat = []
-        self.minus_flat = []
-        for y in self.dirs:
-            y = np.asarray(y)
-            self.plus_flat.append(np.ravel_multi_index((cols + y).T, shape))
-            self.minus_flat.append(np.ravel_multi_index((cols - y).T, shape))
+        self.weights = np.array([quotient_weight(spec.h, y) for y in self.dirs])
+        # a compatible stencil keeps every neighbour of an interior column on
+        # the array, so no NaN reaches the integer cast
+        index = np.arange(cols.size, dtype=float).reshape(cols.shape)
+        self.plus_flat = [shift(index, y)[cols].astype(np.int64) for y in self.dirs]
+        self.minus_flat = [shift(index, np.negative(y))[cols].astype(np.int64) for y in self.dirs]
 
     def quotients(self, w_flat: np.ndarray) -> np.ndarray:
         """(K, ndir) array of delta^2_y at the interior columns."""

@@ -18,6 +18,8 @@ from parastep import (
     euclidean_distance,
     parabolic_distance,
 )
+from parastep.geometry import second_quotient_field, shift
+from parastep.scheme import Stencil, delta2_y, delta_tau_minus
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -381,3 +383,37 @@ def test_holder_norm_rejects_bad_eta(rng):
     u = MeshFunction(spec, np.zeros(spec.shape))
     with pytest.raises(GridError):
         discrete_holder_norm(u, eta=1.5)
+
+
+# ---------------------------------------------------------------------------
+# lattice-stencil layer: vectorized fields against the scalar quotients
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("h", [0.1, 1 / 12], ids=["h=0.1", "h=1/12"])
+def test_quotient_fields_match_scalar_quotients(n, h, rng):
+    spec = MeshSpec(h=h, bounds=[(0.0, 0.5)] * n, T=5 * h * h, N=2)
+    u = MeshFunction(spec, rng.standard_normal(spec.shape))
+    fields = {y: second_quotient_field(u.values, spec, y) for y in Stencil.make(n).directions}
+    dtau = (u.values - shift(u.values, (-1,) + (0,) * n)) / spec.tau
+    cases = [(dtau, lambda idx: delta_tau_minus(u, idx))]
+    cases += [(f, lambda idx, y=y: delta2_y(u, idx, y)) for y, f in fields.items()]
+    for field, scalar in cases:
+        for idx in spec.node_indices():
+            got = field[spec.offset(idx)]
+            try:
+                want = scalar(idx)
+            except GridError:
+                assert np.isnan(got), idx
+            else:
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), idx
+
+
+def test_shift_rejects_offset_of_wrong_length():
+    values = np.zeros((3, 4, 4))
+    with pytest.raises(GridError, match="offset"):
+        shift(values, (0, 1))
+    spec = MeshSpec(h=0.25, bounds=[(0.0, 1.0)] * 2, T=0.25, N=2)
+    with pytest.raises(GridError, match="offset"):
+        second_quotient_field(np.zeros(spec.shape), spec, (1,))

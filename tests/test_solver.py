@@ -6,8 +6,14 @@ import pytest
 from parastep.errors import SchemeError, SolverConvergenceError
 from parastep.geometry import MeshFunction, MeshSpec
 from parastep.nonlinearity import NonlinearityDescriptor
-from parastep.scheme import build_monotone_scheme, second_quotient_field
-from parastep.solver import residual_sweep, solve
+from parastep.scheme import (
+    TestFunction,
+    build_monotone_scheme,
+    consistency_error,
+    scheme_residual_field,
+    second_quotient_field,
+)
+from parastep.solver import _LevelProblem, residual_sweep, solve
 
 # ---------------------------------------------------------------------------
 # oracle: dense implicit Euler for linear 1D problems
@@ -272,3 +278,45 @@ def test_dimension_mismatch_rejected():
     sch = build_monotone_scheme(NonlinearityDescriptor.linear(np.eye(2)))
     with pytest.raises(SchemeError, match="dimension"):
         solve(sch, spec, lambda x, t: 0.0 * x[..., 0])
+
+
+@pytest.mark.parametrize(
+    "scheme_n, scheme_N, mesh_n",
+    [(1, 2, 2), (2, 2, 1), (1, 3, 1)],
+    ids=["1d-scheme-2d-mesh", "2d-scheme-1d-mesh", "reach-beyond-band"],
+)
+def test_residual_rejects_scheme_mesh_mismatch(scheme_n, scheme_N, mesh_n):
+    spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)] * mesh_n, T=0.25, N=2)
+    sch = build_monotone_scheme(NonlinearityDescriptor.linear(np.eye(scheme_n)), N=scheme_N)
+    phi = TestFunction.class_P(np.zeros(mesh_n), 1.0, np.zeros(mesh_n), np.eye(mesh_n))
+    u = MeshFunction.from_callable(spec, phi.fn)
+    with pytest.raises(SchemeError):
+        solve(sch, spec, phi.fn)
+    with pytest.raises(SchemeError):
+        scheme_residual_field(sch, u)
+    with pytest.raises(SchemeError):
+        residual_sweep(sch, u)
+    with pytest.raises(SchemeError):
+        consistency_error(sch, phi, spec)
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        NonlinearityDescriptor.linear([[1.0, 0.3], [0.3, 0.8]]),
+        NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2),
+        NonlinearityDescriptor.pucci_minus(1.0, 2.0, 1),
+    ],
+    ids=lambda d: f"{d.kind}-{d.dimension}d",
+)
+def test_level_quotients_equal_quotient_field_bitwise(descriptor, rng):
+    n = descriptor.dimension
+    spec = MeshSpec(h=1 / 12, bounds=[(0.0, 1.0)] * n, T=8 / 144, N=2)
+    sch = build_monotone_scheme(descriptor)
+    values = rng.standard_normal(spec.shape)
+    lp = _LevelProblem(sch, spec)
+    cols = spec.classification().interior_columns
+    fields = [second_quotient_field(values, spec, y) for y in sch.stencil.directions]
+    for m in range(spec.levels):
+        want = np.stack([f[m][cols] for f in fields], axis=-1)
+        assert np.array_equal(lp.quotients(values[m].ravel()), want)
