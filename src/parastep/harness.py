@@ -164,7 +164,7 @@ class ConvergenceStudy:
     interior_nodes: list
     sup_errors: list
     iterations: list  # total damped / policy sweeps per mesh
-    pairwise_rates: list  # log2(e_prev / e_next), one fewer than h_values
+    pairwise_rates: list  # one per consecutive pair; NaN where either error is 0
     fitted_rate: float
     max_residual: float
     elapsed_seconds: float  # informational; never written to the CSV
@@ -177,9 +177,9 @@ class ConvergenceStudy:
             f"# fitted_rate={self.fitted_rate!r}",
             "h,sup_error,rate_pairwise,iterations",
         ]
+        rates = [""] + ["" if math.isnan(r) else repr(r) for r in self.pairwise_rates]
         for i, h in enumerate(self.h_values):
-            rate = "" if i == 0 else repr(self.pairwise_rates[i - 1])
-            lines.append(f"{h!r},{self.sup_errors[i]!r},{rate},{self.iterations[i]}")
+            lines.append(f"{h!r},{self.sup_errors[i]!r},{rates[i]},{self.iterations[i]}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -224,8 +224,9 @@ def run_convergence_study(
 
     rates = [
         math.log(errors[i - 1] / errors[i]) / math.log(h_values[i - 1] / h_values[i])
-        for i in range(1, len(errors))
         if errors[i] > 0 and errors[i - 1] > 0
+        else math.nan
+        for i in range(1, len(errors))
     ]
     if len(errors) >= 2 and min(errors) > 0:
         fitted = float(

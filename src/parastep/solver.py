@@ -4,18 +4,24 @@ Marches level by level: at each time level the interior-column values solve
 the implicit (backward-in-time quotient) equation, with the lateral band and
 all levels before t = (N h)^2 prescribed.  Two routes:
 
+* ``howard`` (``auto`` resolves to it for every scheme): nested policy
+  iteration (Hoffman & Karp 1966; Bokanowski, Maroso & Zidani 2009).
+  F_h is a min over rows of a max over forms, so the outer loop picks per
+  node the row a = argmin over rows of the row's max, and the inner loop is
+  pure-max Howard over the forms of that row.  A single table makes the
+  outer loop trivial, singleton rows make the inner loop trivial.  Each
+  policy evaluation is one sparse linear solve on a sparsity pattern built
+  once per solve; the last LU factor is reused while the per-node form
+  index is unchanged, so a linear scheme factors once per solve.
 * ``picard``: damped fixed point w <- w - omega*tau*S_h[w] with
   omega = 1/(1 + tau*Lambda0*sum_y 2/|hy|^2).  Monotonicity of F_h makes this
   a sup-norm contraction with factor 1 - omega (mesh-independent, since
-  tau = h^2 cancels the 1/h^2 in the quotient weights).
-* ``howard``: policy iteration, for schemes whose tables are a pure max
-  (single table) or a pure min (all rows singletons).  Each policy evaluation
-  is one sparse linear solve; the policy is the active form per node.
+  tau = h^2 cancels the 1/h^2 in the quotient weights).  It is 5-10x slower
+  and is kept as the reference route policy iteration is tested against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,9 +51,10 @@ class SolveReport:
 
 
 class _LevelProblem:
-    """Precomputed index plumbing shared by all time levels.  The flat-index
-    gather is 2-3x faster per sweep than ``second_quotient_field`` at solver
-    sizes; its tables come from ``shift`` and its weights from ``quotient_weight``."""
+    """Precomputed index plumbing and sparsity pattern shared by all time
+    levels of one solve.  The flat-index gather is 2-3x faster per sweep than
+    ``second_quotient_field`` at solver sizes; its tables come from ``shift``
+    and its weights from ``quotient_weight``."""
 
     def __init__(self, scheme: SchemeDescriptor, spec: MeshSpec):
         scheme.check_mesh(spec)
@@ -65,6 +72,37 @@ class _LevelProblem:
         index = np.arange(cols.size, dtype=float).reshape(cols.shape)
         self.plus_flat = [shift(index, y)[cols].astype(np.int64) for y in self.dirs]
         self.minus_flat = [shift(index, np.negative(y))[cols].astype(np.int64) for y in self.dirs]
+        # (rows, forms, ndir): short rows repeat their last form, which leaves
+        # the row's max (and its first argmax) unchanged
+        width = max(tab.shape[0] for tab in scheme.tables)
+        self.forms = np.stack(
+            [np.vstack([tab] + [tab[-1:]] * (width - tab.shape[0])) for tab in scheme.tables]
+        )
+        self.flat_forms = self.forms.reshape(-1, len(self.dirs))
+        self._build_pattern()
+        self._lu_policy = self._lu = None
+
+    def _build_pattern(self):
+        """CSC pattern of the level matrix.  Slot s = 2j (+y_j) or 2j+1 (-y_j)
+        is a neighbour of every unknown; an in-mesh one is a matrix entry, an
+        out-of-mesh one feeds the right-hand side.  Directions are distinct
+        and canonical, so no (row, col) entry repeats."""
+        K = self.K
+        nbrs = np.stack([f for pair in zip(self.plus_flat, self.minus_flat) for f in pair], axis=1)
+        ids = self.inv[nbrs]
+        self.inside = ids >= 0
+        rows = np.concatenate([np.arange(K), np.nonzero(self.inside)[0]])
+        cols = np.concatenate([np.arange(K), ids[self.inside]])
+        order = np.lexsort((rows, cols))
+        self.indices = rows[order].astype(np.intc)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=K))]).astype(np.intc)
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        self.diag_pos, self.nb_pos = pos[:K], pos[K:]
+        self.outside = []
+        for s in range(nbrs.shape[1]):
+            k = np.flatnonzero(~self.inside[:, s])
+            self.outside.append((k, nbrs[k, s]))
 
     def quotients(self, w_flat: np.ndarray) -> np.ndarray:
         """(K, ndir) array of delta^2_y at the interior columns."""
@@ -75,17 +113,39 @@ class _LevelProblem:
         return r
 
     def residual(self, w_flat: np.ndarray, b_flat: np.ndarray) -> np.ndarray:
+        """S_h at the interior columns through ``scheme.F_h``, independent of
+        the padded ``forms`` that policy iteration evaluates."""
         dtau = (w_flat[self.int_flat] - b_flat[self.int_flat]) / self.spec.tau
         return dtau - self.scheme.F_h(self.quotients(w_flat))
 
+    def scores(self, w_flat: np.ndarray) -> np.ndarray:
+        """(K, rows, forms) array of gamma . delta^2 w per node and form."""
+        return (self.quotients(w_flat) @ self.flat_forms.T).reshape(self.K, *self.forms.shape[:2])
 
-def _table_mode(scheme: SchemeDescriptor) -> str:
-    """'max' if a single table, 'min' if every table is a single row, else 'mixed'."""
-    if len(scheme.tables) == 1:
-        return "max"
-    if all(tab.shape[0] == 1 for tab in scheme.tables):
-        return "min"
-    return "mixed"
+    def matrix(self, coef: np.ndarray) -> sp.csc_matrix:
+        """Level matrix for per-node weighted coefficients ``coef`` (K, ndir)."""
+        data = np.empty(self.nb_pos.size + self.K)
+        data[self.diag_pos] = 1.0 / self.spec.tau + 2.0 * coef.sum(axis=1)
+        data[self.nb_pos] = -np.repeat(coef, 2, axis=1)[self.inside]
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.K, self.K))
+
+    def rhs(self, coef: np.ndarray, w_flat: np.ndarray, b_flat: np.ndarray) -> np.ndarray:
+        """b / tau plus the out-of-mesh neighbour terms, added slot by slot."""
+        rhs = b_flat[self.int_flat] / self.spec.tau
+        for s, (k, nb) in enumerate(self.outside):
+            rhs[k] += coef[k, s // 2] * w_flat[nb]
+        return rhs
+
+    def evaluate(self, policy: np.ndarray, w_flat: np.ndarray, b_flat: np.ndarray) -> None:
+        """Solve the linear level equation of ``policy`` (a per-node index into
+        ``flat_forms``) into ``w_flat``, refactoring only when it changed."""
+        coef = self.flat_forms[policy] * self.weights
+        if self._lu_policy is None or not np.array_equal(policy, self._lu_policy):
+            # the pattern is structurally symmetric, which suits a minimum
+            # degree ordering of A^T + A
+            self._lu = spla.splu(self.matrix(coef), permc_spec="MMD_AT_PLUS_A")
+            self._lu_policy = policy
+        w_flat[self.int_flat] = self._lu.solve(self.rhs(coef, w_flat, b_flat))
 
 
 def _picard_level(lp: _LevelProblem, w_flat, b_flat, omega, tol, max_iterations):
@@ -102,49 +162,30 @@ def _picard_level(lp: _LevelProblem, w_flat, b_flat, omega, tol, max_iterations)
     )
 
 
-def _howard_level(lp: _LevelProblem, w_flat, b_flat, mode, tol, max_policy=60):
-    scheme, spec = lp.scheme, lp.spec
-    if mode == "max":
-        forms = scheme.tables[0]
-    else:
-        forms = np.vstack(scheme.tables)  # one row per min branch
-    K, ndir = lp.K, len(lp.dirs)
-    policy = np.zeros(K, dtype=np.int64)
-    prev_policy = None
-    last_resid = math.inf
+def _howard_level(lp: _LevelProblem, w_flat, b_flat, tol, max_policy=60):
+    """Nested policy iteration; every iteration is one policy evaluation.
+    The row choice is revised only once the inner (pure-max) policy of the
+    current rows repeats, i.e. once their inner problem is solved."""
+    nodes = np.arange(lp.K)
+    width = lp.forms.shape[1]
+    scores = lp.scores(w_flat)
+    rows = scores.max(axis=2).argmin(axis=1)
+    policy = None
     for it in range(1, max_policy + 1):
-        scores = lp.quotients(w_flat) @ forms.T
-        policy = scores.argmax(axis=1) if mode == "max" else scores.argmin(axis=1)
-        if prev_policy is not None and np.array_equal(policy, prev_policy):
-            resid = float(np.max(np.abs(lp.residual(w_flat, b_flat)))) if K else 0.0
-            if resid <= tol:
-                return it, resid
-        prev_policy = policy.copy()
-        gamma = forms[policy]  # (K, ndir)
-        diag = 1.0 / spec.tau + 2.0 * (gamma * lp.weights).sum(axis=1)
-        rows = [np.arange(K)]
-        cols = [np.arange(K)]
-        data = [diag]
-        rhs = b_flat[lp.int_flat] / spec.tau
-        for j in range(ndir):
-            g = gamma[:, j] * lp.weights[j]
-            for nb in (lp.plus_flat[j], lp.minus_flat[j]):
-                nb_id = lp.inv[nb]
-                inside = nb_id >= 0
-                rows.append(np.arange(K)[inside])
-                cols.append(nb_id[inside])
-                data.append(-g[inside])
-                rhs = rhs + np.where(inside, 0.0, g * w_flat[nb])
-        A = sp.csc_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(K, K),
-        )
-        w_flat[lp.int_flat] = spla.spsolve(A, rhs)
-        last_resid = float(np.max(np.abs(lp.residual(w_flat, b_flat)))) if K else 0.0
-        if last_resid <= tol:
-            return it, last_resid
+        prev = policy
+        policy = rows * width + scores[nodes, rows].argmax(axis=1)
+        if prev is not None and np.array_equal(policy, prev):
+            # the inner problem of these rows is solved: revise the rows
+            rows = scores.max(axis=2).argmin(axis=1)
+            policy = rows * width + scores[nodes, rows].argmax(axis=1)
+        lp.evaluate(policy, w_flat, b_flat)
+        scores = lp.scores(w_flat)
+        dtau = (w_flat[lp.int_flat] - b_flat[lp.int_flat]) / lp.spec.tau
+        resid = float(np.max(np.abs(dtau - scores.max(axis=2).min(axis=1))))
+        if resid <= tol:
+            return it, resid
     raise SolverConvergenceError(
-        f"policy iteration stalled at residual {last_resid:.3e} > tol {tol:.3e}"
+        f"policy iteration stalled at residual {resid:.3e} > tol {tol:.3e}"
     )
 
 
@@ -165,10 +206,15 @@ def solve(
     boundary : callable ``g(x, t)`` (x shaped (..., n)) or a MeshFunction;
         its values are used on every boundary-band node (and as the warm
         start on the interior).
-    method : 'picard', 'howard' or 'auto' (howard when the tables are a pure
-        min or max, else picard).
+    method : 'howard', 'picard' or 'auto'.  'auto' is 'howard', which runs
+        for every table shape (max, min and mixed min-max); 'picard' is the
+        slower damped iteration, kept as the reference route.
     tol : residual tolerance; default 1e-10 * (1 + sup |boundary band data|).
-    max_iterations : per-level sweep cap for the damped iteration.
+    max_iterations : per-level sweep cap for 'picard' only.  'howard' stops
+        after 60 policy iterations per level.
+
+    ``report.iterations`` holds, per level, the Picard sweeps or the Howard
+    policy evaluations (one linear solve each).
 
     Returns
     -------
@@ -187,14 +233,8 @@ def solve(
     if tol is None:
         tol = 1e-10 * (1.0 + band_sup)
 
-    mode = _table_mode(scheme)
     if method == "auto":
-        method = "howard" if mode in ("max", "min") else "picard"
-    if method == "howard" and mode == "mixed":
-        raise SchemeError(
-            "policy iteration needs pure-min or pure-max coefficient tables; "
-            "use method='picard' for mixed min-max schemes"
-        )
+        method = "howard"
     if method not in ("picard", "howard"):
         raise SchemeError(f"unknown method {method!r}")
 
@@ -211,7 +251,7 @@ def solve(
             if method == "picard":
                 its, resid = _picard_level(lp, w_flat, b_flat, omega, tol, max_iterations)
             else:
-                its, resid = _howard_level(lp, w_flat, b_flat, mode, tol)
+                its, resid = _howard_level(lp, w_flat, b_flat, tol)
             report.iterations.append(its)
             report.max_residual = max(report.max_residual, resid)
             values[m - 1] = w_flat.reshape(spec.spatial_shape)

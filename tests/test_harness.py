@@ -15,11 +15,13 @@ from parastep.errors import ConfigError
 from parastep.geometry import KBox, MeshFunction, MeshSpec
 from parastep.harness import (
     ConvergenceStudy,
+    ExactSolution,
     exact_library,
     get_problem,
     run_convergence_study,
     run_diagnostics,
 )
+from parastep.nonlinearity import NonlinearityDescriptor
 from parastep.scheme import build_monotone_scheme
 from parastep.solver import solve
 
@@ -101,6 +103,30 @@ def test_csv_layout(tmp_path):
     out = tmp_path / "study.csv"
     study.write_csv(out)
     assert out.read_text() == text
+
+
+def test_zero_error_keeps_one_rate_per_pair():
+    # u = x^2 + 2t solves u_t = u_xx and the scheme reproduces it exactly, so
+    # the errors are 0 or roundoff and some pairwise rates are undefined
+    quadratic = ExactSolution(
+        name="heat_quadratic",
+        descriptor=NonlinearityDescriptor.linear([[1.0]]),
+        bounds=((0.0, 1.0),),
+        fn=lambda x, t: x[..., 0] ** 2 + 2.0 * np.asarray(t),
+        du_dt=lambda x, t: 2.0 + 0.0 * x[..., 0],
+        hessian=lambda x, t: 2.0 + 0.0 * x[..., 0, None, None],
+    )
+    study = run_convergence_study(quadratic, [1 / 4, 1 / 8, 1 / 16], T=0.25)
+    errors = study.sup_errors
+    assert errors[0] == 0.0 and max(errors) < 1e-12
+    assert len(study.pairwise_rates) == 2
+    rows = [line.split(",") for line in study.to_csv().strip().split("\n")[4:]]
+    assert len(rows) == 3 and rows[0][2] == ""
+    for (e0, e1), rate, row in zip(zip(errors, errors[1:]), study.pairwise_rates, rows[1:]):
+        if e0 > 0 and e1 > 0:
+            assert row[2] == repr(rate)
+        else:
+            assert math.isnan(rate) and row[2] == ""
 
 
 def test_empty_sweep_rejected():

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import parastep.solver as solver_module
 from parastep.errors import SchemeError, SolverConvergenceError
 from parastep.geometry import MeshFunction, MeshSpec
 from parastep.nonlinearity import NonlinearityDescriptor
@@ -228,21 +230,23 @@ def test_heat_2d_picard_howard_agree():
     assert residual_sweep(sch, up)["sup_residual"] <= 1e-9
 
 
-def test_mixed_bellman_requires_picard(rng):
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16])
+def test_isaacs_howard_matches_picard(h):
     A1 = np.array([[1.0, 0.2], [0.2, 1.5]])
     A2 = np.array([[2.0, -0.3], [-0.3, 1.0]])
     desc = NonlinearityDescriptor.bellman_isaacs([[A1, A2], [np.eye(2), 1.5 * np.eye(2)]])
     sch = build_monotone_scheme(desc)
-    spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.125, N=2)
+    assert len(sch.tables) > 1 and max(tab.shape[0] for tab in sch.tables) > 1
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.125, N=2)
 
     def g(x, t):
         return np.sin(math.pi * x[..., 0]) * np.cos(math.pi * x[..., 1]) * np.exp(-t)
 
-    with pytest.raises(SchemeError, match="picard"):
-        solve(sch, spec, g, method="howard")
-    u, report = solve(sch, spec, g)  # auto -> picard
-    assert report.method == "picard"
-    assert residual_sweep(sch, u)["sup_residual"] <= report.tol
+    uh, report = solve(sch, spec, g)  # auto -> howard
+    assert report.method == "howard"
+    up, _ = solve(sch, spec, g, method="picard")
+    assert np.max(np.abs(uh.values - up.values)) <= 1e-9
+    assert residual_sweep(sch, uh)["sup_residual"] <= report.tol
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +324,93 @@ def test_level_quotients_equal_quotient_field_bitwise(descriptor, rng):
     for m in range(spec.levels):
         want = np.stack([f[m][cols] for f in fields], axis=-1)
         assert np.array_equal(lp.quotients(values[m].ravel()), want)
+
+
+# ---------------------------------------------------------------------------
+# policy evaluation: fixed sparsity pattern and factor reuse
+# ---------------------------------------------------------------------------
+
+
+def coo_level_system(lp, gamma, w_flat, b_flat):
+    """The level system of per-node forms ``gamma`` (K, ndir), assembled as a
+    fresh COO matrix the way the solver did before it kept a fixed pattern."""
+    K, tau = lp.K, lp.spec.tau
+    diag = 1.0 / tau + 2.0 * (gamma * lp.weights).sum(axis=1)
+    rows, cols, data = [np.arange(K)], [np.arange(K)], [diag]
+    rhs = b_flat[lp.int_flat] / tau
+    for j in range(len(lp.dirs)):
+        g = gamma[:, j] * lp.weights[j]
+        for nb in (lp.plus_flat[j], lp.minus_flat[j]):
+            nb_id = lp.inv[nb]
+            inside = nb_id >= 0
+            rows.append(np.arange(K)[inside])
+            cols.append(nb_id[inside])
+            data.append(-g[inside])
+            rhs = rhs + np.where(inside, 0.0, g * w_flat[nb])
+    A = sp.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(K, K)
+    )
+    return A, rhs
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        NonlinearityDescriptor.pucci_plus(1.0, 2.0, 1),
+        NonlinearityDescriptor.bellman_isaacs(
+            [[np.eye(2), [[2.0, 0.5], [0.5, 1.0]]], [[[1.0, -0.3], [-0.3, 2.0]], 1.5 * np.eye(2)]]
+        ),
+    ],
+    ids=lambda d: f"{d.kind}-{d.dimension}d",
+)
+def test_fixed_pattern_system_equals_coo_assembly(descriptor, rng):
+    n = descriptor.dimension
+    spec = MeshSpec(h=1 / 8, bounds=[(0.0, 1.0)] * n, T=0.125, N=2)
+    lp = _LevelProblem(build_monotone_scheme(descriptor), spec)
+    # boundary-adjacent unknowns read out-of-mesh neighbours into the rhs
+    assert lp.inside.any() and not lp.inside.all()
+    for _ in range(5):
+        values = rng.standard_normal((2,) + spec.spatial_shape)
+        w_flat, b_flat = values[1].ravel(), values[0].ravel()
+        policy = rng.integers(0, lp.flat_forms.shape[0], lp.K)
+        gamma = lp.flat_forms[policy]
+        want_A, want_rhs = coo_level_system(lp, gamma, w_flat, b_flat)
+        coef = gamma * lp.weights
+        assert np.array_equal(lp.matrix(coef).toarray(), want_A.toarray())
+        assert np.array_equal(lp.rhs(coef, w_flat, b_flat), want_rhs)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    calls = []
+    splu = solver_module.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module.spla, "splu", counting)
+    return calls
+
+
+def test_linear_solve_factors_once(splu_calls):
+    spec = MeshSpec(h=1 / 32, bounds=[(0.0, 1.0)], T=0.25, N=2)
+    heat = build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]]))
+    _, report = solve(heat, spec, sine_data())
+    assert len(report.iterations) == spec.levels - spec.N**2 + 1 > 200
+    assert len(splu_calls) == 1
+
+
+def test_pucci_factors_at_most_once_per_policy(splu_calls, rng):
+    spec = MeshSpec(**MESH_1D)
+    sch = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0))
+    coeffs = rng.standard_normal(4)
+
+    def g(x, t):
+        s = 0.0 * x[..., 0]
+        for j, c in enumerate(coeffs, start=1):
+            s = s + c * np.sin(j * math.pi * x[..., 0]) * np.exp(-t * j)
+        return s
+
+    _, report = solve(sch, spec, g)
+    assert 0 < len(splu_calls) <= report.total_iterations()
