@@ -8,11 +8,11 @@ Exit codes: 0 on success, 1 on error (bad usage, unreadable or malformed
 config -- config problems carry ``file:line``), 2 when ``--strict`` is set
 and a checked property fails.
 
-Thread pinning: ``PARASTEP_THREADS`` is applied to the BLAS/OpenMP pool
-variables before numpy loads (see the package ``__init__``), which is the
-reliable route.  ``--threads`` sets the same variables from inside the
-process -- too late for a pool that already spun up, so it is best effort
-plus ``threadpoolctl`` when that package happens to be installed.
+Thread pinning: set ``PARASTEP_THREADS`` in the environment.  The package
+``__init__`` copies it to the BLAS/OpenMP pool variables before numpy loads,
+which is the only point where those pools read them; ``python -m parastep``
+runs that ``__init__`` before any argument is parsed, so there is no
+command-line flag for it.  A value that is not a positive integer is an error.
 
 Single-mesh commands (solve, diagnose) use the first entry of the h list;
 pass ``--h-list 0.03125`` to pick a specific spacing.  ``certify`` expects a
@@ -47,26 +47,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
 
 
-def _apply_threads(threads: int | None):
-    if threads is None:
-        raw = os.environ.get("PARASTEP_THREADS")
-        if not raw:
-            return
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"PARASTEP_THREADS must be an integer, got {raw!r}") from None
+def _apply_threads():
+    """Validate ``PARASTEP_THREADS`` and copy it to the pool variables.
+
+    This process's pools were sized when numpy loaded; the copy reaches only
+    child processes."""
+    raw = os.environ.get("PARASTEP_THREADS")
+    if not raw:
+        return
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"PARASTEP_THREADS must be an integer, got {raw!r}") from None
     if threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {threads}")
-    os.environ["PARASTEP_THREADS"] = str(threads)
+        raise ConfigError(f"PARASTEP_THREADS must be at least 1, got {threads}")
     for var in _THREAD_VARS:
         os.environ[var] = str(threads)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        pass
 
 
 def _bool_text(flag) -> str:
@@ -94,12 +90,6 @@ def build_parser() -> _Parser:
         help="exit 2 when a checked property fails",
     )
     common.add_argument("--seed", type=int, metavar="INT", help="sampler seed (recorded in headers)")
-    common.add_argument(
-        "--threads",
-        type=int,
-        metavar="INT",
-        help="pin BLAS/OpenMP threads (PARASTEP_THREADS is the env fallback)",
-    )
     common.add_argument(
         "--h-list",
         dest="h_list",
@@ -426,7 +416,7 @@ def cli_main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        _apply_threads(args.threads)
+        _apply_threads()
         cfg = _resolved_config(args)
         return _COMMANDS[args.command](cfg, args)
     except ParastepError as exc:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.stats import qmc
 
 from .errors import DiagnosticsError
 from .geometry import (
@@ -347,37 +346,33 @@ def delta_falsifier(
         s_m = float(np.nanmax(np.abs(slope))) if not np.isnan(slope).all() else 0.0
         s_q = float(np.nanmax(np.abs(Qhat))) if not np.isnan(Qhat).all() else 0.0
 
-    probes: list[tuple[str, object, object, object]] = [("osculating", grad, slope, Qhat)]
-    if cfg.include_battery:
-        base = max(s_m, 2.0 * n * s_q, 1e-9 * scale)
-        eye = np.eye(n)
-        for M in (0.25 * base, base, 4.0 * base):
-            for qs in (1.0, -1.0):
-                for ms in (-1.0, 1.0):
-                    probes.append(
-                        (f"opening_battery(M={M:.3g})", grad, ms * M, qs * (M / 2.0) * eye)
-                    )
-    if cfg.samples > 0:
-        dim = n + 1 + n * (n + 1) // 2
-        sob = qmc.Sobol(d=dim, scramble=True, seed=cfg.seed)
-        draw = sob.random(1 << max(0, (cfg.samples - 1).bit_length()))[: cfg.samples]
-        xi = 2.0 * draw - 1.0
-        for r in range(cfg.samples):
-            dQ = np.zeros((n, n))
-            dQ[np.triu_indices(n)] = xi[r, n + 1 :]
-            dQ = 0.5 * (dQ + dQ.T)
-            probes.append(
-                (
-                    f"sobol[{r}]",
-                    grad + s_l * xi[r, :n],
-                    slope + s_m * xi[r, n],
-                    Qhat + s_q * dQ,
-                )
-            )
+    def probes():
+        """(name, l, m, Q) per probe; a Sobol probe's mesh-sized fields are
+        built only when the loop reaches it, so one probe is live at a time."""
+        yield "osculating", grad, slope, Qhat
+        if cfg.include_battery:
+            base = max(s_m, 2.0 * n * s_q, 1e-9 * scale)
+            eye = np.eye(n)
+            for M in (0.25 * base, base, 4.0 * base):
+                for qs in (1.0, -1.0):
+                    for ms in (-1.0, 1.0):
+                        yield f"opening_battery(M={M:.3g})", grad, ms * M, qs * (M / 2.0) * eye
+        if cfg.samples > 0:
+            from scipy.stats import qmc  # deferred: scipy.stats is slow to import
+
+            dim = n + 1 + n * (n + 1) // 2
+            sob = qmc.Sobol(d=dim, scramble=True, seed=cfg.seed)
+            draw = sob.random(1 << max(0, (cfg.samples - 1).bit_length()))[: cfg.samples]
+            xi = 2.0 * draw - 1.0
+            for r in range(cfg.samples):
+                dQ = np.zeros((n, n))
+                dQ[np.triu_indices(n)] = xi[r, n + 1 :]
+                dQ = 0.5 * (dQ + dQ.T)
+                yield f"sobol[{r}]", grad + s_l * xi[r, :n], slope + s_m * xi[r, n], Qhat + s_q * dQ
 
     sign = 1.0 if side == "super" else -1.0
     certs: list[ViolationCertificate] = []
-    for name, l_f, m_f, Q_f in probes:
+    for name, l_f, m_f, Q_f in probes():
         w_ext = None
         for o, (d, dt) in enumerate(geo):
             lin = (

@@ -44,6 +44,9 @@ __all__ = [
 # classified exactly.
 _FP_SLACK = 1e-9
 
+# Node lines that MeshFunction.read_text parses at a time.
+_READ_CHUNK_LINES = 1 << 14
+
 
 def lattice_index(value: float, step: float, what: str, error: type[Exception] = GridError) -> int:
     """The integer k with value = k*step up to ``_FP_SLACK``; else raises ``error``."""
@@ -310,6 +313,19 @@ class MeshSpec:
     def node_count(self) -> int:
         return int(np.prod(self.shape))
 
+    def index_columns(self) -> np.ndarray:
+        """Global node indices as an int array, one row (k_1, ..., k_n, m) per
+        node, in the time-major order of :meth:`node_indices`."""
+        off = np.indices(self.shape).reshape(self.n + 1, -1)
+        return np.concatenate([off[1:] + np.array(self.k_min)[:, None], off[:1] + 1]).T
+
+    def flat_offsets(self, index: np.ndarray) -> np.ndarray:
+        """Time-major flat array offsets of rows (k_1, ..., k_n, m) of global
+        node indices; -1 for a row outside the mesh."""
+        off = np.roll(index - np.array(self.k_min + (1,)), 1, axis=1).T
+        inside = np.all((off >= 0) & (off < np.array(self.shape)[:, None]), axis=0)
+        return np.where(inside, np.ravel_multi_index(off, self.shape, mode="clip"), -1)
+
     # -- boundary distances ---------------------------------------------------
 
     def lateral_distance(self) -> np.ndarray:
@@ -492,16 +508,19 @@ class MeshFunction:
         for lo, hi in spec.bounds:
             head += [repr(lo), repr(hi)]
         head.append(repr(spec.T))
-        lines = [" ".join(head)]
-        for idx in spec.node_indices():
-            lines.append(" ".join(map(str, idx)) + " " + repr(self.value(idx)))
+        # One time level at a time: the spatial index columns repeat per level.
+        levels = self.values.reshape(spec.levels, -1)
+        ks = np.indices(spec.spatial_shape).reshape(spec.n, -1) + np.array(spec.k_min)[:, None]
+        prefixes = [" ".join(map(str, k)) + " " for k in ks.T.tolist()]
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(" ".join(head) + "\n")
+            for m, level in enumerate(levels, start=1):
+                fh.writelines([f"{p}{m} {v!r}\n" for p, v in zip(prefixes, level.tolist())])
 
     @classmethod
     def read_text(cls, path) -> "MeshFunction":
         with open(path) as fh:
-            raw = [ln.strip() for ln in fh if ln.strip()]
+            raw = [ln for ln in map(str.strip, fh) if ln]
         if not raw:
             raise GridError(f"{path}: empty mesh-function file")
         head = raw[0].split()
@@ -516,19 +535,46 @@ class MeshFunction:
         except (IndexError, ValueError) as exc:
             raise GridError(f"{path}: malformed header {raw[0]!r}") from exc
         spec = MeshSpec(h, bounds, T, N)
-        vals = np.full(spec.shape, np.nan)
         if len(raw) - 1 != spec.node_count():
             raise GridError(
                 f"{path}: expected {spec.node_count()} node lines, got {len(raw) - 1}"
             )
-        for ln in raw[1:]:
-            parts = ln.split()
-            if len(parts) != n + 2:
-                raise GridError(f"{path}: malformed node line {ln!r}")
-            idx = tuple(int(p) for p in parts[:-1])
-            if not spec.contains_index(idx):
-                raise GridError(f"{path}: node {idx} outside the declared mesh")
-            vals[spec.offset(idx)] = float(parts[-1])
+        # Parsed in chunks of lines, so only one chunk's tokens are alive; each
+        # chunk is one flat token list, as per-line lists would wake the cyclic GC.
+        width = n + 2
+        vals = np.full(spec.shape, np.nan)
+        try:
+            for start in range(1, len(raw), _READ_CHUNK_LINES):
+                tokens: list[str] = []
+                for parts in map(str.split, raw[start : start + _READ_CHUNK_LINES]):
+                    if len(parts) != width:
+                        raise ValueError
+                    tokens += parts
+                index = np.array(
+                    [list(map(int, tokens[a::width])) for a in range(n + 1)], dtype=np.int64
+                ).T
+                flat = spec.flat_offsets(index)
+                if np.any(flat < 0):
+                    raise ValueError
+                vals.flat[flat] = list(map(float, tokens[n + 1 :: width]))
+        except (ValueError, OverflowError):
+            # Name the first bad line in file order, checked as a single line.
+            for ln in raw[1:]:
+                parts = ln.split()
+                malformed = GridError(f"{path}: malformed node line {ln!r}")
+                try:
+                    if len(parts) != width:
+                        raise malformed
+                    idx = tuple(int(p) for p in parts[:-1])
+                except ValueError:
+                    raise malformed from None
+                if not spec.contains_index(idx):
+                    raise GridError(f"{path}: node {idx} outside the declared mesh") from None
+                try:
+                    float(parts[-1])
+                except ValueError:
+                    raise malformed from None
+            raise
         if np.isnan(vals).any():
             raise GridError(f"{path}: some mesh nodes missing from file")
         return cls(spec, vals)
@@ -542,8 +588,8 @@ class MeshFunction:
             "bounds": [list(b) for b in self.spec.bounds],
             "T": self.spec.T,
             "nodes": [
-                {"index": list(idx), "value": self.value(idx)}
-                for idx in self.spec.node_indices()
+                {"index": idx, "value": v}
+                for idx, v in zip(self.spec.index_columns().tolist(), self.values.ravel().tolist())
             ],
         }
 

@@ -8,6 +8,7 @@ certificates are replayed from scratch.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,30 @@ def test_falsifier_parameter_validation():
         delta_falsifier(v, NonlinearityDescriptor.linear(np.eye(2)), delta=2 * spec.h)
     with pytest.raises(DiagnosticsError, match="enlarge"):
         delta_falsifier(v, HEAT, delta=0.51)  # needs lat >= 0.51: no such column
+
+
+def test_falsifier_memory_is_bounded_by_one_probe():
+    # One probe's fields (gradient, slope, half-Hessian) are three mesh-sized
+    # arrays in 1D.  The shifted stack adds 12 more (delta = 2h gives 12
+    # cylinder offsets), the local model 3, the per-probe loop a few
+    # temporaries.  Holding all 200 Sobol probes at once would take ~200x.
+    spec, v = drift_mesh(h=1 / 64, T=1 / 16)
+    probe_bytes = 3 * spec.node_count() * 8
+    cfg = FalsifierConfig(samples=200, seed=3)
+
+    def run():
+        return delta_falsifier(v, HEAT, delta=2 * spec.h, side="sub", config=cfg)
+
+    assert run() == []  # side "sub" is clean, so every probe is visited
+    # the warm-up call above also keeps the deferred scipy.stats import out
+    # of the measurement
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * probe_bytes, peak / probe_bytes
 
 
 def test_grid_touch_config_scales_with_tau():

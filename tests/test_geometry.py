@@ -18,6 +18,7 @@ from parastep import (
     euclidean_distance,
     parabolic_distance,
 )
+from parastep import geometry
 from parastep.geometry import second_quotient_field, shift
 from parastep.scheme import Stencil, delta2_y, delta_tau_minus
 
@@ -317,6 +318,191 @@ def test_mesh_function_shape_mismatch():
     spec = MeshSpec(h=0.25, bounds=[(0.0, 1.0)], T=0.25, N=2)
     with pytest.raises(GridError):
         MeshFunction(spec, np.zeros((2, 2)))
+
+
+# The per-node text writer, reader and dict export that the array-wide
+# versions replaced; the differential tests below hold the new ones to them.
+
+
+def write_text_oracle(u, path):
+    spec = u.spec
+    head = [str(spec.n), repr(spec.h), str(spec.N)]
+    for lo, hi in spec.bounds:
+        head += [repr(lo), repr(hi)]
+    head.append(repr(spec.T))
+    lines = [" ".join(head)]
+    for idx in spec.node_indices():
+        lines.append(" ".join(map(str, idx)) + " " + repr(u.value(idx)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_text_oracle(path):
+    with open(path) as fh:
+        raw = [ln.strip() for ln in fh if ln.strip()]
+    if not raw:
+        raise GridError(f"{path}: empty mesh-function file")
+    head = raw[0].split()
+    try:
+        n = int(head[0])
+        h = float(head[1])
+        N = int(head[2])
+        if len(head) != 3 + 2 * n + 1:
+            raise IndexError
+        bounds = [(float(head[3 + 2 * a]), float(head[4 + 2 * a])) for a in range(n)]
+        T = float(head[3 + 2 * n])
+    except (IndexError, ValueError) as exc:
+        raise GridError(f"{path}: malformed header {raw[0]!r}") from exc
+    spec = MeshSpec(h, bounds, T, N)
+    vals = np.full(spec.shape, np.nan)
+    if len(raw) - 1 != spec.node_count():
+        raise GridError(f"{path}: expected {spec.node_count()} node lines, got {len(raw) - 1}")
+    for ln in raw[1:]:
+        parts = ln.split()
+        if len(parts) != n + 2:
+            raise GridError(f"{path}: malformed node line {ln!r}")
+        idx = tuple(int(p) for p in parts[:-1])
+        if not spec.contains_index(idx):
+            raise GridError(f"{path}: node {idx} outside the declared mesh")
+        vals[spec.offset(idx)] = float(parts[-1])
+    if np.isnan(vals).any():
+        raise GridError(f"{path}: some mesh nodes missing from file")
+    return MeshFunction(spec, vals)
+
+
+def to_dict_oracle(u):
+    spec = u.spec
+    return {
+        "n": spec.n,
+        "h": spec.h,
+        "N": spec.N,
+        "bounds": [list(b) for b in spec.bounds],
+        "T": spec.T,
+        "nodes": [{"index": list(idx), "value": u.value(idx)} for idx in spec.node_indices()],
+    }
+
+
+TEXT_MESHES = {
+    "1d": dict(h=0.125, bounds=[(0.0, 1.0)], T=0.125, N=2),
+    "1d-negative-kmin": dict(h=0.125, bounds=[(-1.0, -0.25)], T=0.0625, N=2),
+    "2d": dict(h=0.25, bounds=[(0.0, 1.5), (-1.0, 0.5)], T=0.25, N=2),
+    "3d-negative-kmin": dict(h=0.25, bounds=[(-0.75, 0.5), (0.0, 1.0), (-1.0, -0.25)], T=0.125, N=2),
+}
+SPECIAL_VALUES = [-0.0, 5e-324, 1e300, 0.1 + 0.2, -1 / 3]
+
+
+def special_mesh_function(name, rng):
+    spec = MeshSpec(**TEXT_MESHES[name])
+    vals = rng.standard_normal(spec.node_count())
+    vals[: len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    vals[-len(SPECIAL_VALUES) :] = SPECIAL_VALUES[::-1]
+    return MeshFunction(spec, vals.reshape(spec.shape))
+
+
+@pytest.fixture(params=["one-chunk", "4-line-chunks"])
+def read_chunks(request, monkeypatch):
+    """Run a reader test with the whole file as one chunk, then with many."""
+    if request.param == "4-line-chunks":
+        monkeypatch.setattr(geometry, "_READ_CHUNK_LINES", 4)
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_MESHES))
+def test_text_io_matches_per_node_oracle(name, tmp_path, rng, read_chunks):
+    u = special_mesh_function(name, rng)
+    assert min(u.spec.k_min) < 0 or "negative" not in name
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    u.write_text(new)
+    write_text_oracle(u, old)
+    assert new.read_bytes() == old.read_bytes()
+
+    v = MeshFunction.read_text(new)
+    assert v.spec == u.spec
+    assert np.array_equal(v.values, u.values)
+    assert np.array_equal(np.signbit(v.values), np.signbit(u.values))
+    assert np.array_equal(read_text_oracle(new).values, v.values)
+
+    # blank and indented lines are skipped anywhere, as before
+    lines = new.read_text().splitlines()
+    padded = tmp_path / "padded.txt"
+    padded.write_text("\n\n" + "\n  \n".join("  " + ln + "\t" for ln in lines) + "\n\n")
+    assert np.array_equal(MeshFunction.read_text(padded).values, u.values)
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_MESHES))
+def test_dict_io_matches_per_node_oracle(name, rng):
+    u = special_mesh_function(name, rng)
+    payload = u.to_dict()
+    assert payload == to_dict_oracle(u)
+    v = MeshFunction.from_dict(payload)
+    assert np.array_equal(v.values, u.values)
+    assert np.array_equal(np.signbit(v.values), np.signbit(u.values))
+
+
+def _node_line_swap(lines, i, text):
+    return lines[:i] + [text] + lines[i + 1 :]
+
+
+# Each case maps the lines of a valid 2-D file (header first) to a broken one.
+BROKEN_TEXT = {
+    "empty": lambda lines: [],
+    "blank-only": lambda lines: ["", "   "],
+    "header-short": lambda lines: ["2 0.25 2 0.0 1.5 -1.0 0.5"] + lines[1:],
+    "header-not-a-number": lambda lines: ["2 0.25 two 0.0 1.5 -1.0 0.5 0.25"] + lines[1:],
+    "one-line-too-few": lambda lines: lines[:-1],
+    "one-line-too-many": lambda lines: lines + [lines[-1]],
+    "too-few-tokens": lambda lines: _node_line_swap(lines, 7, "1 -3 1"),
+    "too-many-tokens": lambda lines: _node_line_swap(lines, 7, "1 -3 1 0.5 0.5"),
+    "space-outside": lambda lines: _node_line_swap(lines, 3, "9 -3 1 0.5"),
+    "time-outside": lambda lines: _node_line_swap(lines, 3, "1 -3 0 0.5"),
+    "outside-after-malformed": lambda lines: _node_line_swap(
+        _node_line_swap(lines, 9, "9 -3 1 0.5"), 4, "1 -3"
+    ),
+    "malformed-after-outside": lambda lines: _node_line_swap(
+        _node_line_swap(lines, 9, "1 -3"), 4, "9 -3 1 0.5"
+    ),
+    "duplicate-hides-missing": lambda lines: _node_line_swap(lines, 2, lines[1]),
+    "nan-value": lambda lines: _node_line_swap(lines, 5, lines[5].rsplit(" ", 1)[0] + " nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_TEXT))
+def test_text_reader_errors_match_per_node_oracle(case, tmp_path, rng, read_chunks):
+    spec = MeshSpec(**TEXT_MESHES["2d"])
+    u = MeshFunction(spec, rng.standard_normal(spec.shape))
+    good = tmp_path / "good.txt"
+    u.write_text(good)
+    path = tmp_path / "broken.txt"
+    path.write_text("".join(ln + "\n" for ln in BROKEN_TEXT[case](good.read_text().splitlines())))
+    with pytest.raises(GridError) as want:
+        read_text_oracle(path)
+    with pytest.raises(GridError) as got:
+        MeshFunction.read_text(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_text_reader_names_unparsable_node_line(tmp_path):
+    spec = MeshSpec(h=0.25, bounds=[(0.0, 1.0)], T=0.125, N=2)
+    path = tmp_path / "u.txt"
+    MeshFunction(spec, np.zeros(spec.shape)).write_text(path)
+    lines = path.read_text().splitlines()
+    lines[2] = "2 one 0.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GridError, match=r"malformed node line '2 one 0\.0'"):
+        MeshFunction.read_text(path)
+
+
+def test_from_dict_errors_name_the_node(rng):
+    u = special_mesh_function("2d", rng)
+    payload = u.to_dict()
+    outside = dict(payload, nodes=payload["nodes"][:3] + [{"index": [9, -3, 1], "value": 0.0}])
+    with pytest.raises(GridError, match=r"node \(9, -3, 1\) is not in the mesh"):
+        MeshFunction.from_dict(outside)
+    short = dict(payload, nodes=payload["nodes"][:1] + [{"index": [1, 1], "value": 0.0}])
+    with pytest.raises(GridError, match=r"node \(1, 1\) is not in the mesh"):
+        MeshFunction.from_dict(short)
+    duplicate = dict(payload, nodes=payload["nodes"][:1] + payload["nodes"][:-1])
+    with pytest.raises(GridError, match="structured payload misses mesh nodes"):
+        MeshFunction.from_dict(duplicate)
 
 
 # ---------------------------------------------------------------------------
