@@ -9,15 +9,17 @@ import os as _os
 
 # PARASTEP_THREADS pins the BLAS/OpenMP pool sizes.  Those libraries read
 # their environment when first loaded, so this must happen before numpy is
-# imported below; explicitly set per-library variables still win.
+# imported below; explicitly set per-library variables still win (the CLI
+# follows the same rule).
+_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
 _threads = _os.environ.get("PARASTEP_THREADS")
 if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
+    for _var in _THREAD_VARS:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 

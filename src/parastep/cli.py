@@ -27,15 +27,9 @@ import os
 import sys
 from pathlib import Path
 
+from . import _THREAD_VARS
 from .config import ProblemConfig
 from .errors import ConfigError, ParastepError
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 
 
 class _UsageError(Exception):
@@ -48,7 +42,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_threads():
-    """Validate ``PARASTEP_THREADS`` and copy it to the pool variables.
+    """Validate ``PARASTEP_THREADS`` and copy it to the pool variables that
+    are unset, as the package ``__init__`` does, so explicit per-library
+    values win.
 
     This process's pools were sized when numpy loaded; the copy reaches only
     child processes."""
@@ -62,7 +58,7 @@ def _apply_threads():
     if threads < 1:
         raise ConfigError(f"PARASTEP_THREADS must be at least 1, got {threads}")
     for var in _THREAD_VARS:
-        os.environ[var] = str(threads)
+        os.environ.setdefault(var, str(threads))
 
 
 def _bool_text(flag) -> str:

@@ -554,9 +554,10 @@ class MeshFunction:
                     [list(map(int, tokens[a::width])) for a in range(n + 1)], dtype=np.int64
                 ).T
                 flat = spec.flat_offsets(index)
-                if np.any(flat < 0):
+                chunk = np.array(list(map(float, tokens[n + 1 :: width])))
+                if np.any(flat < 0) or not np.isfinite(chunk).all():
                     raise ValueError
-                vals.flat[flat] = list(map(float, tokens[n + 1 :: width]))
+                vals.flat[flat] = chunk
         except (ValueError, OverflowError):
             # Name the first bad line in file order, checked as a single line.
             for ln in raw[1:]:
@@ -571,9 +572,11 @@ class MeshFunction:
                 if not spec.contains_index(idx):
                     raise GridError(f"{path}: node {idx} outside the declared mesh") from None
                 try:
-                    float(parts[-1])
+                    value = float(parts[-1])
                 except ValueError:
                     raise malformed from None
+                if not math.isfinite(value):
+                    raise GridError(f"{path}: non-finite value in node line {ln!r}") from None
             raise
         if np.isnan(vals).any():
             raise GridError(f"{path}: some mesh nodes missing from file")

@@ -194,12 +194,19 @@ def test_threads_validation(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "solve", "--problem", "heat_sine")
     assert code == 1 and "PARASTEP_THREADS" in err
 
+    # As in the package __init__, an explicit per-library value wins and an
+    # unset one takes PARASTEP_THREADS.
     monkeypatch.setenv("PARASTEP_THREADS", "2")
-    code, *_ = run(
-        capsys, "solve", "--problem", "heat_sine", "--h-list", "0.25", "--out", str(tmp_path)
-    )
-    assert code == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+    for preset, want in (("1", "1"), (None, "2")):
+        if preset is None:
+            monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OMP_NUM_THREADS", preset)
+        code, *_ = run(
+            capsys, "solve", "--problem", "heat_sine", "--h-list", "0.25", "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert os.environ["OMP_NUM_THREADS"] == want
 
 
 def test_flag_overrides_beat_config(tmp_path, capsys):

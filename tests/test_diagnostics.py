@@ -13,7 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
+from parastep import diagnostics
 from parastep.diagnostics import (
     FalsifierConfig,
     Paraboloid,
@@ -26,9 +28,10 @@ from parastep.diagnostics import (
     replay_violation,
     row_to_certificate,
 )
-from parastep.diagnostics import _centered_to_absolute
+from parastep.diagnostics import _centered_to_absolute, _eval_paraboloid_many, _region_mask
 from parastep.errors import DiagnosticsError
 from parastep.geometry import KBox, MeshFunction, MeshSpec, cylinder_nodes
+from parastep.harness import get_problem
 from parastep.nonlinearity import NonlinearityDescriptor, evaluate_F
 from parastep.scheme import build_monotone_scheme
 from parastep.solver import solve
@@ -84,6 +87,49 @@ def random_paraboloid(rng, n):
         a=rng.standard_normal(n),
         Q=(G + G.T) / 2.0,
     )
+
+
+def constraint_rows(u, node, mask):
+    """A node's constraint nodes (the region's other nodes with s <= t): global
+    indices, value differences u(y,s) - u(x,t), offsets dx and ds, weights."""
+    spec = u.spec
+    offs = np.argwhere(mask)
+    idx = np.column_stack([offs[:, 1:] + np.asarray(spec.k_min), offs[:, 0] + 1])
+    sel = (idx[:, -1] <= node[-1]) & ~np.all(idx == np.asarray(node), axis=1)
+    offs, idx = offs[sel], idx[sel]
+    dx = idx[:, :-1] * spec.h - np.asarray(node[:-1], dtype=float) * spec.h
+    ds = idx[:, -1] * spec.tau - node[-1] * spec.tau
+    r = np.sqrt((dx**2).sum(axis=1))
+    du = u.values[tuple(offs.T)] - u.value(node)
+    return idx, du, dx, ds, r**3 + r**2 * np.abs(ds) + ds**2
+
+
+def full_lp_worst_ratio(u, node, mask):
+    """The membership fit as one full HiGHS LP over every constraint row.
+    Returns the LP value z and the number of constraint nodes."""
+    n = u.spec.n
+    idx, du, dx, ds, w = constraint_rows(u, node, mask)
+    quad = [dx[:, i] ** 2 for i in range(n)]
+    quad += [2.0 * dx[:, i] * dx[:, j] for i in range(n) for j in range(i + 1, n)]
+    phi = np.column_stack([dx, ds, dx * ds[:, None]] + quad)
+    k = phi.shape[1]
+    res = linprog(
+        np.append(np.zeros(k), 1.0),
+        A_ub=np.vstack([np.column_stack([-phi, -w]), np.column_stack([phi, -w])]),
+        b_ub=np.concatenate([-du, du]),
+        bounds=[(None, None)] * k + [(0, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.x[-1]), len(idx)
+
+
+def row_ratios(u, node, P, mask):
+    """|u(y,s) - u(x,t) - P(y,s)| / weight over every constraint node, with
+    P in absolute coordinates (vanishing at the node)."""
+    idx, du, _, _, w = constraint_rows(u, node, mask)
+    PX = _eval_paraboloid_many(P, idx[:, :-1] * u.spec.h, idx[:, -1] * u.spec.tau)
+    return np.abs(du - PX) / w
 
 
 HEAT = NonlinearityDescriptor.linear([[1.0]])
@@ -468,3 +514,97 @@ def test_good_set_error_paths():
     far = KBox(((50.0,), 0.0), r=0.5)
     with pytest.raises(DiagnosticsError, match="no mesh nodes"):
         good_set_measure(u, [1.0], far)
+
+
+def centred_kbox(spec, r=None):
+    """A K-box centred in space whose top is the final time; by default the
+    largest one, as ``parastep diagnose`` builds it."""
+    n = spec.n
+    half = min((hi - lo) / 2.0 for lo, hi in spec.bounds)
+    if r is None:
+        r = min(9.0 * math.sqrt(n) * half, math.sqrt(81.0 * n * spec.T))
+    center = tuple((lo + hi) / 2.0 for lo, hi in spec.bounds)
+    return KBox((center, max(0.0, spec.T - r * r / (81.0 * n))), r)
+
+
+def solved(problem, h):
+    sol = get_problem(problem)
+    spec = MeshSpec(h=h, bounds=sol.bounds, T=0.25, N=2)
+    u, _ = solve(build_monotone_scheme(sol.descriptor), spec, sol.fn)
+    return u
+
+
+def sweep_case(case):
+    """(u, kbox, region, M sweep) for the differential good-set tests."""
+    Ms = [2.0**k for k in range(-4, 9)]
+    if case == "heat-1d":
+        u = solved("heat_sine", 1 / 8)
+        return u, centred_kbox(u.spec), None, Ms
+    if case == "heat-2d-subset":
+        # 5 x 5 columns on the top 5 of 16 levels: 125 of the mesh's 784 nodes
+        u = solved("heat_product_2d", 1 / 8)
+        return u, centred_kbox(u.spec, r=math.sqrt(162.0 * 4.5 * u.spec.tau)), None, Ms
+    # an off-centre region gives the box's columns ratios 1/3, 1/2 and 0.55;
+    # M = 0.5 puts the middle one exactly on the budget
+    spec = MeshSpec(h=0.25, bounds=[(-1.0, 1.0)], T=0.25, N=2)
+    u = MeshFunction.from_callable(spec, lambda x, t: np.abs(x[..., 0]) ** 3)
+    Ms = [0.25, 0.3, 0.4, 0.5, 0.53, 0.6, 1.0]
+    return u, KBox(((0.0,), spec.tau), r=4.0), KBox(((0.125,), 0.0), r=6.0), Ms
+
+
+@pytest.mark.parametrize(
+    "case, chunk_rows",
+    [("heat-1d", None), ("heat-2d-subset", None), ("cube-kink-region", None), ("cube-kink-region", 1)],
+)
+def test_good_set_matches_full_lp_oracle(case, chunk_rows, monkeypatch):
+    u, kbox, region, Ms = sweep_case(case)
+    if chunk_rows is not None:  # one node per chunk
+        monkeypatch.setattr(diagnostics, "_FIT_CHUNK_ROWS", chunk_rows)
+    new = good_set_measure(u, Ms, kbox, region)
+
+    def full_lp_fits(u, nodes, mask):
+        fits = [full_lp_worst_ratio(u, u.spec.index_from_offset(o), mask) for o in nodes]
+        return np.array([z for z, _ in fits]), None, np.array([c for _, c in fits])
+
+    monkeypatch.setattr(diagnostics, "_expansion_fits", full_lp_fits)
+    old = good_set_measure(u, Ms, kbox, region)
+    assert new.node_count == old.node_count
+    # the sweep must cross the ratios for the comparison to bite
+    assert 0.0 < old.bad_fraction[0] and old.bad_fraction[-1] == 0.0
+    assert np.any((old.bad_fraction > 0) & (old.bad_fraction < 1))
+    assert np.array_equal(new.bad_fraction, old.bad_fraction)
+    assert np.array_equal(new.bad_measure, old.bad_measure)
+    assert np.array_equal(new.slope, old.slope, equal_nan=True)
+    assert np.array_equal(new.slope_ci, old.slope_ci, equal_nan=True)
+    assert_allclose(new.worst_ratios, old.worst_ratios, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("case", ["heat-1d", "heat-2d-subset", "cube-kink-region"])
+def test_membership_paraboloid_reaches_the_reported_ratio(case):
+    u, kbox, region, _ = sweep_case(case)
+    spec = u.spec
+    mask = _region_mask(spec, region)
+    nodes = cylinder_nodes(spec, kbox)
+    for node in nodes[:: max(1, len(nodes) // 7)]:
+        out = psi_M_membership(u, node, M=1.0, region=region)
+        ratios = row_ratios(u, node, out["paraboloid"], mask)
+        z, count = full_lp_worst_ratio(u, node, mask)
+        assert out["constraint_count"] == count == len(ratios)
+        # the absolute-coordinate evaluation rounds differently from the fit
+        assert ratios.max() == pytest.approx(out["worst_ratio"], rel=1e-12, abs=1e-13)
+        assert out["worst_ratio"] == pytest.approx(z, rel=1e-9, abs=0.0)
+
+
+def test_verify_sweep_needs_few_lp_calls(monkeypatch):
+    # the benchmark's verify sweep: heat 1D at h=1/16, every node in the K-box
+    u = solved("heat_sine", 1 / 16)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["A_ub"].shape[0])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "linprog", counting)
+    rep = good_set_measure(u, [1.0, 4.0, 16.0, 64.0], centred_kbox(u.spec))
+    assert rep.node_count == u.spec.node_count() == 960
+    assert 0 < len(calls) <= 64

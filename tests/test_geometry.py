@@ -364,7 +364,10 @@ def read_text_oracle(path):
         idx = tuple(int(p) for p in parts[:-1])
         if not spec.contains_index(idx):
             raise GridError(f"{path}: node {idx} outside the declared mesh")
-        vals[spec.offset(idx)] = float(parts[-1])
+        value = float(parts[-1])
+        if not math.isfinite(value):
+            raise GridError(f"{path}: non-finite value in node line {ln!r}")
+        vals[spec.offset(idx)] = value
     if np.isnan(vals).any():
         raise GridError(f"{path}: some mesh nodes missing from file")
     return MeshFunction(spec, vals)
@@ -462,6 +465,7 @@ BROKEN_TEXT = {
     ),
     "duplicate-hides-missing": lambda lines: _node_line_swap(lines, 2, lines[1]),
     "nan-value": lambda lines: _node_line_swap(lines, 5, lines[5].rsplit(" ", 1)[0] + " nan"),
+    "inf-value": lambda lines: _node_line_swap(lines, 6, lines[6].rsplit(" ", 1)[0] + " inf"),
 }
 
 
