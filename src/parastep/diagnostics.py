@@ -13,6 +13,17 @@ default is tight (1e-9 scaled): a slack of order h^2 feeds an O(1) error
 into the margin through the 1/h^2 chord quotients and then flags exact
 discrete solutions.  The grid-resolution variant (c * h^2) is available
 through :meth:`FalsifierConfig.with_grid_touch`.
+
+Evaluation: for a paraboloid probe, v - P over a node's backward cylinder
+splits into a per-node and a per-probe part, so each probe family's
+touching values form one min-plus product of a nodes x offsets matrix with
+a probes x offsets matrix.  The falsifier computes that product over tiles
+of nodes as a screen that flags every (probe, node) pair within the touch
+tolerance plus a stated rounding slack, then re-decides only the flagged
+pairs with the direct per-offset evaluation, in probe order and node order.
+The certificates are exactly those of the direct evaluation over the whole
+mesh, and the screen's arrays stay within ``_SCREEN_TILE_BYTES`` (2 MiB)
+instead of growing as offsets x nodes.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from scipy.optimize import linprog
 from .errors import DiagnosticsError
 from .geometry import (
     _FP_SLACK,
+    Cylinder,
     KBox,
     MeshFunction,
     MeshSpec,
@@ -60,6 +72,10 @@ _FIT_CHUNK_NODES = 64
 _FIT_CHUNK_ROWS = 1 << 18
 _FIT_SEED_ROWS = 24
 _FIT_ADD_ROWS = 16
+
+# Falsifier screen (delta_falsifier): the bytes that one tile of nodes and
+# one chunk of probes' flags take together.
+_SCREEN_TILE_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -172,6 +188,16 @@ class FalsifierConfig:
     violation_tol: float | None = None
     max_violations: int = 1000
     include_battery: bool = True
+
+    def __post_init__(self):
+        if self.max_violations < 1:
+            raise DiagnosticsError("max_violations must be at least 1")
+        if self.samples < 0:
+            raise DiagnosticsError("samples must be nonnegative")
+        for name in ("touch_tol", "violation_tol"):
+            tol = getattr(self, name)
+            if tol is not None and not tol >= 0:
+                raise DiagnosticsError(f"{name} must be nonnegative")
 
     @classmethod
     def with_grid_touch(cls, spec: MeshSpec, c_touch: float = 10.0, **kw) -> "FalsifierConfig":
@@ -290,7 +316,7 @@ def _local_model(v: MeshFunction):
 
 
 def _margin_field(F, m_f, Q_f, shape):
-    """m - F(2Q), NaN-safe, broadcast to the mesh shape."""
+    """m - F(2Q), NaN-safe, broadcast to ``shape``."""
     if np.ndim(Q_f) > 2:
         nanq = np.isnan(Q_f).any(axis=(-2, -1))
         FQ = evaluate_F(F, 2.0 * np.where(np.isnan(Q_f), 0.0, Q_f))
@@ -314,6 +340,39 @@ def delta_falsifier(
     below (super) or above (sub) over the cylinder's mesh nodes.  When the
     touching point is the center and the margin m - F(2Q) has the forbidden
     sign beyond ``violation_tol``, a certificate is recorded.
+
+    The probes come in three families, in this order: the osculating probe
+    (the local model: central gradient, backward slope, half-Hessian), the
+    opening battery (the gradient with a fixed m and Q) and the Sobol probes
+    (the local model plus a scaled quasi-random perturbation xi).  Over the
+    cylinder offsets o = (d, dt), v - P splits into a per-node and a
+    per-probe part, so a family's touching values are one min-plus product
+    (max-plus on the ``sub`` side) ``w[r, node] = min_o (B[node, o] - D[r, o])``
+    of ``B_lin = v(node + o) - grad.d`` or ``B = B_lin - slope dt - d.Qhat.d``
+    with ``D = 0`` (osculating, on B), ``m dt + d.Q.d`` (battery, on B_lin)
+    or ``s_l xi_l.d + s_m xi_m dt + s_q d.dQ.d`` (Sobol, on B).
+
+    Screen, then confirm.  The product rounds differently from evaluating a
+    probe's paraboloid directly, so it only screens: it flags each
+    (probe, node) pair whose gap is at most ``touch_tol + slack``, with
+    ``slack = 4 (n+2)^2 eps T`` and T the sum of the bounds on |v|, |l.d|,
+    |m dt| and |d.Q.d| over the family and the offsets.  Counting the
+    rounding steps of both evaluations, their gaps differ by at most
+    ``(3 n^2 + n + 19) (eps/2) T`` while ``touch_tol <= 4 T`` (a larger
+    tolerance flags every pair anyway), so every pair that passes the
+    direct test is flagged.  Each probe's flagged nodes are then re-decided,
+    in probe order and C node order, by the direct per-offset evaluation:
+    the margin first, so that F (an eigen-solve per node for Pucci or
+    Isaacs operators) runs at flagged nodes only, then the touching value
+    and the gap where the margin has the forbidden sign.  The certificates,
+    and where ``max_violations`` cuts them, are therefore exactly those of
+    the direct evaluation of every probe at every node.
+
+    Memory: one tile of nodes (B, its gather index and a scratch term, 24
+    bytes per node and offset, plus the offset comparisons) and one chunk
+    of probes' flags (a byte per probe and node) take at most
+    ``_SCREEN_TILE_BYTES`` (2 MiB) together, next to the mesh-sized local
+    model; no array is offsets x mesh.
 
     Returns the certificate list; empty means "nothing found", not a proof.
     """
@@ -346,26 +405,70 @@ def delta_falsifier(
         )
 
     offsets = _cylinder_offsets(spec, delta)
-    shifted = np.stack([shift(v.values, (dm,) + dk) for dk, dm in offsets], axis=0)
     geo = [(spec.h * np.asarray(dk, dtype=float), spec.tau * dm) for dk, dm in offsets]
+    d = np.array([g[0] for g in geo])
+    dts = np.array([g[1] for g in geo])
+    dd = (d[:, :, None] * d[:, None, :]).reshape(len(geo), n * n)
+    phi = np.column_stack([d, dts, dd])  # the offsets' features, matching the local model
+    # Nodes as flat (C order) indices; the gather at node + step is only
+    # valid while the whole cylinder is in the mesh.  Eligibility implies
+    # that, and a node whose cylinder left the mesh touches NaN and is never
+    # flagged, so dropping such a node changes nothing.
+    steps = np.array([(dm,) + dk for dk, dm in offsets])
+    at = np.argwhere(eligible)
+    whole = np.all(
+        (at + steps.min(axis=0) >= 0) & (at + steps.max(axis=0) < spec.shape), axis=1
+    )
+    nodes = np.ravel_multi_index(tuple(at[whole].T), spec.shape)
+    step = steps @ np.cumprod((1,) + spec.shape[:0:-1])[::-1]
+    vals = np.ascontiguousarray(v.values).ravel()
 
     grad, slope, Qhat = _local_model(v)
     with np.errstate(invalid="ignore"):
         s_l = float(np.nanmax(np.abs(grad))) if not np.isnan(grad).all() else 0.0
         s_m = float(np.nanmax(np.abs(slope))) if not np.isnan(slope).all() else 0.0
         s_q = float(np.nanmax(np.abs(Qhat))) if not np.isnan(Qhat).all() else 0.0
+    grad = grad.reshape(-1, n)
+    slope = slope.reshape(-1)
+    Qhat = Qhat.reshape(-1, n, n)
 
-    def probes():
-        """(name, l, m, Q) per probe; a Sobol probe's mesh-sized fields are
-        built only when the loop reaches it, so one probe is live at a time."""
-        yield "osculating", grad, slope, Qhat
+    def quad_rows(Qs):
+        """d_o.Q_r.d_o as an (r, o) matrix."""
+        return Qs.reshape(len(Qs), n * n) @ dd.T
+
+    def slack(l_max, m_max, q_max):
+        d1 = float(np.abs(d).sum(axis=1).max())
+        T = (scale - 1.0) + l_max * d1 + m_max * float(np.abs(dts).max()) + q_max * d1**2
+        return 4.0 * (n + 2) ** 2 * np.finfo(float).eps * T
+
+    def families():
+        """(names, fields, D, on_B, slack) per probe family, where
+        ``fields(r, S)`` is probe r's (l, m, Q) at the flat nodes S, built
+        as the direct evaluation builds it."""
+        yield (
+            ["osculating"],
+            lambda r, S: (grad[S], slope[S], Qhat[S]),
+            np.zeros((1, len(geo))),
+            True,
+            slack(s_l, s_m, s_q),
+        )
         if cfg.include_battery:
             base = max(s_m, 2.0 * n * s_q, 1e-9 * scale)
             eye = np.eye(n)
-            for M in (0.25 * base, base, 4.0 * base):
-                for qs in (1.0, -1.0):
-                    for ms in (-1.0, 1.0):
-                        yield f"opening_battery(M={M:.3g})", grad, ms * M, qs * (M / 2.0) * eye
+            battery = [
+                (f"opening_battery(M={M:.3g})", ms * M, qs * (M / 2.0) * eye)
+                for M in (0.25 * base, base, 4.0 * base)
+                for qs in (1.0, -1.0)
+                for ms in (-1.0, 1.0)
+            ]
+            yield (
+                [name for name, _, _ in battery],
+                lambda r, S: (grad[S], battery[r][1], battery[r][2]),
+                np.array([m for _, m, _ in battery])[:, None] * dts
+                + quad_rows(np.array([Q for _, _, Q in battery])),
+                False,
+                slack(s_l, 4.0 * base, 2.0 * base),
+            )
         if cfg.samples > 0:
             from scipy.stats import qmc  # deferred: scipy.stats is slow to import
 
@@ -373,64 +476,133 @@ def delta_falsifier(
             sob = qmc.Sobol(d=dim, scramble=True, seed=cfg.seed)
             draw = sob.random(1 << max(0, (cfg.samples - 1).bit_length()))[: cfg.samples]
             xi = 2.0 * draw - 1.0
-            for r in range(cfg.samples):
-                dQ = np.zeros((n, n))
-                dQ[np.triu_indices(n)] = xi[r, n + 1 :]
-                dQ = 0.5 * (dQ + dQ.T)
-                yield f"sobol[{r}]", grad + s_l * xi[r, :n], slope + s_m * xi[r, n], Qhat + s_q * dQ
+            dQ = np.zeros((cfg.samples, n, n))
+            dQ[(slice(None),) + np.triu_indices(n)] = xi[:, n + 1 :]
+            dQ = 0.5 * (dQ + dQ.transpose(0, 2, 1))
+            yield (
+                [f"sobol[{r}]" for r in range(cfg.samples)],
+                lambda r, S: (
+                    grad[S] + s_l * xi[r, :n],
+                    slope[S] + s_m * xi[r, n],
+                    Qhat[S] + s_q * dQ[r],
+                ),
+                s_l * xi[:, :n] @ d.T + s_m * xi[:, n : n + 1] * dts + s_q * quad_rows(dQ),
+                True,
+                slack(2.0 * s_l, 2.0 * s_m, 2.0 * s_q),
+            )
 
     sign = 1.0 if side == "super" else -1.0
+    extremum = np.minimum if side == "super" else np.maximum
+    fits = np.less_equal if side == "super" else np.greater_equal
+
+    def screen(D, on_B, tol, tile, block):
+        """Flags (probes x nodes): screened gap at most tol.
+
+        gap = sign (v - min_o (B - D)) <= tol holds iff every offset o has
+        D[r, o] <= B[node, o] - v + tol (super) or >= B - v - tol (sub), so
+        the product is tested on booleans, ``block`` offsets at a time."""
+        K = len(nodes)
+        flags = np.empty((len(D), K), dtype=bool)
+        part = np.empty(len(D) * min(tile, K), dtype=bool) if block > 1 else None
+        hit = np.empty(len(D) * block * min(tile, K), dtype=bool)
+        term = np.empty(len(geo) * min(tile, K))
+        for k0 in range(0, K, tile):
+            S = nodes[k0 : k0 + tile]
+            C = vals[S + step[:, None]]
+            C -= vals[S] - sign * tol
+            model = grad[S].T
+            if on_B:
+                model = np.vstack([model, slope[S], Qhat[S].reshape(len(S), n * n).T])
+            for col, z in zip(phi.T, model):
+                C -= np.multiply(col[:, None], z, out=term[: C.size].reshape(C.shape))
+            f = flags[:, k0 : k0 + len(S)]
+            for o in range(0, len(geo), block):
+                Db = D[:, o : o + block, None]
+                h = hit[: Db.shape[0] * Db.shape[1] * len(S)].reshape(Db.shape[:2] + (len(S),))
+                fits(Db, C[None, o : o + block], out=h)
+                if block > 1:
+                    h = np.logical_and.reduce(h, axis=1, out=part[: f.size].reshape(f.shape))
+                else:
+                    h = h[:, 0]
+                if o == 0:
+                    f[...] = h
+                else:
+                    f &= h
+        return flags
+
+    def screened(D, on_B, tol):
+        """Yield (r, flat nodes flagged by the screen) per probe r.
+
+        Probes go in chunks whose flags take half of ``_SCREEN_TILE_BYTES``;
+        a tile of nodes takes the other half: C, its gather index and a
+        scratch term (24 bytes per node and offset) and the hits of
+        ``block`` offsets (a byte per probe, offset and node).  A block
+        covers about 4096 node-offsets, so comparisons stay large when a
+        small tile has many offsets."""
+        O = len(geo)
+        half = _SCREEN_TILE_BYTES // 2
+        chunk = max(1, min(len(D), half // max(1, len(nodes))))
+        tile = max(1, half // (24 * O + 2 * chunk))
+        block = max(1, min(O, 4096 // tile))
+        tile = max(1, half // (24 * O + chunk * (block + 1)))
+        for r0 in range(0, len(D), chunk):
+            flags = screen(D[r0 : r0 + chunk], on_B, tol, tile, block)
+            for i in range(len(flags)):
+                yield r0 + i, nodes[flags[i]]
+            del flags  # before the next chunk's flags exist
+
     certs: list[ViolationCertificate] = []
-    for name, l_f, m_f, Q_f in probes():
-        w_ext = None
-        for o, (d, dt) in enumerate(geo):
-            lin = (
-                np.einsum("...i,i->...", l_f, d)
-                if np.ndim(l_f) > 1
-                else float(np.asarray(l_f) @ d)
-            )
-            quad = (
-                np.einsum("i,...ij,j->...", d, Q_f, d)
-                if np.ndim(Q_f) > 2
-                else float(d @ np.asarray(Q_f) @ d)
-            )
-            w = shifted[o] - (lin + np.multiply(m_f, dt) + quad)
-            if w_ext is None:
-                w_ext = w
-            elif side == "super":
-                w_ext = np.minimum(w_ext, w)
-            else:
-                w_ext = np.maximum(w_ext, w)
-        with np.errstate(invalid="ignore"):
-            gap = sign * (v.values - w_ext)
-            margin = _margin_field(F, m_f, Q_f, spec.shape)
-            bad = eligible & (gap <= touch_tol) & (sign * margin < -viol_tol)
-        if not bad.any():
-            continue
-        for off in np.argwhere(bad):
-            off = tuple(int(i) for i in off)
-            node = spec.index_from_offset(off)
-            x = np.asarray(node[:-1], dtype=float) * spec.h
-            tt = node[-1] * spec.tau
-            l_here = l_f[off] if np.ndim(l_f) > 1 else np.asarray(l_f, dtype=float)
-            m_here = float(m_f[off]) if np.ndim(m_f) > 0 else float(m_f)
-            Q_here = Q_f[off] if np.ndim(Q_f) > 2 else np.asarray(Q_f, dtype=float)
-            P = _centered_to_absolute(
-                float(w_ext[off]), l_here, m_here, np.zeros(n), Q_here, x, tt
-            )
-            certs.append(
-                ViolationCertificate(
-                    node=node,
-                    side=side,
-                    paraboloid=P,
-                    margin=float(margin[off]),
-                    touch_gap=float(gap[off]),
-                    delta=delta,
-                    probe=name,
+    for names, fields, D, on_B, family_slack in families():
+        for r, S in screened(D, on_B, touch_tol + family_slack):
+            if not S.size:
+                continue
+            _, m_f, Q_f = fields(r, S)
+            with np.errstate(invalid="ignore"):
+                margin = _margin_field(F, m_f, Q_f, S.shape)
+                forbidden = sign * margin < -viol_tol
+            if not forbidden.any():
+                continue
+            S, margin = S[forbidden], margin[forbidden]
+            l_f, m_f, Q_f = fields(r, S)
+            w_ext = None
+            for o, (dk, dt) in enumerate(geo):
+                lin = np.einsum("...i,i->...", l_f, dk)
+                quad = (
+                    np.einsum("i,...ij,j->...", dk, Q_f, dk)
+                    if np.ndim(Q_f) > 2
+                    else float(dk @ np.asarray(Q_f) @ dk)
                 )
-            )
-            if len(certs) >= cfg.max_violations:
-                return certs
+                w = vals[S + step[o]] - (lin + np.multiply(m_f, dt) + quad)
+                w_ext = w if w_ext is None else extremum(w_ext, w)
+            with np.errstate(invalid="ignore"):
+                gap = sign * (vals[S] - w_ext)
+                bad = gap <= touch_tol
+            for i in np.flatnonzero(bad):
+                node = spec.index_from_offset(np.unravel_index(S[i], spec.shape))
+                x = np.asarray(node[:-1], dtype=float) * spec.h
+                tt = node[-1] * spec.tau
+                P = _centered_to_absolute(
+                    float(w_ext[i]),
+                    l_f[i],
+                    float(m_f[i]) if np.ndim(m_f) > 0 else float(m_f),
+                    np.zeros(n),
+                    Q_f[i] if np.ndim(Q_f) > 2 else np.asarray(Q_f, dtype=float),
+                    x,
+                    tt,
+                )
+                certs.append(
+                    ViolationCertificate(
+                        node=node,
+                        side=side,
+                        paraboloid=P,
+                        margin=float(margin[i]),
+                        touch_gap=float(gap[i]),
+                        delta=delta,
+                        probe=names[r],
+                    )
+                )
+                if len(certs) >= cfg.max_violations:
+                    return certs
     return certs
 
 
@@ -472,13 +644,13 @@ def replay_violation(
 # ---------------------------------------------------------------------------
 
 
-def _region_mask(spec: MeshSpec, region) -> np.ndarray:
+def _region_mask(spec: MeshSpec, region: Cylinder | KBox | None) -> np.ndarray:
+    """The nodes that ``region.contains``, as a boolean array over the mesh."""
     if region is None:
         return np.ones(spec.shape, dtype=bool)
-    mask = np.empty(spec.shape, dtype=bool)
-    for off in np.ndindex(spec.shape):
-        mask[off] = region.contains(spec.node_point(spec.index_from_offset(off)))
-    return mask
+    idx = spec.index_columns()
+    inside = region.contains_points(idx[:, :-1] * spec.h, idx[:, -1] * spec.tau)
+    return inside.reshape(spec.shape)
 
 
 def _quad_features(dx: np.ndarray) -> np.ndarray:

@@ -164,14 +164,20 @@ class Cylinder:
 
     def contains(self, p) -> bool:
         p = _coerce_point(p)
-        dx = np.subtract(p.x, self.center.x)
-        if float(dx @ dx) >= self.radius**2:
-            return False
-        dt = p.t - self.center.t
+        return bool(self.contains_points([p.x], [p.t])[0])
+
+    def contains_points(self, x, t) -> np.ndarray:
+        """:meth:`contains` for k points at once: positions x (k, n), times t (k,)."""
+        dx = np.asarray(x, dtype=float) - np.asarray(self.center.x)
+        # stacked 1 x n by n x 1 products round as a single point's dx @ dx does
+        d2 = np.matmul(dx[:, None, :], dx[:, :, None])[:, 0, 0]
+        dt = np.asarray(t, dtype=float) - self.center.t
         r2 = self.radius**2
         if self.orientation == "backward":
-            return -r2 < dt <= 0.0
-        return 0.0 < dt <= r2
+            in_time = (-r2 < dt) & (dt <= 0.0)
+        else:
+            in_time = (0.0 < dt) & (dt <= r2)
+        return (d2 < r2) & in_time
 
     def time_interval(self) -> tuple[float, float]:
         """Half-open time interval (a, b] covered by the cylinder."""
@@ -206,12 +212,14 @@ class KBox:
 
     def contains(self, p) -> bool:
         p = _coerce_point(p)
-        w = self.half_width
-        for a, b in zip(p.x, self.center.x):
-            if abs(a - b) > w:
-                return False
-        dt = p.t - self.center.t
-        return 0.0 < dt <= self.height
+        return bool(self.contains_points([p.x], [p.t])[0])
+
+    def contains_points(self, x, t) -> np.ndarray:
+        """:meth:`contains` for k points at once: positions x (k, n), times t (k,)."""
+        dx = np.asarray(x, dtype=float) - np.asarray(self.center.x)
+        dt = np.asarray(t, dtype=float) - self.center.t
+        in_box = np.all(np.abs(dx) <= self.half_width, axis=1)
+        return in_box & (0.0 < dt) & (dt <= self.height)
 
 
 class MeshSpec:

@@ -7,6 +7,7 @@ certificates are replayed from scratch.
 """
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -28,9 +29,18 @@ from parastep.diagnostics import (
     replay_violation,
     row_to_certificate,
 )
-from parastep.diagnostics import _centered_to_absolute, _eval_paraboloid_many, _region_mask
+from parastep.cli import _centered_kbox
+from parastep.diagnostics import (
+    ViolationCertificate,
+    _centered_to_absolute,
+    _cylinder_offsets,
+    _eval_paraboloid_many,
+    _local_model,
+    _margin_field,
+    _region_mask,
+)
 from parastep.errors import DiagnosticsError
-from parastep.geometry import KBox, MeshFunction, MeshSpec, cylinder_nodes
+from parastep.geometry import Cylinder, KBox, MeshFunction, MeshSpec, cylinder_nodes, shift
 from parastep.harness import get_problem
 from parastep.nonlinearity import NonlinearityDescriptor, evaluate_F
 from parastep.scheme import build_monotone_scheme
@@ -130,6 +140,129 @@ def row_ratios(u, node, P, mask):
     idx, du, _, _, w = constraint_rows(u, node, mask)
     PX = _eval_paraboloid_many(P, idx[:, :-1] * u.spec.h, idx[:, -1] * u.spec.tau)
     return np.abs(du - PX) / w
+
+
+def falsifier_oracle(v, F, delta, side="super", config=None):
+    """The falsifier as one whole-mesh pass per probe and offset: the probe's
+    (l, m, Q) fields, its touching value w_ext, the gap and the margin at
+    every node, certificates in probe order and C node order.  This is the
+    direct evaluation that ``delta_falsifier``'s screen-then-confirm
+    reproduces."""
+    spec = v.spec
+    n = spec.n
+    if side not in ("super", "sub"):
+        raise DiagnosticsError(f"side must be 'super' or 'sub', got {side!r}")
+    if F.dimension != n:
+        raise DiagnosticsError(f"F has dimension {F.dimension}, mesh has {n}")
+    cell = spec.h * math.sqrt(n + 1)
+    if delta < cell * (1.0 - 1e-12):
+        raise DiagnosticsError(
+            f"delta = {delta} is below the parabolic cell diameter {cell}"
+        )
+    cfg = config or FalsifierConfig()
+    scale = 1.0 + float(np.max(np.abs(v.values)))
+    touch_tol = cfg.touch_tol if cfg.touch_tol is not None else 1e-9 * scale
+    viol_tol = cfg.violation_tol if cfg.violation_tol is not None else 1e-9 * scale
+
+    lat = spec.lateral_distance()[None, ...]
+    t = spec.times().reshape((-1,) + (1,) * n)
+    eligible = (
+        spec.classification().interior
+        & (lat >= delta * (1.0 - 1e-12))
+        & (t >= delta**2 * (1.0 - 1e-12))
+    )
+    if not eligible.any():
+        raise DiagnosticsError(
+            f"no node admits a delta-cylinder with delta = {delta}; enlarge the mesh"
+        )
+
+    offsets = _cylinder_offsets(spec, delta)
+    shifted = np.stack([shift(v.values, (dm,) + dk) for dk, dm in offsets], axis=0)
+    geo = [(spec.h * np.asarray(dk, dtype=float), spec.tau * dm) for dk, dm in offsets]
+
+    grad, slope, Qhat = _local_model(v)
+    with np.errstate(invalid="ignore"):
+        s_l = float(np.nanmax(np.abs(grad))) if not np.isnan(grad).all() else 0.0
+        s_m = float(np.nanmax(np.abs(slope))) if not np.isnan(slope).all() else 0.0
+        s_q = float(np.nanmax(np.abs(Qhat))) if not np.isnan(Qhat).all() else 0.0
+
+    def probes():
+        """(name, l, m, Q) per probe; a Sobol probe's mesh-sized fields are
+        built only when the loop reaches it, so one probe is live at a time."""
+        yield "osculating", grad, slope, Qhat
+        if cfg.include_battery:
+            base = max(s_m, 2.0 * n * s_q, 1e-9 * scale)
+            eye = np.eye(n)
+            for M in (0.25 * base, base, 4.0 * base):
+                for qs in (1.0, -1.0):
+                    for ms in (-1.0, 1.0):
+                        yield f"opening_battery(M={M:.3g})", grad, ms * M, qs * (M / 2.0) * eye
+        if cfg.samples > 0:
+            from scipy.stats import qmc  # deferred: scipy.stats is slow to import
+
+            dim = n + 1 + n * (n + 1) // 2
+            sob = qmc.Sobol(d=dim, scramble=True, seed=cfg.seed)
+            draw = sob.random(1 << max(0, (cfg.samples - 1).bit_length()))[: cfg.samples]
+            xi = 2.0 * draw - 1.0
+            for r in range(cfg.samples):
+                dQ = np.zeros((n, n))
+                dQ[np.triu_indices(n)] = xi[r, n + 1 :]
+                dQ = 0.5 * (dQ + dQ.T)
+                yield f"sobol[{r}]", grad + s_l * xi[r, :n], slope + s_m * xi[r, n], Qhat + s_q * dQ
+
+    sign = 1.0 if side == "super" else -1.0
+    certs: list[ViolationCertificate] = []
+    for name, l_f, m_f, Q_f in probes():
+        w_ext = None
+        for o, (d, dt) in enumerate(geo):
+            lin = (
+                np.einsum("...i,i->...", l_f, d)
+                if np.ndim(l_f) > 1
+                else float(np.asarray(l_f) @ d)
+            )
+            quad = (
+                np.einsum("i,...ij,j->...", d, Q_f, d)
+                if np.ndim(Q_f) > 2
+                else float(d @ np.asarray(Q_f) @ d)
+            )
+            w = shifted[o] - (lin + np.multiply(m_f, dt) + quad)
+            if w_ext is None:
+                w_ext = w
+            elif side == "super":
+                w_ext = np.minimum(w_ext, w)
+            else:
+                w_ext = np.maximum(w_ext, w)
+        with np.errstate(invalid="ignore"):
+            gap = sign * (v.values - w_ext)
+            margin = _margin_field(F, m_f, Q_f, spec.shape)
+            bad = eligible & (gap <= touch_tol) & (sign * margin < -viol_tol)
+        if not bad.any():
+            continue
+        for off in np.argwhere(bad):
+            off = tuple(int(i) for i in off)
+            node = spec.index_from_offset(off)
+            x = np.asarray(node[:-1], dtype=float) * spec.h
+            tt = node[-1] * spec.tau
+            l_here = l_f[off] if np.ndim(l_f) > 1 else np.asarray(l_f, dtype=float)
+            m_here = float(m_f[off]) if np.ndim(m_f) > 0 else float(m_f)
+            Q_here = Q_f[off] if np.ndim(Q_f) > 2 else np.asarray(Q_f, dtype=float)
+            P = _centered_to_absolute(
+                float(w_ext[off]), l_here, m_here, np.zeros(n), Q_here, x, tt
+            )
+            certs.append(
+                ViolationCertificate(
+                    node=node,
+                    side=side,
+                    paraboloid=P,
+                    margin=float(margin[off]),
+                    touch_gap=float(gap[off]),
+                    delta=delta,
+                    probe=name,
+                )
+            )
+            if len(certs) >= cfg.max_violations:
+                return certs
+    return certs
 
 
 HEAT = NonlinearityDescriptor.linear([[1.0]])
@@ -392,6 +525,207 @@ def test_grid_touch_config_scales_with_tau():
     spec, _ = drift_mesh()
     cfg = FalsifierConfig.with_grid_touch(spec, c_touch=10.0)
     assert cfg.touch_tol == pytest.approx(10.0 * spec.h**2)
+
+
+def test_falsifier_config_rejects_invalid_values():
+    # max_violations = 0 used to return one certificate, and negative
+    # counts or tolerances were accepted silently
+    spec, _ = drift_mesh(h=1 / 16)
+    for kw, match in [
+        (dict(max_violations=0), "max_violations must be at least 1"),
+        (dict(max_violations=-2), "max_violations must be at least 1"),
+        (dict(samples=-1), "samples must be nonnegative"),
+        (dict(touch_tol=-1e-12), "touch_tol must be nonnegative"),
+        (dict(touch_tol=math.nan), "touch_tol must be nonnegative"),
+        (dict(violation_tol=-1.0), "violation_tol must be nonnegative"),
+    ]:
+        with pytest.raises(DiagnosticsError, match=match):
+            FalsifierConfig(**kw)
+    with pytest.raises(DiagnosticsError, match="touch_tol must be nonnegative"):
+        FalsifierConfig.with_grid_touch(spec, c_touch=-1.0)
+    FalsifierConfig(samples=0, touch_tol=0.0, violation_tol=0.0, max_violations=1)
+
+
+FAMILIES = ("osculating", "opening_battery", "sobol")
+ISAACS_2D = NonlinearityDescriptor.bellman_isaacs(
+    [[np.eye(2), [[2.0, 0.5], [0.5, 1.0]]], [[[1.0, -0.3], [-0.3, 2.0]], 1.5 * np.eye(2)]]
+)
+
+
+def saddle_boundary(x, t):
+    """Smooth 2D data whose Hessian changes sign inside the unit square."""
+    x0, x1 = x[..., 0], x[..., 1]
+    return (
+        np.sin(np.pi * x0) * np.sin(np.pi * x1) * np.exp(-t)
+        + 0.5 * np.cos(2.0 * np.pi * x0 + 1.0) * np.cos(np.pi * x1)
+        + 0.3 * (x0 - 0.5) * (x1 - 0.5) * (1.0 + t)
+    )
+
+
+def perturbed(problem, h, amplitude, seed=5):
+    """A computed grid plus seeded noise of size amplitude * h^2: not a
+    polynomial, so touching gaps and margins carry rounding."""
+    u = solved(problem, h)
+    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, u.spec.shape)
+    return MeshFunction(u.spec, u.values + amplitude * u.spec.tau * noise)
+
+
+@functools.lru_cache(maxsize=None)
+def falsifier_case(case):
+    """(v, F, delta, config, families the oracle must emit on both sides)."""
+    if case in ("heat-1d", "heat-2d"):  # the verify inputs
+        problem, h, samples = {
+            "heat-1d": ("heat_sine", 1 / 16, 200),
+            "heat-2d": ("heat_product_2d", 1 / 12, 32),
+        }[case]
+        cfg = FalsifierConfig(samples=samples, seed=7)
+        return solved(problem, h), get_problem(problem).descriptor, 2 * h, cfg, ()
+    if case in ("pucci-2d", "isaacs-2d"):
+        F = NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2) if case == "pucci-2d" else ISAACS_2D
+        spec = MeshSpec(h=1 / 8, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.25, N=2)
+        u, _ = solve(build_monotone_scheme(F), spec, saddle_boundary)
+        cfg = FalsifierConfig.with_grid_touch(spec, samples=64, max_violations=10**6)
+        return u, F, 2 * spec.h, cfg, ("osculating",)
+    if case.startswith("drift-cut-"):  # the cli grid; the cut falls inside a probe
+        spec, v = drift_mesh(h=1 / 64)
+        cfg = FalsifierConfig(samples=8, max_violations=int(case.rsplit("-", 1)[1]))
+        return v, HEAT, 2 * spec.h, cfg, ()
+    if case == "heat-1d-grid-touch":  # cut at 1000 inside the Sobol family
+        u = solved("heat_sine", 1 / 16)
+        return u, HEAT, 2 * u.spec.h, FalsifierConfig.with_grid_touch(u.spec, samples=64), ()
+    if case.startswith("perturbed-1d"):
+        v = perturbed("heat_sine", 1 / 16, 0.3)
+        kw = dict(samples=16, seed=1, max_violations=10**6)
+        if case == "perturbed-1d-no-battery":
+            kw.update(include_battery=False, max_violations=300)
+        if case == "perturbed-1d-no-samples":
+            kw["samples"] = 0
+        cfg = FalsifierConfig.with_grid_touch(v.spec, **kw)
+        return v, HEAT, 2 * v.spec.h, cfg, FAMILIES if case == "perturbed-1d" else ()
+    v = perturbed("heat_product_2d", 1 / 8, 1.0)
+    cfg = FalsifierConfig.with_grid_touch(v.spec, samples=32, seed=1, max_violations=10**6)
+    return v, get_problem("heat_product_2d").descriptor, 2 * v.spec.h, cfg, FAMILIES
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_certificates(case, side):
+    v, F, delta, cfg, _ = falsifier_case(case)
+    return tuple(falsifier_oracle(v, F, delta, side, cfg))
+
+
+def family(row):
+    probe = row.split(" probe=")[1].split(" ")[0]
+    return probe.split("(")[0].split("[")[0]
+
+
+@pytest.mark.parametrize("side", ["super", "sub"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "heat-1d",
+        "heat-2d",
+        "pucci-2d",
+        "isaacs-2d",
+        "drift-cut-7",
+        "drift-cut-1000",
+        "heat-1d-grid-touch",
+        "perturbed-1d",
+        "perturbed-1d-no-battery",
+        "perturbed-1d-no-samples",
+        "perturbed-2d",
+    ],
+)
+def test_falsifier_matches_whole_mesh_oracle(case, side):
+    v, F, delta, cfg, families = falsifier_case(case)
+    want = certificates_to_rows(oracle_certificates(case, side))
+    got = certificates_to_rows(delta_falsifier(v, F, delta, side, cfg))
+    assert got == want
+    # the comparison must see certificates of every family listed
+    assert {family(r) for r in want} >= set(families)
+    if case.startswith("drift-cut-"):
+        assert len(want) == (cfg.max_violations if side == "super" else 0)
+
+
+@pytest.mark.parametrize("side", ["super", "sub"])
+def test_falsifier_pair_on_the_touch_threshold(side):
+    # touch_tol equal to one of the oracle's exact gaps (a Sobol probe's)
+    # puts that pair on the threshold: gap <= touch_tol holds with equality,
+    # and only the screen's slack lets the screen flag it
+    v, F, delta, cfg, _ = falsifier_case("perturbed-1d")
+    certs = oracle_certificates("perturbed-1d", side)
+    gaps = sorted({c.touch_gap for c in certs if c.probe.startswith("sobol")})
+    gap = gaps[len(gaps) // 2]
+    assert gap > 0.0
+    tight = dataclasses.replace(cfg, touch_tol=gap)
+    want = falsifier_oracle(v, F, delta, side, tight)
+    assert any(c.touch_gap == gap for c in want)
+    got = delta_falsifier(v, F, delta, side, tight)
+    assert certificates_to_rows(got) == certificates_to_rows(want)
+
+
+def test_falsifier_memory_stays_within_budget_at_delta_4h():
+    # delta = 4h on the 2D heat grid at h=1/16: 720 cylinder offsets and
+    # 14,400 nodes, so an offsets x mesh stack alone would be 83 MB
+    u = solved("heat_product_2d", 1 / 16)
+    F = get_problem("heat_product_2d").descriptor
+    delta = 4 * u.spec.h
+    assert len(diagnostics._cylinder_offsets(u.spec, delta)) == 720
+    cfg = FalsifierConfig(samples=16)
+    # warm-up at delta = 2h: the deferred scipy.stats import and first-call allocations
+    delta_falsifier(u, F, 2 * u.spec.h, side="super", config=cfg)
+    tracemalloc.start()
+    try:
+        delta_falsifier(u, F, delta, side="super", config=cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak / 2**20
+
+
+def scalar_contains(region, p):
+    """The region rule node by node, in plain Python floats."""
+    if isinstance(region, KBox):
+        if any(abs(a - b) > region.half_width for a, b in zip(p.x, region.center.x)):
+            return False
+        return 0.0 < p.t - region.center.t <= region.height
+    dx = np.subtract(p.x, region.center.x)
+    r2 = region.radius**2
+    if float(dx @ dx) >= r2:
+        return False
+    dt = p.t - region.center.t
+    return -r2 < dt <= 0.0 if region.orientation == "backward" else 0.0 < dt <= r2
+
+
+def test_region_mask_matches_per_node_contains():
+    checked = 0
+    for n, h in ((1, 1 / 16), (2, 1 / 8)):
+        spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=16 * h * h, N=2)
+        # the K-boxes of verify (1D, h=1/16, T=0.25) and of the CLI
+        full = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=0.25, N=2) if n == 1 else spec
+        cases = [(full, centred_kbox(full)), (full, _centered_kbox(full))]
+        center = ((0.5,) * n, 8 * spec.tau)
+        for k in (1, 2):
+            cases += [
+                # radii landing on lattice nodes: in space (k h) and in time (k tau)
+                (spec, Cylinder(center, k * h, "backward")),
+                (spec, Cylinder(center, k * h, "forward")),
+                (spec, Cylinder(center, math.sqrt(k * spec.tau), "backward")),
+                (spec, Cylinder(center, math.sqrt(k * spec.tau), "forward")),
+                (spec, KBox(center, 9.0 * math.sqrt(n) * k * h)),
+                (spec, KBox(center, math.sqrt(81.0 * n * k * spec.tau))),
+            ]
+        points = {}
+        for mesh, region in cases:
+            mask = _region_mask(mesh, region)
+            if mesh not in points:
+                offs = np.ndindex(mesh.shape)
+                points[mesh] = [mesh.node_point(mesh.index_from_offset(o)) for o in offs]
+            per_node = np.array([region.contains(p) for p in points[mesh]]).reshape(mesh.shape)
+            rule = np.array([scalar_contains(region, p) for p in points[mesh]]).reshape(mesh.shape)
+            assert np.array_equal(mask, per_node)
+            assert np.array_equal(mask, rule)
+            checked += int(mask.any() and not mask.all())
+    assert checked >= 20
 
 
 # ---------------------------------------------------------------------------
