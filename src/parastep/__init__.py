@@ -40,10 +40,10 @@ from .geometry import (
     MeshSpec,
     ParabolicPoint,
     classify_mesh_points,
-    cylinder_nodes,
     discrete_holder_norm,
     euclidean_distance,
     parabolic_distance,
+    region_mask,
 )
 from .nonlinearity import (
     EllipticityConstants,
@@ -57,13 +57,10 @@ from .scheme import (
     SchemeDescriptor,
     Stencil,
     TestFunction,
-    apply_scheme,
     build_monotone_scheme,
     check_monotonicity,
     consistency_error,
     consistency_fit,
-    delta2_y,
-    delta_tau_minus,
     scheme_residual_field,
     scheme_tables_text,
 )
@@ -105,6 +102,6 @@ from .harness import (
     run_convergence_study,
     run_diagnostics,
 )
-from .config import ProblemConfig, load_config, parse_config
+from .config import ProblemConfig
 
 __version__ = "0.1.0"

@@ -100,7 +100,6 @@ def build_parser() -> _Parser:
     common.add_argument("--stencil-N", dest="stencil_N", type=int, metavar="INT", help="stencil width")
     common.add_argument("--problem", metavar="NAME", help="built-in exact-solution id")
     common.add_argument("--T", type=float, metavar="TIME", help="final time")
-    common.add_argument("--method", metavar="NAME", help="solver: auto, picard or howard")
     common.add_argument(
         "--dump-tables",
         action="store_true",
@@ -129,7 +128,6 @@ def _resolved_config(args) -> ProblemConfig:
         N=args.stencil_N,
         problem=args.problem,
         T=args.T,
-        method=args.method,
     )
 
 
@@ -161,10 +159,7 @@ def _single_mesh(cfg: ProblemConfig, solve_grid_boundary: bool):
         grid = MeshFunction.read_text(cfg.boundary_file)
         if not solve_grid_boundary:
             return grid, None, None
-        u, report = solve(
-            scheme, grid.spec, grid, method=cfg.method, tol=cfg.tol,
-            max_iterations=cfg.max_iterations,
-        )
+        u, report = solve(scheme, grid.spec, grid, tol=cfg.tol)
         return u, report, None
     from .harness import get_problem
 
@@ -172,10 +167,7 @@ def _single_mesh(cfg: ProblemConfig, solve_grid_boundary: bool):
         raise ConfigError("this command needs problem = <name> or boundary.file = <grid>")
     sol = get_problem(cfg.problem)
     spec = MeshSpec(h=cfg.h_list[0], bounds=cfg.bounds(), T=cfg.T, N=cfg.N)
-    u, report = solve(
-        scheme, spec, sol.fn, method=cfg.method, tol=cfg.tol,
-        max_iterations=cfg.max_iterations,
-    )
+    u, report = solve(scheme, spec, sol.fn, tol=cfg.tol)
     return u, report, sol.fn
 
 
@@ -200,7 +192,7 @@ def _cmd_solve(cfg: ProblemConfig, args) -> int:
     lines = [
         "# parastep solve",
         f"# problem={_label(cfg)} n={spec.n} h={spec.h!r} N={spec.N} T={spec.T!r}"
-        f" method={cfg.method} seed={cfg.seed}",
+        f" seed={cfg.seed}",
     ]
     if report is not None:
         lines.append(
@@ -222,9 +214,7 @@ def _cmd_converge(cfg: ProblemConfig, args) -> int:
         raise ConfigError("converge needs problem = <built-in id> (errors require an exact solution)")
     from .harness import run_convergence_study
 
-    study = run_convergence_study(
-        cfg.problem, cfg.h_list, T=cfg.T, N=cfg.N, method=cfg.method, seed=cfg.seed
-    )
+    study = run_convergence_study(cfg.problem, cfg.h_list, T=cfg.T, N=cfg.N, seed=cfg.seed)
     outdir = _outdir(cfg)
     path = outdir / "convergence.csv"
     study.write_csv(path)

@@ -82,7 +82,7 @@ def _parse_value(s: str, where: str):
     return _parse_scalar(s)
 
 
-def parse_config_items(text: str, source: str = "<config>"):
+def _config_items(text: str, source: str):
     """All assignments in order, as (lineno, key, value) triples."""
     items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,35 +98,6 @@ def parse_config_items(text: str, source: str = "<config>"):
             raise ConfigError(f"{where}: bad key name {key!r}")
         items.append((lineno, key, _parse_value(val, where)))
     return items
-
-
-def _unique_items(text: str, source: str):
-    """The assignments of :func:`parse_config_items`; a repeated key is an error."""
-    seen = {}
-    for lineno, key, val in parse_config_items(text, source):
-        if key in seen:
-            raise ConfigError(
-                f"{source}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})"
-            )
-        seen[key] = lineno
-        yield lineno, key, val
-
-
-def _read_config_text(path) -> str:
-    try:
-        with open(path, "r") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
-
-
-def parse_config(text: str, source: str = "<config>") -> dict:
-    """Parse to a flat dict keyed by the dotted names; duplicates are errors."""
-    return {key: val for _, key, val in _unique_items(text, source)}
-
-
-def load_config(path) -> dict:
-    return parse_config(_read_config_text(path), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +164,7 @@ class ProblemConfig:
     T: float = 0.25
     h_list: list = field(default_factory=lambda: [1 / 8, 1 / 16, 1 / 32, 1 / 64])
     N: int = 2
-    method: str = "auto"
     tol: float | None = None
-    max_iterations: int = 100_000
     seed: int = 0
     out: str | None = None
     strict: bool = False
@@ -218,9 +187,7 @@ class ProblemConfig:
         "T": ("T", _float),
         "h_list": ("h_list", _float_list),
         "stencil.N": ("N", _int),
-        "solver.method": ("method", _str),
         "solver.tol": ("tol", _float),
-        "solver.max_iterations": ("max_iterations", _int),
         "seed": ("seed", _int),
         "out": ("out", _str),
         "strict": ("strict", _bool),
@@ -231,12 +198,21 @@ class ProblemConfig:
         "diagnostics.abp": ("abp", _bool),
         "diagnostics.rate_floor": ("rate_floor", _float),
     }
+    # keys of the removed solver choice: naming one is an error, not a no-op
+    _REMOVED_KEYS = ("solver.method", "solver.max_iterations")
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "ProblemConfig":
-        cfg = cls()
-        for lineno, key, val in _unique_items(text, source):
+        cfg, seen = cls(), {}
+        for lineno, key, val in _config_items(text, source):
             where = f"{source}:{lineno}"
+            if key in seen:
+                raise ConfigError(f"{where}: duplicate key {key!r} (first set on line {seen[key]})")
+            seen[key] = lineno
+            if key in cls._REMOVED_KEYS:
+                raise ConfigError(
+                    f"{where}: key {key!r} was removed; Howard policy iteration is the only solver"
+                )
             if key not in cls._KEYS:
                 raise ConfigError(f"{where}: unknown key {key!r}")
             attr, conv = cls._KEYS[key]
@@ -249,7 +225,12 @@ class ProblemConfig:
 
     @classmethod
     def from_file(cls, path) -> "ProblemConfig":
-        return cls.from_text(_read_config_text(path), source=str(path))
+        try:
+            with open(path, "r") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
+        return cls.from_text(text, source=str(path))
 
     def with_overrides(self, **kw) -> "ProblemConfig":
         """Apply command line overrides; ``None`` means 'not given'."""
@@ -265,8 +246,6 @@ class ProblemConfig:
             raise ConfigError(f"T must be positive, got {self.T!r}")
         if self.N < 2:
             raise ConfigError(f"stencil.N must be at least 2, got {self.N}")
-        if self.method not in ("auto", "picard", "howard"):
-            raise ConfigError(f"solver.method must be auto, picard or howard, got {self.method!r}")
         if self.scheme_kind is not None and self.scheme_kind not in (
             "linear",
             "pucci_plus",

@@ -37,12 +37,12 @@ from scipy.optimize import linprog
 from .errors import DiagnosticsError
 from .geometry import (
     _FP_SLACK,
-    Cylinder,
     KBox,
     MeshFunction,
     MeshSpec,
     _coerce_point,
     lattice_directions,
+    region_mask,
     second_quotient_field,
     shift,
 )
@@ -114,20 +114,6 @@ class Paraboloid:
     @property
     def n(self) -> int:
         return len(self.l)
-
-    @property
-    def no_mixed_term(self) -> bool:
-        """True iff a = 0, i.e. P_t is constant in x."""
-        return bool(np.all(self.a == 0.0))
-
-    def opening_class(self, M: float) -> str | None:
-        """'+' / '-' when Q is exactly +-(M/2) I and |m| <= M, else None."""
-        if abs(self.m) > M:
-            return None
-        for sign, tag in ((1.0, "+"), (-1.0, "-")):
-            if np.array_equal(self.Q, sign * (M / 2.0) * np.eye(self.n)):
-                return tag
-        return None
 
 
 def evaluate_paraboloid(P: Paraboloid, point) -> float:
@@ -644,15 +630,6 @@ def replay_violation(
 # ---------------------------------------------------------------------------
 
 
-def _region_mask(spec: MeshSpec, region: Cylinder | KBox | None) -> np.ndarray:
-    """The nodes that ``region.contains``, as a boolean array over the mesh."""
-    if region is None:
-        return np.ones(spec.shape, dtype=bool)
-    idx = spec.index_columns()
-    inside = region.contains_points(idx[:, :-1] * spec.h, idx[:, -1] * spec.tau)
-    return inside.reshape(spec.shape)
-
-
 def _quad_features(dx: np.ndarray) -> np.ndarray:
     """Columns multiplying the free entries of symmetric Q in dy.Q.dy:
     dy_i^2 on the diagonal, 2 dy_i dy_j off it."""
@@ -815,7 +792,7 @@ def psi_M_membership(u: MeshFunction, node, M: float, region=None) -> dict:
     n = spec.n
     node = tuple(int(i) for i in node)
     off = np.array([spec.offset(node)])
-    ratios, coefs, counts = _expansion_fits(u, off, _region_mask(spec, region))
+    ratios, coefs, counts = _expansion_fits(u, off, region_mask(spec, region))
     coef = coefs[0]
     worst = float(ratios[0])
     P = _centered_to_absolute(
@@ -868,10 +845,10 @@ def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> Good
     M_values = np.asarray(sorted(float(m) for m in M_values))
     if len(M_values) == 0:
         raise DiagnosticsError("empty M sweep")
-    nodes = np.argwhere(_region_mask(spec, kbox))
+    nodes = np.argwhere(region_mask(spec, kbox))
     if not len(nodes):
         raise DiagnosticsError("the K-box contains no mesh nodes")
-    ratios = _expansion_fits(u, nodes, _region_mask(spec, region))[0]
+    ratios = _expansion_fits(u, nodes, region_mask(spec, region))[0]
     n = spec.n
     bad = ratios[None, :] > n * M_values[:, None] * (1.0 + 1e-9) + 1e-12
     frac = bad.mean(axis=1)

@@ -8,7 +8,7 @@ x_i = k_i*h and t = m*h^2.
 This module owns the lattice neighbour arithmetic and its tolerance: the
 neighbour shift (NaN off the mesh), the standard stencil directions, the
 quotient weight 1/|hy|^2 and the second quotient fields, and ``_FP_SLACK``
-with its snap helper :func:`lattice_index`.
+with its snap helper :func:`lattice_index` and the regions' tie rule.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = [
     "parabolic_distance",
     "euclidean_distance",
     "classify_mesh_points",
-    "cylinder_nodes",
+    "region_mask",
     "discrete_holder_norm",
     "lattice_index",
     "lattice_directions",
@@ -112,9 +112,6 @@ class ParabolicPoint:
     def n(self) -> int:
         return len(self.x)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.x + (self.t,), dtype=float)
-
 
 def _coerce_point(p) -> ParabolicPoint:
     if isinstance(p, ParabolicPoint):
@@ -148,7 +145,9 @@ class Cylinder:
     Space is the open ball |y-x| < r; time is half-open with the endpoint at
     the center's time excluded (forward) / included (backward) exactly as the
     orientation convention states: backward includes its top time, forward
-    includes its far (later) time.
+    includes its far (later) time.  A point within ``_FP_SLACK * r^2`` of an
+    edge counts as on it, so lattice nodes that sit on an edge get that
+    edge's open/closed rule whichever way the arithmetic rounds.
     """
 
     center: ParabolicPoint
@@ -173,25 +172,21 @@ class Cylinder:
         d2 = np.matmul(dx[:, None, :], dx[:, :, None])[:, 0, 0]
         dt = np.asarray(t, dtype=float) - self.center.t
         r2 = self.radius**2
+        e = _FP_SLACK * r2
         if self.orientation == "backward":
-            in_time = (-r2 < dt) & (dt <= 0.0)
+            in_time = (e - r2 < dt) & (dt <= e)
         else:
-            in_time = (0.0 < dt) & (dt <= r2)
-        return (d2 < r2) & in_time
-
-    def time_interval(self) -> tuple[float, float]:
-        """Half-open time interval (a, b] covered by the cylinder."""
-        t0 = self.center.t
-        if self.orientation == "backward":
-            return (t0 - self.radius**2, t0)
-        return (t0, t0 + self.radius**2)
+            in_time = (e < dt) & (dt <= r2 + e)
+        return (d2 < r2 - e) & in_time
 
 
 @dataclass(frozen=True)
 class KBox:
     """The calibrated box K_r(x,t) = [x +- r/(9 sqrt n)]^n x (t, t + r^2/(81 n)].
 
-    Closed in space, half-open (bottom excluded, top included) in time.
+    Closed in space, half-open (bottom excluded, top included) in time;
+    ties are decided as for :class:`Cylinder`, with the slack scaled by the
+    half width in space and by the height in time.
     """
 
     center: ParabolicPoint
@@ -218,8 +213,9 @@ class KBox:
         """:meth:`contains` for k points at once: positions x (k, n), times t (k,)."""
         dx = np.asarray(x, dtype=float) - np.asarray(self.center.x)
         dt = np.asarray(t, dtype=float) - self.center.t
-        in_box = np.all(np.abs(dx) <= self.half_width, axis=1)
-        return in_box & (0.0 < dt) & (dt <= self.height)
+        in_box = np.all(np.abs(dx) <= self.half_width * (1.0 + _FP_SLACK), axis=1)
+        e = _FP_SLACK * self.height
+        return in_box & (e < dt) & (dt <= self.height + e)
 
 
 class MeshSpec:
@@ -346,12 +342,6 @@ class MeshSpec:
         grids = np.meshgrid(*per_axis, indexing="ij")
         return np.minimum.reduce(grids)
 
-    def parabolic_boundary_distance(self) -> np.ndarray:
-        """Parabolic distance d(p, parabolic boundary), shape (levels, *spatial)."""
-        lat = self.lateral_distance()
-        t = self.times().reshape((-1,) + (1,) * self.n)
-        return np.minimum(np.sqrt(t), lat)
-
     def euclidean_boundary_distance(self) -> np.ndarray:
         """Euclidean distance d_e(p, parabolic boundary), shape (levels, *spatial)."""
         lat = self.lateral_distance()
@@ -415,56 +405,16 @@ def classify_mesh_points(spec: MeshSpec) -> MeshClassification:
     return MeshClassification(interior=interior, boundary=~interior, interior_columns=lat_ok)
 
 
-def cylinder_nodes(spec: MeshSpec, region: Cylinder | KBox) -> list[tuple[int, ...]]:
-    """Mesh node indices lying inside a cylinder or K-box.
-
-    The containment convention is the region's own: open spatial ball /
-    closed spatial box, half-open time interval.
-    """
-    if isinstance(region, Cylinder):
-        half = region.radius
-        a, b = region.time_interval()
-    elif isinstance(region, KBox):
-        half = region.half_width
-        a, b = region.center.t, region.center.t + region.height
-    else:
-        raise GridError(f"unsupported region type {type(region).__name__}")
+def region_mask(spec: MeshSpec, region: Cylinder | KBox | None) -> np.ndarray:
+    """The nodes that ``region.contains``, as a boolean array over the mesh
+    (every node when ``region`` is None)."""
+    if region is None:
+        return np.ones(spec.shape, dtype=bool)
     if region.center.n != spec.n:
         raise GridError(f"region dimension {region.center.n} != mesh dimension {spec.n}")
-
-    h, tau = spec.h, spec.tau
-    slack = _FP_SLACK * h
-    # Candidate index window (then exact filtering).
-    k_ranges = []
-    for a_ax in range(spec.n):
-        c = region.center.x[a_ax]
-        klo = max(spec.k_min[a_ax], int(math.ceil((c - half - slack) / h)))
-        khi = min(spec.k_max[a_ax], int(math.floor((c + half + slack) / h)))
-        if khi < klo:
-            return []
-        k_ranges.append(np.arange(klo, khi + 1))
-    m_lo = max(1, int(math.floor(a / tau + _FP_SLACK)) + 1)  # m*tau > a, bottom-exact out
-    m_hi = min(spec.levels, int(math.floor(b / tau + _FP_SLACK)))  # m*tau <= b
-    if m_hi < m_lo:
-        return []
-
-    grids = np.meshgrid(*k_ranges, indexing="ij")
-    pos = [g * h for g in grids]
-    if isinstance(region, Cylinder):
-        d2 = sum((p - c) ** 2 for p, c in zip(pos, region.center.x))
-        # Open ball; the slack keeps nodes exactly at distance r out even
-        # when the squared distance lands a few ulps below r^2.
-        keep = d2 < half**2 - slack * half
-    else:
-        keep = np.ones_like(grids[0], dtype=bool)
-        for p, c in zip(pos, region.center.x):
-            keep &= np.abs(p - c) <= half + slack
-    spatial = [tuple(int(g[tuple(idx)]) for g in grids) for idx in np.argwhere(keep)]
-
-    out = []
-    for m in range(m_lo, m_hi + 1):
-        out.extend(ks + (m,) for ks in spatial)
-    return out
+    idx = spec.index_columns()
+    inside = region.contains_points(idx[:, :-1] * spec.h, idx[:, -1] * spec.tau)
+    return inside.reshape(spec.shape)
 
 
 class MeshFunction:
@@ -590,30 +540,6 @@ class MeshFunction:
             raise GridError(f"{path}: some mesh nodes missing from file")
         return cls(spec, vals)
 
-    def to_dict(self) -> dict:
-        """Structured export mirroring the text format."""
-        return {
-            "n": self.spec.n,
-            "h": self.spec.h,
-            "N": self.spec.N,
-            "bounds": [list(b) for b in self.spec.bounds],
-            "T": self.spec.T,
-            "nodes": [
-                {"index": idx, "value": v}
-                for idx, v in zip(self.spec.index_columns().tolist(), self.values.ravel().tolist())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MeshFunction":
-        spec = MeshSpec(payload["h"], payload["bounds"], payload["T"], payload["N"])
-        vals = np.full(spec.shape, np.nan)
-        for node in payload["nodes"]:
-            vals[spec.offset(tuple(node["index"]))] = float(node["value"])
-        if np.isnan(vals).any():
-            raise GridError("structured payload misses mesh nodes")
-        return cls(spec, vals)
-
 
 def _pair_max_ratio(pts: np.ndarray, vals: np.ndarray, eta: float, block: int = 2048) -> float:
     """max over node pairs of |u(p)-u(q)| / d(p,q)^eta, blockwise O(N^2)."""
@@ -640,7 +566,6 @@ def discrete_holder_norm(
     u: MeshFunction,
     eta: float,
     region: np.ndarray | None = None,
-    pairs: str = "all",
 ) -> dict:
     """Discrete parabolic C^{0,eta} seminorm/norm of a mesh function.
 
@@ -649,8 +574,6 @@ def discrete_holder_norm(
     u : MeshFunction
     eta : float in (0, 1]
     region : optional boolean mask over ``u.values`` restricting the node set.
-    pairs : 'all' for the full seminorm, 'time' to compare only nodes sharing
-        a spatial column (the time-direction seminorm |u(x,t)-u(x,s)|/|t-s|^eta).
 
     Returns
     -------
@@ -668,29 +591,10 @@ def discrete_holder_norm(
         raise GridError("empty region")
     sup = float(np.max(np.abs(u.values[region])))
 
-    if pairs == "time":
-        # Pairs share the spatial column; d = |t-s|^(1/2).
-        best = 0.0
-        times = spec.times()
-        vals = u.values.reshape(spec.levels, -1)
-        mask = region.reshape(spec.levels, -1)
-        for i in range(spec.levels):
-            for j in range(i + 1, spec.levels):
-                both = mask[i] & mask[j]
-                if not both.any():
-                    continue
-                dv = np.abs(vals[i, both] - vals[j, both])
-                d = (times[j] - times[i]) ** (eta / 2.0)
-                best = max(best, float(dv.max()) / d)
-        semi = best
-    elif pairs == "all":
-        offs = np.argwhere(region)
-        pts = np.empty((offs.shape[0], spec.n + 1))
-        for a in range(spec.n):
-            pts[:, a] = (offs[:, a + 1] + spec.k_min[a]) * spec.h
-        pts[:, -1] = offs[:, 0] * spec.tau + spec.tau
-        vals = u.values[region]
-        semi = _pair_max_ratio(pts, vals, eta)
-    else:
-        raise GridError(f"pairs must be 'all' or 'time', got {pairs!r}")
+    offs = np.argwhere(region)
+    pts = np.empty((offs.shape[0], spec.n + 1))
+    for a in range(spec.n):
+        pts[:, a] = (offs[:, a + 1] + spec.k_min[a]) * spec.h
+    pts[:, -1] = offs[:, 0] * spec.tau + spec.tau
+    semi = _pair_max_ratio(pts, u.values[region], eta)
     return {"seminorm": semi, "sup": sup, "norm": semi + sup}

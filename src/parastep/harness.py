@@ -155,7 +155,6 @@ class ConvergenceStudy:
     """Sup-norm errors of the implicit scheme against an exact solution."""
 
     problem: str
-    method: str
     N: int
     T: float
     seed: int
@@ -163,7 +162,7 @@ class ConvergenceStudy:
     levels: list
     interior_nodes: list
     sup_errors: list
-    iterations: list  # total damped / policy sweeps per mesh
+    iterations: list  # total policy evaluations per mesh
     pairwise_rates: list  # one per consecutive pair; NaN where either error is 0
     fitted_rate: float
     max_residual: float
@@ -172,7 +171,7 @@ class ConvergenceStudy:
     def to_csv(self) -> str:
         lines = [
             "# parastep convergence study",
-            f"# problem={self.problem} method={self.method} N={self.N}"
+            f"# problem={self.problem} N={self.N}"
             f" T={self.T!r} seed={self.seed}",
             f"# fitted_rate={self.fitted_rate!r}",
             "h,sup_error,rate_pairwise,iterations",
@@ -192,7 +191,6 @@ def run_convergence_study(
     h_values: Sequence[float],
     T: float = 0.25,
     N: int = 2,
-    method: str = "auto",
     seed: int = 0,
     stencil: Stencil | None = None,
 ) -> ConvergenceStudy:
@@ -213,7 +211,7 @@ def run_convergence_study(
     max_resid = 0.0
     for h in h_values:
         spec = MeshSpec(h=h, bounds=sol.bounds, T=T, N=N)
-        u, report = solve(scheme, spec, sol.fn, method=method)
+        u, report = solve(scheme, spec, sol.fn)
         exact = MeshFunction.from_callable(spec, sol.fn)
         errors.append(float(np.max(np.abs(u.values - exact.values))))
         lvls.append(spec.levels)
@@ -237,7 +235,6 @@ def run_convergence_study(
 
     return ConvergenceStudy(
         problem=sol.name,
-        method=method,
         N=N,
         T=T,
         seed=seed,

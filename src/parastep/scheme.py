@@ -18,12 +18,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridError, SchemeError
+from .errors import SchemeError
 from .geometry import (
     MeshFunction,
     MeshSpec,
     lattice_directions,
-    quotient_weight,
     second_quotient_field,
     shift,
 )
@@ -33,10 +32,7 @@ __all__ = [
     "Stencil",
     "SchemeDescriptor",
     "TestFunction",
-    "delta_tau_minus",
-    "delta2_y",
     "build_monotone_scheme",
-    "apply_scheme",
     "scheme_residual_field",
     "check_monotonicity",
     "consistency_error",
@@ -97,42 +93,6 @@ class Stencil:
         dirs = axes + [y for pair in pairs.values() for y in pair]
         return cls(n=n, N=N, directions=tuple(dirs))
 
-    def norms(self) -> np.ndarray:
-        return np.sqrt(np.array([sum(c * c for c in y) for y in self.directions], dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference quotients
-# ---------------------------------------------------------------------------
-
-
-def delta_tau_minus(u: MeshFunction, index: Sequence[int]) -> float:
-    """Backward time quotient (u(x,t) - u(x, t - h^2)) / h^2."""
-    spec = u.spec
-    index = tuple(int(i) for i in index)
-    prev = index[:-1] + (index[-1] - 1,)
-    if not spec.contains_index(index) or not spec.contains_index(prev):
-        raise GridError(f"delta_tau_minus needs {index} and its predecessor on the mesh")
-    return (u.value(index) - u.value(prev)) / spec.tau
-
-
-def delta2_y(u: MeshFunction, index: Sequence[int], y: Sequence[int]) -> float:
-    """Symmetric second quotient along the scaled direction h*y:
-
-    (u(x + hy, t) + u(x - hy, t) - 2 u(x,t)) / |hy|^2.
-    """
-    spec = u.spec
-    index = tuple(int(i) for i in index)
-    y = tuple(int(c) for c in y)
-    if len(y) != spec.n or all(c == 0 for c in y):
-        raise GridError(f"bad direction {y}")
-    plus = tuple(k + c for k, c in zip(index[:-1], y)) + (index[-1],)
-    minus = tuple(k - c for k, c in zip(index[:-1], y)) + (index[-1],)
-    if not (spec.contains_index(index) and spec.contains_index(plus) and spec.contains_index(minus)):
-        raise GridError(f"delta2 stencil of {index} along {y} leaves the mesh")
-    h2y2 = spec.h**2 * sum(c * c for c in y)
-    return (u.value(plus) + u.value(minus) - 2.0 * u.value(index)) / h2y2
-
 
 # ---------------------------------------------------------------------------
 # scheme descriptors
@@ -171,12 +131,6 @@ class SchemeDescriptor:
         rows = [np.max(r @ tab.T, axis=-1) for tab in self.tables]
         out = np.min(np.stack(rows, axis=0), axis=0)
         return float(out) if np.ndim(out) == 0 else out
-
-    def damping_weight(self, spec: MeshSpec) -> float:
-        """omega = 1 / (1 + tau * Lambda0 * sum_y 2/|hy|^2) for the damped
-        fixed-point iteration."""
-        s = sum(2.0 * quotient_weight(spec.h, y) for y in self.stencil.directions)
-        return 1.0 / (1.0 + spec.tau * self.Lambda0 * s)
 
     def check_mesh(self, spec: MeshSpec) -> None:
         """Raise SchemeError unless the stencil fits the mesh: same dimension,
@@ -349,18 +303,6 @@ def scheme_tables_text(scheme: SchemeDescriptor) -> str:
 # ---------------------------------------------------------------------------
 # applying schemes to mesh functions
 # ---------------------------------------------------------------------------
-
-
-def apply_scheme(scheme: SchemeDescriptor, u: MeshFunction, index: Sequence[int]) -> float:
-    """S_h[u] at one interior node."""
-    spec = u.spec
-    index = tuple(int(i) for i in index)
-    if not spec.contains_index(index):
-        raise SchemeError(f"node {index} is not on the mesh")
-    if not spec.classification().interior[spec.offset(index)]:
-        raise SchemeError(f"node {index} is in the boundary band; the scheme applies on interior nodes")
-    r = np.array([delta2_y(u, index, y) for y in scheme.stencil.directions])
-    return delta_tau_minus(u, index) - float(scheme.F_h(r))
 
 
 def scheme_residual_field(scheme: SchemeDescriptor, u: MeshFunction) -> np.ndarray:

@@ -2,22 +2,17 @@
 
 Marches level by level: at each time level the interior-column values solve
 the implicit (backward-in-time quotient) equation, with the lateral band and
-all levels before t = (N h)^2 prescribed.  Two routes:
+all levels before t = (N h)^2 prescribed.
 
-* ``howard`` (``auto`` resolves to it for every scheme): nested policy
-  iteration (Hoffman & Karp 1966; Bokanowski, Maroso & Zidani 2009).
-  F_h is a min over rows of a max over forms, so the outer loop picks per
-  node the row a = argmin over rows of the row's max, and the inner loop is
-  pure-max Howard over the forms of that row.  A single table makes the
-  outer loop trivial, singleton rows make the inner loop trivial.  Each
-  policy evaluation is one sparse linear solve on a sparsity pattern built
-  once per solve; the last LU factor is reused while the per-node form
-  index is unchanged, so a linear scheme factors once per solve.
-* ``picard``: damped fixed point w <- w - omega*tau*S_h[w] with
-  omega = 1/(1 + tau*Lambda0*sum_y 2/|hy|^2).  Monotonicity of F_h makes this
-  a sup-norm contraction with factor 1 - omega (mesh-independent, since
-  tau = h^2 cancels the 1/h^2 in the quotient weights).  It is 5-10x slower
-  and is kept as the reference route policy iteration is tested against.
+Every table shape (max, min and mixed min-max) is solved by nested policy
+iteration (Hoffman & Karp 1966; Bokanowski, Maroso & Zidani 2009).  F_h is
+a min over rows of a max over forms, so the outer loop picks per node the
+row a = argmin over rows of the row's max, and the inner loop is pure-max
+Howard over the forms of that row.  A single table makes the outer loop
+trivial, singleton rows make the inner loop trivial.  Each policy
+evaluation is one sparse linear solve on a sparsity pattern built once per
+solve; the last LU factor is reused while the per-node form index is
+unchanged, so a linear scheme factors once per solve.
 """
 
 from __future__ import annotations
@@ -40,9 +35,7 @@ __all__ = ["SolveReport", "solve", "residual_sweep"]
 class SolveReport:
     """Per-solve bookkeeping returned alongside the solution."""
 
-    method: str
     tol: float
-    omega: float | None
     iterations: list[int] = field(default_factory=list)
     max_residual: float = 0.0
 
@@ -58,7 +51,6 @@ class _LevelProblem:
 
     def __init__(self, scheme: SchemeDescriptor, spec: MeshSpec):
         scheme.check_mesh(spec)
-        self.scheme = scheme
         self.spec = spec
         cols = spec.classification().interior_columns
         self.int_flat = np.flatnonzero(cols)
@@ -112,12 +104,6 @@ class _LevelProblem:
             r[:, j] = (w_flat[pf] + w_flat[mf] - 2.0 * wi) * self.weights[j]
         return r
 
-    def residual(self, w_flat: np.ndarray, b_flat: np.ndarray) -> np.ndarray:
-        """S_h at the interior columns through ``scheme.F_h``, independent of
-        the padded ``forms`` that policy iteration evaluates."""
-        dtau = (w_flat[self.int_flat] - b_flat[self.int_flat]) / self.spec.tau
-        return dtau - self.scheme.F_h(self.quotients(w_flat))
-
     def scores(self, w_flat: np.ndarray) -> np.ndarray:
         """(K, rows, forms) array of gamma . delta^2 w per node and form."""
         return (self.quotients(w_flat) @ self.flat_forms.T).reshape(self.K, *self.forms.shape[:2])
@@ -146,20 +132,6 @@ class _LevelProblem:
             self._lu = spla.splu(self.matrix(coef), permc_spec="MMD_AT_PLUS_A")
             self._lu_policy = policy
         w_flat[self.int_flat] = self._lu.solve(self.rhs(coef, w_flat, b_flat))
-
-
-def _picard_level(lp: _LevelProblem, w_flat, b_flat, omega, tol, max_iterations):
-    scheme, spec = lp.scheme, lp.spec
-    for it in range(1, max_iterations + 1):
-        R = lp.residual(w_flat, b_flat)
-        resid = float(np.max(np.abs(R))) if R.size else 0.0
-        if resid <= tol:
-            return it, resid
-        w_flat[lp.int_flat] -= omega * spec.tau * R
-    raise SolverConvergenceError(
-        f"damped iteration stalled at residual {resid:.3e} > tol {tol:.3e} "
-        f"after {max_iterations} sweeps"
-    )
 
 
 def _howard_level(lp: _LevelProblem, w_flat, b_flat, tol, max_policy=60):
@@ -193,9 +165,7 @@ def solve(
     scheme: SchemeDescriptor,
     spec: MeshSpec,
     boundary: Callable | MeshFunction,
-    method: str = "auto",
     tol: float | None = None,
-    max_iterations: int = 100_000,
 ) -> tuple[MeshFunction, SolveReport]:
     """Solve S_h[u] = 0 on the interior set with ``boundary`` on the band.
 
@@ -206,15 +176,11 @@ def solve(
     boundary : callable ``g(x, t)`` (x shaped (..., n)) or a MeshFunction;
         its values are used on every boundary-band node (and as the warm
         start on the interior).
-    method : 'howard', 'picard' or 'auto'.  'auto' is 'howard', which runs
-        for every table shape (max, min and mixed min-max); 'picard' is the
-        slower damped iteration, kept as the reference route.
     tol : residual tolerance; default 1e-10 * (1 + sup |boundary band data|).
-    max_iterations : per-level sweep cap for 'picard' only.  'howard' stops
-        after 60 policy iterations per level.
 
-    ``report.iterations`` holds, per level, the Picard sweeps or the Howard
-    policy evaluations (one linear solve each).
+    ``report.iterations`` holds, per level, the policy evaluations (one
+    linear solve each); a level that needs more than 60 raises
+    SolverConvergenceError.
 
     Returns
     -------
@@ -233,13 +199,7 @@ def solve(
     if tol is None:
         tol = 1e-10 * (1.0 + band_sup)
 
-    if method == "auto":
-        method = "howard"
-    if method not in ("picard", "howard"):
-        raise SchemeError(f"unknown method {method!r}")
-
-    omega = scheme.damping_weight(spec) if method == "picard" else None
-    report = SolveReport(method=method, tol=tol, omega=omega)
+    report = SolveReport(tol=tol)
 
     first_level = spec.N**2  # earliest level with interior nodes
     if lp.K and spec.levels >= first_level:
@@ -248,10 +208,7 @@ def solve(
             w_flat = values[m - 1].ravel().copy()
             # warm start the unknowns from the previous level
             w_flat[lp.int_flat] = b_flat[lp.int_flat]
-            if method == "picard":
-                its, resid = _picard_level(lp, w_flat, b_flat, omega, tol, max_iterations)
-            else:
-                its, resid = _howard_level(lp, w_flat, b_flat, tol)
+            its, resid = _howard_level(lp, w_flat, b_flat, tol)
             report.iterations.append(its)
             report.max_residual = max(report.max_residual, resid)
             values[m - 1] = w_flat.reshape(spec.spatial_shape)

@@ -62,6 +62,16 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     assert code == 1 and "unknown key 'problme'" in err and f"{cfg}:1" in err
 
 
+def test_removed_solver_choice_is_an_error(tmp_path, capsys):
+    # policy iteration is the only solver: neither the flag nor the keys exist
+    code, _, err = run(capsys, "solve", "--problem", "heat_sine", "--method", "howard")
+    assert code == 1 and "unrecognized arguments: --method" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = heat_sine\nsolver.method = auto\n")
+    code, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1 and f"{cfg}:2: key 'solver.method' was removed" in err
+
+
 def test_solve_writes_grid_and_tables(tmp_path, capsys):
     code, out, _ = run(
         capsys,

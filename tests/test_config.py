@@ -2,7 +2,7 @@
 
 import pytest
 
-from parastep.config import ProblemConfig, load_config, parse_config
+from parastep.config import ProblemConfig
 from parastep.errors import ConfigError
 
 
@@ -13,28 +13,24 @@ def test_scalars_and_sections():
     T = 0.5            # trailing comment
     stencil.N = 3
     strict = true
-    solver.method = howard
+    solver.tol = 1e-8
     """
-    raw = parse_config(text)
-    assert raw == {
-        "problem": "heat_sine",
-        "T": 0.5,
-        "stencil.N": 3,
-        "strict": True,
-        "solver.method": "howard",
-    }
+    cfg = ProblemConfig.from_text(text)
+    assert (cfg.problem, cfg.T, cfg.N, cfg.strict, cfg.tol) == ("heat_sine", 0.5, 3, True, 1e-8)
 
 
 def test_lists_and_matrices():
-    raw = parse_config("h_list = [0.125, 0.0625]\nscheme.matrix = [[1.0, 0.5], [0.5, 2]]\n")
-    assert raw["h_list"] == [0.125, 0.0625]
-    assert raw["scheme.matrix"] == [[1.0, 0.5], [0.5, 2]]
+    cfg = ProblemConfig.from_text(
+        "h_list = [0.125, 0.0625]\nscheme.matrix = [[1.0, 0.5], [0.5, 2]]\n"
+    )
+    assert cfg.h_list == [0.125, 0.0625]
+    assert cfg.scheme_matrix == [[1.0, 0.5], [0.5, 2.0]]
 
 
 def test_quoted_strings_and_bare_paths():
-    raw = parse_config('out = "results dir"\nboundary.file = grids/u.txt\n')
-    assert raw["out"] == "results dir"
-    assert raw["boundary.file"] == "grids/u.txt"
+    cfg = ProblemConfig.from_text('out = "results dir"\nboundary.file = grids/u.txt\n')
+    assert cfg.out == "results dir"
+    assert cfg.boundary_file == "grids/u.txt"
 
 
 @pytest.mark.parametrize(
@@ -50,18 +46,18 @@ def test_quoted_strings_and_bare_paths():
 )
 def test_syntax_errors_carry_line_numbers(line, fragment):
     with pytest.raises(ConfigError, match=fragment) as exc:
-        parse_config("seed = 1\n" + line + "\n", source="run.cfg")
+        ProblemConfig.from_text("seed = 1\n" + line + "\n", source="run.cfg")
     assert "run.cfg:2" in str(exc.value)
 
 
 def test_duplicate_keys_rejected_with_both_lines():
     with pytest.raises(ConfigError, match="duplicate key 'seed'.*line 1"):
-        parse_config("seed = 1\nseed = 2\n")
+        ProblemConfig.from_text("seed = 1\nseed = 2\n")
 
 
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
-        load_config("/nonexistent/run.cfg")
+        ProblemConfig.from_file("/nonexistent/run.cfg")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +72,6 @@ def test_problem_config_from_text_full():
         T = 0.125
         h_list = [0.25, 0.125]
         stencil.N = 2
-        solver.method = picard
         solver.tol = 1e-9
         seed = 42
         strict = true
@@ -89,7 +84,7 @@ def test_problem_config_from_text_full():
     )
     assert cfg.problem == "pucci_plus_concave"
     assert cfg.h_list == [0.25, 0.125]
-    assert cfg.method == "picard" and cfg.tol == 1e-9
+    assert cfg.tol == 1e-9
     assert cfg.seed == 42 and cfg.strict
     assert cfg.delta_multiple == 3.0 and cfg.theta == 0.05
     assert cfg.M_values == [1.0, 4.0, 16.0]
@@ -124,7 +119,6 @@ def test_type_errors_name_the_key(text, fragment):
         ("h_list = [0.1, -0.2]", "positive spacings"),
         ("T = -1.0", "T must be positive"),
         ("stencil.N = 1", "at least 2"),
-        ("solver.method = newton", "auto, picard or howard"),
         ("scheme.kind = monge_ampere", "not a built-in operator"),
         ("diagnostics.theta = 0.0", "theta must be positive"),
         ("diagnostics.M_values = []", "nonempty"),
@@ -133,6 +127,15 @@ def test_type_errors_name_the_key(text, fragment):
 def test_value_validation(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         ProblemConfig.from_text(text)
+
+
+@pytest.mark.parametrize("key", ["solver.method", "solver.max_iterations"])
+def test_removed_solver_keys_fail_loudly(key, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"problem = heat_sine\n{key} = 1\n")
+    want = rf"run\.cfg:2: key '{key}' was removed; Howard policy iteration is the only solver"
+    with pytest.raises(ConfigError, match=want):
+        ProblemConfig.from_file(path)
 
 
 def test_overrides_replace_only_given_fields():

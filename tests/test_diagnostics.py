@@ -37,10 +37,9 @@ from parastep.diagnostics import (
     _eval_paraboloid_many,
     _local_model,
     _margin_field,
-    _region_mask,
 )
 from parastep.errors import DiagnosticsError
-from parastep.geometry import Cylinder, KBox, MeshFunction, MeshSpec, cylinder_nodes, shift
+from parastep.geometry import Cylinder, KBox, MeshFunction, MeshSpec, region_mask, shift
 from parastep.harness import get_problem
 from parastep.nonlinearity import NonlinearityDescriptor, evaluate_F
 from parastep.scheme import build_monotone_scheme
@@ -322,16 +321,6 @@ def test_centered_and_absolute_forms_agree(rng):
             dy, ds = y - x0, s - t0
             centered = c + l @ dy + m * ds + (a @ dy) * ds + dy @ Q @ dy
             assert_allclose(evaluate_paraboloid(P, (tuple(y), s)), centered, atol=1e-10)
-
-
-def test_paraboloid_class_tags():
-    P = Paraboloid(c=0.0, l=[1.0], m=2.0, a=[0.0], Q=[[1.5]])
-    assert P.no_mixed_term
-    assert P.opening_class(3.0) == "+"
-    assert P.opening_class(2.0) is None  # Q != (M/2) I at M = 2
-    Pm = Paraboloid(c=0.0, l=[0.0], m=-1.0, a=[0.0], Q=[[-0.5]])
-    assert Pm.opening_class(1.0) == "-"
-    assert not Paraboloid(c=0, l=[0.0], m=0, a=[2.0], Q=[[0.0]]).no_mixed_term
 
 
 def test_asymmetric_Q_rejected():
@@ -682,21 +671,7 @@ def test_falsifier_memory_stays_within_budget_at_delta_4h():
     assert peak <= 16 * 2**20, peak / 2**20
 
 
-def scalar_contains(region, p):
-    """The region rule node by node, in plain Python floats."""
-    if isinstance(region, KBox):
-        if any(abs(a - b) > region.half_width for a, b in zip(p.x, region.center.x)):
-            return False
-        return 0.0 < p.t - region.center.t <= region.height
-    dx = np.subtract(p.x, region.center.x)
-    r2 = region.radius**2
-    if float(dx @ dx) >= r2:
-        return False
-    dt = p.t - region.center.t
-    return -r2 < dt <= 0.0 if region.orientation == "backward" else 0.0 < dt <= r2
-
-
-def test_region_mask_matches_per_node_contains():
+def test_region_mask_matches_per_node_contains(cylinder_mask):
     checked = 0
     for n, h in ((1, 1 / 16), (2, 1 / 8)):
         spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=16 * h * h, N=2)
@@ -716,14 +691,13 @@ def test_region_mask_matches_per_node_contains():
             ]
         points = {}
         for mesh, region in cases:
-            mask = _region_mask(mesh, region)
+            mask = region_mask(mesh, region)
             if mesh not in points:
                 offs = np.ndindex(mesh.shape)
                 points[mesh] = [mesh.node_point(mesh.index_from_offset(o)) for o in offs]
             per_node = np.array([region.contains(p) for p in points[mesh]]).reshape(mesh.shape)
-            rule = np.array([scalar_contains(region, p) for p in points[mesh]]).reshape(mesh.shape)
             assert np.array_equal(mask, per_node)
-            assert np.array_equal(mask, rule)
+            assert np.array_equal(mask, cylinder_mask(mesh, region))
             checked += int(mask.any() and not mask.all())
     assert checked >= 20
 
@@ -812,7 +786,7 @@ def test_membership_error_paths():
 # ---------------------------------------------------------------------------
 
 
-def test_good_set_on_quadratic_data_is_everything():
+def test_good_set_on_quadratic_data_is_everything(cylinder_nodes):
     spec = MeshSpec(h=1.0 / 16, bounds=[(0.0, 1.0)], T=0.0625, N=2)
     u = MeshFunction.from_callable(spec, lambda x, t: x[..., 0] ** 2 + 2.0 * t)
     box = KBox(((0.5,), 4 * spec.tau), r=1.0)
@@ -914,10 +888,10 @@ def test_good_set_matches_full_lp_oracle(case, chunk_rows, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["heat-1d", "heat-2d-subset", "cube-kink-region"])
-def test_membership_paraboloid_reaches_the_reported_ratio(case):
+def test_membership_paraboloid_reaches_the_reported_ratio(case, cylinder_nodes):
     u, kbox, region, _ = sweep_case(case)
     spec = u.spec
-    mask = _region_mask(spec, region)
+    mask = region_mask(spec, region)
     nodes = cylinder_nodes(spec, kbox)
     for node in nodes[:: max(1, len(nodes) // 7)]:
         out = psi_M_membership(u, node, M=1.0, region=region)

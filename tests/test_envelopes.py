@@ -11,7 +11,7 @@ from parastep.envelopes import (
     upper_monotone_envelope,
 )
 from parastep.errors import EnvelopeError, GridError
-from parastep.geometry import Cylinder, MeshFunction, MeshSpec, cylinder_nodes
+from parastep.geometry import Cylinder, MeshFunction, MeshSpec, region_mask
 
 # ---------------------------------------------------------------------------
 # oracle: per-node affine-minorant LP
@@ -241,12 +241,28 @@ def test_abp_ratio_invariant_under_scaling():
     assert ratios[1] == pytest.approx(ratios[2], rel=1e-9)
 
 
-def test_abp_cylinder_node_count_matches_geometry_helper():
+def test_abp_cylinder_node_count_matches_geometry_helper(cylinder_nodes):
     spec = MeshSpec(**ABP_MESH)
     u = MeshFunction(spec, np.zeros(spec.shape))
     out = abp_diagnostic(u)
     cyl = Cylinder(out["center"], out["rho"], "backward")
     assert out["cylinder_node_count"] == len(cylinder_nodes(spec, cyl))
+    assert out["cylinder_node_count"] == int(region_mask(spec, cyl).sum())
+
+
+@pytest.mark.parametrize("h", [1 / 12, 1 / 20], ids=["h=1/12", "h=1/20"])
+def test_abp_cylinder_equals_region_mask(h):
+    # ABP builds its cylinder in integers; the region rule must agree on every
+    # radius j h, whose ball edge and open bottom fall on lattice nodes
+    for n in (1, 2):
+        spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=20 * h * h, N=2)
+        u = MeshFunction(spec, np.zeros(spec.shape))
+        x0 = ((round(0.5 / h) - 1) * h,) * n
+        for j in (1, 2, 3, 4):
+            for center in (None, (x0, 16 * spec.tau)):
+                out = abp_diagnostic(u, center=center, rho=j * h)
+                cyl = Cylinder(out["center"], out["rho"], "backward")
+                assert out["cylinder_node_count"] == int(region_mask(spec, cyl).sum()), (n, j)
 
 
 def test_abp_extension_zero_outside_cylinder():

@@ -13,14 +13,14 @@ from parastep import (
     MeshSpec,
     ParabolicPoint,
     classify_mesh_points,
-    cylinder_nodes,
     discrete_holder_norm,
     euclidean_distance,
     parabolic_distance,
+    region_mask,
 )
 from parastep import geometry
 from parastep.geometry import second_quotient_field, shift
-from parastep.scheme import Stencil, delta2_y, delta_tau_minus
+from parastep.scheme import Stencil
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -78,6 +78,33 @@ def contains_oracle(region, x, t):
     if np.any(np.abs(x - c) > w):
         return False
     return region.center.t < t <= region.center.t + region.r**2 / (81.0 * len(c))
+
+
+def mask_nodes(spec, mask):
+    """The node indices of a boolean mesh mask, time-major."""
+    return [spec.index_from_offset(off) for off in np.argwhere(mask)]
+
+
+def delta_tau_minus(u, index):
+    """Backward time quotient (u(x,t) - u(x, t - h^2)) / h^2 at one node;
+    GridError when the node or its predecessor is off the mesh."""
+    spec = u.spec
+    prev = index[:-1] + (index[-1] - 1,)
+    if not spec.contains_index(index) or not spec.contains_index(prev):
+        raise GridError(f"delta_tau_minus needs {index} and its predecessor on the mesh")
+    return (u.value(index) - u.value(prev)) / spec.tau
+
+
+def delta2_y(u, index, y):
+    """(u(x + hy, t) + u(x - hy, t) - 2 u(x,t)) / |hy|^2 at one node;
+    GridError when the stencil leaves the mesh."""
+    spec = u.spec
+    plus = tuple(k + c for k, c in zip(index[:-1], y)) + (index[-1],)
+    minus = tuple(k - c for k, c in zip(index[:-1], y)) + (index[-1],)
+    if not (spec.contains_index(index) and spec.contains_index(plus) and spec.contains_index(minus)):
+        raise GridError(f"delta2 stencil of {index} along {y} leaves the mesh")
+    h2y2 = spec.h**2 * sum(c * c for c in y)
+    return (u.value(plus) + u.value(minus) - 2.0 * u.value(index)) / h2y2
 
 
 # ---------------------------------------------------------------------------
@@ -201,50 +228,90 @@ def test_classification_2d_band():
 def test_tiny_cylinder_hits_single_node():
     spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=0.25, N=2)
     cyl = Cylinder(ParabolicPoint((0.5,), 0.125), radius=0.05, orientation="backward")
-    assert cylinder_nodes(spec, cyl) == [(4, 8)]
+    assert mask_nodes(spec, region_mask(spec, cyl)) == [(4, 8)]
 
 
-def test_cylinder_nodes_match_oracle(rng):
+def test_cylinder_nodes_match_oracle(rng, cylinder_nodes):
     spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=0.25, N=2)
     for _ in range(40):
         center = ParabolicPoint((rng.uniform(0, 1),), rng.uniform(0, 0.25))
         r = rng.uniform(0.03, 0.45)
         orient = "backward" if rng.random() < 0.5 else "forward"
         cyl = Cylinder(center, r, orient)
-        got = set(cylinder_nodes(spec, cyl))
+        got = set(mask_nodes(spec, region_mask(spec, cyl)))
         want = {
             idx
             for idx in spec.node_indices()
             if contains_oracle(cyl, spec.node_point(idx).x, spec.node_point(idx).t)
         }
-        assert got == want
+        assert got == want == set(cylinder_nodes(spec, cyl))
 
 
-def test_cylinder_nodes_match_oracle_2d(rng):
+def test_cylinder_nodes_match_oracle_2d(rng, cylinder_nodes):
     spec = MeshSpec(h=0.25, bounds=[(0.0, 1.5), (0.0, 1.5)], T=0.5, N=2)
     for _ in range(15):
         center = ParabolicPoint((rng.uniform(0, 1.5), rng.uniform(0, 1.5)), rng.uniform(0, 0.5))
         cyl = Cylinder(center, rng.uniform(0.1, 0.8), "backward")
-        got = set(cylinder_nodes(spec, cyl))
+        got = set(mask_nodes(spec, region_mask(spec, cyl)))
         want = {
             idx
             for idx in spec.node_indices()
             if contains_oracle(cyl, spec.node_point(idx).x, spec.node_point(idx).t)
         }
-        assert got == want
+        assert got == want == set(cylinder_nodes(spec, cyl))
 
 
-def test_kbox_nodes_match_oracle(rng):
+def test_kbox_nodes_match_oracle(rng, cylinder_nodes):
     spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=0.25, N=2)
     for _ in range(25):
         box = KBox(ParabolicPoint((rng.uniform(0.2, 0.8),), rng.uniform(0, 0.2)), rng.uniform(0.5, 2.5))
-        got = set(cylinder_nodes(spec, box))
+        got = set(mask_nodes(spec, region_mask(spec, box)))
         want = {
             idx
             for idx in spec.node_indices()
             if contains_oracle(box, spec.node_point(idx).x, spec.node_point(idx).t)
         }
-        assert got == want
+        assert got == want == set(cylinder_nodes(spec, box))
+
+
+def tie_regions(n, h):
+    """Regions whose edges fall on lattice nodes: radii k h and sqrt(k tau)
+    in both orientations, and K-boxes of lattice half width and height."""
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=24 * h * h, N=2)
+    center = (tuple(round(0.5 / h) * h for _ in range(n)), 12 * spec.tau)
+    regions = []
+    for k in (1, 2, 3, 5):
+        for orient in ("backward", "forward"):
+            regions.append(Cylinder(center, k * h, orient))
+            regions.append(Cylinder(center, math.sqrt(k * spec.tau), orient))
+        regions.append(KBox(center, 9.0 * math.sqrt(n) * k * h))
+        regions.append(KBox(center, math.sqrt(81.0 * n * k * spec.tau)))
+    return spec, regions
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("h", [1 / 8, 1 / 12, 1 / 16, 1 / 20, 0.1], ids=lambda h: f"h={h:.4g}")
+def test_region_mask_matches_cylinder_nodes_on_ties(n, h, cylinder_mask):
+    spec, regions = tie_regions(n, h)
+    for region in regions:
+        mask = region_mask(spec, region)
+        assert mask.any()
+        assert np.array_equal(mask, cylinder_mask(spec, region)), region
+
+
+def test_region_on_open_bottom_level_is_left_out():
+    # r^2 rounds to 0.007812500000000002 > 2 tau, so level 6 sits on the open
+    # bottom t = 0.0234375 only up to rounding: 3 nodes on each of levels 7, 8
+    spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2)
+    cyl = Cylinder(((0.5,), 0.03125), math.sqrt(2 * spec.tau))
+    nodes = mask_nodes(spec, region_mask(spec, cyl))
+    assert sorted(nodes) == [(k, m) for k in (7, 8, 9) for m in (7, 8)]
+
+
+def test_region_mask_rejects_dimension_mismatch():
+    spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)] * 2, T=0.25, N=2)
+    with pytest.raises(GridError, match="dimension"):
+        region_mask(spec, Cylinder(((0.5,), 0.125), 0.25))
 
 
 def test_kbox_frozen_geometry():
@@ -289,13 +356,6 @@ def test_mesh_function_text_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(v.values, u.values)
 
 
-def test_mesh_function_dict_round_trip(rng):
-    spec = MeshSpec(h=0.25, bounds=[(0.0, 1.0)], T=0.25, N=2)
-    u = MeshFunction(spec, rng.standard_normal(spec.shape))
-    v = MeshFunction.from_dict(u.to_dict())
-    np.testing.assert_array_equal(v.values, u.values)
-
-
 def test_mesh_function_read_rejects_missing_nodes(tmp_path):
     spec = MeshSpec(h=0.25, bounds=[(0.0, 1.0)], T=0.25, N=2)
     u = MeshFunction(spec, np.zeros(spec.shape))
@@ -320,8 +380,8 @@ def test_mesh_function_shape_mismatch():
         MeshFunction(spec, np.zeros((2, 2)))
 
 
-# The per-node text writer, reader and dict export that the array-wide
-# versions replaced; the differential tests below hold the new ones to them.
+# The per-node text writer and reader that the array-wide versions replaced;
+# the differential tests below hold the new ones to them.
 
 
 def write_text_oracle(u, path):
@@ -373,18 +433,6 @@ def read_text_oracle(path):
     return MeshFunction(spec, vals)
 
 
-def to_dict_oracle(u):
-    spec = u.spec
-    return {
-        "n": spec.n,
-        "h": spec.h,
-        "N": spec.N,
-        "bounds": [list(b) for b in spec.bounds],
-        "T": spec.T,
-        "nodes": [{"index": list(idx), "value": u.value(idx)} for idx in spec.node_indices()],
-    }
-
-
 TEXT_MESHES = {
     "1d": dict(h=0.125, bounds=[(0.0, 1.0)], T=0.125, N=2),
     "1d-negative-kmin": dict(h=0.125, bounds=[(-1.0, -0.25)], T=0.0625, N=2),
@@ -429,16 +477,6 @@ def test_text_io_matches_per_node_oracle(name, tmp_path, rng, read_chunks):
     padded = tmp_path / "padded.txt"
     padded.write_text("\n\n" + "\n  \n".join("  " + ln + "\t" for ln in lines) + "\n\n")
     assert np.array_equal(MeshFunction.read_text(padded).values, u.values)
-
-
-@pytest.mark.parametrize("name", sorted(TEXT_MESHES))
-def test_dict_io_matches_per_node_oracle(name, rng):
-    u = special_mesh_function(name, rng)
-    payload = u.to_dict()
-    assert payload == to_dict_oracle(u)
-    v = MeshFunction.from_dict(payload)
-    assert np.array_equal(v.values, u.values)
-    assert np.array_equal(np.signbit(v.values), np.signbit(u.values))
 
 
 def _node_line_swap(lines, i, text):
@@ -495,20 +533,6 @@ def test_text_reader_names_unparsable_node_line(tmp_path):
         MeshFunction.read_text(path)
 
 
-def test_from_dict_errors_name_the_node(rng):
-    u = special_mesh_function("2d", rng)
-    payload = u.to_dict()
-    outside = dict(payload, nodes=payload["nodes"][:3] + [{"index": [9, -3, 1], "value": 0.0}])
-    with pytest.raises(GridError, match=r"node \(9, -3, 1\) is not in the mesh"):
-        MeshFunction.from_dict(outside)
-    short = dict(payload, nodes=payload["nodes"][:1] + [{"index": [1, 1], "value": 0.0}])
-    with pytest.raises(GridError, match=r"node \(1, 1\) is not in the mesh"):
-        MeshFunction.from_dict(short)
-    duplicate = dict(payload, nodes=payload["nodes"][:1] + payload["nodes"][:-1])
-    with pytest.raises(GridError, match="structured payload misses mesh nodes"):
-        MeshFunction.from_dict(duplicate)
-
-
 # ---------------------------------------------------------------------------
 # Holder norms
 # ---------------------------------------------------------------------------
@@ -544,20 +568,6 @@ def test_holder_norm_matches_pair_oracle(rng):
     for eta in (0.5, 1.0):
         res = discrete_holder_norm(u, eta=eta)
         assert res["seminorm"] == pytest.approx(holder_oracle(u, eta), rel=1e-12)
-
-
-def test_holder_norm_time_pairs(rng):
-    spec = MeshSpec(h=0.25, bounds=[(0.0, 1.0)], T=0.25, N=2)
-    u = MeshFunction(spec, rng.standard_normal(spec.shape))
-    res = discrete_holder_norm(u, eta=1.0, pairs="time")
-    # oracle restricted to shared spatial columns
-    best = 0.0
-    for idx in spec.node_indices():
-        for jdx in spec.node_indices():
-            if idx[:-1] == jdx[:-1] and idx[-1] < jdx[-1]:
-                dt = (jdx[-1] - idx[-1]) * spec.tau
-                best = max(best, abs(u.value(idx) - u.value(jdx)) / math.sqrt(dt))
-    assert res["seminorm"] == pytest.approx(best, rel=1e-12)
 
 
 def test_holder_norm_region_mask(rng):

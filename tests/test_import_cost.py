@@ -1,12 +1,16 @@
 """Start-up cost guard: a fresh interpreter that imports parastep, or runs
 ``python -m parastep --help``, loads every parastep module (the benchmark's
 span wrappers look them up in ``sys.modules``) but not ``scipy.stats``, which
-only the falsifier's Sobol sampler needs and imports where it is used."""
+only the falsifier's Sobol sampler needs and imports where it is used.
+
+The package's public names are pinned too, so that removing or adding one is
+a deliberate change to this list."""
 
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,38 @@ def test_start_up_loads_parastep_but_not_scipy_stats(case):
     assert "scipy.stats" not in modules
     want = LIBRARY | ({"parastep.cli"} if case == "help" else set())
     assert want <= modules, sorted(want - modules)
+
+
+PUBLIC = """
+ConfigError ConvergenceStudy ConvolutionParams ConvolutionReport Cylinder
+DiagnosticsError EllipticityConstants EnvelopeError ExactSolution FalsifierConfig
+GoodSetReport GridError KBox MeshFunction MeshSpec NonlinearityDescriptor
+NonlinearityError ParabolicPoint Paraboloid ParastepError ProblemConfig
+SchemeDescriptor SchemeError SolveReport SolverConvergenceError Stencil
+TestFunction ViolationCertificate abp_diagnostic build_monotone_scheme
+certificates_to_rows check_monotonicity classify_mesh_points consistency_error
+consistency_fit contact_set delta_falsifier discrete_holder_norm
+euclidean_distance evaluate_F evaluate_paraboloid exact_library get_problem
+good_set_measure inf_convolution_mesh lower_monotone_envelope parabolic_distance
+paraboloid_derivatives psi_M_membership pucci_minus pucci_plus region_mask
+replay_violation residual_sweep row_to_certificate run_convergence_study
+run_diagnostics scheme_residual_field scheme_tables_text solve
+sup_convolution_mesh upper_monotone_envelope verify_convolution_properties
+verify_uniform_ellipticity x_inf_convolution x_sup_convolution
+""".split()
+
+# Removed package-level names: the per-node quotients and scheme, the node
+# list of a region (now ``region_mask``) and the untyped config parser.
+REMOVED = """
+apply_scheme cylinder_nodes delta2_y delta_tau_minus load_config parse_config
+""".split()
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name
+        for name, value in vars(parastep).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == sorted(PUBLIC)
+    assert not set(REMOVED) & set(dir(parastep))

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parastep.errors import GridError, SchemeError
-from parastep.geometry import MeshFunction, MeshSpec
+from parastep.errors import SchemeError
+from parastep.geometry import MeshFunction, MeshSpec, second_quotient_field, shift
 from parastep.nonlinearity import NonlinearityDescriptor, evaluate_F
 from parastep.scheme import (
     SchemeDescriptor,
     Stencil,
     TestFunction,
-    apply_scheme,
     build_monotone_scheme,
     check_monotonicity,
     consistency_error,
     consistency_fit,
-    delta2_y,
-    delta_tau_minus,
     scheme_residual_field,
 )
 
@@ -96,27 +93,40 @@ MESH_1D = dict(h=0.125, bounds=[(0.0, 1.0)], T=0.5, N=2)
 # ---------------------------------------------------------------------------
 
 
+def time_quotient_field(u):
+    """delta_tau^- over the whole mesh, as ``scheme_residual_field`` forms it."""
+    return (u.values - shift(u.values, (-1,) + (0,) * u.spec.n)) / u.spec.tau
+
+
 def test_delta_tau_minus_on_t_squared():
-    # (t^2 - (t-tau)^2)/tau = 2t - tau, exactly
+    # (t^2 - (t-tau)^2)/tau = 2t - tau, exactly; delta^2 t^2 = 0, so the heat
+    # residual is the time quotient on the interior levels
     spec = MeshSpec(**MESH_1D)
     u = MeshFunction.from_callable(spec, lambda x, t: t**2)
+    dtau = time_quotient_field(u)
+    res = scheme_residual_field(build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]])), u)
     for m in (2, 8, 20):
         t = m * spec.tau
-        assert delta_tau_minus(u, (4, m)) == pytest.approx(2 * t - spec.tau, rel=1e-12)
+        assert dtau[spec.offset((4, m))] == pytest.approx(2 * t - spec.tau, rel=1e-12)
+    for m in (8, 20):
+        t = m * spec.tau
+        assert res[spec.offset((4, m))] == pytest.approx(2 * t - spec.tau, rel=1e-12)
 
 
 def test_delta2_on_quadratic_is_exact():
     spec = MeshSpec(**MESH_1D)
     u = MeshFunction.from_callable(spec, lambda x, t: 3.0 * x[..., 0] ** 2 + 2.0 * x[..., 0] + 1.0)
     # second quotient of a quadratic equals the second derivative exactly
-    assert delta2_y(u, (4, 8), (1,)) == pytest.approx(6.0, rel=1e-12)
+    q = second_quotient_field(u.values, spec, (1,))
+    assert q[spec.offset((4, 8))] == pytest.approx(6.0, rel=1e-12)
 
 
 def test_delta2_on_quartic_frozen():
     # ((x+h)^4 + (x-h)^4 - 2x^4)/h^2 = 12 x^2 + 2 h^2; at x=1/2, h=1/8: 3.03125
     spec = MeshSpec(**MESH_1D)
     u = MeshFunction.from_callable(spec, lambda x, t: x[..., 0] ** 4)
-    assert delta2_y(u, (4, 8), (1,)) == pytest.approx(3.03125, rel=1e-13)
+    q = second_quotient_field(u.values, spec, (1,))
+    assert q[spec.offset((4, 8))] == pytest.approx(3.03125, rel=1e-13)
 
 
 def test_delta2_diagonal_direction_reads_mixed_entry():
@@ -126,22 +136,26 @@ def test_delta2_diagonal_direction_reads_mixed_entry():
     u = MeshFunction.from_callable(
         spec, lambda x, t: x[..., 0] ** 2 + 3.0 * x[..., 0] * x[..., 1]
     )
-    idx = (4, 4, 8)
-    assert delta2_y(u, idx, (1, 0)) == pytest.approx(2.0, rel=1e-12)
-    assert delta2_y(u, idx, (0, 1)) == pytest.approx(0.0, abs=1e-12)
-    assert delta2_y(u, idx, (1, 1)) == pytest.approx(4.0, rel=1e-12)
-    assert delta2_y(u, idx, (1, -1)) == pytest.approx(-2.0, rel=1e-12)
+    off = spec.offset((4, 4, 8))
+
+    def q(y):
+        return second_quotient_field(u.values, spec, y)[off]
+
+    assert q((1, 0)) == pytest.approx(2.0, rel=1e-12)
+    assert q((0, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert q((1, 1)) == pytest.approx(4.0, rel=1e-12)
+    assert q((1, -1)) == pytest.approx(-2.0, rel=1e-12)
 
 
-def test_quotients_raise_off_mesh():
+def test_quotient_fields_are_nan_off_mesh():
     spec = MeshSpec(**MESH_1D)
     u = MeshFunction.from_callable(spec, lambda x, t: 0.0 * x[..., 0])
-    with pytest.raises(GridError):
-        delta_tau_minus(u, (4, 1))  # predecessor level m=0 is not on the mesh
-    with pytest.raises(GridError):
-        delta2_y(u, (1, 8), (2,))  # x - 2h leaves the box
-    with pytest.raises(GridError):
-        delta2_y(u, (4, 8), (0,))
+    # the predecessor of level m=1 is not on the mesh
+    assert np.isnan(time_quotient_field(u)[spec.offset((4, 1))])
+    # x - 2h leaves the box
+    assert np.isnan(second_quotient_field(u.values, spec, (2,))[spec.offset((1, 8))])
+    with pytest.raises(SchemeError, match="zero vector"):
+        Stencil(n=1, N=2, directions=((0,),))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +384,19 @@ def test_negative_table_rejected():
 # ---------------------------------------------------------------------------
 
 
+def apply_scheme_oracle(scheme, u, index):
+    """S_h[u] at one interior node, from the node values one quotient at a
+    time (the per-node evaluation the residual field replaced)."""
+    spec, (*k, m) = u.spec, index
+    r = []
+    for y in scheme.stencil.directions:
+        plus = u.value(tuple(a + c for a, c in zip(k, y)) + (m,))
+        minus = u.value(tuple(a - c for a, c in zip(k, y)) + (m,))
+        r.append((plus + minus - 2.0 * u.value(index)) / (spec.h**2 * sum(c * c for c in y)))
+    dtau = (u.value(index) - u.value(tuple(k) + (m - 1,))) / spec.tau
+    return dtau - float(scheme.F_h(np.array(r)))
+
+
 def test_apply_scheme_heat_on_separable_solution():
     # S_h[u] at a node, against a by-hand evaluation of the two quotients
     spec = MeshSpec(**MESH_1D)
@@ -378,16 +405,11 @@ def test_apply_scheme_heat_on_separable_solution():
         spec, lambda x, t: np.exp(-np.pi**2 * t) * np.sin(np.pi * x[..., 0])
     )
     idx = (4, 8)
-    by_hand = delta_tau_minus(u, idx) - delta2_y(u, idx, (1,))
-    assert apply_scheme(scheme, u, idx) == pytest.approx(by_hand, rel=1e-12)
-
-
-def test_apply_scheme_rejects_boundary_band():
-    spec = MeshSpec(**MESH_1D)
-    scheme = build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]]))
-    u = MeshFunction(spec, np.zeros(spec.shape))
-    with pytest.raises(SchemeError, match="boundary band"):
-        apply_scheme(scheme, u, (4, 2))  # m=2 < N^2
+    by_hand = (u.value(idx) - u.value((4, 7))) / spec.tau - (
+        u.value((5, 8)) + u.value((3, 8)) - 2.0 * u.value(idx)
+    ) / spec.h**2
+    res = scheme_residual_field(scheme, u)
+    assert res[spec.offset(idx)] == pytest.approx(by_hand, rel=1e-12)
 
 
 def test_residual_field_matches_per_node(rng):
@@ -400,7 +422,7 @@ def test_residual_field_matches_per_node(rng):
     for idx in spec.node_indices():
         if interior[spec.offset(idx)]:
             assert res[spec.offset(idx)] == pytest.approx(
-                apply_scheme(scheme, u, idx), rel=1e-12, abs=1e-12
+                apply_scheme_oracle(scheme, u, idx), rel=1e-12, abs=1e-12
             )
 
 
@@ -563,15 +585,3 @@ def test_consistency_fit_second_order_for_heat_sine():
         assert fit["errors"][h] <= fit["K_second_order"] * h * h * (
             phi.d4_bound + phi.utt_bound
         ) * (1 + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# damping weight
-# ---------------------------------------------------------------------------
-
-
-def test_damping_weight_frozen():
-    # heat, h=1/8: omega = 1/(1 + tau * 1 * 2/h^2) = 1/3
-    spec = MeshSpec(**MESH_1D)
-    heat = build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]]))
-    assert heat.damping_weight(spec) == pytest.approx(1.0 / 3.0, rel=1e-14)

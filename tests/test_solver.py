@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import parastep.solver as solver_module
 from parastep.errors import SchemeError, SolverConvergenceError
-from parastep.geometry import MeshFunction, MeshSpec
+from parastep.geometry import MeshFunction, MeshSpec, quotient_weight
 from parastep.nonlinearity import NonlinearityDescriptor
 from parastep.scheme import (
     TestFunction,
@@ -15,7 +15,7 @@ from parastep.scheme import (
     scheme_residual_field,
     second_quotient_field,
 )
-from parastep.solver import _LevelProblem, residual_sweep, solve
+from parastep.solver import _howard_level, _LevelProblem, residual_sweep, solve
 
 # ---------------------------------------------------------------------------
 # oracle: dense implicit Euler for linear 1D problems
@@ -51,6 +51,48 @@ def dense_implicit_oracle_1d(spec, g, coeff=1.0):
     return vals
 
 
+# ---------------------------------------------------------------------------
+# oracle: the damped fixed-point iteration policy iteration replaced
+# ---------------------------------------------------------------------------
+
+
+def picard_oracle(scheme, spec, boundary, max_sweeps=100_000):
+    """Per level, the damped sweep w <- w - omega tau S_h[w] with
+    omega = 1/(1 + tau Lambda0 sum_y 2/|hy|^2).  Monotonicity of F_h makes it
+    a sup-norm contraction with factor 1 - omega; it evaluates S_h through
+    ``scheme.F_h``, not through the forms policy iteration reads.  Same
+    tolerance and warm start as ``solve``; returns (values, sweeps per level)."""
+    if isinstance(boundary, MeshFunction):
+        values = boundary.values.copy()
+    else:
+        values = MeshFunction.from_callable(spec, boundary).values
+    lp = _LevelProblem(scheme, spec)
+    band = spec.classification().boundary
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(values[band]))))
+    omega = 1.0 / (
+        1.0
+        + spec.tau
+        * scheme.Lambda0
+        * sum(2.0 * quotient_weight(spec.h, y) for y in scheme.stencil.directions)
+    )
+    sweeps = []
+    for m in range(spec.N**2, spec.levels + 1):
+        b_flat = values[m - 2].ravel()
+        w_flat = values[m - 1].ravel().copy()
+        w_flat[lp.int_flat] = b_flat[lp.int_flat]
+        for it in range(1, max_sweeps + 1):
+            dtau = (w_flat[lp.int_flat] - b_flat[lp.int_flat]) / spec.tau
+            R = dtau - scheme.F_h(lp.quotients(w_flat))
+            if np.max(np.abs(R)) <= tol:
+                break
+            w_flat[lp.int_flat] -= omega * spec.tau * R
+        else:
+            raise AssertionError(f"damped sweep stalled on level {m}")
+        sweeps.append(it)
+        values[m - 1] = w_flat.reshape(spec.spatial_shape)
+    return values, sweeps
+
+
 def sine_data(lam=1.0):
     return lambda x, t: np.exp(-lam * math.pi**2 * t) * np.sin(math.pi * x[..., 0])
 
@@ -63,16 +105,22 @@ MESH_1D = dict(h=0.125, bounds=[(0.0, 1.0)], T=0.25, N=2)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("method", ["picard", "howard"])
-def test_heat_solver_matches_dense_oracle(method):
+@pytest.mark.parametrize("route", ["picard", "howard"])
+def test_heat_solver_matches_dense_oracle(route):
+    # the damped-sweep oracle is held to the dense oracle too
     spec = MeshSpec(**MESH_1D)
     heat = build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]]))
-    u, report = solve(heat, spec, sine_data(), method=method)
     want = dense_implicit_oracle_1d(spec, sine_data())
+    levels = spec.levels - spec.N**2 + 1
+    if route == "picard":
+        values, sweeps = picard_oracle(heat, spec, sine_data())
+        np.testing.assert_allclose(values, want, atol=5e-9)
+        assert len(sweeps) == levels
+        return
+    u, report = solve(heat, spec, sine_data())
     np.testing.assert_allclose(u.values, want, atol=5e-9)
-    assert report.method == method
     assert report.max_residual <= report.tol
-    assert len(report.iterations) == spec.levels - spec.N**2 + 1
+    assert len(report.iterations) == levels
 
 
 def test_heat_solver_random_boundary_matches_oracle(rng):
@@ -86,7 +134,7 @@ def test_heat_solver_random_boundary_matches_oracle(rng):
             s = s + c * np.sin(j * math.pi * x[..., 0]) * np.exp(-t * j)
         return s
 
-    u, _ = solve(heat, spec, g, method="howard")
+    u, _ = solve(heat, spec, g)
     np.testing.assert_allclose(u.values, dense_implicit_oracle_1d(spec, g), atol=5e-9)
 
 
@@ -143,11 +191,9 @@ def test_picard_and_howard_agree_on_pucci(kind, rng):
             s = s + c * np.sin(j * math.pi * x[..., 0]) * np.exp(-t * j)
         return s
 
-    up, rp = solve(sch, spec, g, method="picard")
-    uh, rh = solve(sch, spec, g, method="howard")
-    np.testing.assert_allclose(up.values, uh.values, atol=1e-8)
-    assert rp.omega is not None and 0 < rp.omega < 1
-    assert rh.omega is None
+    up, _ = picard_oracle(sch, spec, g)
+    uh, _ = solve(sch, spec, g)
+    np.testing.assert_allclose(up, uh.values, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +203,12 @@ def test_picard_and_howard_agree_on_pucci(kind, rng):
 
 def test_constants_are_exact_solutions():
     # F(0) = 0 makes constants discrete solutions; the warm start is already
-    # a fixed point, so picard should do single-sweep levels
+    # one, so every level takes a single policy evaluation
     spec = MeshSpec(**MESH_1D)
     sch = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0))
-    u, report = solve(sch, spec, lambda x, t: 3.7 + 0.0 * x[..., 0], method="picard")
+    u, report = solve(sch, spec, lambda x, t: 3.7 + 0.0 * x[..., 0])
     np.testing.assert_allclose(u.values, 3.7, rtol=0, atol=1e-12)
-    assert report.iterations == [1] * len(report.iterations)
+    assert report.iterations == [1] * (spec.levels - spec.N**2 + 1)
 
 
 def test_discrete_comparison_principle(rng):
@@ -224,10 +270,10 @@ def test_heat_2d_picard_howard_agree():
             math.pi * x[..., 1]
         )
 
-    up, _ = solve(sch, spec, g, method="picard")
-    uh, _ = solve(sch, spec, g, method="howard")
-    np.testing.assert_allclose(up.values, uh.values, atol=1e-8)
-    assert residual_sweep(sch, up)["sup_residual"] <= 1e-9
+    up, _ = picard_oracle(sch, spec, g)
+    uh, _ = solve(sch, spec, g)
+    np.testing.assert_allclose(up, uh.values, atol=1e-8)
+    assert residual_sweep(sch, MeshFunction(spec, up))["sup_residual"] <= 1e-9
 
 
 @pytest.mark.parametrize("h", [1 / 8, 1 / 16])
@@ -242,10 +288,9 @@ def test_isaacs_howard_matches_picard(h):
     def g(x, t):
         return np.sin(math.pi * x[..., 0]) * np.cos(math.pi * x[..., 1]) * np.exp(-t)
 
-    uh, report = solve(sch, spec, g)  # auto -> howard
-    assert report.method == "howard"
-    up, _ = solve(sch, spec, g, method="picard")
-    assert np.max(np.abs(uh.values - up.values)) <= 1e-9
+    uh, report = solve(sch, spec, g)
+    up, _ = picard_oracle(sch, spec, g)
+    assert np.max(np.abs(uh.values - up)) <= 1e-9
     assert residual_sweep(sch, uh)["sup_residual"] <= report.tol
 
 
@@ -254,11 +299,27 @@ def test_isaacs_howard_matches_picard(h):
 # ---------------------------------------------------------------------------
 
 
-def test_iteration_cap_raises():
+def test_howard_stall_raises(rng):
     spec = MeshSpec(**MESH_1D)
     sch = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0))
-    with pytest.raises(SolverConvergenceError, match="residual"):
-        solve(sch, spec, sine_data(), method="picard", max_iterations=2)
+    coeffs = rng.standard_normal(4)
+
+    def g(x, t):  # sign-changing data: the first level needs several policies
+        s = 0.0 * x[..., 0]
+        for j, c in enumerate(coeffs, start=1):
+            s = s + c * np.sin(j * math.pi * x[..., 0]) * np.exp(-t * j)
+        return s
+
+    values = MeshFunction.from_callable(spec, g).values
+    lp = _LevelProblem(sch, spec)
+    m = spec.N**2
+    b_flat = values[m - 2].ravel()
+    w_flat = values[m - 1].ravel().copy()
+    w_flat[lp.int_flat] = b_flat[lp.int_flat]
+    its, _ = _howard_level(lp, w_flat.copy(), b_flat, 1e-10)
+    assert its > 1
+    with pytest.raises(SolverConvergenceError, match="policy iteration stalled"):
+        _howard_level(lp, w_flat.copy(), b_flat, 1e-10, max_policy=1)
 
 
 def test_boundary_mesh_mismatch():
@@ -268,13 +329,6 @@ def test_boundary_mesh_mismatch():
     g = MeshFunction(other, np.zeros(other.shape))
     with pytest.raises(SchemeError, match="different mesh"):
         solve(sch, spec, g)
-
-
-def test_unknown_method_rejected():
-    spec = MeshSpec(**MESH_1D)
-    sch = build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]]))
-    with pytest.raises(SchemeError):
-        solve(sch, spec, sine_data(), method="newton")
 
 
 def test_dimension_mismatch_rejected():
