@@ -6,8 +6,9 @@ comment.  Values are booleans (``true``/``false``), integers, floats,
 bracketed lists -- nested once for matrices, ``[[1.0, 0.0], [0.0, 1.0]]`` --
 or bare strings.  Every parse error carries the source name and line number.
 
-The parser is deliberately plain stdlib so the command line tools can fix
-thread environment variables before anything numerical gets imported.
+The parser is plain stdlib, but it never runs before numpy is imported:
+the package ``__init__`` imports numpy first.  Thread pools are pinned by
+``PARASTEP_THREADS`` alone (see the CLI docstring).
 """
 
 from __future__ import annotations

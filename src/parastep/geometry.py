@@ -47,6 +47,12 @@ _FP_SLACK = 1e-9
 # Node lines that MeshFunction.read_text parses at a time.
 _READ_CHUNK_LINES = 1 << 14
 
+# Hölder search (see _holder_seminorm): region nodes per tile, the byte
+# budget of its scratch arrays, and the relative slack of its tile-pair bound.
+_HOLDER_TILE_NODES = 64
+_HOLDER_BLOCK_BYTES = 1 << 22
+_HOLDER_SLACK = 64 * np.finfo(float).eps
+
 
 def lattice_index(value: float, step: float, what: str, error: type[Exception] = GridError) -> int:
     """The integer k with value = k*step up to ``_FP_SLACK``; else raises ``error``."""
@@ -93,6 +99,8 @@ def shift(values: np.ndarray, off: Sequence[int]) -> np.ndarray:
 def second_quotient_field(values: np.ndarray, spec: MeshSpec, y: Sequence[int]) -> np.ndarray:
     """delta^2_y over a whole time-major array; NaN where neighbors are missing.
     The arithmetic matches the solver's gather bit for bit."""
+    if not any(y):
+        raise GridError(f"bad direction {tuple(y)}")
     neighbours = shift(values, (0, *y)) + shift(values, (0, *np.negative(y)))
     return (neighbours - 2.0 * values) * quotient_weight(spec.h, y)
 
@@ -541,24 +549,99 @@ class MeshFunction:
         return cls(spec, vals)
 
 
-def _pair_max_ratio(pts: np.ndarray, vals: np.ndarray, eta: float, block: int = 2048) -> float:
-    """max over node pairs of |u(p)-u(q)| / d(p,q)^eta, blockwise O(N^2)."""
+def _ratio_max(P: np.ndarray, V: np.ndarray, Q: np.ndarray, W: np.ndarray, eta: float) -> float:
+    """max of |V_i - W_j| / d(P_i, Q_j)^eta over batches of node pairs,
+    P (b, s, n+1) against Q (b, s, n+1) (either b may be 1); 0 where d = 0.
+    The squares are summed over the axes in order, as numpy's ``sum``
+    over a short last axis does, but without its slow reduction loop."""
+
+    def diff(a):
+        return P[:, :, None, a] - Q[:, None, :, a]
+
+    dx2 = diff(0) ** 2
+    for a in range(1, P.shape[-1] - 1):
+        dx2 = dx2 + diff(a) ** 2
+    d = np.sqrt(dx2 + np.abs(diff(-1)))
+    dv = np.abs(V[:, :, None] - W[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(d > 0, dv / d**eta, 0.0)
+    return float(r.max(initial=0.0))
+
+
+def _holder_seminorm(pts: np.ndarray, offs: np.ndarray, vals: np.ndarray, eta: float) -> float:
+    """max over node pairs of |u(p)-u(q)| / d(p,q)^eta by branch-and-bound
+    over tiles of the index grid; ``offs`` are the nodes' array offsets.
+
+    Nodes are grouped into index boxes of about ``_HOLDER_TILE_NODES``
+    nodes, s columns wide in space and about s^2 levels long in time, and
+    padded to one length with copies of the tile's last node (a copy only
+    repeats pairs or meets itself at d = 0).  For tiles I != J no pair
+    ratio exceeds
+
+        max(vmax_I - vmin_J, vmax_J - vmin_I) / dlb^eta * (1 + _HOLDER_SLACK),
+
+    with dlb the parabolic gap between the two coordinate boxes.  The bound
+    repeats a pair's own operations, in the same order, on values and
+    coordinates that bound the pair's from the right side; IEEE rounding is
+    monotone, so only ``pow``'s few ulps need the slack.  Every tile is
+    paired with itself; rows I then go in descending order of their largest
+    bound, and each row's tiles J > I in descending bound order, until a
+    bound is <= the running maximum.  A visited pair computes ``dx2``,
+    ``d``, ``dv`` and ``dv / d**eta`` like all pairs do, and ``max`` does not
+    depend on order, so the result is the all-pairs maximum bit for bit.
+    Scratch arrays (one block of tile-pair bounds, one batch of node-pair
+    ratios) stay within ``_HOLDER_BLOCK_BYTES``, next to a tile-ordered copy
+    of the nodes' coordinates and values.
+    """
+    n = pts.shape[1] - 1
+    side = max(1, round(_HOLDER_TILE_NODES ** (1.0 / (n + 2))))
+    tile_shape = np.array([max(1, _HOLDER_TILE_NODES // side**n)] + [side] * n)
+    grid = -(-(offs.max(axis=0) + 1) // tile_shape)
+    key = np.ravel_multi_index((offs // tile_shape).T, grid)
+    order = np.argsort(key, kind="stable")
+    _, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    nt, size = start.size, int(count.max())
+    member = order[start[:, None] + np.minimum(np.arange(size), count[:, None] - 1)]
+    TP, TV = pts[member], vals[member]
+    lo, hi = TP.min(axis=1), TP.max(axis=1)
+    vmin, vmax = TV.min(axis=1), TV.max(axis=1)
+
+    entries = _HOLDER_BLOCK_BYTES // (8 * (3 * n + 9))
+    batch = max(1, entries // (size * size))
+    rows_per_block = max(1, entries // nt)
+    cols = np.arange(nt)
+
+    def bounds(rows):
+        """Bounds of the tile pairs (rows x all tiles); -inf where J <= I."""
+        gap = np.maximum(np.maximum(lo - hi[rows, None], lo[rows, None] - hi), 0.0)
+        dlb2 = gap[..., 0] ** 2
+        for a in range(1, n):
+            dlb2 = dlb2 + gap[..., a] ** 2
+        dv = np.maximum(vmax[rows, None] - vmin, vmax - vmin[rows, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = dv / np.sqrt(dlb2 + gap[..., -1]) ** eta * (1.0 + _HOLDER_SLACK)
+        return np.where(cols > rows[:, None], b, -np.inf)
+
     best = 0.0
-    npts = pts.shape[0]
-    for i0 in range(0, npts, block):
-        P = pts[i0 : i0 + block]
-        V = vals[i0 : i0 + block]
-        for j0 in range(i0, npts, block):
-            Q = pts[j0 : j0 + block]
-            W = vals[j0 : j0 + block]
-            dx2 = ((P[:, None, :-1] - Q[None, :, :-1]) ** 2).sum(axis=-1)
-            d = np.sqrt(dx2 + np.abs(P[:, None, -1] - Q[None, :, -1]))
-            dv = np.abs(V[:, None] - W[None, :])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(d > 0, dv / d**eta, 0.0)
-            m = float(r.max(initial=0.0))
-            if m > best:
-                best = m
+    for k in range(0, nt, batch):
+        tp, tv = TP[k : k + batch], TV[k : k + batch]
+        best = max(best, _ratio_max(tp, tv, tp, tv, eta))
+    row_max = np.concatenate(
+        [bounds(cols[k : k + rows_per_block]).max(axis=1) for k in range(0, nt, rows_per_block)]
+    )
+    row_order = np.argsort(-row_max, kind="stable")
+    for k in range(0, nt, rows_per_block):
+        rows = row_order[k : k + rows_per_block]
+        block = bounds(rows)
+        for i, b in zip(rows, block):
+            if row_max[i] <= best:
+                return best
+            J = np.flatnonzero(b > best)
+            J = J[np.argsort(-b[J], kind="stable")]
+            while J.size:
+                Jb, J = J[:batch], J[batch:]
+                best = max(best, _ratio_max(TP[i : i + 1], TV[i : i + 1], TP[Jb], TV[Jb], eta))
+                J = J[: np.count_nonzero(b[J] > best)]
     return best
 
 
@@ -578,6 +661,9 @@ def discrete_holder_norm(
     Returns
     -------
     dict with keys ``seminorm``, ``sup`` and ``norm`` (= seminorm + sup).
+    The seminorm is the maximum over all node pairs, bit for bit; a
+    branch-and-bound over tiles of nodes (``_holder_seminorm``) finds it
+    with scratch memory under ``_HOLDER_BLOCK_BYTES``.
     """
     if not 0 < eta <= 1:
         raise GridError(f"eta must lie in (0, 1], got {eta}")
@@ -596,5 +682,5 @@ def discrete_holder_norm(
     for a in range(spec.n):
         pts[:, a] = (offs[:, a + 1] + spec.k_min[a]) * spec.h
     pts[:, -1] = offs[:, 0] * spec.tau + spec.tau
-    semi = _pair_max_ratio(pts, u.values[region], eta)
+    semi = _holder_seminorm(pts, offs, u.values[region], eta)
     return {"seminorm": semi, "sup": sup, "norm": semi + sup}

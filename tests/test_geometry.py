@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,6 +552,44 @@ def holder_oracle(u, eta):
     return best
 
 
+def pair_max_ratio(pts, vals, eta, block=2048):
+    """max over node pairs of |u(p)-u(q)| / d(p,q)^eta, blockwise O(N^2).
+    This was the library's all-pairs routine; the tile search must return
+    its result bit for bit."""
+    best = 0.0
+    npts = pts.shape[0]
+    for i0 in range(0, npts, block):
+        P = pts[i0 : i0 + block]
+        V = vals[i0 : i0 + block]
+        for j0 in range(i0, npts, block):
+            Q = pts[j0 : j0 + block]
+            W = vals[j0 : j0 + block]
+            dx2 = ((P[:, None, :-1] - Q[None, :, :-1]) ** 2).sum(axis=-1)
+            d = np.sqrt(dx2 + np.abs(P[:, None, -1] - Q[None, :, -1]))
+            dv = np.abs(V[:, None] - W[None, :])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(d > 0, dv / d**eta, 0.0)
+            m = float(r.max(initial=0.0))
+            if m > best:
+                best = m
+    return best
+
+
+def holder_pairs_oracle(u, eta, region=None):
+    """``pair_max_ratio`` over the nodes of ``region``, with the node
+    coordinates that ``discrete_holder_norm`` builds.  The block size does
+    not change the result; 256 is faster than 2048 here."""
+    spec = u.spec
+    if region is None:
+        region = np.ones(spec.shape, dtype=bool)
+    offs = np.argwhere(region)
+    pts = np.empty((offs.shape[0], spec.n + 1))
+    for a in range(spec.n):
+        pts[:, a] = (offs[:, a + 1] + spec.k_min[a]) * spec.h
+    pts[:, -1] = offs[:, 0] * spec.tau + spec.tau
+    return pair_max_ratio(pts, u.values[region], eta, block=256)
+
+
 def test_holder_norm_linear_frozen():
     # u(x,t) = x on [0,1]: same-time pairs give ratio exactly 1, cross-time
     # pairs are strictly smaller, so the eta=1 seminorm is 1.
@@ -567,7 +606,7 @@ def test_holder_norm_matches_pair_oracle(rng):
     u = MeshFunction(spec, rng.standard_normal(spec.shape))
     for eta in (0.5, 1.0):
         res = discrete_holder_norm(u, eta=eta)
-        assert res["seminorm"] == pytest.approx(holder_oracle(u, eta), rel=1e-12)
+        assert res["seminorm"] == holder_oracle(u, eta)
 
 
 def test_holder_norm_region_mask(rng):
@@ -576,6 +615,69 @@ def test_holder_norm_region_mask(rng):
     cls = classify_mesh_points(spec)
     res = discrete_holder_norm(u, eta=1.0, region=cls.interior)
     assert res["sup"] == pytest.approx(float(np.max(np.abs(u.values[cls.interior]))))
+    assert res["seminorm"] == holder_pairs_oracle(u, 1.0, cls.interior)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all", "interior"])
+@pytest.mark.parametrize(
+    "n, h",
+    [(1, 1 / 16), (1, 1 / 32), (2, 1 / 8), (2, 1 / 12)],
+    ids=["1d-16", "1d-32", "2d-8", "2d-12"],
+)
+def test_holder_norm_equals_all_pairs(n, h, masked, rng):
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=0.25, N=2)
+    region = classify_mesh_points(spec).interior if masked else None
+    random = MeshFunction(spec, rng.standard_normal(spec.shape))
+    smooth = MeshFunction.from_callable(spec, lambda x, t: np.sin(np.pi * x[..., 0]) * np.exp(-t))
+    # u = x_0 at eta = 1/2: the ratio sqrt|dx| peaks at the farthest pair
+    # of columns, so the search must reach the far tiles.  A little noise
+    # leaves one maximal pair, deep in the search order.
+    far = MeshFunction.from_callable(spec, lambda x, t: x[..., 0])
+    far_noisy = MeshFunction(spec, far.values + 1e-3 * h * rng.standard_normal(spec.shape))
+    for u, eta in [(random, 0.5), (random, 1.0), (smooth, 0.5), (far_noisy, 0.5), (far, 0.5)]:
+        got = discrete_holder_norm(u, eta, region)["seminorm"]
+        assert np.array_equal(got, holder_pairs_oracle(u, eta, region)), (eta, got)
+    # ``far`` came last: its seminorm is the root of its columns' width.
+    cols = far.values[0][classify_mesh_points(spec).interior_columns if masked else ...]
+    assert got == pytest.approx(math.sqrt(cols.max() - cols.min()), rel=1e-12)
+    constant = MeshFunction(spec, np.full(spec.shape, 0.375))
+    for eta in (0.5, 1.0):
+        assert discrete_holder_norm(constant, eta, region)["seminorm"] == 0.0
+
+
+def test_holder_norm_finds_the_maximum_on_a_tight_tile_pair():
+    # Neighbours +1, -1 in one level hold the largest ratio.  A chain a, -a,
+    # a along time in another column comes within 1e-4 of it; when the pair
+    # straddles two tiles, the chain sets the running maximum first, and the
+    # bound of the pair's two tiles equals its ratio up to rounding.  Moving
+    # the pair over every column boundary makes it straddle two tiles for
+    # some of them.
+    spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2)
+    a = 1.0 - 1e-4
+    cols = spec.spatial_shape[0]
+    for k in range(cols - 1):
+        v = np.zeros(spec.shape)
+        v[20, k : k + 2] = 1.0, -1.0
+        v[40:43, (k + cols // 2) % cols] = a, -a, a
+        u = MeshFunction(spec, v)
+        for eta in (0.5, 1.0):
+            got = discrete_holder_norm(u, eta)["seminorm"]
+            assert np.array_equal(got, holder_pairs_oracle(u, eta)), (k, eta)
+
+
+@pytest.mark.parametrize("n, h", [(2, 1 / 12), (1, 1 / 64)], ids=["2d-12", "1d-64"])
+def test_holder_norm_memory_stays_within_budget(n, h):
+    # The all-pairs blocks peaked at 224 MiB on 2D h=1/12 (4,356 nodes).
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=0.25, N=2)
+    u = MeshFunction.from_callable(spec, lambda x, t: np.sin(np.pi * x[..., 0]) * np.exp(-t))
+    discrete_holder_norm(u, 0.5)
+    tracemalloc.start()
+    try:
+        discrete_holder_norm(u, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak
 
 
 def test_holder_norm_rejects_bad_eta(rng):
@@ -608,6 +710,12 @@ def test_quotient_fields_match_scalar_quotients(n, h, rng):
                 assert np.isnan(got), idx
             else:
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), idx
+
+
+def test_second_quotient_field_rejects_zero_direction():
+    spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)] * 2, T=0.25, N=2)
+    with pytest.raises(GridError, match=r"bad direction \(0, 0\)"):
+        second_quotient_field(np.zeros(spec.shape), spec, (0, 0))
 
 
 def test_shift_rejects_offset_of_wrong_length():
