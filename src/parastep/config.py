@@ -255,6 +255,8 @@ class ProblemConfig:
             raise ConfigError(f"scheme.kind {self.scheme_kind!r} is not a built-in operator")
         if self.samples < 0:
             raise ConfigError("diagnostics.samples must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.theta is not None and self.theta <= 0:
             raise ConfigError("diagnostics.theta must be positive")
         if self.delta_multiple is not None and self.delta_multiple <= 0:

@@ -28,11 +28,13 @@ instead of growing as offsets x nodes.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DiagnosticsError
 from .geometry import (
@@ -76,6 +78,63 @@ _FIT_ADD_ROWS = 16
 # Falsifier screen (delta_falsifier): the bytes that one tile of nodes and
 # one chunk of probes' flags take together.
 _SCREEN_TILE_BYTES = 1 << 21
+
+# Bits of the Sobol' direction numbers, as scipy.stats.qmc.Sobol uses them.
+_SOBOL_BITS = 30
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at the first call: only the
+    good-set fits solve LPs, and scipy.optimize is slow to import."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
+
+@functools.lru_cache(maxsize=1)
+def _joe_kuo_table():
+    """The Joe & Kuo (2008) primitive polynomials and initial direction
+    numbers that scipy ships; found without importing scipy.stats."""
+    (root,) = importlib.util.find_spec("scipy").submodule_search_locations
+    with np.load(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as npz:
+        return npz["poly"], npz["vinit"]
+
+
+def _sobol(d: int, m: int, seed: int) -> np.ndarray:
+    """The first m points of the d-dimensional Sobol' sequence with LMS and
+    digital-shift scrambling (Matousek 1998), equal to
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random(m)``: the
+    same direction numbers, the same draws from ``default_rng(seed)`` and
+    the same gray-code order."""
+    bits = _SOBOL_BITS
+    if m > 1 << bits:
+        raise DiagnosticsError(f"at most 2**{bits} Sobol' points, asked for {m}")
+    poly, vinit = _joe_kuo_table()
+    v = np.ones((d, bits), dtype=np.int64)
+    for i in range(1, d):
+        p = int(poly[i])
+        deg = p.bit_length() - 1
+        v[i, :deg] = vinit[i, :deg]
+        for j in range(deg, bits):
+            new = int(v[i, j - deg])
+            for k in range(deg):
+                if (p >> (deg - 1 - k)) & 1:
+                    new ^= int(v[i, j - k - 1]) << (k + 1)
+            v[i, j] = new
+    lsb = np.arange(bits)
+    msb = lsb[::-1]
+    v <<= msb
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, bits), dtype=np.uint32).astype(np.int64) << lsb
+    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32)).astype(np.int64)
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # LMS: the MSB-first bit vector of each direction number times ltm, mod 2
+    v = ((np.einsum("dpi,dji->djp", ltm, (v[:, :, None] >> msb) & 1) & 1) << msb).sum(axis=2)
+    gray = np.arange(m) ^ (np.arange(m) >> 1)
+    q = np.broadcast_to(shift.sum(axis=1), (m, d)).copy()
+    for j in range(int(m - 1).bit_length()):
+        q ^= ((gray[:, None] >> j) & 1) * v[:, j]
+    return q * 2.0**-bits
 
 
 @dataclass(frozen=True)
@@ -180,6 +239,8 @@ class FalsifierConfig:
             raise DiagnosticsError("max_violations must be at least 1")
         if self.samples < 0:
             raise DiagnosticsError("samples must be nonnegative")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DiagnosticsError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name in ("touch_tol", "violation_tol"):
             tol = getattr(self, name)
             if tol is not None and not tol >= 0:
@@ -456,12 +517,7 @@ def delta_falsifier(
                 slack(s_l, 4.0 * base, 2.0 * base),
             )
         if cfg.samples > 0:
-            from scipy.stats import qmc  # deferred: scipy.stats is slow to import
-
-            dim = n + 1 + n * (n + 1) // 2
-            sob = qmc.Sobol(d=dim, scramble=True, seed=cfg.seed)
-            draw = sob.random(1 << max(0, (cfg.samples - 1).bit_length()))[: cfg.samples]
-            xi = 2.0 * draw - 1.0
+            xi = 2.0 * _sobol(n + 1 + n * (n + 1) // 2, cfg.samples, cfg.seed) - 1.0
             dQ = np.zeros((cfg.samples, n, n))
             dQ[(slice(None),) + np.triu_indices(n)] = xi[:, n + 1 :]
             dQ = 0.5 * (dQ + dQ.transpose(0, 2, 1))
@@ -664,7 +720,7 @@ def _block_lp(blocks) -> np.ndarray:
     (phi, w, du) of every block b, as one block-diagonal LP.  The objective
     separates, so each block ends at its own optimum.  Returns one row
     (p_b, z_b) per block."""
-    from scipy import sparse  # already loaded by scipy.optimize
+    from scipy import sparse
 
     phi, w, du = (np.concatenate(part) for part in zip(*blocks))
     block = np.repeat(np.arange(len(blocks)), [len(b[1]) for b in blocks])

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import EnvelopeError, GridError
 from .geometry import (
@@ -69,6 +68,8 @@ def _qhull_envelope(axes: list[np.ndarray], f: np.ndarray) -> np.ndarray:
     points projecting into that facet it attains the envelope, so the envelope
     equals the max over lower-facet planes.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     grids = np.meshgrid(*axes, indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)
     vals = f.ravel()

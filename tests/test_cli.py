@@ -166,6 +166,20 @@ def test_diagnose_strict_exit_two_on_violations(tmp_path, capsys, drift_grid):
     assert rows and all(r.startswith("side=super") for r in rows)
 
 
+def test_negative_seed_is_an_error(tmp_path, capsys, drift_grid):
+    # numpy refuses to seed with a negative number; that used to escape as a
+    # ValueError traceback once the falsifier drew its Sobol probes
+    code, _, err = run(
+        capsys, "diagnose", "--config", str(drift_grid), "--seed", "-3", "--out", str(tmp_path)
+    )
+    assert code == 1 and err.startswith("parastep: error: seed must be nonnegative, got -3")
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(drift_grid.read_text() + "seed = -2\n")
+    code, _, err = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1 and err.startswith("parastep: error: seed must be nonnegative, got -2")
+    assert not (tmp_path / "certificates.txt").exists()
+
+
 def test_certify_replays_and_detects_tampering(tmp_path, capsys, drift_grid):
     out_dir = tmp_path / "diag"
     assert run(capsys, "diagnose", "--config", str(drift_grid), "--out", str(out_dir))[0] == 0

@@ -122,6 +122,7 @@ def test_type_errors_name_the_key(text, fragment):
         ("scheme.kind = monge_ampere", "not a built-in operator"),
         ("diagnostics.theta = 0.0", "theta must be positive"),
         ("diagnostics.M_values = []", "nonempty"),
+        ("seed = -2", "seed must be nonnegative, got -2"),
     ],
 )
 def test_value_validation(text, fragment):
@@ -143,6 +144,8 @@ def test_overrides_replace_only_given_fields():
     out = cfg.with_overrides(seed=None, T=0.0625, strict=True)
     assert out.seed == 3 and out.T == 0.0625 and out.strict
     assert cfg.T == 0.25  # original untouched
+    with pytest.raises(ConfigError, match="seed must be nonnegative, got -3"):
+        cfg.with_overrides(seed=-3)
 
 
 def test_descriptor_resolution():

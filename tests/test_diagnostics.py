@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
+from scipy.stats import qmc
 
 from parastep import diagnostics
 from parastep.diagnostics import (
@@ -197,8 +198,6 @@ def falsifier_oracle(v, F, delta, side="super", config=None):
                     for ms in (-1.0, 1.0):
                         yield f"opening_battery(M={M:.3g})", grad, ms * M, qs * (M / 2.0) * eye
         if cfg.samples > 0:
-            from scipy.stats import qmc  # deferred: scipy.stats is slow to import
-
             dim = n + 1 + n * (n + 1) // 2
             sob = qmc.Sobol(d=dim, scramble=True, seed=cfg.seed)
             draw = sob.random(1 << max(0, (cfg.samples - 1).bit_length()))[: cfg.samples]
@@ -499,8 +498,8 @@ def test_falsifier_memory_is_bounded_by_one_probe():
         return delta_falsifier(v, HEAT, delta=2 * spec.h, side="sub", config=cfg)
 
     assert run() == []  # side "sub" is clean, so every probe is visited
-    # the warm-up call above also keeps the deferred scipy.stats import out
-    # of the measurement
+    # the warm-up call above also keeps the first read of the Sobol' table
+    # out of the measurement
     tracemalloc.start()
     try:
         run()
@@ -527,12 +526,50 @@ def test_falsifier_config_rejects_invalid_values():
         (dict(touch_tol=-1e-12), "touch_tol must be nonnegative"),
         (dict(touch_tol=math.nan), "touch_tol must be nonnegative"),
         (dict(violation_tol=-1.0), "violation_tol must be nonnegative"),
+        (dict(seed=-3), "seed must be a nonnegative integer, got -3"),
+        (dict(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
+        (dict(seed="7"), "seed must be a nonnegative integer"),
     ]:
         with pytest.raises(DiagnosticsError, match=match):
             FalsifierConfig(**kw)
     with pytest.raises(DiagnosticsError, match="touch_tol must be nonnegative"):
         FalsifierConfig.with_grid_touch(spec, c_touch=-1.0)
     FalsifierConfig(samples=0, touch_tol=0.0, violation_tol=0.0, max_violations=1)
+    FalsifierConfig(seed=np.int64(3))
+
+
+# the probe dimension n + 1 + n (n + 1) / 2 for n = 1..4
+@pytest.mark.parametrize("d", [3, 6, 10, 15])
+@pytest.mark.parametrize("seed", [0, 7, 11, 12345])
+def test_sobol_matches_scipy_qmc(d, seed):
+    for m in (1, 2, 16, 256):
+        want = qmc.Sobol(d=d, scramble=True, seed=seed).random(m)
+        assert np.array_equal(diagnostics._sobol(d, m, seed), want), m
+    # a count that is not a power of two is the start of the same sequence
+    assert np.array_equal(diagnostics._sobol(d, 200, seed), want[:200])
+
+
+def test_sobol_refuses_more_points_than_its_bits():
+    with pytest.raises(DiagnosticsError, match="at most 2\\*\\*30"):
+        diagnostics._sobol(3, (1 << 30) + 1, 0)
+
+
+@pytest.mark.parametrize("side", ["super", "sub"])
+def test_falsifier_certificates_equal_those_of_the_qmc_draw(side, monkeypatch):
+    # without the battery, every certificate after the osculating probe's
+    # comes from a Sobol probe
+    v, F, delta, _, _ = falsifier_case("perturbed-1d")
+    cfg = FalsifierConfig.with_grid_touch(
+        v.spec, samples=16, seed=1, include_battery=False, max_violations=10**6
+    )
+    got = certificates_to_rows(delta_falsifier(v, F, delta, side, cfg))
+    assert "sobol" in {family(r) for r in got}
+    monkeypatch.setattr(
+        diagnostics,
+        "_sobol",
+        lambda d, m, seed: qmc.Sobol(d=d, scramble=True, seed=seed).random(m),
+    )
+    assert certificates_to_rows(delta_falsifier(v, F, delta, side, cfg)) == got
 
 
 FAMILIES = ("osculating", "opening_battery", "sobol")
@@ -660,7 +697,7 @@ def test_falsifier_memory_stays_within_budget_at_delta_4h():
     delta = 4 * u.spec.h
     assert len(diagnostics._cylinder_offsets(u.spec, delta)) == 720
     cfg = FalsifierConfig(samples=16)
-    # warm-up at delta = 2h: the deferred scipy.stats import and first-call allocations
+    # warm-up at delta = 2h: the Sobol' table read and first-call allocations
     delta_falsifier(u, F, 2 * u.spec.h, side="super", config=cfg)
     tracemalloc.start()
     try:
