@@ -14,6 +14,7 @@ the package ``__init__`` imports numpy first.  Thread pools are pinned by
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -253,6 +254,8 @@ class ProblemConfig:
             "pucci_minus",
         ):
             raise ConfigError(f"scheme.kind {self.scheme_kind!r} is not a built-in operator")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"solver.tol must be a finite positive number, got {self.tol!r}")
         if self.samples < 0:
             raise ConfigError("diagnostics.samples must be nonnegative")
         if self.seed < 0:

@@ -219,6 +219,11 @@ def _centered_to_absolute(c, l, m, a, Q, x, t) -> Paraboloid:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer; ``bool`` is an int subclass, but not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FalsifierConfig:
     """Sampler and tolerance knobs for :func:`delta_falsifier`.
@@ -235,11 +240,14 @@ class FalsifierConfig:
     include_battery: bool = True
 
     def __post_init__(self):
+        for name in ("samples", "max_violations"):
+            if not _is_int(getattr(self, name)):
+                raise DiagnosticsError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_violations < 1:
             raise DiagnosticsError("max_violations must be at least 1")
         if self.samples < 0:
             raise DiagnosticsError("samples must be nonnegative")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise DiagnosticsError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name in ("touch_tol", "violation_tol"):
             tol = getattr(self, name)

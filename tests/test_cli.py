@@ -180,6 +180,18 @@ def test_negative_seed_is_an_error(tmp_path, capsys, drift_grid):
     assert not (tmp_path / "certificates.txt").exists()
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_solver_tol_is_an_error(tmp_path, capsys, tol):
+    # a negative or NaN tol used to run the whole policy budget of the first
+    # level and then report a stall at a residual near 1e-14
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(f"problem = heat_sine\nh_list = [0.25]\nsolver.tol = {tol}\n")
+    code, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1 and err.startswith("parastep: error: solver.tol must be a finite positive")
+    assert "stalled" not in err
+    assert not any(tmp_path.glob("*.txt"))
+
+
 def test_certify_replays_and_detects_tampering(tmp_path, capsys, drift_grid):
     out_dir = tmp_path / "diag"
     assert run(capsys, "diagnose", "--config", str(drift_grid), "--out", str(out_dir))[0] == 0

@@ -123,6 +123,10 @@ def test_type_errors_name_the_key(text, fragment):
         ("diagnostics.theta = 0.0", "theta must be positive"),
         ("diagnostics.M_values = []", "nonempty"),
         ("seed = -2", "seed must be nonnegative, got -2"),
+        ("solver.tol = -1", "solver.tol must be a finite positive number, got -1.0"),
+        ("solver.tol = 0", "solver.tol must be a finite positive number, got 0.0"),
+        ("solver.tol = nan", "solver.tol must be a finite positive number, got nan"),
+        ("solver.tol = inf", "solver.tol must be a finite positive number, got inf"),
     ],
 )
 def test_value_validation(text, fragment):

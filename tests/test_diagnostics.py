@@ -529,6 +529,14 @@ def test_falsifier_config_rejects_invalid_values():
         (dict(seed=-3), "seed must be a nonnegative integer, got -3"),
         (dict(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
         (dict(seed="7"), "seed must be a nonnegative integer"),
+        (dict(seed=True), "seed must be a nonnegative integer, got True"),
+        # non-integer counts: 2.5 samples failed inside the Sobol draw, and
+        # 2.5 violations returned 3 certificates
+        (dict(samples=2.5), "samples must be an integer, got 2.5"),
+        (dict(samples=True), "samples must be an integer, got True"),
+        (dict(samples="8"), "samples must be an integer, got '8'"),
+        (dict(max_violations=2.5), "max_violations must be an integer, got 2.5"),
+        (dict(max_violations=True), "max_violations must be an integer, got True"),
     ]:
         with pytest.raises(DiagnosticsError, match=match):
             FalsifierConfig(**kw)
@@ -536,6 +544,7 @@ def test_falsifier_config_rejects_invalid_values():
         FalsifierConfig.with_grid_touch(spec, c_touch=-1.0)
     FalsifierConfig(samples=0, touch_tol=0.0, violation_tol=0.0, max_violations=1)
     FalsifierConfig(seed=np.int64(3))
+    FalsifierConfig(samples=np.int64(4), max_violations=np.int32(2))
 
 
 # the probe dimension n + 1 + n (n + 1) / 2 for n = 1..4

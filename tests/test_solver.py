@@ -468,3 +468,185 @@ def test_pucci_factors_at_most_once_per_policy(splu_calls, rng):
 
     _, report = solve(sch, spec, g)
     assert 0 < len(splu_calls) <= report.total_iterations()
+
+
+# ---------------------------------------------------------------------------
+# low-rank (Woodbury) update of the base factor, against refactoring at
+# every policy change (``_RANK = 0``)
+# ---------------------------------------------------------------------------
+
+
+def nonconvex_data(seed=None):
+    """Smooth data whose Hessian changes sign inside the unit square: a
+    product mode, a cosine mode and a saddle.  A seed moves each amplitude
+    within 2 percent."""
+    amp = np.ones(3)
+    if seed is not None:
+        amp += 0.02 * (2.0 * np.random.default_rng(seed).random(3) - 1.0)
+
+    def g(x, t):
+        x0, x1 = x[..., 0], x[..., 1]
+        return (
+            amp[0] * np.sin(math.pi * x0) * np.sin(math.pi * x1) * np.exp(-t)
+            + 0.5 * amp[1] * np.cos(2.0 * math.pi * x0 + 1.0) * np.cos(math.pi * x1)
+            + 0.3 * amp[2] * (x0 - 0.5) * (x1 - 0.5) * (1.0 + t)
+        )
+
+    return g
+
+
+ISAACS_2D = NonlinearityDescriptor.bellman_isaacs(
+    [[np.eye(2), [[2.0, 0.5], [0.5, 1.0]]], [[[1.0, -0.3], [-0.3, 2.0]], 1.5 * np.eye(2)]]
+)
+UPDATE_CASES = {
+    "pucci_plus-2d-h16": (NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2), 1 / 16),
+    "isaacs-2d-h8": (ISAACS_2D, 1 / 8),
+}
+
+
+def solve_case(name, monkeypatch=None, rank=None):
+    descriptor, h = UPDATE_CASES[name]
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.25, N=2)
+    if rank is not None:
+        monkeypatch.setattr(solver_module, "_RANK", rank)
+    return solve(build_monotone_scheme(descriptor), spec, nonconvex_data())
+
+
+@pytest.mark.parametrize("name", list(UPDATE_CASES))
+def test_update_route_matches_refactor_oracle(name, monkeypatch, splu_calls):
+    u, report = solve_case(name)
+    updated = len(splu_calls)
+    want, want_report = solve_case(name, monkeypatch, rank=0)
+    oracle = len(splu_calls) - updated
+    # the update route ran, and every level took the oracle's iterations
+    assert 0 < updated < oracle <= want_report.total_iterations()
+    assert report.iterations == want_report.iterations
+    np.testing.assert_allclose(u.values, want.values, rtol=0, atol=1e-12)
+    assert report.max_residual <= report.tol
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_linear_solve_is_unchanged_by_the_update_route(n, monkeypatch):
+    spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)] * n, T=0.25, N=2)
+    heat = build_monotone_scheme(NonlinearityDescriptor.linear(np.eye(n)))
+    g = nonconvex_data() if n == 2 else sine_data()
+    u, report = solve(heat, spec, g)
+    monkeypatch.setattr(solver_module, "_RANK", 0)
+    want, want_report = solve(heat, spec, g)
+    assert np.array_equal(u.values, want.values)
+    assert report.iterations == want_report.iterations
+
+
+def test_pucci_2d_factor_count(splu_calls):
+    # seeded non-convex data as in the benchmark's march workload: 305
+    # factorizations when every policy change refactored
+    spec = MeshSpec(h=1 / 32, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.25, N=2)
+    sch = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2))
+    u, report = solve(sch, spec, nonconvex_data(seed=21))
+    assert report.total_iterations() > 400
+    assert len(splu_calls) <= 80
+    assert residual_sweep(sch, u)["sup_residual"] <= report.tol
+
+
+def random_level(name, rng):
+    """The scheme and mesh of ``name``, with random level data (w, b)."""
+    descriptor, h = UPDATE_CASES[name]
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.125, N=2)
+    values = rng.standard_normal((2,) + spec.spatial_shape)
+    return build_monotone_scheme(descriptor), spec, values[1].ravel(), values[0].ravel()
+
+
+def level_solution(lp, policy, w_flat, b_flat):
+    """The level equation of ``policy`` solved by a fresh sparse solve."""
+    coef = lp.flat_forms[policy] * lp.weights
+    x = w_flat.copy()
+    x[lp.int_flat] = sp.linalg.spsolve(lp.matrix(coef), lp.rhs(coef, w_flat, b_flat))
+    return x
+
+
+def test_update_solves_the_changed_system(splu_calls, rng):
+    scheme, spec, w_flat, b_flat = random_level("pucci_plus-2d-h16", rng)
+    lp = _LevelProblem(scheme, spec)
+    forms = lp.flat_forms.shape[0]
+    base = rng.integers(0, forms, lp.K)
+    lp.evaluate(base, w_flat.copy(), b_flat)
+    # ranks up to the cap, each changed row drawn afresh from a few rows so
+    # that the cache both hits and grows
+    pool = rng.choice(lp.K, solver_module._RANK + 8, replace=False)
+    for r in [1, 2, 5, solver_module._RANK, 3]:
+        policy = base.copy()
+        rows = rng.choice(pool, r, replace=False)
+        policy[rows] = (policy[rows] + rng.integers(1, forms, r)) % forms
+        x = w_flat.copy()
+        lp.evaluate(policy, x, b_flat)
+        want = level_solution(lp, policy, w_flat, b_flat)
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        assert lp._cached <= solver_module._CACHE
+    assert len(splu_calls) == 1
+    # one changed row more than the rank cap refactors
+    policy = base.copy()
+    policy[pool] = (policy[pool] + 1) % forms
+    lp.evaluate(policy, w_flat.copy(), b_flat)
+    assert len(splu_calls) == 2 and lp._base_policy is policy and lp._cached == 0
+
+
+@pytest.mark.parametrize("cap", [None, 8])
+def test_column_cache_stays_under_its_cap(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(solver_module, "_CACHE", cap)
+    cap = solver_module._CACHE
+    held = []
+    evaluate = _LevelProblem.evaluate
+
+    def recording(self, *args):
+        evaluate(self, *args)
+        held.append(self._cached)
+        assert self._Z is None or self._Z.shape == (self.K, cap)
+
+    monkeypatch.setattr(_LevelProblem, "evaluate", recording)
+    u, report = solve_case("pucci_plus-2d-h16")
+    assert 0 < max(held) <= cap
+    monkeypatch.setattr(_LevelProblem, "evaluate", evaluate)
+    want, want_report = solve_case("pucci_plus-2d-h16", monkeypatch, rank=0)
+    assert report.iterations == want_report.iterations
+    np.testing.assert_allclose(u.values, want.values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+def test_failed_capacitance_solve_refactors(failure, monkeypatch, splu_calls, rng):
+    scheme, spec, w_flat, b_flat = random_level("isaacs-2d-h8", rng)
+    lp = _LevelProblem(scheme, spec)
+    forms = lp.flat_forms.shape[0]
+    base = rng.integers(0, forms, lp.K)
+    lp.evaluate(base, w_flat.copy(), b_flat)
+    failed = []
+    linalg_solve = np.linalg.solve
+
+    def failing_once(*args):
+        if failed:
+            return linalg_solve(*args)
+        failed.append(1)
+        if failure == "raise":
+            raise np.linalg.LinAlgError("singular matrix")
+        return np.full_like(args[1], np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_once)
+    policy = base.copy()
+    policy[:3] = (policy[:3] + 1) % forms
+    x = w_flat.copy()
+    lp.evaluate(policy, x, b_flat)
+    assert failed and len(splu_calls) == 2 and lp._base_policy is policy
+    # the oracle's answer: the refactor route factors the new policy afresh
+    want = w_flat.copy()
+    _LevelProblem(scheme, spec).evaluate(policy, want, b_flat)
+    assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_tol_is_refused_up_front(tol):
+    # a negative or NaN tol used to run 60 policy iterations on the first
+    # level and then report a stall at a residual near 1e-14
+    spec = MeshSpec(**MESH_1D)
+    sch = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0))
+    with pytest.raises(SchemeError, match="tol must be a finite positive number"):
+        solve(sch, spec, sine_data(), tol=tol)
