@@ -214,7 +214,9 @@ def _cmd_converge(cfg: ProblemConfig, args) -> int:
         raise ConfigError("converge needs problem = <built-in id> (errors require an exact solution)")
     from .harness import run_convergence_study
 
-    study = run_convergence_study(cfg.problem, cfg.h_list, T=cfg.T, N=cfg.N, seed=cfg.seed)
+    study = run_convergence_study(
+        cfg.problem, cfg.h_list, T=cfg.T, N=cfg.N, seed=cfg.seed, tol=cfg.tol
+    )
     outdir = _outdir(cfg)
     path = outdir / "convergence.csv"
     study.write_csv(path)

@@ -242,10 +242,14 @@ class ProblemConfig:
         return cfg
 
     def validate(self):
-        if not self.h_list or any(h <= 0 for h in self.h_list):
-            raise ConfigError("h_list must be a nonempty list of positive spacings")
+        if not self.h_list or not all(math.isfinite(h) and h > 0 for h in self.h_list):
+            raise ConfigError(
+                f"h_list must be a nonempty list of finite positive spacings, got {self.h_list!r}"
+            )
         if self.T <= 0:
             raise ConfigError(f"T must be positive, got {self.T!r}")
+        if not math.isfinite(self.T):
+            raise ConfigError(f"T must be a finite positive number, got {self.T!r}")
         if self.N < 2:
             raise ConfigError(f"stencil.N must be at least 2, got {self.N}")
         if self.scheme_kind is not None and self.scheme_kind not in (

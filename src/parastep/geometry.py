@@ -245,8 +245,10 @@ class MeshSpec:
     def __init__(self, h: float, bounds: Sequence[Sequence[float]], T: float, N: int = 2):
         h = float(h)
         T = float(T)
-        if h <= 0:
-            raise GridError(f"h must be positive, got {h}")
+        if not (math.isfinite(h) and h > 0):
+            raise GridError(f"h must be a finite positive number, got {h}")
+        if not math.isfinite(T):
+            raise GridError(f"T must be finite, got {T}")
         if int(N) != N or N < 2:
             raise GridError(f"N must be an integer >= 2, got {N}")
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)

@@ -193,13 +193,15 @@ def run_convergence_study(
     N: int = 2,
     seed: int = 0,
     stencil: Stencil | None = None,
+    tol: float | None = None,
 ) -> ConvergenceStudy:
     """Solve the problem on a mesh sweep and fit the sup-error decay rate.
 
     The boundary band is fed the exact values, so the reported sup error over
     all stored nodes equals the interior error.  ``seed`` only labels the
     study (the solves are deterministic); it is recorded in the CSV header so
-    byte-identical reruns can be checked.
+    byte-identical reruns can be checked.  ``tol`` is each solve's residual
+    tolerance (None: ``solve``'s default).
     """
     sol = get_problem(problem) if isinstance(problem, str) else problem
     if len(h_values) == 0:
@@ -211,7 +213,7 @@ def run_convergence_study(
     max_resid = 0.0
     for h in h_values:
         spec = MeshSpec(h=h, bounds=sol.bounds, T=T, N=N)
-        u, report = solve(scheme, spec, sol.fn)
+        u, report = solve(scheme, spec, sol.fn, tol=tol)
         exact = MeshFunction.from_callable(spec, sol.fn)
         errors.append(float(np.max(np.abs(u.values - exact.values))))
         lvls.append(spec.levels)

@@ -192,6 +192,52 @@ def test_bad_solver_tol_is_an_error(tmp_path, capsys, tol):
     assert not any(tmp_path.glob("*.txt"))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--T", "nan"], "T must be a finite positive number, got nan"),
+        (["--T", "inf"], "T must be a finite positive number, got inf"),
+        (["--h-list", "nan"], "h_list must be a nonempty list of finite positive spacings"),
+        (["--config", "T.cfg"], "T must be a finite positive number, got nan"),
+    ],
+)
+def test_non_finite_mesh_is_an_error(tmp_path, capsys, args, message):
+    # these used to end in a ValueError or OverflowError traceback
+    (tmp_path / "T.cfg").write_text("T = nan\n")
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+    code, _, err = run(capsys, "solve", "--problem", "heat_sine", *args, "--out", str(tmp_path))
+    assert code == 1 and err.startswith(f"parastep: error: {message}")
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_solver_tol_reaches_every_solve(tmp_path, capsys, command):
+    # converge used to solve at the default tol whatever solver.tol said
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("problem = pucci_plus_concave\nsolver.tol = 1e-30\n")
+    h_list = "0.0625" if command == "solve" else "0.125,0.0625"
+    argv = [command, "--config", str(cfg), "--h-list", h_list, "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("parastep: error: policy iteration stalled at level 4 ")
+    assert err.rstrip().endswith("> tol 1.000e-30")
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_default_tol_convergence_csv_is_unchanged_by_blocks(tmp_path, capsys, monkeypatch):
+    # the frozen-policy blocks leave the default-tol CSV byte-identical to
+    # the per-level route's
+    import parastep.solver as solver_module
+
+    argv = ["converge", "--problem", "pucci_plus_concave", "--h-list", "0.125,0.0625,0.03125"]
+    assert run(capsys, *argv, "--out", str(tmp_path / "blocks"))[0] == 0
+    monkeypatch.setattr(solver_module, "_BLOCK", 0)
+    assert run(capsys, *argv, "--out", str(tmp_path / "levels"))[0] == 0
+    csv = (tmp_path / "blocks" / "convergence.csv").read_bytes()
+    assert csv == (tmp_path / "levels" / "convergence.csv").read_bytes()
+    # one evaluation per level: levels - N^2 + 1 per spacing
+    assert [row.split(b",")[-1] for row in csv.splitlines()[4:]] == [b"13", b"61", b"253"]
+
+
 def test_certify_replays_and_detects_tampering(tmp_path, capsys, drift_grid):
     out_dir = tmp_path / "diag"
     assert run(capsys, "diagnose", "--config", str(drift_grid), "--out", str(out_dir))[0] == 0

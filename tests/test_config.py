@@ -118,6 +118,10 @@ def test_type_errors_name_the_key(text, fragment):
     [
         ("h_list = [0.1, -0.2]", "positive spacings"),
         ("T = -1.0", "T must be positive"),
+        ("T = nan", "T must be a finite positive number, got nan"),
+        ("T = inf", "T must be a finite positive number, got inf"),
+        ("h_list = [0.1, nan]", "finite positive spacings"),
+        ("h_list = [inf]", "finite positive spacings"),
         ("stencil.N = 1", "at least 2"),
         ("scheme.kind = monge_ampere", "not a built-in operator"),
         ("diagnostics.theta = 0.0", "theta must be positive"),

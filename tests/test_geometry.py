@@ -171,6 +171,22 @@ def test_mesh_spec_rejects_large_N():
         MeshSpec(h=0.25, bounds=[(0.0, 1.0)], T=1.0, N=4)  # N*h = 1 not < 1
 
 
+@pytest.mark.parametrize(
+    "h, T, fragment",
+    [
+        (math.nan, 0.25, "h must be a finite positive number, got nan"),
+        (math.inf, 0.25, "h must be a finite positive number, got inf"),
+        (0.125, math.nan, "T must be finite, got nan"),
+        (0.125, math.inf, "T must be finite, got inf"),
+    ],
+)
+def test_mesh_spec_rejects_non_finite_h_and_T(h, T, fragment):
+    # T = nan or inf used to escape as a ValueError or OverflowError from the
+    # level count, and h = nan as a misleading stencil-reach message
+    with pytest.raises(GridError, match=fragment):
+        MeshSpec(h=h, bounds=[(0.0, 1.0)], T=T, N=2)
+
+
 def test_mesh_spec_index_round_trip():
     spec = MeshSpec(h=0.1, bounds=[(0.0, 1.0), (-0.5, 0.5)], T=0.05, N=2)
     for idx in spec.node_indices():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -650,3 +651,153 @@ def test_bad_tol_is_refused_up_front(tol):
     sch = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0))
     with pytest.raises(SchemeError, match="tol must be a finite positive number"):
         solve(sch, spec, sine_data(), tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# frozen-policy blocks, against the per-level route (``_BLOCK = 0``)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def block_log(monkeypatch):
+    """Record (level, block length, levels accepted) per block and
+    (level, evaluations) per Howard level."""
+    log = {"blocks": [], "howard": []}
+    frozen_block, howard_level = solver_module._frozen_block, solver_module._howard_level
+
+    def block(lp, flat, m, length, tol):
+        resid = frozen_block(lp, flat, m, length, tol)
+        log["blocks"].append((m, length, resid.size))
+        return resid
+
+    def howard(*args, **kwargs):
+        its, resid = howard_level(*args, **kwargs)
+        log["howard"].append((kwargs["level"], its))
+        return its, resid
+
+    monkeypatch.setattr(solver_module, "_frozen_block", block)
+    monkeypatch.setattr(solver_module, "_howard_level", howard)
+    return log
+
+
+def assert_same_as_per_level_route(monkeypatch, log, scheme, spec, g, tol=None):
+    """Values and report of the block route are the per-level route's bit
+    for bit; ``log`` keeps the block route's calls only."""
+    budget = solver_module._BLOCK
+    monkeypatch.setattr(solver_module, "_BLOCK", 0)
+    want, want_report = solve(scheme, spec, g, tol=tol)
+    monkeypatch.setattr(solver_module, "_BLOCK", budget)
+    for calls in log.values():
+        calls.clear()
+    u, report = solve(scheme, spec, g, tol=tol)
+    assert np.array_equal(u.values, want.values)
+    assert report.iterations == want_report.iterations
+    assert report.max_residual == want_report.max_residual
+    assert report.max_residual <= report.tol
+
+
+BLOCK_CASES = {
+    "heat-1d-h32": (NonlinearityDescriptor.linear([[1.0]]), 1 / 32, sine_data()),
+    "heat-2d-h16": (NonlinearityDescriptor.linear(np.eye(2)), 1 / 16, nonconvex_data()),
+    "pucci_plus_concave-1d-h64": (NonlinearityDescriptor.pucci_plus(1.0, 2.0), 1 / 64, sine_data()),
+    "pucci_plus-2d-h16": (NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2), 1 / 16, nonconvex_data()),
+    "isaacs-2d-h8": (ISAACS_2D, 1 / 8, nonconvex_data()),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_CASES))
+def test_block_route_matches_per_level_route(name, monkeypatch, block_log):
+    descriptor, h, g = BLOCK_CASES[name]
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * descriptor.dimension, T=0.25, N=2)
+    assert_same_as_per_level_route(monkeypatch, block_log, build_monotone_scheme(descriptor), spec, g)
+    accepted = sum(n for _, _, n in block_log["blocks"])
+    if name.startswith(("heat", "pucci_plus_concave")):
+        # only the first level is Howard's; blocks take all the rest
+        assert block_log["howard"][0] == (spec.N**2, 1)
+        assert accepted == spec.levels - spec.N**2
+    else:
+        # the policy moves under non-convex data: no level of these is a
+        # one-evaluation level of the base factor's own policy
+        assert block_log["blocks"] == []
+
+
+def test_rejected_level_restarts_howard_at_that_level(monkeypatch, block_log):
+    # the band data jumps from a concave profile to a constant at t = 1/8:
+    # the frozen concave policy fails at level 32, the first level after it
+    spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2)
+    sch = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0))
+
+    def g(x, t):
+        return np.where(np.asarray(t) < 0.125, 0.2 + x[..., 0] * (1.0 - x[..., 0]), 5.0)
+
+    assert_same_as_per_level_route(monkeypatch, block_log, sch, spec, g)
+    first, length, accepted = block_log["blocks"][0]
+    assert (first, accepted) == (5, 27) and length > accepted  # levels 5-31
+    # Howard takes level 32 straight away, in two evaluations, and no block
+    # is tried there
+    assert block_log["howard"][:2] == [(4, 1), (32, 2)]
+    assert all(m != 32 for m, _, _ in block_log["blocks"])
+
+
+@pytest.mark.parametrize("tol", [None, 1.0])
+def test_block_rejects_a_level_whose_first_policy_moves(tol, monkeypatch, block_log):
+    # the profile's amplitude changes sign in time, and the policy with it.
+    # At tol = 1 every frozen solution passes the residual test, so only the
+    # policy test at the warm starts keeps the blocks on Howard's route
+    spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2)
+    sch = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0))
+
+    def g(x, t):
+        return (0.3 + np.cos(8.0 * math.pi * t)) * np.sin(math.pi * x[..., 0])
+
+    assert_same_as_per_level_route(monkeypatch, block_log, sch, spec, g, tol=tol)
+    assert any(accepted < length for _, length, accepted in block_log["blocks"])
+
+
+def test_stall_names_the_same_level_on_both_routes(monkeypatch):
+    # a tol just under the largest level residual: the first level above it
+    # stalls, in the middle of a block
+    spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2)
+    heat = build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]]))
+    _, report = solve(heat, spec, sine_data())
+    messages = []
+    for budget in [solver_module._BLOCK, 0]:
+        monkeypatch.setattr(solver_module, "_BLOCK", budget)
+        for tol in [1e-30, 0.999 * report.max_residual]:
+            with pytest.raises(SolverConvergenceError, match="policy iteration stalled at level") as exc:
+                solve(heat, spec, sine_data(), tol=tol)
+            messages.append(str(exc.value))
+    assert messages[:2] == messages[2:]
+    assert messages[0].startswith("policy iteration stalled at level 4 (t=0.01562) at residual")
+    level = int(messages[1].split()[5])
+    assert spec.N**2 + 1 < level <= spec.levels
+
+
+@pytest.mark.parametrize("budget", [None, 256 << 10])
+def test_block_scratch_stays_under_its_budget(budget, monkeypatch):
+    # heat 2D h=1/32: blocks of 43 levels at the 4 MiB default and of 2 at
+    # 256 KiB; the traced peak was 0.64 and 0.59 of the budget
+    if budget is not None:
+        monkeypatch.setattr(solver_module, "_BLOCK", budget)
+    budget = solver_module._BLOCK
+    spec = MeshSpec(h=1 / 32, bounds=[(0.0, 1.0)] * 2, T=0.25, N=2)
+    heat = build_monotone_scheme(NonlinearityDescriptor.linear(np.eye(2)))
+    peaks = []
+    frozen_block = solver_module._frozen_block
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        resid = frozen_block(*args)
+        peaks.append((tracemalloc.get_traced_memory()[1] - held, args[3]))
+        return resid
+
+    monkeypatch.setattr(solver_module, "_frozen_block", traced)
+    tracemalloc.start()
+    try:
+        solve(heat, spec, nonconvex_data())
+    finally:
+        tracemalloc.stop()
+    lengths = {length for _, length in peaks}
+    assert max(lengths) == solver_module._block_length(_LevelProblem(heat, spec)) >= 2
+    assert 0 < max(peak for peak, _ in peaks) <= budget
