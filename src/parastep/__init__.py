@@ -9,18 +9,21 @@ import os as _os
 
 # PARASTEP_THREADS pins the BLAS/OpenMP pool sizes.  Those libraries read
 # their environment when first loaded, so this must happen before numpy is
-# imported below; explicitly set per-library variables still win (the CLI
-# follows the same rule).
+# imported below.  Only a positive integer is copied, and explicitly set
+# per-library variables win; the CLI reports any other value as an error.
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-_threads = _os.environ.get("PARASTEP_THREADS")
-if _threads:
+try:
+    _threads = int(_os.environ.get("PARASTEP_THREADS", ""))
+except ValueError:
+    _threads = 0
+if _threads > 0:
     for _var in _THREAD_VARS:
-        _os.environ.setdefault(_var, _threads)
+        _os.environ.setdefault(_var, str(_threads))
 del _os, _threads
 
 from .errors import (
@@ -72,7 +75,6 @@ from .envelopes import (
 )
 from .solver import SolveReport, residual_sweep, solve
 from .convolutions import (
-    ConvolutionParams,
     ConvolutionReport,
     inf_convolution_mesh,
     sup_convolution_mesh,

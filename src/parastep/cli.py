@@ -9,10 +9,11 @@ config -- config problems carry ``file:line``), 2 when ``--strict`` is set
 and a checked property fails.
 
 Thread pinning: set ``PARASTEP_THREADS`` in the environment.  The package
-``__init__`` copies it to the BLAS/OpenMP pool variables before numpy loads,
-which is the only point where those pools read them; ``python -m parastep``
-runs that ``__init__`` before any argument is parsed, so there is no
-command-line flag for it.  A value that is not a positive integer is an error.
+``__init__`` copies it to the BLAS/OpenMP pool variables that are unset
+before numpy loads, which is the only point where those pools read them;
+``python -m parastep`` runs that ``__init__`` before any argument is parsed,
+so there is no command-line flag for it.  A value that is not a positive
+integer is not copied, and the CLI reports it as an error.
 
 Single-mesh commands (solve, diagnose) use the first entry of the h list;
 pass ``--h-list 0.03125`` to pick a specific spacing.  ``certify`` expects a
@@ -27,7 +28,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import _THREAD_VARS
 from .config import ProblemConfig
 from .errors import ConfigError, ParastepError
 
@@ -41,13 +41,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
 
 
-def _apply_threads():
-    """Validate ``PARASTEP_THREADS`` and copy it to the pool variables that
-    are unset, as the package ``__init__`` does, so explicit per-library
-    values win.
-
-    This process's pools were sized when numpy loaded; the copy reaches only
-    child processes."""
+def _check_threads():
+    """Validate ``PARASTEP_THREADS``.  The package ``__init__`` has already
+    copied a valid value to the pool variables before numpy loaded; a value
+    that is not a positive integer was left out there and is an error here."""
     raw = os.environ.get("PARASTEP_THREADS")
     if not raw:
         return
@@ -57,8 +54,6 @@ def _apply_threads():
         raise ConfigError(f"PARASTEP_THREADS must be an integer, got {raw!r}") from None
     if threads < 1:
         raise ConfigError(f"PARASTEP_THREADS must be at least 1, got {threads}")
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(threads))
 
 
 def _bool_text(flag) -> str:
@@ -404,7 +399,7 @@ def cli_main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        _apply_threads()
+        _check_threads()
         cfg = _resolved_config(args)
         return _COMMANDS[args.command](cfg, args)
     except ParastepError as exc:

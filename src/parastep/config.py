@@ -264,14 +264,23 @@ class ProblemConfig:
             raise ConfigError("diagnostics.samples must be nonnegative")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.theta is not None and self.theta <= 0:
-            raise ConfigError("diagnostics.theta must be positive")
-        if self.delta_multiple is not None and self.delta_multiple <= 0:
-            raise ConfigError("diagnostics.delta_multiple must be positive")
+        for key in ("theta", "delta_multiple"):
+            value = getattr(self, key)
+            if value is not None and value <= 0:
+                raise ConfigError(f"diagnostics.{key} must be positive")
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(
+                    f"diagnostics.{key} must be a finite positive number, got {value!r}"
+                )
         if self.M_values is not None and (
-            not self.M_values or any(m <= 0 for m in self.M_values)
+            not self.M_values or not all(math.isfinite(m) and m > 0 for m in self.M_values)
         ):
-            raise ConfigError("diagnostics.M_values must be a nonempty list of positive levels")
+            raise ConfigError(
+                "diagnostics.M_values must be a nonempty list of finite positive levels, "
+                f"got {self.M_values!r}"
+            )
+        if not math.isfinite(self.rate_floor):
+            raise ConfigError(f"diagnostics.rate_floor must be finite, got {self.rate_floor!r}")
 
     # -- resolution helpers (import numerics lazily) ------------------------
 

@@ -3,14 +3,23 @@
 v^-_{theta,theta}(x,t) = min over mesh nodes (y,s) of
     v(y,s) + |x-y|^2/(2 theta) + |t-s|^2/(2 theta),
 
-v^+ the mirrored sup.  The quadratic cost splits per coordinate, so the
-transform is a sequence of one-dimensional lower envelopes of parabolas
-(one per axis, time included with step h^2); argmin indices are chained
-through the passes so extremizer shifts can be reported.
+v^+ the mirrored sup.  The quadratic cost splits per coordinate, so one
+separable transform serves every convolution here: along each axis in turn
+(time first, with step h^2), the lower envelope of the parabolas
+f_j + (q - y_j)^2/(2 theta) is evaluated at given abscissae q, and the
+argmin indices are chained through the passes so each point's distance to
+its extremizer can be reported.  It has three kinds of caller:
 
-Each report carries omega(h, theta) = n*h + 2*theta^(1/2) * ||v||_{C^{0,eta}}
-* (diam U)^eta and the admissible node set {d_e(p, boundary) >= omega + N h}
-on which the regularization theorems apply.
+  mesh nodes        ``inf_/sup_convolution_mesh`` with ``queries=None``
+                    pass the node positions on every axis;
+  off-mesh queries  ``queries=[(x, t), ...]`` pass one abscissa per axis;
+  x-convolutions    ``x_inf_/x_sup_convolution`` run the transform over the
+                    spatial axes of their one time level.
+
+theta must be a finite positive number.  Each report carries
+omega(h, theta) = n*h + 2*theta^(1/2) * ||v||_{C^{0,eta}} * (diam U)^eta and
+the admissible node set {d_e(p, boundary) >= omega + N h} on which the
+regularization theorems apply.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ from .geometry import (
 from .scheme import Stencil
 
 __all__ = [
-    "ConvolutionParams",
     "ConvolutionReport",
     "inf_convolution_mesh",
     "sup_convolution_mesh",
@@ -41,24 +49,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConvolutionParams:
-    """theta > 0; mode 'inf'/'sup'; variables 'space_time' or 'space_only'."""
-
-    theta: float
-    mode: str = "inf"
-    variables: str = "space_time"
-    eta: float = 0.5
-
-    def __post_init__(self):
-        if self.theta <= 0:
-            raise GridError(f"theta must be positive, got {self.theta}")
-        if self.mode not in ("inf", "sup"):
-            raise GridError(f"mode must be 'inf' or 'sup', got {self.mode!r}")
-        if self.variables not in ("space_time", "space_only"):
-            raise GridError(f"bad variables choice {self.variables!r}")
-        if not 0 < self.eta <= 1:
-            raise GridError(f"eta must lie in (0, 1], got {self.eta}")
+def _check(theta, eta=0.5):
+    if not (math.isfinite(theta) and theta > 0):
+        raise GridError(f"theta must be a finite positive number, got {theta}")
+    if not 0 < eta <= 1:
+        raise GridError(f"eta must lie in (0, 1], got {eta}")
 
 
 @dataclass
@@ -75,7 +70,7 @@ class ConvolutionReport:
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional lower envelope of parabolas
+# the separable transform: lower envelopes of parabolas, axis by axis
 # ---------------------------------------------------------------------------
 
 
@@ -105,97 +100,47 @@ def _envelope_structure(pos, f, theta):
     return np.asarray(v), np.asarray(z)
 
 
-def _envelope_eval(pos, f, theta, v, z, q):
-    """Evaluate an envelope at abscissae q; returns (values, source indices)."""
-    piece = np.searchsorted(z, q, side="right") - 1
-    src = v[piece]
-    return f[src] + (q - pos[src]) ** 2 / (2.0 * theta), src
-
-
-def _transform_axis(V, axis, pos, theta):
-    """Envelope transform along one array axis, evaluated at the grid
-    positions themselves; returns (out, arg) with arg the source index."""
+def _envelope_at(V, axis, pos, theta, q):
+    """Envelope of the parabolas along one axis of V (positions pos),
+    evaluated at the abscissae q.  The axis keeps its place and gets one
+    entry per abscissa; returns (values, source index along the axis)."""
     moved = np.moveaxis(V, axis, -1)
-    shp = moved.shape
-    flat = moved.reshape(-1, shp[-1])
-    out = np.empty_like(flat)
-    arg = np.empty(flat.shape, dtype=np.int64)
-    for r in range(flat.shape[0]):
-        v, z = _envelope_structure(pos, flat[r], theta)
-        out[r], arg[r] = _envelope_eval(pos, flat[r], theta, v, z, pos)
-    return np.moveaxis(out.reshape(shp), -1, axis), np.moveaxis(arg.reshape(shp), -1, axis)
+    flat = moved.reshape(-1, moved.shape[-1])
+    out = np.empty((flat.shape[0], len(q)))
+    arg = np.empty(out.shape, dtype=np.int64)
+    for r, f in enumerate(flat):
+        v, z = _envelope_structure(pos, f, theta)
+        src = v[np.searchsorted(z, q, side="right") - 1]
+        out[r] = f[src] + (q - pos[src]) ** 2 / (2.0 * theta)
+        arg[r] = src
+    shape = moved.shape[:-1] + (len(q),)
+    return np.moveaxis(out.reshape(shape), -1, axis), np.moveaxis(arg.reshape(shape), -1, axis)
 
 
-def _reduce_axis_at(A, axis, pos, theta, q):
-    """Envelope transform along one axis evaluated at the single abscissa q;
-    the axis is consumed."""
-    moved = np.moveaxis(A, axis, -1)
-    shp = moved.shape
-    flat = moved.reshape(-1, shp[-1])
-    out = np.empty(flat.shape[0])
-    arg = np.empty(flat.shape[0], dtype=np.int64)
-    qq = np.array([q], dtype=float)
-    for r in range(flat.shape[0]):
-        v, z = _envelope_structure(pos, flat[r], theta)
-        vals, src = _envelope_eval(pos, flat[r], theta, v, z, qq)
-        out[r] = vals[0]
-        arg[r] = src[0]
-    return out.reshape(shp[:-1]), arg.reshape(shp[:-1])
+def _transform(values, positions, theta, at):
+    """Separable inf-convolution of ``values`` (node positions ``positions``
+    per axis), evaluated on the product of the abscissae ``at`` per axis.
 
-
-# ---------------------------------------------------------------------------
-# full space-time transforms
-# ---------------------------------------------------------------------------
-
-
-def _node_transform(spec: MeshSpec, values: np.ndarray, theta: float):
-    """Separable inf-convolution evaluated at every mesh node.
-
-    Returns (out values, args) where args[axis] holds, per node, the source
-    index along that array axis of the attaining node.
+    Returns (values, shift): shift is each point's euclidean distance to the
+    node that attains its infimum.
     """
-    positions = [spec.times()] + [spec.axis_coords(a) for a in range(spec.n)]
     V = values
-    args: dict[int, np.ndarray] = {}
-    for axis in range(spec.n + 1):
-        V, arg = _transform_axis(V, axis, positions[axis], theta)
-        for b in args:
-            args[b] = np.take_along_axis(args[b], arg, axis=axis)
-        args[axis] = arg
-    return V, args
+    args = []
+    for axis, (pos, q) in enumerate(zip(positions, at)):
+        V, arg = _envelope_at(V, axis, pos, theta, q)
+        args = [np.take_along_axis(a, arg, axis=axis) for a in args] + [arg]
+    d2 = np.zeros(V.shape)
+    for axis, (pos, q, arg) in enumerate(zip(positions, at, args)):
+        d2 += (pos[arg] - q.reshape([-1 if a == axis else 1 for a in range(V.ndim)])) ** 2
+    return V, np.sqrt(d2)
 
 
-def _shift_distances(spec: MeshSpec, args: dict[int, np.ndarray]) -> np.ndarray:
-    """Euclidean space-time distance from each node to its extremizer."""
-    positions = [spec.times()] + [spec.axis_coords(a) for a in range(spec.n)]
-    d2 = np.zeros(spec.shape)
-    for axis, arg in args.items():
-        own = positions[axis].reshape([-1 if a == axis else 1 for a in range(spec.n + 1)])
-        attained = positions[axis][arg]
-        d2 += (attained - np.broadcast_to(own, spec.shape)) ** 2
-    return np.sqrt(d2)
-
-
-def _query_transform(spec: MeshSpec, values: np.ndarray, theta: float, point):
-    """Single off-mesh query: reduce time, then each spatial axis, at the
-    query coordinates.  Returns (value, shift distance)."""
-    x, t = point
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _spatial_abscissae(spec: MeshSpec, x) -> list:
+    """One single-entry abscissa array per spatial axis of a query point."""
+    x = np.asarray(x, dtype=float).ravel()
     if x.size != spec.n:
         raise GridError(f"query point has dimension {x.size}, mesh has {spec.n}")
-    A, arg_t = _reduce_axis_at(values, 0, spec.times(), theta, float(t))
-    gathered = {"t": arg_t}
-    for a in range(spec.n):
-        A, arg = _reduce_axis_at(A, 0, spec.axis_coords(a), theta, float(x[a]))
-        for key in gathered:
-            gathered[key] = np.take_along_axis(gathered[key], arg[None, ...], axis=0)[0]
-        gathered[a] = arg
-    tstar = spec.times()[int(gathered["t"])]
-    d2 = (tstar - float(t)) ** 2
-    for a in range(spec.n):
-        ystar = spec.axis_coords(a)[int(gathered[a])]
-        d2 += (ystar - float(x[a])) ** 2
-    return float(A), math.sqrt(d2)
+    return [x[a : a + 1] for a in range(spec.n)]
 
 
 def _make_report(v: MeshFunction, theta, eta, max_shift, holder_norm=None) -> ConvolutionReport:
@@ -242,18 +187,20 @@ def inf_convolution_mesh(
     -------
     (MeshFunction | ndarray, ConvolutionReport)
     """
-    ConvolutionParams(theta=theta, eta=eta)
+    _check(theta, eta)
     spec = v.spec
+    positions = [spec.times()] + [spec.axis_coords(a) for a in range(spec.n)]
     if queries is None:
-        out, args = _node_transform(spec, v.values, theta)
-        max_shift = float(_shift_distances(spec, args).max())
-        report = _make_report(v, theta, eta, max_shift, holder_norm)
+        out, shift = _transform(v.values, positions, theta, positions)
+        report = _make_report(v, theta, eta, float(shift.max()), holder_norm)
         return MeshFunction(spec, out), report
     vals = np.empty(len(queries))
     max_shift = 0.0
-    for i, point in enumerate(queries):
-        vals[i], d = _query_transform(spec, v.values, theta, point)
-        max_shift = max(max_shift, d)
+    for i, (x, t) in enumerate(queries):
+        at = [np.array([float(t)])] + _spatial_abscissae(spec, x)
+        out, shift = _transform(v.values, positions, theta, at)
+        vals[i] = out.item()
+        max_shift = max(max_shift, shift.item())
     report = _make_report(v, theta, eta, max_shift, holder_norm)
     return vals, report
 
@@ -283,18 +230,14 @@ def sup_convolution_mesh(
 def x_inf_convolution(v: MeshFunction, theta: float, x, t: float):
     """Space-only inf-convolution at fixed mesh time t:
     min over spatial nodes y of v(y,t) + |x-y|^2/(2 theta)."""
-    ConvolutionParams(theta=theta, variables="space_only")
+    _check(theta)
     spec = v.spec
     m = lattice_index(t, spec.tau, "time")
     if not 1 <= m <= spec.levels:
         raise GridError(f"time level {m} outside 1..{spec.levels}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != spec.n:
-        raise GridError(f"query has dimension {x.size}, mesh has {spec.n}")
-    A = v.values[m - 1]
-    for a in range(spec.n):
-        A, _ = _reduce_axis_at(A, 0, spec.axis_coords(a), theta, float(x[a]))
-    return float(A)
+    positions = [spec.axis_coords(a) for a in range(spec.n)]
+    out, _ = _transform(v.values[m - 1], positions, theta, _spatial_abscissae(spec, x))
+    return out.item()
 
 
 def x_sup_convolution(v: MeshFunction, theta: float, x, t: float):

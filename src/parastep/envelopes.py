@@ -23,11 +23,13 @@ import numpy as np
 from .errors import EnvelopeError, GridError
 from .geometry import (
     _FP_SLACK,
+    Cylinder,
     MeshFunction,
     MeshSpec,
     ParabolicPoint,
     lattice_directions,
     lattice_index,
+    region_mask,
     second_quotient_field,
 )
 
@@ -253,33 +255,19 @@ def abp_diagnostic(
     # same lattice; parent level mc - 4 j^2 + ell maps to local offset ell - 1.
     # N = 2 here: only the envelope runs on this grid, no stencil does.
     local = MeshSpec(h, [(c - 2 * rho, c + 2 * rho) for c in cx], (2 * rho) ** 2, N=2)
-    lgrids = np.meshgrid(
-        *[np.arange(km, kx + 1) for km, kx in zip(local.k_min, local.k_max)],
-        indexing="ij",
-    )
-    ldk2 = sum((g - k0) ** 2 for g, k0 in zip(lgrids, kc))
-    lin_ball = ldk2 < j * j
-    # in-ball nodes always exist on the parent grid; clip so the vectorized
-    # gather stays in range for the out-of-ball entries that get masked away
-    gidx = tuple(
-        np.clip(g - km, 0, sz - 1)
-        for g, km, sz in zip(lgrids, spec.k_min, spec.spatial_shape)
-    )
+    # the cylinder on the local grid, and the parent values under it
+    lcyl = region_mask(local, Cylinder((cx, local.T), rho))
+    idx = local.index_columns()[lcyl.ravel()]
+    idx[:, -1] += mc - 4 * j * j
+    u_cyl = u.values.ravel()[spec.flat_offsets(idx)]
     w = np.zeros(local.shape)
-    for ell in range(3 * j * j, local.levels):
-        m_par = mc - 4 * j * j + (ell + 1)
-        w[ell][lin_ball] = np.minimum(u.values[m_par - 1][gidx], 0.0)[lin_ball]
+    w[lcyl] = np.minimum(u_cyl, 0.0)
     w_fn = MeshFunction(local, w)
     gamma = lower_monotone_envelope(w_fn)
 
-    lcyl = np.zeros(local.shape, dtype=bool)
-    lcyl[3 * j * j :] = lin_ball
     # contact {u = Gamma}: compare against the parent values on the cylinder
-    u_on_local = np.full(local.shape, np.inf)
-    for ell in range(3 * j * j, local.levels):
-        m_par = mc - 4 * j * j + (ell + 1)
-        u_on_local[ell][lin_ball] = u.values[m_par - 1][gidx][lin_ball]
-    contact = lcyl & (np.abs(u_on_local - gamma.values) <= tol)
+    contact = np.zeros(local.shape, dtype=bool)
+    contact[lcyl] = np.abs(u_cyl - gamma.values[lcyl]) <= tol
     count = int(contact.sum())
     measure = count * h ** (n + 2)
 

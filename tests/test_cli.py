@@ -5,11 +5,19 @@ Everything drives ``cli_main(argv)`` in-process; 0 = success, 1 = error,
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import parastep
+from parastep import _THREAD_VARS
 from parastep.cli import cli_main
 from parastep.geometry import MeshFunction, MeshSpec
+
+
+SRC = str(Path(parastep.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -209,6 +217,19 @@ def test_non_finite_mesh_is_an_error(tmp_path, capsys, args, message):
     assert code == 1 and err.startswith(f"parastep: error: {message}")
 
 
+@pytest.mark.parametrize("theta", ["inf", "nan"])
+def test_non_finite_theta_is_an_error(tmp_path, capsys, theta):
+    # theta = inf used to end in an IndexError traceback inside the envelope
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text(f"problem = heat_sine\ndiagnostics.theta = {theta}\n")
+    argv = ["diagnose", "--config", str(cfg), "--h-list", "0.25", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    want = f"parastep: error: diagnostics.theta must be a finite positive number, got {theta}"
+    assert err.startswith(want)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["solve", "converge"])
 def test_solver_tol_reaches_every_solve(tmp_path, capsys, command):
     # converge used to solve at the default tol whatever solver.tol said
@@ -274,21 +295,30 @@ def test_threads_validation(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setenv("PARASTEP_THREADS", "zzz")
     code, _, err = run(capsys, "solve", "--problem", "heat_sine")
-    assert code == 1 and "PARASTEP_THREADS" in err
+    assert code == 1 and "PARASTEP_THREADS must be an integer, got 'zzz'" in err
+    monkeypatch.setenv("PARASTEP_THREADS", "0")
+    code, _, err = run(capsys, "solve", "--problem", "heat_sine")
+    assert code == 1 and "PARASTEP_THREADS must be at least 1, got 0" in err
 
-    # As in the package __init__, an explicit per-library value wins and an
-    # unset one takes PARASTEP_THREADS.
-    monkeypatch.setenv("PARASTEP_THREADS", "2")
-    for preset, want in (("1", "1"), (None, "2")):
-        if preset is None:
-            monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("OMP_NUM_THREADS", preset)
-        code, *_ = run(
-            capsys, "solve", "--problem", "heat_sine", "--h-list", "0.25", "--out", str(tmp_path)
-        )
-        assert code == 0
-        assert os.environ["OMP_NUM_THREADS"] == want
+
+@pytest.mark.parametrize(
+    "threads, preset, want",
+    [("2", "1", "1"), ("2", None, "2"), ("zzz", None, None), ("0", None, None)],
+)
+def test_init_copies_only_a_positive_thread_count(threads, preset, want):
+    # The package __init__ copies PARASTEP_THREADS before numpy loads, into
+    # the pool variables that are unset; a value that is not a positive
+    # integer is never copied.  A fresh interpreter, as the copy happens once.
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(PARASTEP_THREADS=threads, PYTHONPATH=SRC)
+    if preset is not None:
+        env["OMP_NUM_THREADS"] = preset
+    code = f"import os, parastep; print([os.environ.get(v) for v in {_THREAD_VARS!r}])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    others = [None if want is None else threads] * (len(_THREAD_VARS) - 1)
+    assert proc.stdout.strip() == str([want] + others)
 
 
 def test_flag_overrides_beat_config(tmp_path, capsys):

@@ -131,6 +131,21 @@ def test_type_errors_name_the_key(text, fragment):
         ("solver.tol = 0", "solver.tol must be a finite positive number, got 0.0"),
         ("solver.tol = nan", "solver.tol must be a finite positive number, got nan"),
         ("solver.tol = inf", "solver.tol must be a finite positive number, got inf"),
+        ("diagnostics.theta = inf", "diagnostics.theta must be a finite positive number, got inf"),
+        ("diagnostics.theta = nan", "diagnostics.theta must be a finite positive number, got nan"),
+        ("diagnostics.delta_multiple = 0", "diagnostics.delta_multiple must be positive"),
+        (
+            "diagnostics.delta_multiple = inf",
+            "diagnostics.delta_multiple must be a finite positive number, got inf",
+        ),
+        (
+            "diagnostics.delta_multiple = nan",
+            "diagnostics.delta_multiple must be a finite positive number, got nan",
+        ),
+        ("diagnostics.M_values = [nan]", r"finite positive levels, got \[nan\]"),
+        ("diagnostics.M_values = [1.0, inf]", r"finite positive levels, got \[1.0, inf\]"),
+        ("diagnostics.rate_floor = nan", "diagnostics.rate_floor must be finite, got nan"),
+        ("diagnostics.rate_floor = -inf", "diagnostics.rate_floor must be finite, got -inf"),
     ],
 )
 def test_value_validation(text, fragment):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parastep.convolutions import (
-    ConvolutionParams,
+    _transform,
     inf_convolution_mesh,
     sup_convolution_mesh,
     verify_convolution_properties,
@@ -115,6 +115,45 @@ def test_off_mesh_queries_match_brute(rng):
     got_sup, _ = sup_convolution_mesh(v, 0.25, queries=queries)
     want_sup = brute_convolution(v, 0.25, flat, "sup")
     np.testing.assert_allclose(got_sup, want_sup, atol=1e-12, rtol=0)
+
+
+def test_inf_convolution_matches_brute_3d(rng):
+    spec = MeshSpec(h=1 / 6, bounds=[(0.0, 1.0)] * 3, T=3 / 36, N=2)
+    assert spec.shape == (3, 5, 5, 5)
+    v = rough_mesh(rng, spec)
+    for theta in (0.05, 0.5):
+        w, report = inf_convolution_mesh(v, theta)
+        want = brute_convolution(v, theta, all_node_points(spec), "inf")
+        np.testing.assert_allclose(w.values.ravel(), want, atol=1e-12, rtol=0)
+        assert report.max_shift == pytest.approx(brute_max_shift(v, theta, "inf"), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        MESH_1D,
+        dict(h=0.2, bounds=[(0.0, 1.0), (-0.4, 0.6)], T=0.12, N=2),
+        dict(h=1 / 6, bounds=[(0.0, 1.0)] * 3, T=3 / 36, N=2),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_query_on_a_node_equals_the_node_transform(mesh, rng):
+    # a query placed on a node is the node transform at that node, bit for
+    # bit: same envelope, same abscissa, same chained extremizer
+    spec = MeshSpec(**mesh)
+    v = rough_mesh(rng, spec)
+    positions = [spec.times()] + [spec.axis_coords(a) for a in range(spec.n)]
+    for theta in (0.02, 0.4):
+        w, _ = inf_convolution_mesh(v, theta)
+        s, _ = sup_convolution_mesh(v, theta)
+        _, shift = _transform(v.values, positions, theta, positions)
+        _, shift_sup = _transform(-v.values, positions, theta, positions)
+        for idx in list(spec.node_indices())[::5]:
+            p, off = spec.node_point(idx), spec.offset(idx)
+            got, report = inf_convolution_mesh(v, theta, queries=[(p.x, p.t)])
+            assert got[0] == w.values[off] and report.max_shift == shift[off], idx
+            got, report = sup_convolution_mesh(v, theta, queries=[(p.x, p.t)])
+            assert got[0] == s.values[off] and report.max_shift == shift_sup[off], idx
 
 
 def test_reported_shift_matches_brute(rng):
@@ -297,15 +336,39 @@ def test_report_omega_and_admissible_region(rng):
     assert report.holder_norm == pytest.approx(norm)
 
 
-def test_convolution_params_validation():
-    with pytest.raises(GridError):
-        ConvolutionParams(theta=0.0)
-    with pytest.raises(GridError):
-        ConvolutionParams(theta=1.0, mode="median")
-    with pytest.raises(GridError):
-        ConvolutionParams(theta=1.0, eta=1.5)
-    with pytest.raises(GridError):
-        ConvolutionParams(theta=1.0, variables="time_only")
+def _convolution_calls(theta, eta=0.5):
+    """Every public convolution function, bound to theta (and eta where it
+    takes one)."""
+    spec = MeshSpec(**MESH_1D)
+    v = MeshFunction(spec, np.zeros(spec.shape))
+    query = [((0.5,), 0.03)]
+    calls = [
+        lambda: inf_convolution_mesh(v, theta, eta=eta),
+        lambda: sup_convolution_mesh(v, theta, eta=eta),
+        lambda: inf_convolution_mesh(v, theta, queries=query, eta=eta),
+        lambda: sup_convolution_mesh(v, theta, queries=query, eta=eta),
+        lambda: verify_convolution_properties(v, theta, eta=eta),
+    ]
+    if eta == 0.5:
+        calls += [
+            lambda: x_inf_convolution(v, theta, (0.5,), spec.tau),
+            lambda: x_sup_convolution(v, theta, (0.5,), spec.tau),
+        ]
+    return calls
+
+
+def test_convolution_validation():
+    # every public function refuses a bad theta or eta; inf used to end in an
+    # IndexError inside the envelope, and nan in a non-finite mesh function
+    # or (x-convolutions) a silent nan
+    for theta in (0.0, -1.0, math.inf, math.nan):
+        for call in _convolution_calls(theta):
+            want = f"theta must be a finite positive number, got {theta}"
+            with pytest.raises(GridError, match=want):
+                call()
+    for call in _convolution_calls(1.0, eta=1.5):
+        with pytest.raises(GridError, match=r"eta must lie in \(0, 1\], got 1.5"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_start_up_loads_parastep_but_not_scipy(case, tmp_path):
 
 
 PUBLIC = """
-ConfigError ConvergenceStudy ConvolutionParams ConvolutionReport Cylinder
+ConfigError ConvergenceStudy ConvolutionReport Cylinder
 DiagnosticsError EllipticityConstants EnvelopeError ExactSolution FalsifierConfig
 GoodSetReport GridError KBox MeshFunction MeshSpec NonlinearityDescriptor
 NonlinearityError ParabolicPoint Paraboloid ParastepError ProblemConfig
@@ -96,9 +96,11 @@ verify_uniform_ellipticity x_inf_convolution x_sup_convolution
 """.split()
 
 # Removed package-level names: the per-node quotients and scheme, the node
-# list of a region (now ``region_mask``) and the untyped config parser.
+# list of a region (now ``region_mask``), the untyped config parser and the
+# validation-only convolution parameter record.
 REMOVED = """
-apply_scheme cylinder_nodes delta2_y delta_tau_minus load_config parse_config
+ConvolutionParams apply_scheme cylinder_nodes delta2_y delta_tau_minus load_config
+parse_config
 """.split()
 
 
