@@ -282,8 +282,10 @@ def _format_diagnostics(cfg: ProblemConfig, spec, report: dict) -> str:
                 f"good_set M={float(M)!r} bad_fraction={float(frac)!r}"
                 f" bad_measure={float(meas)!r}"
             )
-    if "abp" in report:
-        abp = report["abp"]
+    abp = report.get("abp", {})
+    if "skipped" in abp:
+        lines.append(f"abp skipped: {abp['skipped']}")
+    elif abp:
         lines.append(
             f"abp ratio={float(abp['ratio'])!r} lhs={float(abp['lhs'])!r}"
             f" rhs_core={float(abp['rhs_core'])!r} K={float(abp['K'])!r}"
@@ -321,7 +323,7 @@ def _cmd_diagnose(cfg: ProblemConfig, args) -> int:
     violated = not report["falsifier"]["clean"]
     if "convolution" in report:
         violated = violated or not report["convolution"]["passed"]
-    if "abp" in report:
+    if "ratio" in report.get("abp", {}):
         violated = violated or not math.isfinite(report["abp"]["ratio"])
     lines = [text + f"# wrote {outdir / 'diagnostics.txt'} and {outdir / 'certificates.txt'}"]
     _maybe_dump_tables(cfg, args, outdir, lines)
@@ -362,8 +364,7 @@ def _cmd_certify(cfg: ProblemConfig, args) -> int:
     failed = 0
     for lineno, cert in certs:
         rep = replay_violation(cert, u, descriptor)
-        ok = rep["valid"]
-        if not ok:
+        if not rep["valid"]:
             failed += 1
             why = "not touching" if not rep["touching"] else "margin mismatch"
             lines.append(f"certificate line {lineno}: FAILED ({why})")

@@ -312,7 +312,7 @@ def row_to_certificate(row: str) -> ViolationCertificate:
         a = [float(s) for s in kv["a"].split(",")]
         Q = np.array([float(s) for s in kv["Q"].split(",")]).reshape(len(l), len(l))
         P = Paraboloid(c=float(kv["c"]), l=l, m=float(kv["m"]), a=a, Q=Q)
-        return ViolationCertificate(
+        cert = ViolationCertificate(
             node=node,
             side=kv["side"],
             paraboloid=P,
@@ -325,21 +325,9 @@ def row_to_certificate(row: str) -> ViolationCertificate:
         raise DiagnosticsError(f"certificate row missing field {exc}") from None
     except ValueError as exc:
         raise DiagnosticsError(f"malformed certificate row: {exc}") from None
-
-
-def _cylinder_offsets(spec: MeshSpec, delta: float) -> list[tuple[tuple[int, ...], int]]:
-    """Integer offsets (dk, dm) with |dk| h < delta and -delta^2 < dm tau <= 0."""
-    reach = int(delta / spec.h + _FP_SLACK)
-    depth = int(math.ceil(delta**2 / spec.tau - _FP_SLACK)) - 1
-    r2 = (delta / spec.h) ** 2 * (1.0 - 1e-12)
-    out = []
-    for dk in np.ndindex(*([2 * reach + 1] * spec.n)):
-        dk = tuple(d - reach for d in dk)
-        if sum(d * d for d in dk) >= r2:
-            continue
-        for dm in range(-depth, 1):
-            out.append((dk, dm))
-    return out
+    if not (math.isfinite(cert.delta) and cert.delta > 0):
+        raise DiagnosticsError(f"delta must be a finite positive number, got {cert.delta!r}")
+    return cert
 
 
 def _local_model(v: MeshFunction):
@@ -400,8 +388,9 @@ def delta_falsifier(
     (the local model: central gradient, backward slope, half-Hessian), the
     opening battery (the gradient with a fixed m and Q) and the Sobol probes
     (the local model plus a scaled quasi-random perturbation xi).  Over the
-    cylinder offsets o = (d, dt), v - P splits into a per-node and a
-    per-probe part, so a family's touching values are one min-plus product
+    cylinder offsets o = (d, dt), ``spec.cylinder_steps(delta)`` times h and
+    tau, v - P splits into a per-node and a per-probe part, so a family's
+    touching values are one min-plus product
     (max-plus on the ``sub`` side) ``w[r, node] = min_o (B[node, o] - D[r, o])``
     of ``B_lin = v(node + o) - grad.d`` or ``B = B_lin - slope dt - d.Qhat.d``
     with ``D = 0`` (osculating, on B), ``m dt + d.Q.d`` (battery, on B_lin)
@@ -459,17 +448,16 @@ def delta_falsifier(
             f"no node admits a delta-cylinder with delta = {delta}; enlarge the mesh"
         )
 
-    offsets = _cylinder_offsets(spec, delta)
-    geo = [(spec.h * np.asarray(dk, dtype=float), spec.tau * dm) for dk, dm in offsets]
-    d = np.array([g[0] for g in geo])
-    dts = np.array([g[1] for g in geo])
-    dd = (d[:, :, None] * d[:, None, :]).reshape(len(geo), n * n)
+    steps = spec.cylinder_steps(delta)
+    d = spec.h * steps[:, 1:]
+    dts = spec.tau * steps[:, 0]
+    O = len(steps)
+    dd = (d[:, :, None] * d[:, None, :]).reshape(O, n * n)
     phi = np.column_stack([d, dts, dd])  # the offsets' features, matching the local model
     # Nodes as flat (C order) indices; the gather at node + step is only
     # valid while the whole cylinder is in the mesh.  Eligibility implies
     # that, and a node whose cylinder left the mesh touches NaN and is never
     # flagged, so dropping such a node changes nothing.
-    steps = np.array([(dm,) + dk for dk, dm in offsets])
     at = np.argwhere(eligible)
     whole = np.all(
         (at + steps.min(axis=0) >= 0) & (at + steps.max(axis=0) < spec.shape), axis=1
@@ -503,7 +491,7 @@ def delta_falsifier(
         yield (
             ["osculating"],
             lambda r, S: (grad[S], slope[S], Qhat[S]),
-            np.zeros((1, len(geo))),
+            np.zeros((1, O)),
             True,
             slack(s_l, s_m, s_q),
         )
@@ -555,7 +543,7 @@ def delta_falsifier(
         flags = np.empty((len(D), K), dtype=bool)
         part = np.empty(len(D) * min(tile, K), dtype=bool) if block > 1 else None
         hit = np.empty(len(D) * block * min(tile, K), dtype=bool)
-        term = np.empty(len(geo) * min(tile, K))
+        term = np.empty(O * min(tile, K))
         for k0 in range(0, K, tile):
             S = nodes[k0 : k0 + tile]
             C = vals[S + step[:, None]]
@@ -566,7 +554,7 @@ def delta_falsifier(
             for col, z in zip(phi.T, model):
                 C -= np.multiply(col[:, None], z, out=term[: C.size].reshape(C.shape))
             f = flags[:, k0 : k0 + len(S)]
-            for o in range(0, len(geo), block):
+            for o in range(0, O, block):
                 Db = D[:, o : o + block, None]
                 h = hit[: Db.shape[0] * Db.shape[1] * len(S)].reshape(Db.shape[:2] + (len(S),))
                 fits(Db, C[None, o : o + block], out=h)
@@ -589,7 +577,6 @@ def delta_falsifier(
         ``block`` offsets (a byte per probe, offset and node).  A block
         covers about 4096 node-offsets, so comparisons stay large when a
         small tile has many offsets."""
-        O = len(geo)
         half = _SCREEN_TILE_BYTES // 2
         chunk = max(1, min(len(D), half // max(1, len(nodes))))
         tile = max(1, half // (24 * O + 2 * chunk))
@@ -615,7 +602,7 @@ def delta_falsifier(
             S, margin = S[forbidden], margin[forbidden]
             l_f, m_f, Q_f = fields(r, S)
             w_ext = None
-            for o, (dk, dt) in enumerate(geo):
+            for o, (dk, dt) in enumerate(zip(d, dts)):
                 lin = np.einsum("...i,i->...", l_f, dk)
                 quad = (
                     np.einsum("i,...ij,j->...", dk, Q_f, dk)
@@ -659,30 +646,35 @@ def delta_falsifier(
 def replay_violation(
     cert: ViolationCertificate, v: MeshFunction, F: NonlinearityDescriptor
 ) -> dict:
-    """Re-run a certificate from scratch: side inequality on the cylinder
-    nodes, touching at the center, and the margin sign."""
+    """Re-run a certificate on its backward cylinder, ``spec.cylinder_steps(delta)``
+    about its node: ``touching`` if P is on its side of v there and its gap at
+    the node is at most the recorded one plus 1e-9 (1 + sup|v| on the cylinder),
+    ``valid`` if the margin also has the forbidden sign.  A delta too large for
+    the mesh is refused before any step is built."""
     spec = v.spec
     node = tuple(int(i) for i in cert.node)
-    pts, tvals, vvals = [], [], []
-    for dk, dm in _cylinder_offsets(spec, cert.delta):
-        idx = tuple(k + d for k, d in zip(node[:-1], dk)) + (node[-1] + dm,)
-        pts.append(np.asarray(idx[:-1], dtype=float) * spec.h)
-        tvals.append(idx[-1] * spec.tau)
-        vvals.append(v.value(idx))
-    pvals = _eval_paraboloid_many(cert.paraboloid, np.asarray(pts), np.asarray(tvals))
-    diff = np.asarray(vvals) - pvals
+    if len(node) != spec.n + 1 or cert.paraboloid.n != spec.n:
+        raise DiagnosticsError(f"certificate node {node} does not live on a {spec.n}-D mesh")
+    reach = spec.h * ((min(spec.spatial_shape) + 1) // 2) * (1.0 + _FP_SLACK)
+    if not (cert.delta <= reach and cert.delta**2 <= spec.T * (1.0 + _FP_SLACK)):
+        raise DiagnosticsError(f"delta = {cert.delta!r} is too large for the mesh")
+    idx = np.array(node) + np.roll(spec.cylinder_steps(cert.delta), -1, axis=1)
+    flat = spec.flat_offsets(idx)
+    if (flat < 0).any():
+        spec.offset(idx[np.argmax(flat < 0)].tolist())  # the GridError naming that node
+    vvals = v.values.ravel()[flat]
+    pvals = _eval_paraboloid_many(cert.paraboloid, idx[:, :-1] * spec.h, idx[:, -1] * spec.tau)
     sign = 1.0 if cert.side == "super" else -1.0
     vscale = 1.0 + float(np.max(np.abs(vvals)))
-    side_ok = float(np.min(sign * diff)) >= -1e-9 * vscale
-    x = np.asarray(node[:-1], dtype=float) * spec.h
-    t = node[-1] * spec.tau
-    center = (tuple(x), t)
+    side_ok = float(np.min(sign * (vvals - pvals))) >= -1e-9 * vscale
+    center = (tuple(np.asarray(node[:-1], dtype=float) * spec.h), node[-1] * spec.tau)
     touch_gap = sign * (v.value(node) - evaluate_paraboloid(cert.paraboloid, center))
+    touching = side_ok and touch_gap <= cert.touch_gap + 1e-9 * vscale
     pt, d2 = paraboloid_derivatives(cert.paraboloid, center)
     margin = float(pt - evaluate_F(F, d2))
     return {
-        "valid": bool(side_ok and sign * margin < 0.0),
-        "touching": side_ok,
+        "valid": bool(touching and sign * margin < 0.0),
+        "touching": bool(touching),
         "touch_gap": float(touch_gap),
         "margin": margin,
         "margin_matches": bool(abs(margin - cert.margin) <= 1e-9 * (1.0 + abs(cert.margin))),
@@ -721,6 +713,11 @@ def _smallest(a: np.ndarray, m: int) -> np.ndarray:
     if len(a) <= m:
         return np.arange(len(a))
     return np.argpartition(a, m - 1)[:m]
+
+
+def _exceeds(ratio, level):
+    """ratio > level beyond the fits' stop rule, level (1 + 1e-9) + 1e-12."""
+    return ratio > level * (1.0 + 1e-9) + 1e-12
 
 
 def _block_lp(blocks) -> np.ndarray:
@@ -823,7 +820,7 @@ def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
                 phi, w, du = batch[i]
                 ratio = np.abs(du - phi @ fit[:-1]) / w
                 ratios[lo + i], coefs[lo + i] = ratio.max(), fit[:-1]
-                viol = ratio > fit[-1] * (1.0 + 1e-9) + 1e-12
+                viol = _exceeds(ratio, fit[-1])
                 viol[active[i]] = False
                 worst = np.flatnonzero(viol)
                 if worst.size:
@@ -869,9 +866,8 @@ def psi_M_membership(u: MeshFunction, node, M: float, region=None) -> dict:
         node[-1] * spec.tau,
     )
     budget = n * M
-    member = worst <= budget * (1.0 + 1e-9) + 1e-12
     return {
-        "member": bool(member),
+        "member": not _exceeds(worst, budget),
         "worst_ratio": worst,
         "excess": worst - budget,
         "paraboloid": P,
@@ -914,7 +910,7 @@ def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> Good
         raise DiagnosticsError("the K-box contains no mesh nodes")
     ratios = _expansion_fits(u, nodes, region_mask(spec, region))[0]
     n = spec.n
-    bad = ratios[None, :] > n * M_values[:, None] * (1.0 + 1e-9) + 1e-12
+    bad = _exceeds(ratios[None, :], n * M_values[:, None])
     frac = bad.mean(axis=1)
     meas = bad.sum(axis=1) * spec.h ** (n + 2)
     pos = (meas > 0) & (M_values > 0)

@@ -23,13 +23,11 @@ import numpy as np
 from .errors import EnvelopeError, GridError
 from .geometry import (
     _FP_SLACK,
-    Cylinder,
     MeshFunction,
     MeshSpec,
     ParabolicPoint,
     lattice_directions,
     lattice_index,
-    region_mask,
     second_quotient_field,
 )
 
@@ -178,8 +176,9 @@ def abp_diagnostic(
 
     Takes the backward cylinder of radius rho at ``center`` (defaults: top
     time over the snapped spatial midpoint, largest radius that fits), checks
-    u >= 0 on its discrete parabolic boundary, extends ``-u^-`` by zero to the
-    doubled cylinder on a local grid, and compares
+    u >= 0 on its discrete parabolic boundary (the lateral shell of width h
+    and the bottom level), extends ``-u^-`` by zero to the doubled cylinder
+    on a local grid, and compares
 
         lhs  = sup of u^- over the cylinder
         rhs_core = rho^(n/(n+1)) |{u = Gamma}|^(1/(n+1)) K
@@ -188,14 +187,15 @@ def abp_diagnostic(
     continuum bound is lhs <= C rhs_core with universal C, so the returned
     ``ratio`` is the observable.  K defaults to the larger of the discrete
     time slope and the largest positive axis second quotient on the cylinder.
+    The cylinder's nodes are the steps of :meth:`MeshSpec.cylinder_steps`
+    about the center on u's mesh and about the top center of the local grid,
+    so one gather pairs each local node with its parent node.
     """
     spec = u.spec
     h, tau, n = spec.h, spec.tau, spec.n
 
     if center is None:
-        kc = tuple(
-            round(((lo + hi) / 2.0) / h) for lo, hi in spec.bounds
-        )
+        kc = tuple(round(((lo + hi) / 2.0) / h) for lo, hi in spec.bounds)
         mc = spec.levels
     else:
         center = ParabolicPoint(center[0], center[1]) if isinstance(center, tuple) else center
@@ -221,58 +221,40 @@ def abp_diagnostic(
             raise EnvelopeError("backward cylinder does not fit inside the mesh")
         rho = j * h
 
-    # integer masks over the parent grid: exact ball and level membership
-    kgrids = np.meshgrid(
-        *[np.arange(km, kx + 1) for km, kx in zip(spec.k_min, spec.k_max)],
-        indexing="ij",
-    )
-    dk2 = sum((g - k0) ** 2 for g, k0 in zip(kgrids, kc))
-    in_ball = dk2 < j * j
-    levels_in = np.arange(1, spec.levels + 1)
-    level_in = (levels_in > mc - j * j) & (levels_in <= mc)
-    cyl_mask = level_in[(slice(None),) + (None,) * n] & in_ball[None, ...]
-    if not cyl_mask.any():
-        raise EnvelopeError("backward cylinder contains no mesh nodes")
+    # the cylinder's steps about its center on u's mesh and about the top center
+    # of the local doubled cylinder (half-width 2 rho, depth (2 rho)^2, same
+    # lattice; N = 2 there: only the envelope runs on it, no stencil does)
+    steps = np.roll(spec.cylinder_steps(rho), -1, axis=1)
+    local = MeshSpec(h, [(c - 2 * rho, c + 2 * rho) for c in cx], (2 * rho) ** 2, N=2)
+    cyl = spec.flat_offsets(np.array(kc + (mc,)) + steps)
+    lcyl = local.flat_offsets(np.array(kc + (local.levels,)) + steps)
+    u_cyl = u.values.ravel()[cyl]
 
     if tol is None:
         tol = 1e-9 * (1.0 + float(np.max(np.abs(u.values))))
 
-    # discrete parabolic boundary: lateral shell of width h plus the bottom level
-    shell = in_ball & (dk2 >= (j - 1) ** 2)
-    bottom = levels_in == mc - j * j + 1
-    bd_mask = cyl_mask & (
-        shell[None, ...] | bottom[(slice(None),) + (None,) * n]
-    )
-    if bd_mask.any() and float(u.values[bd_mask].min()) < -tol:
+    # discrete parabolic boundary: the lateral shell of width h and the bottom level
+    edge = (np.sum(steps[:, :-1] ** 2, axis=1) >= (j - 1) ** 2) | (steps[:, -1] == 1 - j * j)
+    if float(u_cyl[edge].min()) < -tol:
         raise EnvelopeError(
             "u is negative on the parabolic boundary of the cylinder; "
-            f"min {float(u.values[bd_mask].min()):.3e}"
+            f"min {float(u_cyl[edge].min()):.3e}"
         )
 
-    lhs = max(0.0, -float(u.values[cyl_mask].min()))
+    lhs = max(0.0, -float(u_cyl.min()))
 
-    # local doubled cylinder: box of half-width 2 rho, depth (2 rho)^2,
-    # same lattice; parent level mc - 4 j^2 + ell maps to local offset ell - 1.
-    # N = 2 here: only the envelope runs on this grid, no stencil does.
-    local = MeshSpec(h, [(c - 2 * rho, c + 2 * rho) for c in cx], (2 * rho) ** 2, N=2)
-    # the cylinder on the local grid, and the parent values under it
-    lcyl = region_mask(local, Cylinder((cx, local.T), rho))
-    idx = local.index_columns()[lcyl.ravel()]
-    idx[:, -1] += mc - 4 * j * j
-    u_cyl = u.values.ravel()[spec.flat_offsets(idx)]
     w = np.zeros(local.shape)
-    w[lcyl] = np.minimum(u_cyl, 0.0)
+    w.flat[lcyl] = np.minimum(u_cyl, 0.0)
     w_fn = MeshFunction(local, w)
     gamma = lower_monotone_envelope(w_fn)
 
     # contact {u = Gamma}: compare against the parent values on the cylinder
-    contact = np.zeros(local.shape, dtype=bool)
-    contact[lcyl] = np.abs(u_cyl - gamma.values[lcyl]) <= tol
-    count = int(contact.sum())
+    count = int(np.count_nonzero(np.abs(u_cyl - gamma.values.flat[lcyl]) <= tol))
     measure = count * h ** (n + 2)
 
     if K is None:
-        vals = np.where(cyl_mask, u.values, np.nan)
+        vals = np.full(spec.shape, np.nan)
+        vals.flat[cyl] = u_cyl
         with np.errstate(invalid="ignore"):
             dt = np.abs(np.diff(vals, axis=0)) / tau
             tlip = float(np.nanmax(dt)) if np.isfinite(dt).any() else 0.0
@@ -298,7 +280,7 @@ def abp_diagnostic(
         "K": float(K),
         "rho": rho,
         "center": ParabolicPoint(cx, mc * tau),
-        "cylinder_node_count": int(cyl_mask.sum()),
+        "cylinder_node_count": len(cyl),
         "contact_count": count,
         "contact_measure": measure,
         "contact_tol": tol,

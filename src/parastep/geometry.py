@@ -8,7 +8,8 @@ x_i = k_i*h and t = m*h^2.
 This module owns the lattice neighbour arithmetic and its tolerance: the
 neighbour shift (NaN off the mesh), the standard stencil directions, the
 quotient weight 1/|hy|^2 and the second quotient fields, and ``_FP_SLACK``
-with its snap helper :func:`lattice_index` and the regions' tie rule.
+with its snap helper :func:`lattice_index` and the regions' tie rule, and the
+lattice steps of a backward cylinder (:meth:`MeshSpec.cylinder_steps`).
 """
 
 from __future__ import annotations
@@ -327,11 +328,19 @@ class MeshSpec:
     def node_count(self) -> int:
         return int(np.prod(self.shape))
 
-    def index_columns(self) -> np.ndarray:
-        """Global node indices as an int array, one row (k_1, ..., k_n, m) per
-        node, in the time-major order of :meth:`node_indices`."""
-        off = np.indices(self.shape).reshape(self.n + 1, -1)
-        return np.concatenate([off[1:] + np.array(self.k_min)[:, None], off[:1] + 1]).T
+    def cylinder_steps(self, radius: float) -> np.ndarray:
+        """Integer steps (dm, dk_1, ..., dk_n) from a node to the nodes of the
+        backward :class:`Cylinder` of this radius about it, as its
+        ``contains_points`` decides: spatial steps in C order, each with its
+        levels from the deepest up.  The falsifier, the certificate replay
+        and the ABP diagnostic all take their cylinders from here."""
+        cyl = Cylinder((np.zeros(self.n), 0.0), radius)
+        reach = int(radius / self.h) + 1
+        dk = np.indices((2 * reach + 1,) * self.n).reshape(self.n, -1).T - reach
+        dk = dk[cyl.contains_points(dk * self.h, np.zeros(len(dk)))]
+        dm = np.arange(-int(radius**2 / self.tau) - 1, 1)
+        dm = dm[cyl.contains_points(np.zeros((len(dm), self.n)), dm * self.tau)]
+        return np.column_stack([np.tile(dm, len(dk)), np.repeat(dk, len(dm), axis=0)])
 
     def flat_offsets(self, index: np.ndarray) -> np.ndarray:
         """Time-major flat array offsets of rows (k_1, ..., k_n, m) of global
@@ -422,8 +431,8 @@ def region_mask(spec: MeshSpec, region: Cylinder | KBox | None) -> np.ndarray:
         return np.ones(spec.shape, dtype=bool)
     if region.center.n != spec.n:
         raise GridError(f"region dimension {region.center.n} != mesh dimension {spec.n}")
-    idx = spec.index_columns()
-    inside = region.contains_points(idx[:, :-1] * spec.h, idx[:, -1] * spec.tau)
+    off = np.indices(spec.shape).reshape(spec.n + 1, -1).T
+    inside = region.contains_points((off[:, 1:] + spec.k_min) * spec.h, (off[:, 0] + 1) * spec.tau)
     return inside.reshape(spec.shape)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .convolutions import verify_convolution_properties
 from .diagnostics import FalsifierConfig, certificates_to_rows, delta_falsifier, good_set_measure
 from .envelopes import abp_diagnostic
-from .errors import ConfigError
+from .errors import ConfigError, EnvelopeError
 from .geometry import KBox, MeshFunction, MeshSpec
 from .nonlinearity import NonlinearityDescriptor, evaluate_F
 from .scheme import Stencil, build_monotone_scheme
@@ -268,7 +268,8 @@ def run_diagnostics(
     Always runs the two-sided falsifier at ``delta`` (default N h).  The
     convolution property checks, the good-set sweep, and the maximum
     principle ratio are optional: they run when ``theta``, ``M_values`` +
-    ``kbox``, or ``abp`` are supplied.
+    ``kbox``, or ``abp`` are supplied.  An ``EnvelopeError`` of the ABP
+    diagnostic (u < 0 on its cylinder's boundary, ...) is ``{"skipped": reason}``.
     """
     spec = u.spec
     if delta is None:
@@ -300,5 +301,8 @@ def run_diagnostics(
             "slope_ci": rep.slope_ci,
         }
     if abp:
-        out["abp"] = abp_diagnostic(u, **(abp_kwargs or {}))
+        try:
+            out["abp"] = abp_diagnostic(u, **(abp_kwargs or {}))
+        except EnvelopeError as exc:
+            out["abp"] = {"skipped": str(exc)}
     return out

@@ -7,6 +7,7 @@ Everything drives ``cli_main(argv)`` in-process; 0 = success, 1 = error,
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,77 @@ def test_certify_replays_and_detects_tampering(tmp_path, capsys, drift_grid):
     assert "FAILED" in out
     # without --strict the failure is reported but the exit stays 0
     assert run(capsys, "certify", str(tampered), "--config", str(drift_grid))[0] == 0
+
+
+def test_certify_refuses_a_certificate_that_does_not_touch(tmp_path, capsys, drift_grid):
+    # c - 1 stays below v = -t on the whole cylinder, so only the gap at the
+    # node (1.0 against the recorded 0.0) shows that it does not touch
+    out_dir = tmp_path / "diag"
+    assert run(capsys, "diagnose", "--config", str(drift_grid), "--out", str(out_dir))[0] == 0
+    row = (out_dir / "certificates.txt").read_text().splitlines()[0]
+    assert " c=0.0 " in row
+    lowered = tmp_path / "lowered.txt"
+    lowered.write_text(row.replace(" c=0.0 ", " c=-1.0 ") + "\n")
+    code, out, _ = run(capsys, "certify", str(lowered), "--config", str(drift_grid), "--strict")
+    assert code == 2
+    assert "certificate line 1: FAILED (not touching)" in out
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "0.0", "-1.0", "50.0"])
+def test_certify_refuses_a_bad_delta(tmp_path, capsys, drift_grid, delta):
+    # nan, -1 and 0 used to end in a ValueError traceback, and 50 enumerated
+    # a huge offset box before its first check
+    out_dir = tmp_path / "diag"
+    assert run(capsys, "diagnose", "--config", str(drift_grid), "--out", str(out_dir))[0] == 0
+    row = (out_dir / "certificates.txt").read_text().splitlines()[0]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(row.replace(" delta=0.25 ", f" delta={delta} ") + "\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "certify", str(bad), "--config", str(drift_grid))
+    assert time.perf_counter() - start < 10.0
+    assert code == 1 and err.startswith("parastep: error: ")
+    if delta == "50.0":
+        assert "too large for the mesh" in err
+    else:
+        assert f"{bad}:1: delta must be a finite positive number" in err
+
+
+def test_certify_names_the_first_node_outside_the_mesh(tmp_path, capsys, drift_grid):
+    # steps in C order, each column's levels from the deepest up: node (1, 5)
+    # at delta = 2h first reaches column 0 at level 2
+    out_dir = tmp_path / "diag"
+    assert run(capsys, "diagnose", "--config", str(drift_grid), "--out", str(out_dir))[0] == 0
+    row = (out_dir / "certificates.txt").read_text().splitlines()[0]
+    edge = tmp_path / "edge.txt"
+    edge.write_text(row.replace(" node=2,4 ", " node=1,5 ") + "\n")
+    code, _, err = run(capsys, "certify", str(edge), "--config", str(drift_grid))
+    assert code == 1
+    assert err.strip() == "parastep: error: node (0, 2) is not in the mesh"
+
+
+def test_diagnose_keeps_the_results_when_abp_is_skipped(tmp_path, capsys, drift_grid):
+    # v = -t is negative on the ABP cylinder's parabolic boundary; that used
+    # to end the run with exit 1 and no diagnostics.txt
+    cfg = tmp_path / "abp.cfg"
+    cfg.write_text(drift_grid.read_text() + "diagnostics.theta = 0.05\ndiagnostics.abp = true\n")
+    code, out, _ = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0
+    text = (tmp_path / "diagnostics.txt").read_text()
+    assert "falsifier clean=false" in text and "convolution check ordering" in text
+    assert "abp skipped: u is negative on the parabolic boundary of the cylinder" in text
+    assert (tmp_path / "certificates.txt").read_text().startswith("side=super")
+    # the skip is not a property violation: a heat solution less 1 is clean
+    # but negative on the cylinder's boundary, and --strict still exits 0
+    argv = ["solve", "--problem", "heat_sine", "--h-list", "0.125", "--out", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    u = MeshFunction.read_text(tmp_path / "solution_heat_sine_h0.125.txt")
+    shifted = tmp_path / "shifted.txt"
+    MeshFunction(u.spec, u.values - 1.0).write_text(shifted)
+    cfg.write_text(cfg.read_text().replace(str(drift_grid.parent / "drift.txt"), str(shifted)))
+    code, out, _ = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path), "--strict")
+    assert "abp skipped:" in out and "falsifier clean=true" in out
+    assert "property violation" not in out
+    assert code == 0
 
 
 def test_certify_malformed_row_is_line_numbered(tmp_path, capsys, drift_grid):

@@ -34,13 +34,12 @@ from parastep.cli import _centered_kbox
 from parastep.diagnostics import (
     ViolationCertificate,
     _centered_to_absolute,
-    _cylinder_offsets,
     _eval_paraboloid_many,
     _local_model,
     _margin_field,
 )
 from parastep.errors import DiagnosticsError
-from parastep.geometry import Cylinder, KBox, MeshFunction, MeshSpec, region_mask, shift
+from parastep.geometry import _FP_SLACK, Cylinder, KBox, MeshFunction, MeshSpec, region_mask, shift
 from parastep.harness import get_problem
 from parastep.nonlinearity import NonlinearityDescriptor, evaluate_F
 from parastep.scheme import build_monotone_scheme
@@ -140,6 +139,23 @@ def row_ratios(u, node, P, mask):
     idx, du, _, _, w = constraint_rows(u, node, mask)
     PX = _eval_paraboloid_many(P, idx[:, :-1] * u.spec.h, idx[:, -1] * u.spec.tau)
     return np.abs(du - PX) / w
+
+
+def _cylinder_offsets(spec, delta):
+    """Integer offsets (dk, dm) with |dk| h < delta and -delta^2 < dm tau <= 0,
+    by their own tie rule.  This was the falsifier's enumeration;
+    ``MeshSpec.cylinder_steps`` must give the same steps in the same order."""
+    reach = int(delta / spec.h + _FP_SLACK)
+    depth = int(math.ceil(delta**2 / spec.tau - _FP_SLACK)) - 1
+    r2 = (delta / spec.h) ** 2 * (1.0 - 1e-12)
+    out = []
+    for dk in np.ndindex(*([2 * reach + 1] * spec.n)):
+        dk = tuple(d - reach for d in dk)
+        if sum(d * d for d in dk) >= r2:
+            continue
+        for dm in range(-depth, 1):
+            out.append((dk, dm))
+    return out
 
 
 def falsifier_oracle(v, F, delta, side="super", config=None):
@@ -388,6 +404,46 @@ def test_tampered_certificate_fails_replay():
     rep = replay_violation(lifted, v, HEAT)
     assert not rep["touching"]
     assert not rep["valid"]
+
+
+def test_lowered_certificate_is_not_touching():
+    # c - 1 keeps the paraboloid below v on the whole cylinder, but it no
+    # longer touches at the node: its gap is 1, the recorded one 0
+    spec, v = drift_mesh()
+    cfg = FalsifierConfig(samples=0, max_violations=5)
+    for cert in delta_falsifier(v, HEAT, delta=2 * spec.h, side="super", config=cfg):
+        P = cert.paraboloid
+        lowered = dataclasses.replace(
+            cert, paraboloid=Paraboloid(c=P.c - 1.0, l=P.l, m=P.m, a=P.a, Q=P.Q)
+        )
+        rep = replay_violation(lowered, v, HEAT)
+        assert rep["touch_gap"] == pytest.approx(1.0)
+        assert not rep["touching"] and not rep["valid"]
+        assert replay_violation(cert, v, HEAT)["valid"]
+
+
+def test_replay_refuses_a_cylinder_larger_than_the_mesh():
+    # 7 columns and 16 levels at h = 1/8: delta = 4h fits around the middle
+    # node, 4.5h is wider than the columns and 50 would be a huge offset box
+    spec, v = drift_mesh()
+    cert = delta_falsifier(v, HEAT, 2 * spec.h, "super", FalsifierConfig(samples=0))[0]
+    replay_violation(dataclasses.replace(cert, node=(4, 16), delta=4 * spec.h), v, HEAT)
+    for delta in (4.5 * spec.h, 50.0):
+        with pytest.raises(DiagnosticsError, match="too large for the mesh"):
+            replay_violation(dataclasses.replace(cert, delta=delta), v, HEAT)
+    deep = MeshFunction(MeshSpec(h=0.125, bounds=[(0.0, 4.0)], T=0.125, N=2), np.zeros((8, 31)))
+    with pytest.raises(DiagnosticsError, match="too large for the mesh"):
+        replay_violation(dataclasses.replace(cert, node=(16, 8), delta=3 * spec.h), deep, HEAT)
+
+
+def test_replay_refuses_a_certificate_of_another_dimension():
+    # a 1-D certificate on a 2-D mesh used to end in a numpy broadcast error
+    spec, v = drift_mesh()
+    cert = delta_falsifier(v, HEAT, 2 * spec.h, "super", FalsifierConfig(samples=0))[0]
+    flat = MeshSpec(h=0.125, bounds=[(0.0, 1.0)] * 2, T=0.25, N=2)
+    other = MeshFunction(flat, np.zeros(flat.shape))
+    with pytest.raises(DiagnosticsError, match=r"node \(2, 4\) does not live on a 2-D mesh"):
+        replay_violation(cert, other, NonlinearityDescriptor.linear(np.eye(2)))
 
 
 def test_certificate_rows_are_deterministic():
@@ -698,13 +754,27 @@ def test_falsifier_pair_on_the_touch_threshold(side):
     assert certificates_to_rows(got) == certificates_to_rows(want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cylinder_steps_match_the_offset_oracle(n):
+    checked = 0
+    for h in (1 / 8, 1 / 12, 1 / 16, 1 / 20, 1 / 64, 0.1):
+        spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=0.25, N=2)
+        deltas = [m * h / 4 for m in range(1, 21)] + [math.sqrt(k) * h for k in range(1, 26)]
+        for delta in deltas:
+            want = [(dm,) + dk for dk, dm in _cylinder_offsets(spec, delta)]
+            got = spec.cylinder_steps(delta)
+            assert got.shape == (len(want), n + 1) and got.tolist() == [list(w) for w in want]
+            checked += 1
+    assert checked == 6 * 45
+
+
 def test_falsifier_memory_stays_within_budget_at_delta_4h():
     # delta = 4h on the 2D heat grid at h=1/16: 720 cylinder offsets and
     # 14,400 nodes, so an offsets x mesh stack alone would be 83 MB
     u = solved("heat_product_2d", 1 / 16)
     F = get_problem("heat_product_2d").descriptor
     delta = 4 * u.spec.h
-    assert len(diagnostics._cylinder_offsets(u.spec, delta)) == 720
+    assert len(u.spec.cylinder_steps(delta)) == 720
     cfg = FalsifierConfig(samples=16)
     # warm-up at delta = 2h: the Sobol' table read and first-call allocations
     delta_falsifier(u, F, 2 * u.spec.h, side="super", config=cfg)
@@ -800,6 +870,21 @@ def test_quadratic_data_is_member_at_every_budget(rng):
     assert out["worst_ratio"] < 1e-9
     assert out["member"]
     assert out["excess"] == pytest.approx(-1e-6, abs=1e-9)
+
+
+def test_one_acceptance_rule_with_its_slack():
+    # the fits' stop rule, the membership test and the bad set all accept a
+    # ratio up to level (1 + 1e-9) + 1e-12
+    assert not diagnostics._exceeds(1.0 + 0.5e-9, 1.0)
+    assert diagnostics._exceeds(1.0 + 2e-9, 1.0)
+    assert not diagnostics._exceeds(0.5e-12, 0.0) and diagnostics._exceeds(2e-12, 0.0)
+    _, u = cube_kink_mesh(levels=1)
+    worst = psi_M_membership(u, (0, 1), 1.0)["worst_ratio"]
+    for scale, member in ((1.0 + 0.5e-9, True), (1.0 + 2e-9, False)):
+        assert psi_M_membership(u, (0, 1), worst / scale)["member"] is member
+        box = KBox(((0.0,), 0.06), 1.0)  # the node (0, 1) alone
+        bad = good_set_measure(u, [worst / scale], box).bad_fraction
+        assert bool(bad[0] == 0.0) is member
 
 
 def test_membership_nests_in_M():

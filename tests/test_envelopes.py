@@ -276,6 +276,9 @@ def test_abp_extension_zero_outside_cylinder():
     assert np.all(w.values <= 0.0)
     assert np.all(w.values[: 3 * 16] == 0.0)  # pre-cylinder levels untouched
     assert w.values.min() == -1.0
+    # the dip (k = 4, m = 10) sits at local level 3*16 + 10, column k - k_min
+    assert w.spec.k_min == (-3,)
+    assert np.argwhere(w.values == -1.0).tolist() == [[3 * 16 + 9, 7]]
 
 
 def test_abp_boundary_violation_raises():
@@ -283,6 +286,18 @@ def test_abp_boundary_violation_raises():
     vals = np.zeros(spec.shape)
     vals[0, spec.offset((4, 1))[1]] = -0.5  # bottom level of the default cylinder
     with pytest.raises(EnvelopeError, match="parabolic boundary"):
+        abp_diagnostic(MeshFunction(spec, vals))
+
+
+def test_abp_lateral_boundary_violation_raises():
+    # the default cylinder is |k - 4| <= 3 over levels 1..16: column 1 is on
+    # its lateral shell, column 2 inside it
+    spec = MeshSpec(**ABP_MESH)
+    vals = np.zeros(spec.shape)
+    vals[9, spec.offset((2, 10))[1]] = -0.5
+    assert abp_diagnostic(MeshFunction(spec, vals))["lhs"] == 0.5
+    vals[9, spec.offset((1, 10))[1]] = -0.25
+    with pytest.raises(EnvelopeError, match="parabolic boundary.*min -2.500e-01"):
         abp_diagnostic(MeshFunction(spec, vals))
 
 
