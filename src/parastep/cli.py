@@ -15,18 +15,25 @@ before numpy loads, which is the only point where those pools read them;
 so there is no command-line flag for it.  A value that is not a positive
 integer is not copied, and the CLI reports it as an error.
 
-Single-mesh commands (solve, diagnose) use the first entry of the h list;
-pass ``--h-list 0.03125`` to pick a specific spacing.  ``certify`` expects a
-file of certificate rows as written by ``diagnose`` (certificates.txt).
+A run's inputs are read once: the boundary data from ``problem`` (solved on
+the first h) or from ``boundary.file`` (a stored grid), never both, and the
+operator from the problem or ``scheme.*``, with the grid's dimension when
+neither ``scheme.dimension`` nor ``domain`` is set.  Each command returns
+its report lines and property violations; one tail writes the
+``--dump-tables`` file, prints them and applies ``--strict``.
+``--h-list TEXT`` reads as the config line ``h_list = [TEXT]``.
+``certify`` expects the rows ``diagnose`` writes (certificates.txt).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import ProblemConfig
 from .errors import ConfigError, ParastepError
@@ -58,16 +65,6 @@ def _check_threads():
 
 def _bool_text(flag) -> str:
     return "true" if flag else "false"
-
-
-def _parse_h_arg(text: str) -> list:
-    try:
-        vals = [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"--h-list expects comma separated numbers, got {text!r}") from None
-    if not vals:
-        raise ConfigError("--h-list is empty")
-    return vals
 
 
 def build_parser() -> _Parser:
@@ -114,16 +111,50 @@ def build_parser() -> _Parser:
 
 def _resolved_config(args) -> ProblemConfig:
     cfg = ProblemConfig.from_file(args.config) if args.config else ProblemConfig()
+    h_list = None
+    if args.h_list is not None:
+        h_list = ProblemConfig.from_text(f"h_list = [{args.h_list}]", "--h-list").h_list
     return cfg.with_overrides(
         seed=args.seed,
         strict=args.strict,
         out=args.out,
-        h_list=_parse_h_arg(args.h_list) if args.h_list else None,
+        h_list=h_list,
         scheme_kind=args.scheme,
         N=args.stencil_N,
         problem=args.problem,
         T=args.T,
     )
+
+
+class _Inputs(NamedTuple):
+    grid: object  # the stored MeshFunction, or None
+    problem: object  # the library ExactSolution, or None
+    descriptor: object  # the operator
+
+
+def _inputs(cfg: ProblemConfig, command: str) -> _Inputs:
+    """What a run works on: the stored grid or the library problem, and the
+    operator (see the module docstring)."""
+    if cfg.problem is not None and cfg.boundary_file is not None:
+        raise ConfigError(
+            f"problem = {cfg.problem} and boundary.file = {cfg.boundary_file}"
+            " both give the boundary data; name one of them"
+        )
+    if cfg.problem is not None:
+        from .harness import get_problem
+
+        sol = get_problem(cfg.problem)
+        return _Inputs(None, sol, sol.descriptor)
+    if command == "converge":
+        raise ConfigError("converge needs problem = <built-in id> (errors require an exact solution)")
+    if cfg.boundary_file is None:
+        raise ConfigError(f"{command} needs problem = <name> or boundary.file = <grid>")
+    from .geometry import MeshFunction
+
+    grid = MeshFunction.read_text(cfg.boundary_file)
+    if cfg.scheme_dimension is None and cfg.domain is None:
+        cfg = dataclasses.replace(cfg, scheme_dimension=grid.spec.n)
+    return _Inputs(grid, None, cfg.descriptor())
 
 
 def _outdir(cfg: ProblemConfig) -> Path:
@@ -136,84 +167,49 @@ def _label(cfg: ProblemConfig) -> str:
     return cfg.problem or cfg.scheme_kind or "grid"
 
 
-def _single_mesh(cfg: ProblemConfig, solve_grid_boundary: bool):
-    """The mesh function a single-mesh command works on.
-
-    With ``boundary.file`` and no built-in problem the stored grid either
-    seeds a fresh solve (solve command) or is taken as-is (diagnose,
-    certify).  Otherwise the named problem is solved on the first h.
-    Returns (u, solve report or None, exact callable or None).
-    """
-    from .geometry import MeshFunction, MeshSpec
+def _solved(cfg: ProblemConfig, run: _Inputs):
+    """Solve the run's scheme on the stored grid's mesh, seeded by the grid,
+    or the library problem on the first h.  Returns (u, solve report)."""
+    from .geometry import MeshSpec
     from .scheme import build_monotone_scheme
     from .solver import solve
 
-    descriptor = cfg.descriptor()
-    scheme = build_monotone_scheme(descriptor, N=cfg.N)
-    if cfg.boundary_file is not None and cfg.problem is None:
-        grid = MeshFunction.read_text(cfg.boundary_file)
-        if not solve_grid_boundary:
-            return grid, None, None
-        u, report = solve(scheme, grid.spec, grid, tol=cfg.tol)
-        return u, report, None
-    from .harness import get_problem
-
-    if cfg.problem is None:
-        raise ConfigError("this command needs problem = <name> or boundary.file = <grid>")
-    sol = get_problem(cfg.problem)
+    scheme = build_monotone_scheme(run.descriptor, N=cfg.N)
+    if run.grid is not None:
+        return solve(scheme, run.grid.spec, run.grid, tol=cfg.tol)
     spec = MeshSpec(h=cfg.h_list[0], bounds=cfg.bounds(), T=cfg.T, N=cfg.N)
-    u, report = solve(scheme, spec, sol.fn, tol=cfg.tol)
-    return u, report, sol.fn
+    return solve(scheme, spec, run.problem.fn, tol=cfg.tol)
 
 
-def _maybe_dump_tables(cfg: ProblemConfig, args, outdir: Path, lines: list):
-    if not getattr(args, "dump_tables", False):
-        return
-    from .scheme import build_monotone_scheme, scheme_tables_text
-
-    path = outdir / "scheme_tables.txt"
-    path.write_text(scheme_tables_text(build_monotone_scheme(cfg.descriptor(), N=cfg.N)))
-    lines.append(f"# wrote {path}")
-
-
-def _cmd_solve(cfg: ProblemConfig, args) -> int:
+def _cmd_solve(cfg: ProblemConfig, run: _Inputs, args):
     import numpy as np
 
-    u, report, exact = _single_mesh(cfg, solve_grid_boundary=True)
-    outdir = _outdir(cfg)
+    u, report = _solved(cfg, run)
     spec = u.spec
-    path = outdir / f"solution_{_label(cfg)}_h{spec.h!r}.txt"
+    path = _outdir(cfg) / f"solution_{_label(cfg)}_h{spec.h!r}.txt"
     u.write_text(path)
     lines = [
         "# parastep solve",
         f"# problem={_label(cfg)} n={spec.n} h={spec.h!r} N={spec.N} T={spec.T!r}"
         f" seed={cfg.seed}",
+        f"# iterations={report.total_iterations()} max_residual={report.max_residual!r}",
     ]
-    if report is not None:
-        lines.append(
-            f"# iterations={report.total_iterations()} max_residual={report.max_residual!r}"
-        )
-    if exact is not None:
+    if run.problem is not None:
         from .geometry import MeshFunction
 
-        err = float(np.max(np.abs(u.values - MeshFunction.from_callable(spec, exact).values)))
-        lines.append(f"# sup_error={err!r}")
+        exact = MeshFunction.from_callable(spec, run.problem.fn).values
+        lines.append(f"# sup_error={float(np.max(np.abs(u.values - exact)))!r}")
     lines.append(f"# wrote {path}")
-    _maybe_dump_tables(cfg, args, outdir, lines)
-    print("\n".join(lines))
-    return 0
+    return lines, []
 
 
-def _cmd_converge(cfg: ProblemConfig, args) -> int:
-    if cfg.problem is None:
-        raise ConfigError("converge needs problem = <built-in id> (errors require an exact solution)")
+def _cmd_converge(cfg: ProblemConfig, run: _Inputs, args):
     from .harness import run_convergence_study
 
     study = run_convergence_study(
-        cfg.problem, cfg.h_list, T=cfg.T, N=cfg.N, seed=cfg.seed, tol=cfg.tol
+        run.problem, cfg.h_list, T=cfg.T, N=cfg.N, seed=cfg.seed, tol=cfg.tol
     )
-    outdir = _outdir(cfg)
-    path = outdir / "convergence.csv"
+    path = _outdir(cfg) / "convergence.csv"
     study.write_csv(path)
 
     problems = []
@@ -224,16 +220,7 @@ def _cmd_converge(cfg: ProblemConfig, args) -> int:
         problems.append("non-finite sup error")
     if len(study.sup_errors) > 1 and not study.fitted_rate >= cfg.rate_floor:
         problems.append(f"fitted rate {study.fitted_rate!r} below floor {cfg.rate_floor!r}")
-
-    out = study.to_csv() + f"# wrote {path}"
-    lines = [out]
-    _maybe_dump_tables(cfg, args, outdir, lines)
-    for p in problems:
-        lines.append(f"# property violation: {p}")
-    print("\n".join(lines))
-    if problems and cfg.strict:
-        return 2
-    return 0
+    return [study.to_csv() + f"# wrote {path}"], problems
 
 
 def _centered_kbox(spec):
@@ -294,18 +281,18 @@ def _format_diagnostics(cfg: ProblemConfig, spec, report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_diagnose(cfg: ProblemConfig, args) -> int:
+def _cmd_diagnose(cfg: ProblemConfig, run: _Inputs, args):
     from .diagnostics import FalsifierConfig
     from .harness import run_diagnostics
 
-    u, _, _ = _single_mesh(cfg, solve_grid_boundary=False)
+    u = run.grid if run.grid is not None else _solved(cfg, run)[0]
     spec = u.spec
     delta = None if cfg.delta_multiple is None else cfg.delta_multiple * spec.h
     fcfg = FalsifierConfig(samples=cfg.samples, seed=cfg.seed)
     kbox = _centered_kbox(spec) if cfg.M_values is not None else None
     report = run_diagnostics(
         u,
-        cfg.descriptor(),
+        run.descriptor,
         delta=delta,
         falsifier_config=fcfg,
         theta=cfg.theta,
@@ -326,16 +313,10 @@ def _cmd_diagnose(cfg: ProblemConfig, args) -> int:
     if "ratio" in report.get("abp", {}):
         violated = violated or not math.isfinite(report["abp"]["ratio"])
     lines = [text + f"# wrote {outdir / 'diagnostics.txt'} and {outdir / 'certificates.txt'}"]
-    _maybe_dump_tables(cfg, args, outdir, lines)
-    if violated:
-        lines.append("# property violation: see certificate rows / failed checks above")
-    print("\n".join(lines))
-    if violated and cfg.strict:
-        return 2
-    return 0
+    return lines, ["see certificate rows / failed checks above"] if violated else []
 
 
-def _cmd_certify(cfg: ProblemConfig, args) -> int:
+def _cmd_certify(cfg: ProblemConfig, run: _Inputs, args):
     from .diagnostics import replay_violation, row_to_certificate
     from .errors import DiagnosticsError
 
@@ -354,8 +335,7 @@ def _cmd_certify(cfg: ProblemConfig, args) -> int:
         except DiagnosticsError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
 
-    u, _, _ = _single_mesh(cfg, solve_grid_boundary=False)
-    descriptor = cfg.descriptor()
+    u = run.grid if run.grid is not None else _solved(cfg, run)[0]
     lines = [
         "# parastep certify",
         f"# problem={_label(cfg)} h={u.spec.h!r} N={u.spec.N} seed={cfg.seed}"
@@ -363,7 +343,7 @@ def _cmd_certify(cfg: ProblemConfig, args) -> int:
     ]
     failed = 0
     for lineno, cert in certs:
-        rep = replay_violation(cert, u, descriptor)
+        rep = replay_violation(cert, u, run.descriptor)
         if not rep["valid"]:
             failed += 1
             why = "not touching" if not rep["touching"] else "margin mismatch"
@@ -374,12 +354,7 @@ def _cmd_certify(cfg: ProblemConfig, args) -> int:
                 f" margin={rep['margin']!r} touch_gap={rep['touch_gap']!r}"
             )
     lines.append(f"# replayed {len(certs) - failed}/{len(certs)} certificates")
-    if failed:
-        lines.append(f"# property violation: {failed} certificate(s) failed to replay")
-    print("\n".join(lines))
-    if failed and cfg.strict:
-        return 2
-    return 0
+    return lines, [f"{failed} certificate(s) failed to replay"] if failed else []
 
 
 _COMMANDS = {
@@ -402,11 +377,17 @@ def cli_main(argv=None) -> int:
     try:
         _check_threads()
         cfg = _resolved_config(args)
-        return _COMMANDS[args.command](cfg, args)
-    except ParastepError as exc:
-        print(f"parastep: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        run = _inputs(cfg, args.command)
+        lines, violations = _COMMANDS[args.command](cfg, run, args)
+        if args.dump_tables:
+            from .scheme import build_monotone_scheme, scheme_tables_text
+
+            path = _outdir(cfg) / "scheme_tables.txt"
+            path.write_text(scheme_tables_text(build_monotone_scheme(run.descriptor, N=cfg.N)))
+            lines.append(f"# wrote {path}")
+        print("\n".join(lines + [f"# property violation: {v}" for v in violations]))
+        return 2 if violations and cfg.strict else 0
+    except (ParastepError, OSError) as exc:
         print(f"parastep: error: {exc}", file=sys.stderr)
         return 1
 

@@ -386,8 +386,14 @@ def delta_falsifier(
 
     The probes come in three families, in this order: the osculating probe
     (the local model: central gradient, backward slope, half-Hessian), the
-    opening battery (the gradient with a fixed m and Q) and the Sobol probes
-    (the local model plus a scaled quasi-random perturbation xi).  Over the
+    opening battery (the gradient with m = +-M and Q = +-(M/2) I, all four
+    sign pairs, for three M) and the Sobol probes (the local model plus a
+    scaled quasi-random perturbation xi).  The battery's M is at least ``4e-9 (1 + sup|v|) / tau``, so each of
+    its probes bends by at least twice the default ``touch_tol`` at the
+    nearest spatial node; a lower floor let it "touch" constant and affine
+    grids everywhere.  The floor follows the default tolerance, not
+    ``config.touch_tol``: tied to a grid-resolution tolerance (c h^2), it
+    left the battery no certificate on noisy computed grids.  Over the
     cylinder offsets o = (d, dt), ``spec.cylinder_steps(delta)`` times h and
     tau, v - P splits into a per-node and a per-probe part, so a family's
     touching values are one min-plus product
@@ -496,7 +502,7 @@ def delta_falsifier(
             slack(s_l, s_m, s_q),
         )
         if cfg.include_battery:
-            base = max(s_m, 2.0 * n * s_q, 1e-9 * scale)
+            base = max(s_m, 2.0 * n * s_q, 16e-9 * scale / spec.tau)
             eye = np.eye(n)
             battery = [
                 (f"opening_battery(M={M:.3g})", ms * M, qs * (M / 2.0) * eye)

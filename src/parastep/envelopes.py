@@ -253,8 +253,10 @@ def abp_diagnostic(
     measure = count * h ** (n + 2)
 
     if K is None:
-        vals = np.full(spec.shape, np.nan)
-        vals.flat[cyl] = u_cyl
+        # slopes between cylinder nodes only, on the cylinder's bounding box
+        box = np.roll(steps - steps.min(axis=0), 1, axis=1)  # time first
+        vals = np.full(tuple(box.max(axis=0) + 1), np.nan)
+        vals[tuple(box.T)] = u_cyl
         with np.errstate(invalid="ignore"):
             dt = np.abs(np.diff(vals, axis=0)) / tau
             tlip = float(np.nanmax(dt)) if np.isfinite(dt).any() else 0.0

@@ -23,7 +23,7 @@ from .envelopes import abp_diagnostic
 from .errors import ConfigError, EnvelopeError
 from .geometry import KBox, MeshFunction, MeshSpec
 from .nonlinearity import NonlinearityDescriptor, evaluate_F
-from .scheme import Stencil, build_monotone_scheme
+from .scheme import build_monotone_scheme
 from .solver import solve
 
 __all__ = [
@@ -192,7 +192,6 @@ def run_convergence_study(
     T: float = 0.25,
     N: int = 2,
     seed: int = 0,
-    stencil: Stencil | None = None,
     tol: float | None = None,
 ) -> ConvergenceStudy:
     """Solve the problem on a mesh sweep and fit the sup-error decay rate.
@@ -206,7 +205,7 @@ def run_convergence_study(
     sol = get_problem(problem) if isinstance(problem, str) else problem
     if len(h_values) == 0:
         raise ConfigError("empty h sweep")
-    scheme = build_monotone_scheme(sol.descriptor, N=N, stencil=stencil)
+    scheme = build_monotone_scheme(sol.descriptor, N=N)
 
     t0 = time.perf_counter()
     errors, lvls, counts, iters = [], [], [], []
@@ -261,7 +260,6 @@ def run_diagnostics(
     M_values: Sequence[float] | None = None,
     kbox: KBox | None = None,
     abp: bool = False,
-    abp_kwargs: dict | None = None,
 ) -> dict:
     """Run the verification stack against one mesh function.
 
@@ -302,7 +300,7 @@ def run_diagnostics(
         }
     if abp:
         try:
-            out["abp"] = abp_diagnostic(u, **(abp_kwargs or {}))
+            out["abp"] = abp_diagnostic(u)
         except EnvelopeError as exc:
             out["abp"] = {"skipped": str(exc)}
     return out

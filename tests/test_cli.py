@@ -407,3 +407,108 @@ def test_flag_overrides_beat_config(tmp_path, capsys):
     assert code == 0
     assert "h=0.25" in out and "seed=7" in out
     assert (tmp_path / "solution_heat_sine_h0.25.txt").exists()
+
+
+@pytest.fixture()
+def drift_grid_2d(tmp_path):
+    """v = -t on the unit square, stored; the config names no dimension."""
+    spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.25, N=2)
+    path = tmp_path / "drift2.txt"
+    MeshFunction.from_callable(spec, lambda x, t: -t + 0.0 * x[..., 0]).write_text(path)
+    return path
+
+
+def test_stored_grid_gives_the_operator_its_dimension(tmp_path, capsys, drift_grid_2d):
+    # scheme.kind = linear without scheme.dimension or domain used to build
+    # the 1-D identity and end in "F has dimension 1, mesh has 2"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"boundary.file = {drift_grid_2d}\nscheme.kind = linear\ndiagnostics.samples = 4\n")
+    code, out, err = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0, err
+    assert "# problem=linear n=2 h=0.125" in out and "falsifier clean=false" in out
+    assert (tmp_path / "diagnostics.txt").read_text().startswith("# parastep diagnostics")
+    certs = tmp_path / "certificates.txt"
+    rows = certs.read_text().splitlines()
+    assert rows and all(r.startswith("side=super") for r in rows)
+    code, out, _ = run(capsys, "certify", str(certs), "--config", str(cfg), "--strict")
+    assert code == 0
+    assert f"# replayed {len(rows)}/{len(rows)} certificates" in out
+
+
+def test_diagnose_and_certify_do_not_build_the_scheme(tmp_path, capsys, drift_grid_2d):
+    # the N = 2 stencil cannot discretize this operator; only solve needs it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"boundary.file = {drift_grid_2d}\nscheme.kind = linear\n"
+        "scheme.matrix = [[1.0, 1.5], [1.5, 3.0]]\ndiagnostics.samples = 4\n"
+    )
+    code, _, err = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0, err
+    certs = tmp_path / "certificates.txt"
+    assert certs.read_text()
+    code, out, err = run(capsys, "certify", str(certs), "--config", str(cfg))
+    assert code == 0, err
+    assert "FAILED" not in out
+    code, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "s"))
+    assert code == 1 and "stencil cannot represent F" in err
+    assert not (tmp_path / "s").exists()
+
+
+def test_every_command_dumps_tables(tmp_path, capsys, drift_grid):
+    # certify used to accept --dump-tables and write nothing
+    out_dir = tmp_path / "diag"
+    argv = ["diagnose", "--config", str(drift_grid), "--out", str(out_dir), "--dump-tables"]
+    assert run(capsys, *argv)[0] == 0
+    tables = (out_dir / "scheme_tables.txt").read_bytes()
+    certs = out_dir / "certificates.txt"
+    cert_dir = tmp_path / "cert"
+    argv = ["certify", str(certs), "--config", str(drift_grid), "--out", str(cert_dir)]
+    code, out, _ = run(capsys, *argv, "--dump-tables")
+    assert code == 0
+    assert (cert_dir / "scheme_tables.txt").read_bytes() == tables
+    lines = out.splitlines()
+    assert lines[-2].startswith("# replayed ") and lines[-1] == f"# wrote {cert_dir / 'scheme_tables.txt'}"
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_problem_and_boundary_file_together_are_refused(tmp_path, capsys, drift_grid, flag):
+    # the stored grid used to be ignored without a word
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text(drift_grid.read_text() + ("" if flag else "problem = heat_sine\n"))
+    argv = ["diagnose", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    code, out, err = run(capsys, *argv, *(["--problem", "heat_sine"] if flag else []))
+    assert code == 1 and out == ""
+    assert err.startswith("parastep: error: problem = heat_sine and boundary.file = ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.25", "0.25,0.125", "0.25, 0.125", " 0.25 ,0.125 ", "0.25,", "1", "inf", "nan", "-0.25",
+     "0.25 0.125", "", ",0.25", "0.25,,0.125", "abc", "[0.25]", "0.25]", "0.25#"],
+)
+def test_h_list_flag_reads_as_the_config_line(text):
+    # --h-list TEXT accepts and refuses what "h_list = [TEXT]" does
+    from parastep.cli import _resolved_config, build_parser
+    from parastep.config import ProblemConfig
+    from parastep.errors import ConfigError
+
+    try:
+        want = ProblemConfig.from_text(f"h_list = [{text}]\n").h_list
+    except ConfigError:
+        want = None
+    args = build_parser().parse_args(["solve", f"--h-list={text}"])
+    try:
+        got = _resolved_config(args).h_list
+    except ConfigError:
+        got = None
+    assert got == want
+    assert (got is None) == (text in ("inf", "nan", "-0.25", "0.25 0.125", "", ",0.25",
+                                      "0.25,,0.125", "abc", "[0.25]", "0.25]", "0.25#"))
+
+
+def test_space_separated_h_list_is_refused(tmp_path, capsys):
+    argv = ["solve", "--problem", "heat_sine", "--h-list", "0.25 0.125", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("parastep: error: --h-list:1: key 'h_list'")
+    assert not any(tmp_path.iterdir())

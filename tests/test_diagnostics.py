@@ -40,7 +40,7 @@ from parastep.diagnostics import (
 )
 from parastep.errors import DiagnosticsError
 from parastep.geometry import _FP_SLACK, Cylinder, KBox, MeshFunction, MeshSpec, region_mask, shift
-from parastep.harness import get_problem
+from parastep.harness import get_problem, run_diagnostics
 from parastep.nonlinearity import NonlinearityDescriptor, evaluate_F
 from parastep.scheme import build_monotone_scheme
 from parastep.solver import solve
@@ -207,7 +207,7 @@ def falsifier_oracle(v, F, delta, side="super", config=None):
         built only when the loop reaches it, so one probe is live at a time."""
         yield "osculating", grad, slope, Qhat
         if cfg.include_battery:
-            base = max(s_m, 2.0 * n * s_q, 1e-9 * scale)
+            base = max(s_m, 2.0 * n * s_q, 16e-9 * scale / spec.tau)
             eye = np.eye(n)
             for M in (0.25 * base, base, 4.0 * base):
                 for qs in (1.0, -1.0):
@@ -752,6 +752,34 @@ def test_falsifier_pair_on_the_touch_threshold(side):
     assert any(c.touch_gap == gap for c in want)
     got = delta_falsifier(v, F, delta, side, tight)
     assert certificates_to_rows(got) == certificates_to_rows(want)
+
+
+@pytest.mark.parametrize("grid", ["one", "minus-one", "zero", "1e6", "affine"])
+@pytest.mark.parametrize("case", ["heat-1d", "pucci-2d", "isaacs-2d"])
+def test_flat_grids_give_no_certificate(case, grid):
+    # A constant or affine v solves u_t = F(D^2 u) when F(0) = 0.  The
+    # battery's floor used to be 1e-9 (1 + sup|v|): its two weakest probes
+    # bent by less than touch_tol, "touched" everywhere and were flagged on
+    # both sides (130 + 130 certificates on the constant 1-D grid)
+    n, F = {
+        "heat-1d": (1, HEAT),
+        "pucci-2d": (2, NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2)),
+        "isaacs-2d": (2, ISAACS_2D),
+    }[case]
+    for h in (1 / 8, 1 / 16) if n == 1 else (1 / 8,):
+        spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=0.25, N=2)
+        if grid == "affine":
+            v = MeshFunction.from_callable(
+                spec, lambda x, t: 0.3 + 0.5 * x[..., 0] - 0.2 * x[..., -1] * (n > 1)
+            )
+        else:
+            c = {"one": 1.0, "minus-one": -1.0, "zero": 0.0, "1e6": 1e6}[grid]
+            v = MeshFunction(spec, np.full(spec.shape, c))
+        for multiple in (2.0, 2.5, 3.0):
+            fcfg = FalsifierConfig(samples=4)
+            out = run_diagnostics(v, F, delta=multiple * h, falsifier_config=fcfg)
+            assert out["falsifier"]["super"]["violations"] == 0, (h, multiple)
+            assert out["falsifier"]["sub"]["violations"] == 0, (h, multiple)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
