@@ -18,7 +18,8 @@ integer is not copied, and the CLI reports it as an error.
 A run's inputs are read once: the boundary data from ``problem`` (solved on
 the first h) or from ``boundary.file`` (a stored grid), never both, and the
 operator from the problem or ``scheme.*``, with the grid's dimension when
-neither ``scheme.dimension`` nor ``domain`` is set.  Each command returns
+neither ``scheme.dimension`` nor ``domain`` is set.  ``converge`` refuses
+``domain``: it sweeps the problem's own domain.  Each command returns
 its report lines and property violations; one tail writes the
 ``--dump-tables`` file, prints them and applies ``--strict``.
 ``--h-list TEXT`` reads as the config line ``h_list = [TEXT]``.
@@ -141,6 +142,8 @@ def _inputs(cfg: ProblemConfig, command: str) -> _Inputs:
             " both give the boundary data; name one of them"
         )
     if cfg.problem is not None:
+        if command == "converge" and cfg.domain is not None:
+            raise ConfigError(f"converge sweeps the domain of problem = {cfg.problem}; drop domain")
         from .harness import get_problem
 
         sol = get_problem(cfg.problem)

@@ -110,7 +110,7 @@ def _config_items(text: str, source: str):
 def _float_list(val):
     if not isinstance(val, list) or not val or any(isinstance(v, list) for v in val):
         raise ValueError("expected a flat nonempty list")
-    return [float(v) for v in val]
+    return [_float(v) for v in val]
 
 
 def _matrix(val):
@@ -119,7 +119,7 @@ def _matrix(val):
     width = len(val[0])
     if width == 0 or any(len(r) != width for r in val):
         raise ValueError("rows have unequal lengths")
-    return [[float(v) for v in r] for r in val]
+    return [[_float(v) for v in r] for r in val]
 
 
 def _bool(val):

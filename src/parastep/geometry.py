@@ -99,7 +99,7 @@ def shift(values: np.ndarray, off: Sequence[int]) -> np.ndarray:
 
 def second_quotient_field(values: np.ndarray, spec: MeshSpec, y: Sequence[int]) -> np.ndarray:
     """delta^2_y over a whole time-major array; NaN where neighbors are missing.
-    The arithmetic matches the solver's gather bit for bit."""
+    The arithmetic matches the scheme's gather bit for bit."""
     if not any(y):
         raise GridError(f"bad direction {tuple(y)}")
     neighbours = shift(values, (0, *y)) + shift(values, (0, *np.negative(y)))

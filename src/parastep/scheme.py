@@ -23,7 +23,7 @@ from .geometry import (
     MeshFunction,
     MeshSpec,
     lattice_directions,
-    second_quotient_field,
+    quotient_weight,
     shift,
 )
 from .nonlinearity import NonlinearityDescriptor, evaluate_F
@@ -116,21 +116,31 @@ class SchemeDescriptor:
 
     def __post_init__(self):
         ndir = len(self.stencil.directions)
-        for tab in self.tables:
-            if tab.ndim != 2 or tab.shape[1] != ndir:
-                raise SchemeError("coefficient table shape mismatch")
-            if np.any(tab < 0):
-                raise SchemeError("monotone schemes need nonnegative coefficient tables")
+        if not self.tables or any(tab.shape[1:] != (ndir,) or not len(tab) for tab in self.tables):
+            raise SchemeError("a scheme needs nonempty coefficient tables of shape (forms, ndir)")
+        # ``forms`` (rows, forms, ndir): short rows repeat their last form,
+        # which leaves the row's max (and its first argmax) unchanged
+        width = max(tab.shape[0] for tab in self.tables)
+        forms = np.stack([np.vstack([tab] + [tab[-1:]] * (width - tab.shape[0])) for tab in self.tables])
+        if np.any(forms < 0):
+            raise SchemeError("monotone schemes need nonnegative coefficient tables")
+        object.__setattr__(self, "forms", forms)
 
     def F_h(self, r):
         """Evaluate the discrete nonlinearity on quotient vectors.
 
         ``r`` has shape (..., ndir); returns shape (...).
         """
-        r = np.asarray(r, dtype=float)
-        rows = [np.max(r @ tab.T, axis=-1) for tab in self.tables]
-        out = np.min(np.stack(rows, axis=0), axis=0)
+        out = _min_max(self._scores(np.asarray(r, dtype=float)))
         return float(out) if np.ndim(out) == 0 else out
+
+    def _scores(self, r: np.ndarray) -> np.ndarray:
+        """(..., rows, forms) array of gamma . r per form.  A stack is one
+        product over all its vectors; its rows equal those of each part's own
+        product bit for bit (the solver's block route depends on it)."""
+        ndir = self.forms.shape[-1]
+        flat = r.reshape(-1, r.shape[-1]) @ self.forms.reshape(-1, ndir).T
+        return flat.reshape(r.shape[:-1] + self.forms.shape[:2])
 
     def check_mesh(self, spec: MeshSpec) -> None:
         """Raise SchemeError unless the stencil fits the mesh: same dimension,
@@ -159,10 +169,7 @@ def _decompose_linear(A: np.ndarray, directions: Sequence[tuple[int, ...]]) -> n
                 "stencil cannot represent F: missing pair diagonal for entry "
                 f"A[{i},{j}]; enlarge N or supply a bellman_isaacs form"
             )
-        if b > 0:
-            gamma[pos[plus]] += 2 * b
-        else:
-            gamma[pos[minus]] += -2 * b
+        gamma[pos[plus if b > 0 else minus]] += 2 * abs(b)
         diag_load[i] += abs(b)
         diag_load[j] += abs(b)
     for i, axis in enumerate(axes):
@@ -224,10 +231,6 @@ def build_monotone_scheme(
         lam, Lam = descriptor.pucci_pair
         if n == 1:
             forms = np.array([[lam], [Lam]])
-            if kind == "pucci_plus":
-                tables = [forms]  # max(lam r, Lam r)
-            else:
-                tables = [forms[:1], forms[1:]]  # min(lam r, Lam r)
         elif n == 2:
             # Orthogonal sub-stencils: the axes pair and the diagonal pair.
             frames = [axes, pairs[0, 1]]
@@ -243,19 +246,15 @@ def build_monotone_scheme(
                         row[pos[frame[1]]] = a1
                         forms.append(row)
             forms = np.array(forms)
-            if kind == "pucci_plus":
-                tables = [forms]
-            else:
-                tables = [forms[i : i + 1] for i in range(forms.shape[0])]
         else:
             raise SchemeError(
                 "Pucci schemes are built for n = 1 and n = 2 only (no consistent "
                 "orthogonal sub-stencil family is wired for higher dimensions)"
             )
+        # Pucci+ is the max over the forms, Pucci- the min over them
+        tables = [forms] if kind == "pucci_plus" else [form[None] for form in forms]
     elif kind == "bellman_isaacs":
-        tables = []
-        for row in descriptor.families:
-            tables.append(np.vstack([_decompose_linear(A, dirs) for A in row]))
+        tables = [np.vstack([_decompose_linear(A, dirs) for A in row]) for row in descriptor.families]
     elif kind == "custom":
         raise SchemeError(
             "custom operators have no generic monotone discretization; supply a "
@@ -305,20 +304,62 @@ def scheme_tables_text(scheme: SchemeDescriptor) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _min_max(scores: np.ndarray) -> np.ndarray:
+    """F_h from per-form scores (..., rows, forms): the least row max."""
+    return scores.max(axis=-1).min(axis=-1)
+
+
+class _InteriorGather:
+    """S_h at the interior columns of a mesh, on one level (flat nodes) or a
+    stack of levels.  The index tables come from ``shift`` and the weights
+    from ``quotient_weight``, so the quotients are ``second_quotient_field``'s
+    bit for bit, at 2-3x its speed."""
+
+    def __init__(self, scheme: SchemeDescriptor, spec: MeshSpec):
+        scheme.check_mesh(spec)
+        self.scheme, self.spec = scheme, spec
+        cols = spec.classification().interior_columns
+        self.int_flat = np.flatnonzero(cols)
+        dirs = scheme.stencil.directions
+        self.weights = np.array([quotient_weight(spec.h, y) for y in dirs])
+        # a compatible stencil keeps every neighbour of an interior column on
+        # the array, so no NaN reaches the integer cast
+        index = np.arange(cols.size, dtype=float).reshape(cols.shape)
+        self.plus_flat = [shift(index, y)[cols].astype(np.int64) for y in dirs]
+        self.minus_flat = [shift(index, np.negative(y))[cols].astype(np.int64) for y in dirs]
+
+    def quotients(self, w_flat: np.ndarray) -> np.ndarray:
+        """(..., K, ndir) array of delta^2_y at the interior columns."""
+        # ``take`` on the last axis serves one level and a stack alike, at
+        # half the cost of ``[..., idx]``
+        wi = w_flat.take(self.int_flat, axis=-1)
+        r = np.empty(wi.shape + (len(self.weights),))
+        for j, (pf, mf) in enumerate(zip(self.plus_flat, self.minus_flat)):
+            plus, minus = w_flat.take(pf, axis=-1), w_flat.take(mf, axis=-1)
+            r[..., j] = (plus + minus - 2.0 * wi) * self.weights[j]
+        return r
+
+    def scores(self, w_flat: np.ndarray) -> np.ndarray:
+        """(..., K, rows, forms) array of gamma . delta^2 w per node and form."""
+        return self.scheme._scores(self.quotients(w_flat))
+
+    def residual(self, x: np.ndarray, b: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """S_h per node from the interior values ``x`` of a level, ``b`` of
+        its predecessor and the ``scores`` of ``x``."""
+        return (x - b) / self.spec.tau - _min_max(scores)
+
+
 def scheme_residual_field(scheme: SchemeDescriptor, u: MeshFunction) -> np.ndarray:
-    """S_h[u] on the interior set, NaN on the boundary band (vectorized)."""
+    """S_h[u] on the interior set, NaN on the boundary band, with every
+    interior level in one pass of the scheme's interior gather."""
     spec = u.spec
-    scheme.check_mesh(spec)
-    v = u.values
-    dtau = (v - shift(v, (-1,) + (0,) * spec.n)) / spec.tau
-    quotients = np.stack(
-        [second_quotient_field(v, spec, y) for y in scheme.stencil.directions], axis=-1
-    )
-    interior = spec.classification().interior
-    res = np.full(spec.shape, np.nan)
-    with np.errstate(invalid="ignore"):
-        res[interior] = dtau[interior] - scheme.F_h(quotients[interior])
-    return res
+    op = _InteriorGather(scheme, spec)
+    flat = u.values.reshape(spec.levels, -1)
+    res = np.full(flat.shape, np.nan)
+    first = spec.N**2 - 1  # the row of the earliest level with interior nodes
+    x, b = flat[first:, op.int_flat], flat[first - 1 : -1, op.int_flat]
+    res[first:, op.int_flat] = op.residual(x, b, op.scores(flat[first:]))
+    return res.reshape(spec.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +384,6 @@ def check_monotonicity(
     ndir = len(scheme.stencil.directions)
     scales = 10.0 ** rng.uniform(-1, 2, size=(trials, 1))
     R = rng.standard_normal((trials, ndir)) * scales
-    min_slope, max_slope = np.inf, -np.inf
     per_coordinate = []
     for i in range(ndir):
         eps = step_rel * np.maximum(1.0, np.abs(R[:, i]))
@@ -353,8 +393,8 @@ def check_monotonicity(
         Rm[:, i] -= eps
         slopes = (scheme.F_h(Rp) - scheme.F_h(Rm)) / (2.0 * eps)
         per_coordinate.append((float(slopes.min()), float(slopes.max())))
-        min_slope = min(min_slope, per_coordinate[-1][0])
-        max_slope = max(max_slope, per_coordinate[-1][1])
+    min_slope = min(lo for lo, _ in per_coordinate)
+    max_slope = max(hi for _, hi in per_coordinate)
     passed = (min_slope >= scheme.lambda0 - tol) and (max_slope <= scheme.Lambda0 + tol)
     return {
         "passed": bool(passed),
@@ -417,17 +457,14 @@ class TestFunction:
 
 def consistency_error(scheme: SchemeDescriptor, phi: TestFunction, spec: MeshSpec) -> float:
     """sup over interior nodes of |phi_t - F(D^2 phi) - S_h[phi]|."""
-    u = MeshFunction.from_callable(spec, phi.fn)
-    res = scheme_residual_field(scheme, u)
+
+    def F_of_hessian(x, t):
+        return evaluate_F(scheme.nonlinearity, np.asarray(phi.hessian(x, t), dtype=float))
+
+    res = scheme_residual_field(scheme, MeshFunction.from_callable(spec, phi.fn))
+    ut = MeshFunction.from_callable(spec, phi.ut).values
+    FH = MeshFunction.from_callable(spec, F_of_hessian).values
     interior = spec.classification().interior
-    axes = [spec.axis_coords(a) for a in range(spec.n)]
-    grids = np.meshgrid(spec.times(), *axes, indexing="ij")
-    t = grids[0]
-    x = np.stack(grids[1:], axis=-1)
-    ut = np.broadcast_to(np.asarray(phi.ut(x, t), dtype=float), spec.shape)
-    H = phi.hessian(x, t)
-    FH = evaluate_F(scheme.nonlinearity, np.asarray(H, dtype=float))
-    FH = np.broadcast_to(np.asarray(FH, dtype=float), spec.shape)
     err = np.abs(ut[interior] - FH[interior] - res[interior])
     return float(err.max())
 

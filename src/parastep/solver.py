@@ -2,7 +2,9 @@
 
 Marches level by level: at each time level the interior-column values solve
 the implicit (backward-in-time quotient) equation, with the lateral band and
-all levels before t = (N h)^2 prescribed.
+all levels before t = (N h)^2 prescribed.  S_h, its quotients and its form
+scores come from the scheme's interior gather, the evaluator that
+``scheme_residual_field`` uses too; this module holds the linear side.
 
 Every table shape (max, min and mixed min-max) is solved by nested policy
 iteration (Hoffman & Karp 1966; Bokanowski, Maroso & Zidani 2009).  F_h is
@@ -43,8 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import SchemeError, SolverConvergenceError
-from .geometry import MeshFunction, MeshSpec, quotient_weight, shift
-from .scheme import SchemeDescriptor, scheme_residual_field
+from .geometry import MeshFunction, MeshSpec
+from .scheme import SchemeDescriptor, _InteriorGather, scheme_residual_field
 
 __all__ = ["SolveReport", "solve", "residual_sweep"]
 
@@ -91,33 +93,20 @@ class SolveReport:
 
 
 class _LevelProblem:
-    """Precomputed index plumbing and sparsity pattern shared by all time
-    levels of one solve.  The flat-index gather is 2-3x faster per sweep than
-    ``second_quotient_field`` at solver sizes; its tables come from ``shift``
-    and its weights from ``quotient_weight``."""
+    """The linear side of one solve, shared by all its time levels: the CSC
+    pattern of the level matrix, the base LU factor with its low-rank
+    update, and Howard's choice of rows and policy.  S_h, its quotients and
+    its scores come from the scheme's interior gather ``op``."""
 
     def __init__(self, scheme: SchemeDescriptor, spec: MeshSpec):
-        scheme.check_mesh(spec)
+        self.op = _InteriorGather(scheme, spec)
         self.spec = spec
-        cols = spec.classification().interior_columns
-        self.int_flat = np.flatnonzero(cols)
+        self.int_flat, self.weights = self.op.int_flat, self.op.weights
         self.K = self.int_flat.size
-        self.inv = np.full(cols.size, -1, dtype=np.int64)
+        self.inv = np.full(math.prod(spec.spatial_shape), -1, dtype=np.int64)
         self.inv[self.int_flat] = np.arange(self.K)
-        self.dirs = scheme.stencil.directions
-        self.weights = np.array([quotient_weight(spec.h, y) for y in self.dirs])
-        # a compatible stencil keeps every neighbour of an interior column on
-        # the array, so no NaN reaches the integer cast
-        index = np.arange(cols.size, dtype=float).reshape(cols.shape)
-        self.plus_flat = [shift(index, y)[cols].astype(np.int64) for y in self.dirs]
-        self.minus_flat = [shift(index, np.negative(y))[cols].astype(np.int64) for y in self.dirs]
-        # (rows, forms, ndir): short rows repeat their last form, which leaves
-        # the row's max (and its first argmax) unchanged
-        width = max(tab.shape[0] for tab in scheme.tables)
-        self.forms = np.stack(
-            [np.vstack([tab] + [tab[-1:]] * (width - tab.shape[0])) for tab in scheme.tables]
-        )
-        self.flat_forms = self.forms.reshape(-1, len(self.dirs))
+        self.forms = scheme.forms
+        self.flat_forms = self.forms.reshape(-1, self.forms.shape[-1])
         self._build_pattern()
         # the base factor and its column cache (see ``evaluate``)
         self._lu = self._base_policy = self._base_coef = self._Z = None
@@ -131,7 +120,7 @@ class _LevelProblem:
         out-of-mesh one feeds the right-hand side.  Directions are distinct
         and canonical, so no (row, col) entry repeats."""
         K = self.K
-        nbrs = np.stack([f for pair in zip(self.plus_flat, self.minus_flat) for f in pair], axis=1)
+        nbrs = np.stack([f for pair in zip(self.op.plus_flat, self.op.minus_flat) for f in pair], axis=1)
         ids = self.inv[nbrs]
         self.inside = ids >= 0
         # out-of-mesh slots point at node 0; ``_update`` gives them weight 0
@@ -150,27 +139,6 @@ class _LevelProblem:
         self.out_k = np.concatenate(out)
         self.out_dir, self.out_nb = slot // 2, nbrs[self.out_k, slot]
 
-    def quotients(self, w_flat: np.ndarray) -> np.ndarray:
-        """(..., K, ndir) array of delta^2_y at the interior columns of one
-        level (..., flat nodes) or a stack of them."""
-        # ``take`` on the last axis serves one level and a stack alike, at
-        # half the cost of ``[..., idx]``
-        wi = w_flat.take(self.int_flat, axis=-1)
-        r = np.empty(wi.shape + (len(self.dirs),))
-        for j, (pf, mf) in enumerate(zip(self.plus_flat, self.minus_flat)):
-            plus, minus = w_flat.take(pf, axis=-1), w_flat.take(mf, axis=-1)
-            r[..., j] = (plus + minus - 2.0 * wi) * self.weights[j]
-        return r
-
-    def scores(self, w_flat: np.ndarray) -> np.ndarray:
-        """(..., K, rows, forms) array of gamma . delta^2 w per node and form.
-        A stack is one product over all its levels; its rows equal those of
-        each level's own product bit for bit (the block route's differential
-        tests depend on it)."""
-        q = self.quotients(w_flat)
-        flat = q.reshape(-1, len(self.dirs)) @ self.flat_forms.T
-        return flat.reshape(q.shape[:-1] + self.forms.shape[:2])
-
     def rows(self, scores: np.ndarray) -> np.ndarray:
         """Per node, the row whose max form score is least (first on ties)."""
         return scores.max(axis=-1).argmin(axis=-1)
@@ -183,13 +151,6 @@ class _LevelProblem:
         nodes = scores.reshape(-1, *self.forms.shape[:2])
         best = nodes[np.arange(nodes.shape[0]), rows.ravel()].argmax(axis=-1)
         return rows * self.forms.shape[1] + best.reshape(rows.shape)
-
-    def residual(self, x: np.ndarray, b: np.ndarray, scores: np.ndarray):
-        """Sup over the nodes of |(x - b) / tau - F_h| with ``x`` and ``b``
-        the interior values of a level and its predecessor, per level of a
-        stack."""
-        dtau = (x - b) / self.spec.tau
-        return np.max(np.abs(dtau - scores.max(axis=-1).min(axis=-1)), axis=-1)
 
     def matrix(self, coef: np.ndarray) -> "scipy.sparse.csc_matrix":
         """Level matrix for per-node weighted coefficients ``coef`` (K, ndir)."""
@@ -298,7 +259,7 @@ def _howard_level(lp: _LevelProblem, w_flat, b_flat, tol, max_policy=60, level=N
     The row choice is revised only once the inner (pure-max) policy of the
     current rows repeats, i.e. once their inner problem is solved.  ``level``
     only names the level in the stall error."""
-    scores = lp.scores(w_flat)
+    scores = lp.op.scores(w_flat)
     rows = lp.rows(scores)
     policy = None
     for it in range(1, max_policy + 1):
@@ -309,8 +270,8 @@ def _howard_level(lp: _LevelProblem, w_flat, b_flat, tol, max_policy=60, level=N
             rows = lp.rows(scores)
             policy = lp.policy(scores, rows)
         lp.evaluate(policy, w_flat, b_flat)
-        scores = lp.scores(w_flat)
-        resid = float(lp.residual(w_flat[lp.int_flat], b_flat[lp.int_flat], scores))
+        scores = lp.op.scores(w_flat)
+        resid = float(np.abs(lp.op.residual(w_flat[lp.int_flat], b_flat[lp.int_flat], scores)).max())
         if resid <= tol:
             return it, resid
     where = "" if level is None else f" at level {level} (t={level * lp.spec.tau:.4g})"
@@ -324,8 +285,8 @@ def _block_length(lp: _LevelProblem) -> int:
     level in ``_frozen_block``.  Per level it holds the level's nodes, its
     interior values, its boundary terms and, while a check runs, its
     quotients and scores with their temporaries."""
-    rows, width = lp.forms.shape[:2]
-    floats = lp.inv.size + lp.out_k.size + lp.K * (len(lp.dirs) + 2 * rows * width + rows + 8)
+    rows, width, ndir = lp.forms.shape
+    floats = lp.inv.size + lp.out_k.size + lp.K * (ndir + 2 * rows * width + rows + 8)
     return _BLOCK // (8 * floats)
 
 
@@ -346,11 +307,11 @@ def _frozen_block(lp: _LevelProblem, flat: np.ndarray, m: int, length: int, tol:
         np.add.at(rhs, lp.out_k, terms[l])  # as in ``rhs``
         X[l + 1] = lp._lu.solve(rhs)
     block[:, lp.int_flat] = X[:-1]  # the warm starts
-    scores = lp.scores(block)
+    scores = lp.op.scores(block)
     ok = (lp.policy(scores, lp.rows(scores)) == lp._base_policy).all(axis=1)
     del scores  # one scores array at a time keeps the scratch in budget
     block[:, lp.int_flat] = X[1:]  # the solved levels
-    resid = lp.residual(X[1:], X[:-1], lp.scores(block))
+    resid = np.abs(lp.op.residual(X[1:], X[:-1], lp.op.scores(block))).max(axis=-1)
     ok &= resid <= tol
     n = length if ok.all() else int(ok.argmin())
     flat[m - 1 : m - 1 + n, lp.int_flat] = X[1 : n + 1]
@@ -400,8 +361,7 @@ def solve(
         values = MeshFunction.from_callable(spec, boundary).values
 
     lp = _LevelProblem(scheme, spec)
-    cls = spec.classification()
-    band_sup = float(np.max(np.abs(values[cls.boundary]))) if cls.boundary.any() else 0.0
+    band_sup = float(np.max(np.abs(values[spec.classification().boundary]), initial=0.0))
     if tol is None:
         tol = 1e-10 * (1.0 + band_sup)
 
@@ -435,10 +395,8 @@ def solve(
 
 def residual_sweep(scheme: SchemeDescriptor, u: MeshFunction) -> dict:
     """Sup of |S_h[u]| over the interior set (NaN-free summary)."""
-    res = scheme_residual_field(scheme, u)
-    interior = u.spec.classification().interior
-    vals = res[interior]
+    vals = scheme_residual_field(scheme, u)[u.spec.classification().interior]
     return {
-        "sup_residual": float(np.max(np.abs(vals))) if vals.size else 0.0,
-        "interior_nodes": int(interior.sum()),
+        "sup_residual": float(np.max(np.abs(vals), initial=0.0)),
+        "interior_nodes": int(vals.size),
     }

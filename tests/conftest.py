@@ -76,3 +76,44 @@ def cylinder_nodes():
 @pytest.fixture
 def cylinder_mask():
     return _cylinder_mask
+
+
+def _F_h_oracle(scheme, r):
+    """F_h one coefficient table at a time: each table's own product and row
+    max, then the least of them.  This was ``SchemeDescriptor.F_h``; it never
+    reads the padded ``forms``."""
+    r = np.asarray(r, dtype=float)
+    rows = [np.max(r @ tab.T, axis=-1) for tab in scheme.tables]
+    out = np.min(np.stack(rows, axis=0), axis=0)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _residual_field_oracle(scheme, u):
+    """S_h[u] on the interior set, NaN on the band, from one NaN-filled
+    ``second_quotient_field`` per direction and :func:`_F_h_oracle`.  This
+    was ``scheme_residual_field``; the interior gather must match it."""
+    from parastep.geometry import second_quotient_field, shift
+
+    spec = u.spec
+    scheme.check_mesh(spec)
+    v = u.values
+    dtau = (v - shift(v, (-1,) + (0,) * spec.n)) / spec.tau
+    quotients = np.stack(
+        [second_quotient_field(v, spec, y) for y in scheme.stencil.directions], axis=-1
+    )
+    interior = spec.classification().interior
+    res = np.full(spec.shape, np.nan)
+    with np.errstate(invalid="ignore"):
+        res[interior] = dtau[interior] - _F_h_oracle(scheme, quotients[interior])
+    return res
+
+
+# session scope: ``hypothesis`` refuses function-scoped fixtures in @given tests
+@pytest.fixture(scope="session")
+def F_h_oracle():
+    return _F_h_oracle
+
+
+@pytest.fixture(scope="session")
+def residual_field_oracle():
+    return _residual_field_oracle

@@ -27,7 +27,7 @@ from scipy.optimize import linprog
 from parastep.diagnostics import FalsifierConfig, delta_falsifier, replay_violation
 from parastep.envelopes import abp_diagnostic, lower_monotone_envelope
 from parastep.convolutions import inf_convolution_mesh, sup_convolution_mesh
-from parastep.geometry import KBox, MeshFunction, MeshSpec
+from parastep.geometry import KBox, MeshFunction, MeshSpec, second_quotient_field
 from parastep.harness import exact_library, run_convergence_study
 from parastep.nonlinearity import NonlinearityDescriptor
 from parastep.scheme import (
@@ -37,7 +37,6 @@ from parastep.scheme import (
     check_monotonicity,
     consistency_error,
     consistency_fit,
-    second_quotient_field,
 )
 from parastep.solver import solve
 from parastep.diagnostics import good_set_measure

@@ -507,6 +507,29 @@ def test_h_list_flag_reads_as_the_config_line(text):
                                       "0.25,,0.125", "abc", "[0.25]", "0.25]", "0.25#"))
 
 
+def test_boolean_h_list_flag_is_refused(tmp_path, capsys):
+    # "--h-list true" used to solve on h = 1.0
+    argv = ["solve", "--problem", "heat_sine", "--h-list", "true", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("parastep: error: --h-list:1: key 'h_list': expected a number")
+    assert not any(tmp_path.iterdir())
+
+
+def test_converge_refuses_domain(tmp_path, capsys):
+    # converge sweeps the problem's own domain: with domain = [[0.0, 2.0]] it
+    # used to write a convergence.csv identical to the one without the key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = heat_sine\ndomain = [[0.0, 2.0]]\n")
+    argv = ["--config", str(cfg), "--h-list", "0.25,0.125", "--out", str(tmp_path / "o")]
+    code, out, err = run(capsys, "converge", *argv)
+    assert code == 1 and out == ""
+    want = "parastep: error: converge sweeps the domain of problem = heat_sine; drop domain"
+    assert err.startswith(want)
+    assert not (tmp_path / "o").exists()
+    # solve reads the key
+    assert run(capsys, "solve", *argv)[0] == 0
+
+
 def test_space_separated_h_list_is_refused(tmp_path, capsys):
     argv = ["solve", "--problem", "heat_sine", "--h-list", "0.25 0.125", "--out", str(tmp_path)]
     code, _, err = run(capsys, *argv)

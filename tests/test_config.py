@@ -114,6 +114,23 @@ def test_type_errors_name_the_key(text, fragment):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "h_list = [true]",
+        'h_list = ["0.5"]',
+        "scheme.matrix = [[true]]",
+        "domain = [[0.0, false]]",
+        "diagnostics.M_values = [true, 4]",
+    ],
+)
+def test_number_lists_take_numbers_only(text):
+    # list items go through the scalar number rule: these used to parse as
+    # [1.0], [0.5], [[1.0]], [[0.0, 0.0]] and [1.0, 4.0]
+    with pytest.raises(ConfigError, match="expected a number"):
+        ProblemConfig.from_text(text)
+
+
+@pytest.mark.parametrize(
     "text,fragment",
     [
         ("h_list = [0.1, -0.2]", "positive spacings"),

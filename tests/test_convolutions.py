@@ -12,8 +12,7 @@ from parastep.convolutions import (
     x_sup_convolution,
 )
 from parastep.errors import GridError
-from parastep.geometry import MeshFunction, MeshSpec, discrete_holder_norm
-from parastep.scheme import second_quotient_field
+from parastep.geometry import MeshFunction, MeshSpec, discrete_holder_norm, second_quotient_field
 
 # ---------------------------------------------------------------------------
 # oracle: brute-force double loop over all mesh nodes

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parastep.errors import SchemeError
@@ -426,6 +427,124 @@ def test_residual_field_matches_per_node(rng):
             )
 
 
+# generated differential tests: the interior gather against the per-direction
+# quotient fields and the per-table F_h they replaced
+GENERATED_SCHEMES = [
+    build_monotone_scheme(d)
+    for d in (
+        NonlinearityDescriptor.pucci_plus(1.0, 2.0),
+        NonlinearityDescriptor.pucci_minus(1.0, 2.0),
+        NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2),
+        NonlinearityDescriptor.pucci_minus(1.0, 2.0, 2),
+        NonlinearityDescriptor.bellman_isaacs(
+            [[np.eye(2), [[2.0, 0.5], [0.5, 1.0]]], [[[1.0, -0.3], [-0.3, 2.0]], 1.5 * np.eye(2)]]
+        ),
+        # rows of 3 forms and of 1: the short row is padded in ``forms``
+        NonlinearityDescriptor.bellman_isaacs([[[[1.0]], [[2.0]], [[0.5]]], [[[1.5]]]]),
+        NonlinearityDescriptor.linear([[2.0, 0.3, 0.0], [0.3, 2.0, -0.2], [0.0, -0.2, 1.5]]),
+    )
+]
+DATA_FAMILIES = ["constant", "affine", "quadratic", "noisy", "tie"]
+
+
+def generated_data(spec, family, seed):
+    """Mesh values of one data family.  ``tie`` holds small integers: their
+    quotients and form products are exact, so forms tie exactly."""
+    rng = np.random.default_rng(seed)
+    c, m = rng.standard_normal(2)
+    l, Q = rng.standard_normal(spec.n), rng.standard_normal((spec.n, spec.n))
+    if family == "noisy":
+        return MeshFunction(spec, rng.standard_normal(spec.shape))
+    if family == "tie":
+        return MeshFunction(spec, rng.integers(-2, 3, spec.shape).astype(float))
+    fn = {
+        "constant": lambda x, t: c + 0.0 * t,
+        "affine": lambda x, t: c + x @ l + m * t,
+        "quadratic": lambda x, t: np.einsum("...i,ij,...j->...", x, Q, x) + m * t,
+    }[family]
+    return MeshFunction.from_callable(spec, fn)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(
+    scheme=st.sampled_from(GENERATED_SCHEMES),
+    k=st.integers(4, 12),
+    levels=st.integers(1, 7),
+    family=st.sampled_from(DATA_FAMILIES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_residual_field_equals_the_quotient_field_oracle(
+    scheme, k, levels, family, seed, residual_field_oracle
+):
+    # levels below N^2 = 4 leave no interior level: an all-NaN field
+    n = scheme.stencil.n
+    spec = MeshSpec(h=1 / k, bounds=[(0.0, 1.0)] * n, T=levels / k**2, N=2)
+    u = generated_data(spec, family, seed)
+    want = residual_field_oracle(scheme, u)
+    assert np.array_equal(scheme_residual_field(scheme, u), want, equal_nan=True)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(scheme=st.sampled_from(GENERATED_SCHEMES), data=st.data())
+def test_F_h_equals_the_per_table_oracle_on_ties(scheme, data, F_h_oracle):
+    ndir = len(scheme.stencil.directions)
+    size = data.draw(st.integers(1, 6)) * ndir
+    ints = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    scale = data.draw(st.sampled_from([1.0, 0.5, 1 / 3, 1e-3]))
+    # integer quotients tie forms exactly; the zero and the isotropic vector
+    # tie every frame of a Pucci scheme
+    r = np.vstack([np.reshape(ints, (-1, ndir)), np.zeros(ndir), np.ones(ndir)]) * scale
+    # shape for shape: numpy's matmul on a 3-D stack takes another kernel,
+    # whose last bit can differ from the 2-D product's even in the oracle
+    assert np.array_equal(scheme.F_h(r), F_h_oracle(scheme, r))
+    for v in r:
+        assert scheme.F_h(v) == F_h_oracle(scheme, v)
+
+
+@settings(max_examples=40, derandomize=True)
+@given(
+    scheme=st.sampled_from(
+        [
+            build_monotone_scheme(NonlinearityDescriptor.pucci_minus(0.7, 1.3, 2)),
+            build_monotone_scheme(
+                NonlinearityDescriptor.bellman_isaacs(
+                    [[np.eye(2), [[2.0, 0.5], [0.5, 1.0]], [[1.5, -0.4], [-0.4, 1.0]]],
+                     [1.5 * np.eye(2)]]
+                )
+            ),
+        ]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_F_h_matches_the_oracle_to_rounding_on_one_form_rows(scheme, seed, F_h_oracle):
+    # a one-form table is a matrix-vector product in the oracle, whose dot
+    # products round differently from the same column of one (M, rows x forms)
+    # product; both stay within n_dir eps sum |gamma_i r_i| of the exact value
+    r = np.random.default_rng(seed).standard_normal((200, len(scheme.stencil.directions)))
+    bound = 2 * r.shape[1] * np.finfo(float).eps * scheme.Lambda0 * np.abs(r).sum(axis=-1)
+    assert np.all(np.abs(scheme.F_h(r) - F_h_oracle(scheme, r)) <= bound)
+
+
+def test_residual_field_peaks_below_the_oracle_route(residual_field_oracle, rng):
+    # Pucci+ 2D h=1/32 over every level at once: the gather holds levels x K
+    # x (ndir + rows x forms) floats, still less than the oracle's per-direction
+    # NaN-filled fields
+    spec = MeshSpec(h=1 / 32, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.25, N=2)
+    scheme = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2))
+    u = MeshFunction(spec, rng.standard_normal(spec.shape))
+    spec.classification()  # cached on the mesh, outside both traces
+    peaks, fields = [], []
+    for route in (scheme_residual_field, residual_field_oracle):
+        tracemalloc.start()
+        try:
+            fields.append(route(scheme, u))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(fields[0], fields[1], equal_nan=True)
+    assert peaks[0] <= peaks[1], peaks
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 # ---------------------------------------------------------------------------
@@ -448,6 +567,18 @@ def test_check_monotonicity_passes(desc):
     assert report["passed"], report
     assert report["min_slope"] >= scheme.lambda0 - 1e-6
     assert report["max_slope"] <= scheme.Lambda0 + 1e-6
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [(), (np.zeros((0, 1)),), (np.ones((2, 2)),), (np.ones(1),)],
+    ids=["none", "no-forms", "wrong-width", "one-axis"],
+)
+def test_malformed_tables_rejected(tables):
+    # no table, or one without forms, used to pass and fail later inside numpy
+    heat = build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]]))
+    with pytest.raises(SchemeError, match="nonempty coefficient tables of shape"):
+        SchemeDescriptor(heat.stencil, tables, heat.nonlinearity, lambda0=1.0, Lambda0=1.0)
 
 
 def test_check_monotonicity_flags_wrong_bounds():

@@ -7,14 +7,14 @@ import scipy.sparse as sp
 
 import parastep.solver as solver_module
 from parastep.errors import SchemeError, SolverConvergenceError
-from parastep.geometry import MeshFunction, MeshSpec, quotient_weight
+from parastep.geometry import MeshFunction, MeshSpec, quotient_weight, second_quotient_field
 from parastep.nonlinearity import NonlinearityDescriptor
 from parastep.scheme import (
     TestFunction,
+    _InteriorGather,
     build_monotone_scheme,
     consistency_error,
     scheme_residual_field,
-    second_quotient_field,
 )
 from parastep.solver import _howard_level, _LevelProblem, residual_sweep, solve
 
@@ -57,17 +57,18 @@ def dense_implicit_oracle_1d(spec, g, coeff=1.0):
 # ---------------------------------------------------------------------------
 
 
-def picard_oracle(scheme, spec, boundary, max_sweeps=100_000):
+def picard_oracle(scheme, spec, boundary, F_h, max_sweeps=100_000):
     """Per level, the damped sweep w <- w - omega tau S_h[w] with
     omega = 1/(1 + tau Lambda0 sum_y 2/|hy|^2).  Monotonicity of F_h makes it
     a sup-norm contraction with factor 1 - omega; it evaluates S_h through
-    ``scheme.F_h``, not through the forms policy iteration reads.  Same
-    tolerance and warm start as ``solve``; returns (values, sweeps per level)."""
+    ``F_h``, the per-table oracle, not through the padded forms policy
+    iteration reads.  Same tolerance and warm start as ``solve``; returns
+    (values, sweeps per level)."""
     if isinstance(boundary, MeshFunction):
         values = boundary.values.copy()
     else:
         values = MeshFunction.from_callable(spec, boundary).values
-    lp = _LevelProblem(scheme, spec)
+    op = _InteriorGather(scheme, spec)
     band = spec.classification().boundary
     tol = 1e-10 * (1.0 + float(np.max(np.abs(values[band]))))
     omega = 1.0 / (
@@ -80,13 +81,13 @@ def picard_oracle(scheme, spec, boundary, max_sweeps=100_000):
     for m in range(spec.N**2, spec.levels + 1):
         b_flat = values[m - 2].ravel()
         w_flat = values[m - 1].ravel().copy()
-        w_flat[lp.int_flat] = b_flat[lp.int_flat]
+        w_flat[op.int_flat] = b_flat[op.int_flat]
         for it in range(1, max_sweeps + 1):
-            dtau = (w_flat[lp.int_flat] - b_flat[lp.int_flat]) / spec.tau
-            R = dtau - scheme.F_h(lp.quotients(w_flat))
+            dtau = (w_flat[op.int_flat] - b_flat[op.int_flat]) / spec.tau
+            R = dtau - F_h(scheme, op.quotients(w_flat))
             if np.max(np.abs(R)) <= tol:
                 break
-            w_flat[lp.int_flat] -= omega * spec.tau * R
+            w_flat[op.int_flat] -= omega * spec.tau * R
         else:
             raise AssertionError(f"damped sweep stalled on level {m}")
         sweeps.append(it)
@@ -107,14 +108,14 @@ MESH_1D = dict(h=0.125, bounds=[(0.0, 1.0)], T=0.25, N=2)
 
 
 @pytest.mark.parametrize("route", ["picard", "howard"])
-def test_heat_solver_matches_dense_oracle(route):
+def test_heat_solver_matches_dense_oracle(route, F_h_oracle):
     # the damped-sweep oracle is held to the dense oracle too
     spec = MeshSpec(**MESH_1D)
     heat = build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]]))
     want = dense_implicit_oracle_1d(spec, sine_data())
     levels = spec.levels - spec.N**2 + 1
     if route == "picard":
-        values, sweeps = picard_oracle(heat, spec, sine_data())
+        values, sweeps = picard_oracle(heat, spec, sine_data(), F_h_oracle)
         np.testing.assert_allclose(values, want, atol=5e-9)
         assert len(sweeps) == levels
         return
@@ -176,7 +177,7 @@ def test_pucci_minus_concave_profile_reduces_to_Lambda_heat():
 
 
 @pytest.mark.parametrize("kind", ["plus", "minus"])
-def test_picard_and_howard_agree_on_pucci(kind, rng):
+def test_picard_and_howard_agree_on_pucci(kind, rng, F_h_oracle):
     spec = MeshSpec(**MESH_1D)
     desc = (
         NonlinearityDescriptor.pucci_plus(1.0, 2.0)
@@ -192,7 +193,7 @@ def test_picard_and_howard_agree_on_pucci(kind, rng):
             s = s + c * np.sin(j * math.pi * x[..., 0]) * np.exp(-t * j)
         return s
 
-    up, _ = picard_oracle(sch, spec, g)
+    up, _ = picard_oracle(sch, spec, g, F_h_oracle)
     uh, _ = solve(sch, spec, g)
     np.testing.assert_allclose(up, uh.values, atol=1e-8)
 
@@ -262,7 +263,7 @@ def test_solution_residual_is_small():
 # ---------------------------------------------------------------------------
 
 
-def test_heat_2d_picard_howard_agree():
+def test_heat_2d_picard_howard_agree(F_h_oracle):
     spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.125, N=2)
     sch = build_monotone_scheme(NonlinearityDescriptor.linear(np.eye(2)))
 
@@ -271,14 +272,14 @@ def test_heat_2d_picard_howard_agree():
             math.pi * x[..., 1]
         )
 
-    up, _ = picard_oracle(sch, spec, g)
+    up, _ = picard_oracle(sch, spec, g, F_h_oracle)
     uh, _ = solve(sch, spec, g)
     np.testing.assert_allclose(up, uh.values, atol=1e-8)
     assert residual_sweep(sch, MeshFunction(spec, up))["sup_residual"] <= 1e-9
 
 
 @pytest.mark.parametrize("h", [1 / 8, 1 / 16])
-def test_isaacs_howard_matches_picard(h):
+def test_isaacs_howard_matches_picard(h, F_h_oracle):
     A1 = np.array([[1.0, 0.2], [0.2, 1.5]])
     A2 = np.array([[2.0, -0.3], [-0.3, 1.0]])
     desc = NonlinearityDescriptor.bellman_isaacs([[A1, A2], [np.eye(2), 1.5 * np.eye(2)]])
@@ -290,7 +291,7 @@ def test_isaacs_howard_matches_picard(h):
         return np.sin(math.pi * x[..., 0]) * np.cos(math.pi * x[..., 1]) * np.exp(-t)
 
     uh, report = solve(sch, spec, g)
-    up, _ = picard_oracle(sch, spec, g)
+    up, _ = picard_oracle(sch, spec, g, F_h_oracle)
     assert np.max(np.abs(uh.values - up)) <= 1e-9
     assert residual_sweep(sch, uh)["sup_residual"] <= report.tol
 
@@ -378,7 +379,7 @@ def test_level_quotients_equal_quotient_field_bitwise(descriptor, rng):
     fields = [second_quotient_field(values, spec, y) for y in sch.stencil.directions]
     for m in range(spec.levels):
         want = np.stack([f[m][cols] for f in fields], axis=-1)
-        assert np.array_equal(lp.quotients(values[m].ravel()), want)
+        assert np.array_equal(lp.op.quotients(values[m].ravel()), want)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +394,9 @@ def coo_level_system(lp, gamma, w_flat, b_flat):
     diag = 1.0 / tau + 2.0 * (gamma * lp.weights).sum(axis=1)
     rows, cols, data = [np.arange(K)], [np.arange(K)], [diag]
     rhs = b_flat[lp.int_flat] / tau
-    for j in range(len(lp.dirs)):
+    for j in range(len(lp.weights)):
         g = gamma[:, j] * lp.weights[j]
-        for nb in (lp.plus_flat[j], lp.minus_flat[j]):
+        for nb in (lp.op.plus_flat[j], lp.op.minus_flat[j]):
             nb_id = lp.inv[nb]
             inside = nb_id >= 0
             rows.append(np.arange(K)[inside])
