@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -67,13 +68,16 @@ __all__ = [
 _SYM_TOL = 1e-12
 
 # Expansion fits (_expansion_fits): nodes per chunk; a cap on a chunk's rows
-# (nodes x constraint nodes), whose features take (k + 2) * 8 bytes each for
-# k paraboloid parameters, so 12 MiB in 1D and 20 MiB in 2D; seed rows per
-# node; rows added per node and round.
+# (nodes x constraint nodes, each node's padded to the chunk's longest),
+# whose features take (k + 2) * 8 bytes each for k paraboloid parameters, so
+# 12 MiB in 1D and 20 MiB in 2D; seed rows per node; rows added per node and
+# round; exchange pivots per node and round, past which the node's fit falls
+# back to HiGHS (the longest exchange of the benchmark's verify sweep takes 42).
 _FIT_CHUNK_NODES = 64
 _FIT_CHUNK_ROWS = 1 << 18
 _FIT_SEED_ROWS = 24
 _FIT_ADD_ROWS = 16
+_FIT_PIVOTS = 200
 
 # Falsifier screen (delta_falsifier): the bytes that one tile of nodes and
 # one chunk of probes' flags take together.
@@ -84,8 +88,9 @@ _SOBOL_BITS = 30
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported at the first call: only the
-    good-set fits solve LPs, and scipy.optimize is slow to import."""
+    """``scipy.optimize.linprog``, imported at the first call: only a
+    good-set fit that the exchange cannot certify solves an LP, and
+    scipy.optimize is slow to import."""
     from scipy.optimize import linprog
 
     return linprog(*args, **kwargs)
@@ -694,13 +699,13 @@ def replay_violation(
 
 def _quad_features(dx: np.ndarray) -> np.ndarray:
     """Columns multiplying the free entries of symmetric Q in dy.Q.dy:
-    dy_i^2 on the diagonal, 2 dy_i dy_j off it."""
-    n = dx.shape[1]
-    cols = [dx[:, i] * dx[:, i] for i in range(n)]
+    dy_i^2 on the diagonal, 2 dy_i dy_j off it (dx is (..., n))."""
+    n = dx.shape[-1]
+    cols = [dx[..., i] * dx[..., i] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            cols.append(2.0 * dx[:, i] * dx[:, j])
-    return np.stack(cols, axis=1)
+            cols.append(2.0 * dx[..., i] * dx[..., j])
+    return np.stack(cols, axis=-1)
 
 
 def _qvec_to_matrix(q: np.ndarray, n: int) -> np.ndarray:
@@ -714,13 +719,6 @@ def _qvec_to_matrix(q: np.ndarray, n: int) -> np.ndarray:
     return Q
 
 
-def _smallest(a: np.ndarray, m: int) -> np.ndarray:
-    """Indices of the (at most) m smallest entries of a."""
-    if len(a) <= m:
-        return np.arange(len(a))
-    return np.argpartition(a, m - 1)[:m]
-
-
 def _exceeds(ratio, level):
     """ratio > level beyond the fits' stop rule, level (1 + 1e-9) + 1e-12."""
     return ratio > level * (1.0 + 1e-9) + 1e-12
@@ -728,9 +726,11 @@ def _exceeds(ratio, level):
 
 def _block_lp(blocks) -> np.ndarray:
     """Solve min sum_b z_b s.t. |du - phi.p_b| <= w z_b over the rows
-    (phi, w, du) of every block b, as one block-diagonal LP.  The objective
-    separates, so each block ends at its own optimum.  Returns one row
-    (p_b, z_b) per block."""
+    (phi, w, du) of every block b, as one block-diagonal HiGHS LP.  The
+    objective separates, so each block ends at its own optimum.  HiGHS runs
+    at feasibility tolerances of 1e-10: at its defaults (1e-7) a row with a
+    small weight w may be violated by far more than 1e-9 of z.  Returns one
+    row (p_b, z_b) per block."""
     from scipy import sparse
 
     phi, w, du = (np.concatenate(part) for part in zip(*blocks))
@@ -748,11 +748,180 @@ def _block_lp(blocks) -> np.ndarray:
     bounds = np.full((len(blocks) * kk, 2), [-np.inf, np.inf])
     bounds[kk - 1 :: kk, 0] = 0.0
     res = linprog(
-        cost, A_ub=A, b_ub=np.concatenate([-du, du]), bounds=bounds, method="highs"
+        cost,
+        A_ub=A,
+        b_ub=np.concatenate([-du, du]),
+        bounds=bounds,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if res.status != 0:
         raise DiagnosticsError(f"membership fit failed: {res.message}")
     return res.x.reshape(len(blocks), kk)
+
+
+def _inverses(B: np.ndarray) -> np.ndarray:
+    """The inverse of each matrix of a stack, NaN for a singular one."""
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        out = np.full_like(B, np.nan)
+        for i, b in enumerate(B):
+            try:
+                out[i] = np.linalg.inv(b)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _basis(a: np.ndarray, b: np.ndarray, code: np.ndarray):
+    """The basis matrix B and costs c of each node's reference.
+
+    Slot c of a reference holds ``code`` 2 i + (sign < 0) for row i taken
+    with that sign, whose column is (sign a_i, 1) with cost sign b_i, or
+    -1 - j for the artificial unit column e_j of a parameter j that no row
+    of the node moves (cost 0)."""
+    P, m, k = a.shape
+    real = code >= 0
+    row = np.where(real, code >> 1, 0)
+    sign = np.where(code & 1, -1.0, 1.0)
+    pick = np.arange(P)[:, None]
+    B = np.zeros((P, k + 1, k + 1))
+    B[:, :k, :] = np.where(real[:, None, :], (a[pick, row] * sign[..., None]).transpose(0, 2, 1), 0.0)
+    B[:, k, :] = real
+    art, slot = np.nonzero(~real)
+    B[art, -1 - code[art, slot], slot] = 1.0
+    return B, np.where(real, sign * b[pick, row], 0.0)
+
+
+def _reference(a: np.ndarray, live: np.ndarray):
+    """A first reference of k + 1 slots per node, with valid dual signs.
+
+    A parameter whose column is zero on all of a node's rows gets its
+    artificial column.  Gaussian elimination with partial pivoting picks one
+    row for every other parameter; one more row (the first free one, or a
+    padding row) completes the reference, and the signs of the null vector
+    mu of the picked rows' features (mu = 1 on the extra row) make
+    lambda = |mu| / sum |mu| a feasible dual.  Returns the codes of
+    :func:`_basis` and a flag per node whose rows are rank-deficient in a way
+    no artificial column repairs."""
+    P, m, k = a.shape
+    pick = np.arange(P)
+    zero = ~(a != 0).any(axis=1)
+    scale = np.abs(a).max(axis=1)
+    W = a.copy()
+    free = live.copy()
+    code = np.empty((P, k + 1), dtype=np.int64)
+    bad = np.zeros(P, dtype=bool)
+    for j in range(k):
+        i = np.where(free, np.abs(W[:, :, j]), -1.0).argmax(axis=1)
+        piv = W[pick, i, j]
+        take = ~zero[:, j] & free[pick, i] & (np.abs(piv) > 1e-9 * scale[:, j])
+        bad |= ~zero[:, j] & ~take
+        code[:, j] = np.where(take, i, -1 - j)
+        free[pick[take], i[take]] = False
+        f = np.where(take[:, None], W[:, :, j] / np.where(take, piv, 1.0)[:, None], 0.0)
+        W -= f[:, :, None] * W[pick, i][:, None, :]
+    # the extra row: the first free live one, else the first padding slot
+    slots = np.arange(m)
+    code[:, k] = np.where(free, slots, np.where(live, 3 * m, m + slots)).argmin(axis=1)
+    real = code >= 0
+    code = np.where(real, 2 * code, code)
+    G = _basis(a, np.zeros((P, m)), code)[0][:, :k]
+    mu = -np.einsum("pij,pj->pi", _inverses(G[:, :, :k]), G[:, :, k])
+    bad |= ~np.isfinite(mu).all(axis=1)
+    code[:, :k] += real[:, :k] & (mu < 0)
+    return code, bad
+
+
+def _exchange(a: np.ndarray, b: np.ndarray, live: np.ndarray, code: np.ndarray):
+    """Exact weighted Chebyshev fits min_p max_i |b_i - a_i.p| over the live
+    rows of each node (a is nodes x rows x k), from the dual-feasible
+    references ``code`` (see :func:`_basis`), for all nodes at once.
+
+    This is the dual simplex of Barrodale and Phillips (ACM TOMS 1, 1975) on
+    a batch of (k+1) x (k+1) bases B, whose inverses are taken once and then
+    updated by each pivot's eta matrix.  Each step levels the errors on
+    every node's reference, B^T (p, z) = c, with one refinement step, and
+    reads the dual weights lambda = B^-1 e_(k+1).  A row whose
+    error exceeds z (1 + 1e-9) + 1e-12 enters with the sign of its error,
+    and the ratio test on lambda picks the slot that leaves.  Both follow
+    Bland's rule, so the exchange cannot cycle: the first violated row in
+    the node's order of rows enters, and ratio ties leave in that order.
+    The order, fixed for the whole exchange, ranks the rows worst first at
+    the starting reference.
+
+    A node stops when no row but a levelled reference row exceeds z, and is
+    certified when, besides, no live row at all exceeds z (1 + 1e-9) +
+    1e-12 and lambda >= -1e-9 on its rows with no weight on its artificial
+    slots: then z = sum lambda_i sign_i b_i is a lower bound of the fit over
+    any superset of its rows.
+
+    Returns ``(ok, y, code)``: certified nodes, their (p, z) and their final
+    references.  A node with a singular reference, a non-finite value or
+    more than ``_FIT_PIVOTS`` pivots is not ok."""
+    P, m, k = a.shape
+    B, cost = _basis(a, b, code)
+    Binv = _inverses(B)
+    code = code.copy()
+    ok = np.zeros(P, dtype=bool)
+    y_out = np.full((P, k + 1), np.nan)
+    code_out = code.copy()
+    ids = np.arange(P)
+    last = np.iinfo(np.int64).max
+    for step in range(_FIT_PIVOTS + 1):
+        pick = np.arange(len(ids))
+        y = np.einsum("pc,pcj->pj", cost, Binv)
+        y += np.einsum("pc,pcj->pj", cost - np.einsum("pjc,pj->pc", B, y), Binv)
+        lam = Binv[:, :, k]
+        r = b - (a @ y[:, :k, None])[..., 0]
+        over = _exceeds(np.abs(r), y[:, k : k + 1]) & live
+        # a reference row whose error has its slot's sign is levelled at z:
+        # its column is basic, so it cannot enter, however the error rounds
+        real = code >= 0
+        row = np.where(real, code >> 1, 0)
+        level = real & (r[pick[:, None], row] * np.where(code & 1, -1.0, 1.0) >= 0)
+        viol = over.copy()
+        viol[np.nonzero(level)[0], row[level]] = False
+        if step == 0:
+            # Bland's order of the rows: worst first at the starting reference
+            order = np.argsort(np.where(live, -np.abs(r), np.inf), axis=1, kind="stable")
+            rank = np.empty_like(order)
+            rank[pick[:, None], order] = np.arange(m)
+        finite = np.isfinite(y).all(axis=1) & np.isfinite(lam).all(axis=1)
+        stop = ~viol.any(axis=1)
+        dual = np.where(real, lam >= -1e-9, np.abs(lam) <= 1e-9).all(axis=1)
+        done = stop & finite & dual & ~over.any(axis=1)
+        if done.any():
+            ok[ids[done]] = True
+            y_out[ids[done]] = y[done]
+            code_out[ids[done]] = code[done]
+        go = ~stop & finite
+        if step == _FIT_PIVOTS or not go.any():
+            break
+        enter = np.where(viol, rank, last).argmin(axis=1)
+        sign = np.where(r[pick, enter] >= 0, 1.0, -1.0)
+        q = np.concatenate([sign[:, None] * a[pick, enter], np.ones((len(ids), 1))], axis=1)
+        d = np.einsum("pij,pj->pi", Binv, q)
+        elig = real & (d > 1e-11 * np.abs(d).max(axis=1, keepdims=True))
+        # a weight at rounding level is a zero one, so that degenerate ties are exact
+        theta = np.where(elig, np.where(lam > 1e-11, lam, 0.0) / np.where(elig, d, 1.0), np.inf)
+        tie = elig & (theta == theta.min(axis=1, keepdims=True))
+        key = 2 * rank[pick[:, None], row] + (code & 1)
+        leave = np.where(tie, key, last).argmin(axis=1)
+        go &= elig.any(axis=1)
+        # replace the leaving column, and update the inverse by its eta matrix
+        B[pick, :, leave] = q
+        cost[pick, leave] = sign * b[pick, enter]
+        code[pick, leave] = 2 * enter + (sign < 0)
+        out = Binv[pick, leave] / np.where(go, d[pick, leave], 1.0)[:, None]
+        Binv -= d[:, :, None] * out[:, None, :]
+        Binv[pick, leave] = out
+        if not go.all():
+            a, b, live, B, Binv, cost, code, rank, ids = (
+                v[go] for v in (a, b, live, B, Binv, cost, code, rank, ids)
+            )
+    return ok, y_out, code_out
 
 
 def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
@@ -768,17 +937,22 @@ def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
     at most k+1 tight rows).  Nodes go in chunks of ``_FIT_CHUNK_NODES``
     (fewer when their rows would pass ``_FIT_CHUNK_ROWS``), and only one
     chunk's rows are alive at a time.  Each node starts from its
-    ``_FIT_SEED_ROWS`` smallest-weight rows.  Every round solves one
-    block-diagonal LP for the chunk's unresolved nodes, then adds at each
-    node up to ``_FIT_ADD_ROWS`` of its worst rows with
-    ratio > z (1 + 1e-9) + 1e-12, z being the LP value; a node without such
-    a row is done.
+    ``_FIT_SEED_ROWS`` smallest-weight rows.  Every round fits the chunk's
+    unresolved nodes on their rows so far by the batched exchange
+    :func:`_exchange`, warm-started from the node's last optimal reference
+    (added rows keep it dual-feasible), then adds at each node up to
+    ``_FIT_ADD_ROWS`` of its worst rows with ratio > z (1 + 1e-9) + 1e-12,
+    z being the certified optimum on the rows so far; a node without such a
+    row is done.  A node the exchange does not certify falls back, for
+    this and every later round, to a block-diagonal HiGHS LP
+    (:func:`_block_lp`), the only route that imports ``scipy.optimize``.
 
-    Returns ``(ratios, coefs, counts)``: the largest ratio the returned
-    coefficients reach over all of a node's rows (so at most
+    Returns ``(ratios, coefs, counts, fallback)``: the largest ratio the
+    returned coefficients reach over all of a node's rows (so at most
     z (1 + 1e-9) + 1e-12, above the optimum of the full fit by no more),
     the centred coefficients (l, m, a, q) with q as in
-    :func:`_quad_features`, and the number of rows per node.
+    :func:`_quad_features`, the number of rows per node, and which nodes
+    fell back to HiGHS.
     """
     spec = u.spec
     n = spec.n
@@ -802,39 +976,88 @@ def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
             f"{counts[np.argmax(short)]} constraint nodes cannot pin {k} paraboloid parameters"
         )
 
-    def rows(i: int):
-        """(phi, w, du) over node i's rows."""
-        keep = np.arange(ends[i]) != me[i]
-        dx = (y[: ends[i]] - y[me[i]])[keep]
-        ds = (s[: ends[i]] - s[me[i]])[keep]
-        r = np.sqrt((dx**2).sum(axis=1))
-        w = r**3 + r**2 * np.abs(ds) + ds**2
-        du = (u_r[: ends[i]] - u_r[me[i]])[keep]
-        return np.column_stack([dx, ds, dx * ds[:, None], _quad_features(dx)]), w, du
-
     ratios = np.empty(len(nodes))
     coefs = np.empty((len(nodes), k))
+    fallback = np.zeros(len(nodes), dtype=bool)
     chunk = max(1, min(_FIT_CHUNK_NODES, _FIT_CHUNK_ROWS // len(region)))
     for lo in range(0, len(nodes), chunk):
-        batch = [rows(i) for i in range(lo, min(lo + chunk, len(nodes)))]
-        active = [_smallest(w, _FIT_SEED_ROWS) for _, w, _ in batch]
-        pending = list(range(len(batch)))
-        while pending:
-            solved = _block_lp([[a[active[i]] for a in batch[i]] for i in pending])
-            unresolved = []
-            for i, fit in zip(pending, solved):
-                phi, w, du = batch[i]
-                ratio = np.abs(du - phi @ fit[:-1]) / w
-                ratios[lo + i], coefs[lo + i] = ratio.max(), fit[:-1]
-                viol = _exceeds(ratio, fit[-1])
-                viol[active[i]] = False
-                worst = np.flatnonzero(viol)
-                if worst.size:
-                    worst = worst[_smallest(-ratio[worst], _FIT_ADD_ROWS)]
-                    active[i] = np.concatenate([active[i], worst])
-                    unresolved.append(i)
-            pending = unresolved
-    return ratios, coefs, counts
+        sel = np.arange(lo, min(lo + chunk, len(nodes)))
+        # the chunk's rows, padded to its longest prefix; a padding row (and
+        # the node's own) has phi = 0, du = 0 and w = 1, so its ratio is 0
+        R = int(ends[sel].max())
+        pos = np.arange(R)
+        valid = (pos < ends[sel, None]) & (pos != me[sel, None])
+        dx = np.where(valid[..., None], y[None, :R] - y[me[sel], None], 0.0)
+        ds = np.where(valid, s[None, :R] - s[me[sel], None], 0.0)
+        du = np.where(valid, u_r[None, :R] - u_r[me[sel], None], 0.0)
+        r = np.sqrt((dx**2).sum(axis=2))
+        w = np.where(valid, r**3 + r**2 * np.abs(ds) + ds**2, 1.0)
+        phi = np.concatenate([dx, ds[..., None], dx * ds[..., None], _quad_features(dx)], axis=2)
+        del dx, ds, r
+        # active rows per node, padded (not live) with the node's own row
+        seed = np.where(valid, w, np.inf)
+        if R > _FIT_SEED_ROWS:
+            seed = np.argpartition(seed, _FIT_SEED_ROWS - 1, axis=1)[:, :_FIT_SEED_ROWS]
+        else:
+            seed = np.broadcast_to(pos, valid.shape)
+        pad = max(0, k + 1 - seed.shape[1])
+        active = np.concatenate([seed, np.repeat(me[sel, None], pad, axis=1)], axis=1)
+        live = np.concatenate([valid[np.arange(len(sel))[:, None], seed], np.zeros((len(sel), pad), bool)], axis=1)
+        active = np.where(live, active, me[sel, None])
+        code = np.full((len(sel), k + 1), -1, dtype=np.int64)
+        has_ref = np.zeros(len(sel), dtype=bool)
+        lost = fallback[sel]
+        pending = np.arange(len(sel))
+        while pending.size:
+            at = (pending[:, None], active[pending])
+            a = phi[at] / w[at][..., None]
+            b = du[at] / w[at]
+            lv = live[pending]
+            fits = np.empty((len(pending), k + 1))
+            # warm start unless a parameter's column stopped being zero
+            zero = ~(a != 0).any(axis=1)
+            arts = (code[pending, :, None] == -1 - np.arange(k)).any(axis=1)
+            cold = ~has_ref[pending] | (arts != zero).any(axis=1)
+            ref = code[pending]
+            ref[cold], bad = _reference(a[cold], lv[cold])
+            lost[pending[cold][bad]] = True
+            ex = ~lost[pending]
+            ok, fits[ex], code[pending[ex]] = _exchange(a[ex], b[ex], lv[ex], ref[ex])
+            has_ref[pending[ex]] = True
+            lost[pending[ex][~ok]] = True
+            hard = np.flatnonzero(lost[pending])
+            if hard.size:
+                fits[hard] = _block_lp(
+                    [
+                        (phi[j, act[go]], w[j, act[go]], du[j, act[go]])
+                        for j, act, go in zip(pending[hard], active[pending[hard]], lv[hard])
+                    ]
+                )
+            P, Z = fits[:, :k], fits[:, k]
+            ratio = np.abs(du[pending] - np.einsum("prk,pk->pr", phi[pending], P)) / w[pending]
+            ratios[sel[pending]] = ratio.max(axis=1)
+            coefs[sel[pending]] = P
+            viol = _exceeds(ratio, Z[:, None])
+            viol[np.arange(len(pending))[:, None], active[pending]] = False
+            add = min(_FIT_ADD_ROWS, R)
+            top = np.sort(np.argpartition(np.where(viol, -ratio, np.inf), add - 1, axis=1)[:, :add], axis=1)
+            grow = viol[np.arange(len(pending))[:, None], top]
+            more = np.zeros((len(sel), add), dtype=bool)
+            more[pending] = grow
+            extra = np.repeat(me[sel, None], add, axis=1)
+            extra[pending] = np.where(grow, top, me[sel[pending], None])
+            active = np.concatenate([active, extra], axis=1)
+            live = np.concatenate([live, more], axis=1)
+            pending = pending[grow.any(axis=1)]
+        fallback[sel] = lost
+    return ratios, coefs, counts, fallback
+
+
+def _opening(M) -> float:
+    """An opening M of the expansion budget n M, as a float."""
+    if isinstance(M, bool) or not isinstance(M, numbers.Real) or not (math.isfinite(M) and M > 0):
+        raise DiagnosticsError(f"opening M must be a finite positive number, got {M!r}")
+    return float(M)
 
 
 def psi_M_membership(u: MeshFunction, node, M: float, region=None) -> dict:
@@ -843,23 +1066,25 @@ def psi_M_membership(u: MeshFunction, node, M: float, region=None) -> dict:
 
     Fits a paraboloid P (mixed term allowed) minimizing the worst ratio
     |u(y,s) - u(x,t) - P| / (|x-y|^3 + |x-y|^2 |t-s| + |t-s|^2) over the
-    region's nodes with s <= t; membership at opening M means that ratio
-    stays within n*M.  The fit is the constraint-generation routine of
-    :func:`good_set_measure` on a batch of one node: it stops once no row
-    has ratio > z (1 + 1e-9) + 1e-12, z being the value of the LP on the
-    rows taken so far.
+    region's nodes with s <= t; membership at opening M (finite, positive,
+    not a bool) means that ratio stays within n*M.  The fit is the
+    constraint-generation routine of :func:`good_set_measure` on a batch of
+    one node: an exact Chebyshev exchange on the rows taken so far, HiGHS
+    only if the exchange cannot certify its optimum, stopping once no row
+    has ratio > z (1 + 1e-9) + 1e-12, z being that optimum.
 
     Returns ``member``, ``worst_ratio`` (the largest ratio the returned
     paraboloid reaches over all constraint nodes, within 1e-9 relative plus
     1e-12 of the optimum), ``excess`` (ratio - n*M), ``paraboloid``
     (absolute coordinates, vanishing at the node), and ``constraint_count``
-    (all constraint nodes, not only those the LPs used).
+    (all constraint nodes, not only those the fits used).
     """
     spec = u.spec
     n = spec.n
+    M = _opening(M)
     node = tuple(int(i) for i in node)
     off = np.array([spec.offset(node)])
-    ratios, coefs, counts = _expansion_fits(u, off, region_mask(spec, region))
+    ratios, coefs, counts, _ = _expansion_fits(u, off, region_mask(spec, region))
     coef = coefs[0]
     worst = float(ratios[0])
     P = _centered_to_absolute(
@@ -892,6 +1117,7 @@ class GoodSetReport:
     worst_ratios: np.ndarray
     slope: float
     slope_ci: tuple[float, float]
+    fallback_nodes: int
 
 
 def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> GoodSetReport:
@@ -899,27 +1125,30 @@ def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> Good
 
     The worst expansion ratio at a node does not depend on M, so one fit per
     node serves the whole sweep; the per-M bad set is {ratio > n M} and its
-    measure uses the h^(n+2) node-counting convention.  The fits run in
-    chunks of nodes by batched constraint generation (see
+    measure uses the h^(n+2) node-counting convention.  Every opening must
+    be a finite positive number (not a bool).  The fits run in chunks of
+    nodes by batched constraint generation, each round one exact Chebyshev
+    exchange over all the chunk's unresolved nodes (see
     :func:`psi_M_membership`), so ``worst_ratios`` holds, per node, the
     largest ratio of the returned paraboloid over all its constraint nodes.
-    The log-log slope of measure against M comes with a 95 percent
-    confidence interval and is reported, never asserted against any
-    theoretical exponent.
+    ``fallback_nodes`` counts the nodes whose fits the exchange could not
+    certify and HiGHS solved instead.  The log-log slope of measure against
+    M comes with a 95 percent confidence interval and is reported, never
+    asserted against any theoretical exponent.
     """
     spec = u.spec
-    M_values = np.asarray(sorted(float(m) for m in M_values))
+    M_values = np.asarray(sorted(_opening(m) for m in M_values))
     if len(M_values) == 0:
         raise DiagnosticsError("empty M sweep")
     nodes = np.argwhere(region_mask(spec, kbox))
     if not len(nodes):
         raise DiagnosticsError("the K-box contains no mesh nodes")
-    ratios = _expansion_fits(u, nodes, region_mask(spec, region))[0]
+    ratios, _, _, fallback = _expansion_fits(u, nodes, region_mask(spec, region))
     n = spec.n
     bad = _exceeds(ratios[None, :], n * M_values[:, None])
     frac = bad.mean(axis=1)
     meas = bad.sum(axis=1) * spec.h ** (n + 2)
-    pos = (meas > 0) & (M_values > 0)
+    pos = meas > 0
     slope, ci = math.nan, (math.nan, math.nan)
     if pos.sum() >= 2:
         lx, ly = np.log(M_values[pos]), np.log(meas[pos])
@@ -938,4 +1167,5 @@ def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> Good
         worst_ratios=ratios,
         slope=slope,
         slope_ci=ci,
+        fallback_nodes=int(fallback.sum()),
     )

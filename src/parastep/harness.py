@@ -297,6 +297,7 @@ def run_diagnostics(
             "node_count": rep.node_count,
             "slope": rep.slope,
             "slope_ci": rep.slope_ci,
+            "fallback_nodes": rep.fallback_nodes,
         }
     if abp:
         try:

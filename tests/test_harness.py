@@ -179,6 +179,7 @@ def test_bundle_optional_sections(computed_heat):
     gs = out["good_set"]
     assert gs["node_count"] > 0
     assert gs["bad_fraction"][-1] <= gs["bad_fraction"][0]
+    assert gs["fallback_nodes"] == 0
     assert np.isfinite(out["abp"]["ratio"])
 
 

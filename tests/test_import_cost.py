@@ -2,9 +2,11 @@
 ``python -m parastep --help``, loads every parastep module (the benchmark's
 span wrappers look them up in ``sys.modules``) but no part of scipy: each
 one is imported where it is used (``scipy.sparse`` by the solver,
-``scipy.optimize`` by the good-set fits, ``scipy.spatial`` by the envelopes).
-A small ``diagnose`` run (the falsifier only) loads none of them either: the
-falsifier draws its Sobol' probes in the package, not with ``scipy.stats``.
+``scipy.spatial`` by the envelopes, and ``scipy.optimize`` only when a
+good-set fit falls back from the exchange to HiGHS).  A small ``diagnose``
+run loads none of them either, with the falsifier alone (it draws its
+Sobol' probes in the package, not with ``scipy.stats``) or with the good-set
+sweep, whose fits the exchange certifies without HiGHS.
 
 The package's public names are pinned too, so that removing or adding one is
 a deliberate change to this list."""
@@ -49,6 +51,21 @@ PROGRAMS = {
         ")\n"
         "assert cli_main(['diagnose', '--config', 'run.cfg']) == 0\n"
         "assert 'probe=sobol[' in Path('certificates.txt').read_text()\n"
+    ),
+    "goodset": (
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from parastep import MeshFunction, MeshSpec\n"
+        "from parastep.cli import cli_main\n"
+        "spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2)\n"
+        "f = lambda x, t: np.sin(np.pi * x[..., 0]) * np.exp(-np.pi**2 * t)\n"
+        "MeshFunction.from_callable(spec, f).write_text('grid.txt')\n"
+        "Path('run.cfg').write_text(\n"
+        "    'boundary.file = grid.txt\\nscheme.kind = linear\\ndiagnostics.samples = 4\\n'\n"
+        "    'diagnostics.M_values = [1, 4, 16, 64]\\n'\n"
+        ")\n"
+        "assert cli_main(['diagnose', '--config', 'run.cfg']) == 0\n"
+        "assert 'good_set nodes=960 ' in Path('diagnostics.txt').read_text()\n"
     ),
 }
 
