@@ -8,11 +8,15 @@ separable transform serves every convolution here: along each axis in turn
 (time first, with step h^2), the lower envelope of the parabolas
 f_j + (q - y_j)^2/(2 theta) is evaluated at given abscissae q, and the
 argmin indices are chained through the passes so each point's distance to
-its extremizer can be reported.  It has three kinds of caller:
+its extremizer can be reported.  Each pass is batched over all lines of its
+axis: one stack sweep builds every line's envelope, and one ranking of the
+breakpoints among the abscissae evaluates them, in scratch memory linear in
+lines x (line length + abscissae).  It has three kinds of caller:
 
   mesh nodes        ``inf_/sup_convolution_mesh`` with ``queries=None``
                     pass the node positions on every axis;
-  off-mesh queries  ``queries=[(x, t), ...]`` pass one abscissa per axis;
+  off-mesh queries  ``queries=[(x, t), ...]`` pass one abscissa per axis,
+                    for points of the closed box x [0, T];
   x-convolutions    ``x_inf_/x_sup_convolution`` run the transform over the
                     spatial axes of their one time level.
 
@@ -31,6 +35,7 @@ import numpy as np
 
 from .errors import GridError
 from .geometry import (
+    _FP_SLACK,
     MeshFunction,
     MeshSpec,
     discrete_holder_norm,
@@ -74,47 +79,75 @@ class ConvolutionReport:
 # ---------------------------------------------------------------------------
 
 
-def _envelope_structure(pos, f, theta):
-    """Lower envelope of q -> f[j] + (q - pos[j])^2/(2 theta) over j.
+def _lower_envelopes(pos, F, theta):
+    """Lower envelopes of q -> F[r, j] + (q - pos[j])^2/(2 theta) over j, one
+    per row r of F, all rows at once.
 
-    pos must be strictly increasing.  Returns (parabola indices, left
-    breakpoints) with breakpoints[0] = -inf; piece k is active on
-    [z[k], z[k+1]).
+    pos must be strictly increasing.  This is the stack sweep of Felzenszwalb
+    and Huttenlocher run on every row together, with the stacks kept as
+    links: parabola j is pushed at step j with ``start[r, j]`` its
+    intersection abscissa with the parabola ``below[r, j]`` under it, and a
+    pop only marks a parabola as ``popped``.  Parabola j first meets j - 1,
+    so those abscissae are one array operation; the loop over j visits only
+    the rows that pop, with the same intersection arithmetic as a one-line
+    stack.  Returns (alive, start): row r's envelope is its alive parabolas
+    in increasing order, each active from its start to the next one's, with
+    start[r, 0] = -inf.
     """
-    v = [0]
-    z = [-math.inf]
-    for j in range(1, len(pos)):
-        while True:
-            i = v[-1]
-            # intersection abscissa of parabolas i and j
-            s = (theta * (f[j] - f[i]) + (pos[j] ** 2 - pos[i] ** 2) / 2.0) / (
+    R, L = F.shape
+    start = np.empty((R, L))
+    start[:, 0] = -math.inf
+    # intersection abscissa of parabolas i and j, here i = j - 1
+    start[:, 1:] = (theta * (F[:, 1:] - F[:, :-1]) + (pos[1:] ** 2 - pos[:-1] ** 2) / 2.0) / (
+        pos[1:] - pos[:-1]
+    )
+    below = np.broadcast_to(np.arange(-1, L - 1), (R, L)).copy()
+    popped = np.zeros((R, L), dtype=bool)
+    for j in range(2, L):
+        # rows whose top parabola j - 1 starts no earlier than j overtakes it
+        idx = np.flatnonzero(start[:, j] <= start[:, j - 1])
+        i = np.full(idx.size, j - 1)
+        while idx.size:
+            popped[idx, i] = True
+            i = below[idx, i]
+            s = (theta * (F[idx, j] - F[idx, i]) + (pos[j] ** 2 - pos[i] ** 2) / 2.0) / (
                 pos[j] - pos[i]
             )
-            if s <= z[-1]:
-                v.pop()
-                z.pop()
-            else:
-                break
-        v.append(j)
-        z.append(s)
-    return np.asarray(v), np.asarray(z)
+            start[idx, j] = s
+            below[idx, j] = i
+            pop = s <= start[idx, i]
+            idx, i = idx[pop], i[pop]
+    return ~popped, start
 
 
 def _envelope_at(V, axis, pos, theta, q):
     """Envelope of the parabolas along one axis of V (positions pos),
     evaluated at the abscissae q.  The axis keeps its place and gets one
-    entry per abscissa; returns (values, source index along the axis)."""
+    entry per abscissa; returns (values, source index along the axis).
+
+    Every line of the axis goes through one :func:`_lower_envelopes` call.
+    The active parabola at q_i is the last alive one that starts at or
+    before q_i: each alive start is ranked once among the sorted abscissae,
+    and a running count of the ranks, row after row, reads it off, so the
+    scratch arrays are rows x (L + Q), never rows x L x Q.
+    """
     moved = np.moveaxis(V, axis, -1)
-    flat = moved.reshape(-1, moved.shape[-1])
-    out = np.empty((flat.shape[0], len(q)))
-    arg = np.empty(out.shape, dtype=np.int64)
-    for r, f in enumerate(flat):
-        v, z = _envelope_structure(pos, f, theta)
-        src = v[np.searchsorted(z, q, side="right") - 1]
-        out[r] = f[src] + (q - pos[src]) ** 2 / (2.0 * theta)
-        arg[r] = src
-    shape = moved.shape[:-1] + (len(q),)
-    return np.moveaxis(out.reshape(shape), -1, axis), np.moveaxis(arg.reshape(shape), -1, axis)
+    F = moved.reshape(-1, moved.shape[-1])
+    (R, L), Q = F.shape, len(q)
+    alive, start = _lower_envelopes(pos, F, theta)
+    flat = np.flatnonzero(alive)  # row by row, each row's in order
+    order = np.argsort(q, kind="stable")
+    # start <= q_i iff fewer than i + 1 abscissae lie below the start
+    rank = np.searchsorted(q[order], start.ravel()[flat], side="left")
+    rank += (Q + 1) * (flat // L)
+    # alive parabolas up to row r's abscissa i (rows < r included), less one:
+    # the position in ``flat`` of the one active there
+    count = np.cumsum(np.bincount(rank, minlength=R * (Q + 1))).reshape(R, Q + 1)
+    src = np.empty((R, Q), dtype=np.int64)
+    src[:, order] = flat[count[:, :Q] - 1] - L * np.arange(R)[:, None]
+    out = np.take_along_axis(F, src, axis=1) + (q - pos[src]) ** 2 / (2.0 * theta)
+    shape = moved.shape[:-1] + (Q,)
+    return np.moveaxis(out.reshape(shape), -1, axis), np.moveaxis(src.reshape(shape), -1, axis)
 
 
 def _transform(values, positions, theta, at):
@@ -136,11 +169,26 @@ def _transform(values, positions, theta, at):
 
 
 def _spatial_abscissae(spec: MeshSpec, x) -> list:
-    """One single-entry abscissa array per spatial axis of a query point."""
+    """One single-entry abscissa array per spatial axis of a query point,
+    which must be finite and lie in the closed box (up to ``_FP_SLACK`` h)."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size != spec.n:
         raise GridError(f"query point has dimension {x.size}, mesh has {spec.n}")
+    slack = _FP_SLACK * spec.h
+    # a NaN fails every comparison, so it is refused too
+    if not all(lo - slack <= c <= hi + slack for c, (lo, hi) in zip(x, spec.bounds)):
+        box = list(spec.bounds)
+        raise GridError(f"query point x = {x.tolist()} lies outside the closed box {box}")
     return [x[a : a + 1] for a in range(spec.n)]
+
+
+def _query_abscissae(spec: MeshSpec, x, t) -> list:
+    """The abscissae of a space-time query point in the closed domain
+    (closed box) x [0, T]."""
+    t = float(t)
+    if not -_FP_SLACK * spec.tau <= t <= spec.T + _FP_SLACK * spec.tau:
+        raise GridError(f"query time t = {t} lies outside [0, {spec.T}]")
+    return [np.array([t])] + _spatial_abscissae(spec, x)
 
 
 def _make_report(v: MeshFunction, theta, eta, max_shift, holder_norm=None) -> ConvolutionReport:
@@ -178,7 +226,9 @@ def inf_convolution_mesh(
     v : MeshFunction
     theta : float > 0
     queries : None for all mesh nodes (returns a MeshFunction), or a sequence
-        of (x, t) points anywhere in the closed domain (returns an ndarray).
+        of (x, t) points anywhere in the closed domain, the closed box times
+        [0, T] (returns an ndarray); a point outside it or with a non-finite
+        coordinate raises GridError.
     eta : Holder exponent used in the omega(h, theta) bookkeeping.
     holder_norm : optional precomputed discrete C^{0,eta} norm of v (the
         all-pairs computation is quadratic in the node count).
@@ -197,8 +247,7 @@ def inf_convolution_mesh(
     vals = np.empty(len(queries))
     max_shift = 0.0
     for i, (x, t) in enumerate(queries):
-        at = [np.array([float(t)])] + _spatial_abscissae(spec, x)
-        out, shift = _transform(v.values, positions, theta, at)
+        out, shift = _transform(v.values, positions, theta, _query_abscissae(spec, x, t))
         vals[i] = out.item()
         max_shift = max(max_shift, shift.item())
     report = _make_report(v, theta, eta, max_shift, holder_norm)
@@ -229,7 +278,8 @@ def sup_convolution_mesh(
 
 def x_inf_convolution(v: MeshFunction, theta: float, x, t: float):
     """Space-only inf-convolution at fixed mesh time t:
-    min over spatial nodes y of v(y,t) + |x-y|^2/(2 theta)."""
+    min over spatial nodes y of v(y,t) + |x-y|^2/(2 theta), for x in the
+    closed box."""
     _check(theta)
     spec = v.spec
     m = lattice_index(t, spec.tau, "time")

@@ -845,11 +845,14 @@ def _exchange(a: np.ndarray, b: np.ndarray, live: np.ndarray, code: np.ndarray):
     every node's reference, B^T (p, z) = c, with one refinement step, and
     reads the dual weights lambda = B^-1 e_(k+1).  A row whose
     error exceeds z (1 + 1e-9) + 1e-12 enters with the sign of its error,
-    and the ratio test on lambda picks the slot that leaves.  Both follow
-    Bland's rule, so the exchange cannot cycle: the first violated row in
-    the node's order of rows enters, and ratio ties leave in that order.
-    The order, fixed for the whole exchange, ranks the rows worst first at
-    the starting reference.
+    and the ratio test on lambda picks the slot that leaves.  The most
+    violated row (largest error) enters.  The node's order of rows, fixed
+    for the whole exchange, ranks them worst first at the starting
+    reference; it breaks entering ties, and ratio ties leave in it.  Only a
+    pivot with a zero weight leaves z unchanged, and only such pivots can
+    cycle: after k + 1 of them in a row, the node enters by Bland's rule
+    instead (the first violated row in its order) until z rises, so the
+    exchange cannot cycle.
 
     A node stops when no row but a levelled reference row exceeds z, and is
     certified when, besides, no live row at all exceeds z (1 + 1e-9) +
@@ -869,6 +872,8 @@ def _exchange(a: np.ndarray, b: np.ndarray, live: np.ndarray, code: np.ndarray):
     code_out = code.copy()
     ids = np.arange(P)
     last = np.iinfo(np.int64).max
+    z_prev = np.full(P, -np.inf)
+    stall = np.zeros(P, dtype=np.int64)  # pivots in a row that left z unchanged
     for step in range(_FIT_PIVOTS + 1):
         pick = np.arange(len(ids))
         y = np.einsum("pc,pcj->pj", cost, Binv)
@@ -899,7 +904,12 @@ def _exchange(a: np.ndarray, b: np.ndarray, live: np.ndarray, code: np.ndarray):
         go = ~stop & finite
         if step == _FIT_PIVOTS or not go.any():
             break
-        enter = np.where(viol, rank, last).argmin(axis=1)
+        # a rise within rounding counts as none, which only hastens Bland's rule
+        stall = np.where(y[:, k] - z_prev > 1e-12 * np.abs(y[:, k]), 0, stall + 1)
+        z_prev = y[:, k]
+        err = np.where(viol, np.abs(r), -1.0)
+        worst = viol & (err == err.max(axis=1, keepdims=True))
+        enter = np.where(np.where(stall[:, None] > k, viol, worst), rank, last).argmin(axis=1)
         sign = np.where(r[pick, enter] >= 0, 1.0, -1.0)
         q = np.concatenate([sign[:, None] * a[pick, enter], np.ones((len(ids), 1))], axis=1)
         d = np.einsum("pij,pj->pi", Binv, q)
@@ -918,8 +928,8 @@ def _exchange(a: np.ndarray, b: np.ndarray, live: np.ndarray, code: np.ndarray):
         Binv -= d[:, :, None] * out[:, None, :]
         Binv[pick, leave] = out
         if not go.all():
-            a, b, live, B, Binv, cost, code, rank, ids = (
-                v[go] for v in (a, b, live, B, Binv, cost, code, rank, ids)
+            a, b, live, B, Binv, cost, code, rank, ids, z_prev, stall = (
+                v[go] for v in (a, b, live, B, Binv, cost, code, rank, ids, z_prev, stall)
             )
     return ok, y_out, code_out
 

@@ -5,7 +5,10 @@ nonincreasing in t and convex in x.  On the grid it reduces to a running
 minimum over time followed by a per-slice lower convex hull: an affine function
 ``zeta . x + c`` lies below u on all of ``(a, t]`` iff it lies below
 ``m_t(y) = min_{s <= t} u(y, s)``, so the envelope of u at level t is the
-convex envelope of m_t.
+convex envelope of m_t.  The running minimum often stands still (every level
+of a nonnegative function, or below the cylinder in the ABP extension, is the
+zero slice), so a level whose slice equals the previous one copies its
+envelope instead of taking the hull again.
 
 The ABP-type diagnostic bounds an interior dip ``sup u^-`` against the measure
 of the contact set between u and the monotone envelope of ``-u^-`` taken on the
@@ -39,6 +42,14 @@ __all__ = [
 ]
 
 _SNAP = 1e-12
+
+
+def _nonnegative(value, what: str) -> float:
+    """A finite value >= 0 as a float; else raises EnvelopeError."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise EnvelopeError(f"{what} must be a finite number >= 0, got {value}")
+    return value
 
 
 def _chain_envelope(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -108,6 +119,9 @@ def lower_monotone_envelope(u: MeshFunction) -> MeshFunction:
         The envelope Gamma with Gamma <= u everywhere; per-slice values within
         snapping distance of u are set exactly equal, which keeps contact
         detection and idempotence free of hull round-off.
+
+    One hull is taken per distinct running-minimum slice: a level whose
+    slice equals the previous level's copies that level's envelope.
     """
     spec = u.spec
     m = np.minimum.accumulate(u.values, axis=0)
@@ -117,6 +131,10 @@ def lower_monotone_envelope(u: MeshFunction) -> MeshFunction:
     out = np.empty_like(m)
     for lev in range(spec.levels):
         sl = m[lev]
+        if lev and np.array_equal(sl, m[lev - 1]):
+            # the same slice has the same envelope
+            out[lev] = out[lev - 1]
+            continue
         if not live:
             env = sl.copy()
         else:
@@ -148,7 +166,8 @@ def contact_set(u: MeshFunction, gamma: MeshFunction, tol: float | None = None) 
     u, gamma : MeshFunction
         The function and an envelope produced by the envelope ops.
     tol : float, optional
-        Contact threshold |u - gamma| <= tol; defaults to 1e-9 (1 + sup|u|).
+        Contact threshold |u - gamma| <= tol, a finite number >= 0; defaults
+        to 1e-9 (1 + sup|u|).
 
     Returns
     -------
@@ -159,6 +178,7 @@ def contact_set(u: MeshFunction, gamma: MeshFunction, tol: float | None = None) 
         raise GridError("u and gamma live on different meshes")
     if tol is None:
         tol = 1e-9 * (1.0 + float(np.max(np.abs(u.values))))
+    tol = _nonnegative(tol, "contact tolerance tol")
     mask = np.abs(u.values - gamma.values) <= tol
     count = int(mask.sum())
     measure = count * u.spec.h ** (u.spec.n + 2)
@@ -187,9 +207,12 @@ def abp_diagnostic(
     continuum bound is lhs <= C rhs_core with universal C, so the returned
     ``ratio`` is the observable.  K defaults to the larger of the discrete
     time slope and the largest positive axis second quotient on the cylinder.
-    The cylinder's nodes are the steps of :meth:`MeshSpec.cylinder_steps`
-    about the center on u's mesh and about the top center of the local grid,
-    so one gather pairs each local node with its parent node.
+    A given K or contact tolerance ``tol`` must be a finite number >= 0
+    (K = 0 is legal: it is the default on a flat cylinder), else
+    EnvelopeError.  The cylinder's nodes are the steps of
+    :meth:`MeshSpec.cylinder_steps` about the center on u's mesh and about
+    the top center of the local grid, so one gather pairs each local node
+    with its parent node.
     """
     spec = u.spec
     h, tau, n = spec.h, spec.tau, spec.n
@@ -232,6 +255,9 @@ def abp_diagnostic(
 
     if tol is None:
         tol = 1e-9 * (1.0 + float(np.max(np.abs(u.values))))
+    tol = _nonnegative(tol, "contact tolerance tol")
+    if K is not None:
+        K = _nonnegative(K, "K")
 
     # discrete parabolic boundary: the lateral shell of width h and the bottom level
     edge = (np.sum(steps[:, :-1] ** 2, axis=1) >= (j - 1) ** 2) | (steps[:, -1] == 1 - j * j)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import SchemeError, SolverConvergenceError
 from .geometry import MeshFunction, MeshSpec
-from .scheme import SchemeDescriptor, _InteriorGather, scheme_residual_field
+from .scheme import SchemeDescriptor, _form_max, _InteriorGather, scheme_residual_field
 
 __all__ = ["SolveReport", "solve", "residual_sweep"]
 
@@ -141,7 +141,7 @@ class _LevelProblem:
 
     def rows(self, scores: np.ndarray) -> np.ndarray:
         """Per node, the row whose max form score is least (first on ties)."""
-        return scores.max(axis=-1).argmin(axis=-1)
+        return _form_max(scores).argmin(axis=-1)
 
     def policy(self, scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Per node, the argmax form of its row in ``rows`` (first on ties)

@@ -117,3 +117,97 @@ def F_h_oracle():
 @pytest.fixture(scope="session")
 def residual_field_oracle():
     return _residual_field_oracle
+
+
+def _envelope_structure(pos, f, theta):
+    """Lower envelope of q -> f[j] + (q - pos[j])^2/(2 theta) over j, by one
+    stack per line.  pos must be strictly increasing.  Returns (parabola
+    indices, left breakpoints) with breakpoints[0] = -inf; piece k is active
+    on [z[k], z[k+1]).  This was the library's per-line envelope; the batched
+    ``convolutions._lower_envelopes`` must pop exactly as it does."""
+    v = [0]
+    z = [-math.inf]
+    for j in range(1, len(pos)):
+        while True:
+            i = v[-1]
+            # intersection abscissa of parabolas i and j
+            s = (theta * (f[j] - f[i]) + (pos[j] ** 2 - pos[i] ** 2) / 2.0) / (
+                pos[j] - pos[i]
+            )
+            if s <= z[-1]:
+                v.pop()
+                z.pop()
+            else:
+                break
+        v.append(j)
+        z.append(s)
+    return np.asarray(v), np.asarray(z)
+
+
+def _transform_oracle(values, positions, theta, at):
+    """``convolutions._transform`` with one :func:`_envelope_structure` per
+    line: (values, shift) on the product of the abscissae ``at``."""
+    V = values
+    args = []
+    for axis, (pos, q) in enumerate(zip(positions, at)):
+        moved = np.moveaxis(V, axis, -1)
+        flat = moved.reshape(-1, moved.shape[-1])
+        out = np.empty((flat.shape[0], len(q)))
+        arg = np.empty(out.shape, dtype=np.int64)
+        for r, f in enumerate(flat):
+            v, z = _envelope_structure(pos, f, theta)
+            src = v[np.searchsorted(z, q, side="right") - 1]
+            out[r] = f[src] + (q - pos[src]) ** 2 / (2.0 * theta)
+            arg[r] = src
+        shape = moved.shape[:-1] + (len(q),)
+        V = np.moveaxis(out.reshape(shape), -1, axis)
+        arg = np.moveaxis(arg.reshape(shape), -1, axis)
+        args = [np.take_along_axis(a, arg, axis=axis) for a in args] + [arg]
+    d2 = np.zeros(V.shape)
+    for axis, (pos, q, arg) in enumerate(zip(positions, at, args)):
+        d2 += (pos[arg] - q.reshape([-1 if a == axis else 1 for a in range(V.ndim)])) ** 2
+    return V, np.sqrt(d2)
+
+
+@pytest.fixture(scope="session")
+def envelope_structure():
+    return _envelope_structure
+
+
+@pytest.fixture(scope="session")
+def transform_oracle():
+    return _transform_oracle
+
+
+def _monotone_envelope_oracle(u):
+    """``lower_monotone_envelope`` taking every level's hull afresh, even
+    where the running minimum repeats the previous level's slice."""
+    from parastep.envelopes import _SNAP, _chain_envelope, _qhull_envelope
+    from parastep.geometry import MeshFunction
+
+    spec = u.spec
+    m = np.minimum.accumulate(u.values, axis=0)
+    snap = _SNAP * (1.0 + float(np.max(np.abs(u.values))))
+    axes = [spec.axis_coords(i) for i in range(spec.n)]
+    live = [i for i in range(spec.n) if len(axes[i]) > 1]
+    out = np.empty_like(m)
+    for lev in range(spec.levels):
+        sl = m[lev]
+        if not live:
+            env = sl.copy()
+        else:
+            red = sl.reshape([len(axes[i]) for i in live])
+            if len(live) == 1:
+                env = _chain_envelope(axes[live[0]], red.ravel())
+            else:
+                env = _qhull_envelope([axes[i] for i in live], red)
+            env = env.reshape(sl.shape)
+        env = np.minimum(env, sl)
+        out[lev] = np.where(env >= sl - snap, sl, env)
+    np.minimum.accumulate(out, axis=0, out=out)
+    return MeshFunction(spec, out)
+
+
+@pytest.fixture(scope="session")
+def monotone_envelope_oracle():
+    return _monotone_envelope_oracle

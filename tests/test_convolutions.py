@@ -1,9 +1,15 @@
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parastep.convolutions import (
+    _lower_envelopes,
+    _query_abscissae,
     _transform,
     inf_convolution_mesh,
     sup_convolution_mesh,
@@ -13,6 +19,7 @@ from parastep.convolutions import (
 )
 from parastep.errors import GridError
 from parastep.geometry import MeshFunction, MeshSpec, discrete_holder_norm, second_quotient_field
+from parastep.harness import get_problem
 
 # ---------------------------------------------------------------------------
 # oracle: brute-force double loop over all mesh nodes
@@ -401,3 +408,137 @@ def test_verify_convolution_properties_reports_fields(rng):
     assert out["max_shift_minus"] >= 0
     assert out["max_shift_plus"] >= 0
     assert out["checks"]["semiconcavity"]["bound"] == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# generated differential test: the batched transform against one stack per line
+# ---------------------------------------------------------------------------
+
+CONV_FAMILIES = ("constant", "affine", "smooth", "noisy", "ties")
+
+
+def conv_family(name, spec, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.integers(-4, 5, size=spec.n + 2) / 4.0
+
+    def f(x, t):
+        if name == "constant":
+            return 0.0 * t + c[-1]
+        if name == "affine":
+            return c[-1] + x @ c[: spec.n] + c[-2] * t
+        if name == "ties":
+            return rng.integers(-2, 3, size=t.shape).astype(float)
+        smooth = np.sin(3.0 * x[..., 0] + c[-1]) * np.cos(2.0 * x[..., -1]) * np.exp(-t)
+        if name == "noisy":
+            return smooth + 0.1 * rng.standard_normal(t.shape)
+        return smooth
+
+    return MeshFunction.from_callable(spec, f)
+
+
+@st.composite
+def conv_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    h = 1.0 / draw(st.integers(4, 12))
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=draw(st.integers(1, 3)) * h * h, N=2)
+    v = conv_family(draw(st.sampled_from(CONV_FAMILIES)), spec, draw(st.integers(0, 2**16)))
+    # on the lattice, parabola intersections and abscissae tie exactly
+    theta = draw(
+        st.one_of(
+            st.integers(1, 16).map(lambda j: j * h * h),
+            st.integers(1, 8).map(lambda j: j * h / 4.0),
+            st.floats(0.01, 2.0),
+        )
+    )
+    queries = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = tuple(draw(st.integers(0, 4 * (spec.k_max[a] + 1))) * h / 4.0 for a in range(n))
+        queries.append((x, draw(st.floats(0.0, spec.T))))
+    return v, theta, queries, draw(st.booleans())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=conv_cases())
+def test_generated_transform_matches_the_per_line_oracle(
+    case, envelope_structure, transform_oracle
+):
+    v, theta, queries, sup = case
+    spec = v.spec
+    values = -v.values if sup else v.values
+    positions = [spec.times()] + [spec.axis_coords(a) for a in range(spec.n)]
+    # every line's envelope keeps the per-line stack's parabolas and breakpoints
+    for axis, pos in enumerate(positions):
+        F = np.moveaxis(values, axis, -1).reshape(-1, len(pos))
+        alive, start = _lower_envelopes(pos, F, theta)
+        for f, keep, z in zip(F, alive, start):
+            want_v, want_z = envelope_structure(pos, f, theta)
+            assert np.array_equal(np.flatnonzero(keep), want_v)
+            assert np.array_equal(z[keep], want_z)
+    got = _transform(values, positions, theta, positions)
+    want = transform_oracle(values, positions, theta, positions)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    points = list(queries)
+    nodes = list(spec.node_indices())[:: max(1, spec.node_count() // 12)]
+    points += [(spec.node_point(i).x, spec.node_point(i).t) for i in nodes]
+    flat = []
+    for x, t in points:
+        at = _query_abscissae(spec, x, t)
+        got = _transform(values, positions, theta, at)
+        want = transform_oracle(values, positions, theta, at)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        flat.append(tuple(x) + (t,))
+    conv = sup_convolution_mesh if sup else inf_convolution_mesh
+    vals, _ = conv(v, theta, queries=points, holder_norm=1.0)
+    brute = brute_convolution(v, theta, flat, "sup" if sup else "inf")
+    np.testing.assert_allclose(vals, brute, atol=1e-12, rtol=0)
+
+
+def test_transform_memory_is_linear_in_the_lines():
+    # 1D h=1/64: 1024 levels x 63 columns.  The transform's scratch is lines x
+    # (line length + abscissae), about 0.5 MiB an array; a lines x length x
+    # abscissae comparison would take 65 MiB.  The Hölder norm is passed in:
+    # its search keeps its own byte budget.
+    spec = MeshSpec(h=1 / 64, bounds=[(0.0, 1.0)], T=0.25, N=2)
+    v = MeshFunction.from_callable(spec, get_problem("heat_sine").fn)
+    tracemalloc.start()
+    try:
+        inf_convolution_mesh(v, 0.05, holder_norm=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# query points must lie in the closed domain
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "x, t",
+    [((2.0,), 0.03), ((-0.01,), 0.03), ((0.5,), 5.0), ((0.5,), -1.0), ((math.nan,), 0.03),
+     ((0.5,), math.nan), ((math.inf,), 0.03), ((0.5,), math.inf)],
+)
+def test_queries_outside_the_closed_domain_are_refused(x, t):
+    spec = MeshSpec(**MESH_1D)
+    v = MeshFunction(spec, np.zeros(spec.shape))
+    with pytest.raises(GridError, match="outside"):
+        inf_convolution_mesh(v, 0.1, queries=[((0.5,), 0.03), (x, t)])
+    with pytest.raises(GridError, match="outside"):
+        sup_convolution_mesh(v, 0.1, queries=[(x, t)])
+
+
+def test_queries_on_the_closed_domain_boundary_are_kept():
+    spec = MeshSpec(**MESH_1D)
+    v = MeshFunction(spec, np.full(spec.shape, 0.5))
+    got, _ = inf_convolution_mesh(v, 0.1, queries=[((0.0,), 0.0), ((1.0,), spec.T)])
+    assert np.all(got >= 0.5)
+
+
+@pytest.mark.parametrize("x", [(1.5,), (-0.5,), (math.nan,), (-math.inf,)])
+def test_x_convolution_refuses_points_outside_the_box(x):
+    spec = MeshSpec(**MESH_1D)
+    v = MeshFunction(spec, np.zeros(spec.shape))
+    for call in (x_inf_convolution, x_sup_convolution):
+        with pytest.raises(GridError, match="outside the closed box"):
+            call(v, 0.1, x, spec.tau)

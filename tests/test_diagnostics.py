@@ -1128,7 +1128,7 @@ def tiny_fit():
     return np.array([[[3.0], [1.0], [3.0]]]), np.array([[3.0, -3.0, -3.0]]), np.ones((1, 3), bool)
 
 
-def test_exchange_follows_blands_rule():
+def test_exchange_enters_the_most_violated_row():
     a, b, live = tiny_fit()
     # The first reference pivots on row 0 (largest |a|) and completes with
     # row 1; the null vector (-1/3, 1) of their features signs them row 0 -,
@@ -1136,15 +1136,42 @@ def test_exchange_follows_blands_rule():
     code, bad = diagnostics._reference(a, live)
     assert code.tolist() == [[1, 2]] and not bad.any()
     # Levelling -(3 - 3p) = z = -3 - p gives p = 0, z = -3: every row errs
-    # by 3, so Bland's order is 0, 1, 2.  Row 0 enters with sign + and the
-    # ratio test drops row 1 (p = 1, z = 0).  The errors are then (0, -4, -6):
-    # Bland's rule enters row 1, the first violated row in its order, though
-    # row 2 errs more, and row 0 (sign -) leaves.  The reference
-    # {row 1 -, row 0 +} levels at p = 0, z = 3 and no row exceeds it.
+    # by 3, so the rows' order is 0, 1, 2, and it breaks the three-way tie:
+    # row 0 enters with sign + and the ratio test drops row 1 (p = 1, z = 0).
+    # The errors are then (0, -4, -6): row 2, the most violated, enters with
+    # sign - (Bland's rule would take row 1, first in the order).  Its column
+    # is row 0 -'s, so row 0 - leaves.  The reference {row 2 -, row 0 +}
+    # levels 3 + 3p = z = 3 - 3p at p = 0, z = 3, and no row exceeds it.
     ok, y, final = diagnostics._exchange(a, b, live, code)
     assert ok.all()
     assert y[0].tolist() == pytest.approx([0.0, 3.0], abs=1e-15)
-    assert final.tolist() == [[3, 0]]
+    assert final.tolist() == [[5, 0]]
+
+
+def test_exchange_turns_to_blands_rule_after_a_stall():
+    # One parameter, five rows (a_i, b_i); rows 0 and 2 have a = 0, so z >= 2,
+    # and |b_i - a_i p| <= 2 on the others pins p = 0: the optimum is z = 2.
+    a = np.array([[[0.0], [-1.0], [0.0], [2.0], [2.0]]])
+    b = np.array([[1.0, -2.0, 2.0, -2.0, 1.0]])
+    live = np.ones((1, 5), bool)
+    code, bad = diagnostics._reference(a, live)
+    # {row 3 +, row 0 +} levels -2 - 2p = z = 1 at p = -1.5, with all the
+    # weight on row 0.  The errors (1, -3.5, 2, 1, 4) order the rows 4, 1,
+    # 2, 0, 3.
+    assert code.tolist() == [[6, 0]] and not bad.any()
+    # Pivot 1: row 4 (error 4) enters and takes row 3's weightless slot:
+    # p = 0, z stays 1; the errors are (1, -2, 2, -2, 1).  Pivot 2: rows 1,
+    # 2 and 3 tie at 2 and row 1 enters by the order, again into the
+    # weightless slot: p = 1, z stays 1.  That is k + 1 = 2 pivots without a
+    # rise, so at the errors (1, -1, 2, -4, -1) Bland's rule enters row 2,
+    # first in the order, not row 3 (error 4).  Row 2's column is row 0's,
+    # which leaves: {row 1 -, row 2 +} levels at p = 0, z = 2, the optimum.
+    # Entering row 3 instead ends at the other optimal reference
+    # {row 1 -, row 3 -}.
+    ok, y, final = diagnostics._exchange(a, b, live, code)
+    assert ok.all()
+    assert y[0].tolist() == pytest.approx([0.0, 2.0], abs=1e-15)
+    assert final.tolist() == [[3, 4]]
 
 
 def test_exchange_stops_at_the_pivot_cap(monkeypatch):

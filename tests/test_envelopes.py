@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from parastep.envelopes import (
@@ -146,6 +148,59 @@ def test_two_column_grid_reduces_to_running_min():
     u = MeshFunction(spec, np.array([[1.0, 3.0], [0.5, -1.0], [2.0, 4.0]]))
     g = lower_monotone_envelope(u)
     np.testing.assert_array_equal(g.values, np.minimum.accumulate(u.values, axis=0))
+
+
+# ---------------------------------------------------------------------------
+# one hull per distinct running-minimum slice
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def repeating_slices(draw):
+    """Data whose running minimum repeats level after level: each level
+    either stays above the running minimum (so its slice repeats), dips at
+    one node, or dips at many; small integers make hull ties exact."""
+    n = draw(st.sampled_from([1, 2]))
+    h = 1.0 / draw(st.sampled_from([4, 5, 6, 8]))
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=draw(st.integers(2, 6)) * h * h, N=2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    vals = np.empty(spec.shape)
+    vals[0] = rng.integers(-2, 3, size=spec.spatial_shape)
+    low = vals[0].copy()
+    for lev in range(1, spec.levels):
+        vals[lev] = low + rng.integers(0, 3, size=spec.spatial_shape)
+        kind = draw(st.sampled_from(["repeat", "one dip", "dips"]))
+        if kind == "one dip":
+            vals[lev].flat[draw(st.integers(0, low.size - 1))] = low.min() - draw(st.integers(1, 3))
+        elif kind == "dips":
+            vals[lev] = np.minimum(vals[lev], rng.integers(-4, 1, size=spec.spatial_shape))
+        low = np.minimum(low, vals[lev])
+    return MeshFunction(spec, vals)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(u=repeating_slices())
+def test_generated_envelope_matches_the_no_reuse_oracle(u, monotone_envelope_oracle):
+    assert np.array_equal(lower_monotone_envelope(u).values, monotone_envelope_oracle(u).values)
+    neg = MeshFunction(u.spec, -u.values)
+    assert np.array_equal(
+        upper_monotone_envelope(neg).values, -monotone_envelope_oracle(u).values
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_slice_that_differs_in_one_node_gets_its_own_hull(dim, monotone_envelope_oracle):
+    # level 1 repeats level 0's running minimum except at one node, which
+    # dips; the dip changes the hull wherever it sits, first and last included
+    spec = MeshSpec(h=0.25, bounds=[(0.0, 1.0)] * dim, T=3 / 16, N=2)
+    base = np.zeros(spec.spatial_shape)
+    for node in range(base.size):
+        vals = np.stack([base, base + 1.0, base])
+        vals[1].flat[node] = -1.0
+        u = MeshFunction(spec, vals)
+        got = lower_monotone_envelope(u).values
+        assert np.array_equal(got, monotone_envelope_oracle(u).values), node
+        assert got[1].flat[node] == -1.0 and np.array_equal(got[0], base)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +365,41 @@ def test_abp_parameter_validation():
         abp_diagnostic(u, rho=0.3)
     with pytest.raises(EnvelopeError, match="fit"):
         abp_diagnostic(u, rho=0.625)  # needs rho^2 <= top time and ball inside box
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-12, math.inf, -math.inf])
+def test_nonsense_contact_tolerances_are_refused(tol):
+    # unchecked, nan and -1e-12 gave ratio inf with 0 contacts and inf
+    # counted all 960 nodes
+    spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2)
+    u = MeshFunction.from_callable(
+        spec, lambda x, t: 4 * (x[..., 0] - 0.5) ** 2 + 4 * (0.25 - t) - 0.05
+    )
+    with pytest.raises(EnvelopeError, match="tol must be a finite number >= 0"):
+        abp_diagnostic(u, tol=tol)
+    with pytest.raises(EnvelopeError, match="tol must be a finite number >= 0"):
+        contact_set(u, lower_monotone_envelope(u), tol=tol)
+
+
+@pytest.mark.parametrize("K", [math.nan, -1.0, math.inf])
+def test_nonsense_K_is_refused(K):
+    # unchecked, K = nan gave ratio nan and K = -1 gave ratio -2.26
+    spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2)
+    u = MeshFunction.from_callable(
+        spec, lambda x, t: 4 * (x[..., 0] - 0.5) ** 2 + 4 * (0.25 - t) - 0.05
+    )
+    with pytest.raises(EnvelopeError, match="K must be a finite number >= 0"):
+        abp_diagnostic(u, K=K)
+
+
+def test_zero_K_and_zero_tol_are_legal():
+    spec = MeshSpec(**ABP_MESH)
+    vals = np.zeros(spec.shape)
+    vals[13, spec.offset((4, 14))[1]] = -1.0
+    u = MeshFunction(spec, vals)
+    out = abp_diagnostic(u, K=0.0, tol=0.0)
+    assert out["K"] == 0.0 and out["contact_tol"] == 0.0 and out["ratio"] == math.inf
+    assert contact_set(u, lower_monotone_envelope(u), tol=0)["tol"] == 0.0
 
 
 def test_abp_supplied_K_and_rho():

@@ -11,6 +11,8 @@ from parastep.geometry import MeshFunction, MeshSpec, second_quotient_field, shi
 from parastep.nonlinearity import NonlinearityDescriptor, evaluate_F
 from parastep.scheme import (
     SchemeDescriptor,
+    _form_max,
+    _min_max,
     Stencil,
     TestFunction,
     build_monotone_scheme,
@@ -716,3 +718,20 @@ def test_consistency_fit_second_order_for_heat_sine():
         assert fit["errors"][h] <= fit["K_second_order"] * h * h * (
             phi.d4_bound + phi.utt_bound
         ) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("forms", [1, 2, 3, 8])
+def test_form_fold_equals_the_axis_max_on_ties(forms):
+    # small integers tie within rows and across forms; the fold must give
+    # the axis max bit for bit, and so the same row argmin, first on ties
+    from parastep.solver import _LevelProblem
+
+    rng = np.random.default_rng(forms)
+    scores = rng.integers(-2, 3, size=(5, 7, 4, forms)).astype(float)
+    scores[0] = -0.0
+    assert np.array_equal(_form_max(scores), scores.max(axis=-1))
+    assert np.array_equal(_form_max(scores[2]), scores[2].max(axis=-1))
+    assert np.array_equal(_min_max(scores), scores.max(axis=-1).min(axis=-1))
+    scheme = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0))
+    rows = _LevelProblem(scheme, MeshSpec(**MESH_1D)).rows(scores)
+    assert np.array_equal(rows, scores.max(axis=-1).argmin(axis=-1))
