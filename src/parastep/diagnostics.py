@@ -256,8 +256,8 @@ class FalsifierConfig:
             raise DiagnosticsError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name in ("touch_tol", "violation_tol"):
             tol = getattr(self, name)
-            if tol is not None and not tol >= 0:
-                raise DiagnosticsError(f"{name} must be nonnegative")
+            if tol is not None and not (tol >= 0 and math.isfinite(tol)):
+                raise DiagnosticsError(f"{name} must be nonnegative and finite, got {tol!r}")
 
     @classmethod
     def with_grid_touch(cls, spec: MeshSpec, c_touch: float = 10.0, **kw) -> "FalsifierConfig":
@@ -383,11 +383,11 @@ def delta_falsifier(
 ) -> list[ViolationCertificate]:
     """Search for paraboloids falsifying the delta-viscosity inequality.
 
-    For each node whose backward delta-cylinder sits inside the domain and
-    each probe (l, m, Q), the constant is chosen so the probe touches v from
-    below (super) or above (sub) over the cylinder's mesh nodes.  When the
-    touching point is the center and the margin m - F(2Q) has the forbidden
-    sign beyond ``violation_tol``, a certificate is recorded.
+    For each interior node where the backward delta-cylinder fits in the domain
+    (:meth:`MeshSpec.cylinder_fits`) and each probe (l, m, Q), the constant is chosen
+    so the probe touches v from below (super) or above (sub) over the cylinder's mesh
+    nodes.  When the touching point is the center and the margin m - F(2Q) has the
+    forbidden sign beyond ``violation_tol``, a certificate is recorded.
 
     The probes come in three families, in this order: the osculating probe
     (the local model: central gradient, backward slope, half-Hessian), the
@@ -438,22 +438,16 @@ def delta_falsifier(
     if F.dimension != n:
         raise DiagnosticsError(f"F has dimension {F.dimension}, mesh has {n}")
     cell = spec.h * math.sqrt(n + 1)
-    if delta < cell * (1.0 - 1e-12):
+    if not (math.isfinite(delta) and delta >= cell * (1.0 - _FP_SLACK)):
         raise DiagnosticsError(
-            f"delta = {delta} is below the parabolic cell diameter {cell}"
+            f"delta = {delta} must be finite and at least the parabolic cell diameter {cell}"
         )
     cfg = config or FalsifierConfig()
     scale = 1.0 + float(np.max(np.abs(v.values)))
     touch_tol = cfg.touch_tol if cfg.touch_tol is not None else 1e-9 * scale
     viol_tol = cfg.violation_tol if cfg.violation_tol is not None else 1e-9 * scale
 
-    lat = spec.lateral_distance()[None, ...]
-    t = spec.times().reshape((-1,) + (1,) * n)
-    eligible = (
-        spec.classification().interior
-        & (lat >= delta * (1.0 - 1e-12))
-        & (t >= delta**2 * (1.0 - 1e-12))
-    )
+    eligible = spec.classification().interior & spec.cylinder_fits(delta)
     if not eligible.any():
         raise DiagnosticsError(
             f"no node admits a delta-cylinder with delta = {delta}; enlarge the mesh"
@@ -465,10 +459,8 @@ def delta_falsifier(
     O = len(steps)
     dd = (d[:, :, None] * d[:, None, :]).reshape(O, n * n)
     phi = np.column_stack([d, dts, dd])  # the offsets' features, matching the local model
-    # Nodes as flat (C order) indices; the gather at node + step is only
-    # valid while the whole cylinder is in the mesh.  Eligibility implies
-    # that, and a node whose cylinder left the mesh touches NaN and is never
-    # flagged, so dropping such a node changes nothing.
+    # Nodes as flat (C order) indices; the gather at node + step needs the
+    # whole cylinder in the mesh, which the fit rule gives and ``whole`` guards.
     at = np.argwhere(eligible)
     whole = np.all(
         (at + steps.min(axis=0) >= 0) & (at + steps.max(axis=0) < spec.shape), axis=1
@@ -660,25 +652,27 @@ def replay_violation(
     """Re-run a certificate on its backward cylinder, ``spec.cylinder_steps(delta)``
     about its node: ``touching`` if P is on its side of v there and its gap at
     the node is at most the recorded one plus 1e-9 (1 + sup|v| on the cylinder),
-    ``valid`` if the margin also has the forbidden sign.  A delta too large for
-    the mesh is refused before any step is built."""
+    ``valid`` if the margin also has the forbidden sign.  Refused, in this order: a
+    delta whose cylinder fits at no node, before any step is built; a cylinder node
+    off the mesh (a GridError names it); a node where :meth:`MeshSpec.cylinder_fits` fails."""
     spec = v.spec
     node = tuple(int(i) for i in cert.node)
     if len(node) != spec.n + 1 or cert.paraboloid.n != spec.n:
         raise DiagnosticsError(f"certificate node {node} does not live on a {spec.n}-D mesh")
-    reach = spec.h * ((min(spec.spatial_shape) + 1) // 2) * (1.0 + _FP_SLACK)
-    if not (cert.delta <= reach and cert.delta**2 <= spec.T * (1.0 + _FP_SLACK)):
+    if not spec.cylinder_fits(cert.delta, spec.middle_node()):
         raise DiagnosticsError(f"delta = {cert.delta!r} is too large for the mesh")
     idx = np.array(node) + np.roll(spec.cylinder_steps(cert.delta), -1, axis=1)
     flat = spec.flat_offsets(idx)
     if (flat < 0).any():
         spec.offset(idx[np.argmax(flat < 0)].tolist())  # the GridError naming that node
+    if not spec.cylinder_fits(cert.delta, node):
+        raise DiagnosticsError(f"node {node}: its delta = {cert.delta!r} cylinder leaves the domain")
     vvals = v.values.ravel()[flat]
     pvals = _eval_paraboloid_many(cert.paraboloid, idx[:, :-1] * spec.h, idx[:, -1] * spec.tau)
     sign = 1.0 if cert.side == "super" else -1.0
     vscale = 1.0 + float(np.max(np.abs(vvals)))
     side_ok = float(np.min(sign * (vvals - pvals))) >= -1e-9 * vscale
-    center = (tuple(np.asarray(node[:-1], dtype=float) * spec.h), node[-1] * spec.tau)
+    center = spec.node_point(node)
     touch_gap = sign * (v.value(node) - evaluate_paraboloid(cert.paraboloid, center))
     touching = side_ok and touch_gap <= cert.touch_gap + 1e-9 * vscale
     pt, d2 = paraboloid_derivatives(cert.paraboloid, center)

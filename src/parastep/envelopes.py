@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import EnvelopeError, GridError
 from .geometry import (
-    _FP_SLACK,
     MeshFunction,
     MeshSpec,
     ParabolicPoint,
@@ -194,8 +193,8 @@ def abp_diagnostic(
 ) -> dict:
     """Dip-versus-contact-measure diagnostic on a backward cylinder.
 
-    Takes the backward cylinder of radius rho at ``center`` (defaults: top
-    time over the snapped spatial midpoint, largest radius that fits), checks
+    Takes the backward cylinder of radius rho at ``center`` (defaults: the middle node,
+    the largest multiple of h that :meth:`MeshSpec.cylinder_fits` accepts), checks
     u >= 0 on its discrete parabolic boundary (the lateral shell of width h
     and the bottom level), extends ``-u^-`` by zero to the doubled cylinder
     on a local grid, and compares
@@ -218,39 +217,37 @@ def abp_diagnostic(
     h, tau, n = spec.h, spec.tau, spec.n
 
     if center is None:
-        kc = tuple(round(((lo + hi) / 2.0) / h) for lo, hi in spec.bounds)
-        mc = spec.levels
+        node = spec.middle_node()
     else:
         center = ParabolicPoint(center[0], center[1]) if isinstance(center, tuple) else center
-        kc = tuple(
+        node = tuple(
             lattice_index(c, h, "cylinder center coordinate", EnvelopeError) for c in center.x
-        )
-        mc = lattice_index(center.t, tau, "cylinder center time", EnvelopeError)
+        ) + (lattice_index(center.t, tau, "cylinder center time", EnvelopeError),)
+    mc = node[-1]
     if not 1 <= mc <= spec.levels:
         raise EnvelopeError(f"cylinder top time {mc * tau} outside the mesh")
-    cx = tuple(k * h for k in kc)
-    lat = min(min(cx[i] - lo, hi - cx[i]) for i, (lo, hi) in enumerate(spec.bounds))
+    center = spec.node_point(node)
 
-    if rho is None:
-        j = min(int(lat / h + _FP_SLACK), int(math.isqrt(mc)))
+    if rho is None:  # the largest multiple of h that fits; none with j^2 > mc does
+        fitting = (j for j in range(math.isqrt(mc) + 1, 0, -1) if spec.cylinder_fits(j * h, node))
+        j = next(fitting, 0)
         if j < 1:
             raise EnvelopeError("no backward cylinder of radius h fits this mesh")
-        rho = j * h
     else:
         j = lattice_index(rho, h, "cylinder radius", EnvelopeError)
         if j < 1:
             raise EnvelopeError(f"cylinder radius must be a positive multiple of h, got {rho}")
-        if j * h > lat + _FP_SLACK * h or j * j > mc:
+        if not spec.cylinder_fits(j * h, node):
             raise EnvelopeError("backward cylinder does not fit inside the mesh")
-        rho = j * h
+    rho = j * h
 
     # the cylinder's steps about its center on u's mesh and about the top center
     # of the local doubled cylinder (half-width 2 rho, depth (2 rho)^2, same
     # lattice; N = 2 there: only the envelope runs on it, no stencil does)
     steps = np.roll(spec.cylinder_steps(rho), -1, axis=1)
-    local = MeshSpec(h, [(c - 2 * rho, c + 2 * rho) for c in cx], (2 * rho) ** 2, N=2)
-    cyl = spec.flat_offsets(np.array(kc + (mc,)) + steps)
-    lcyl = local.flat_offsets(np.array(kc + (local.levels,)) + steps)
+    local = MeshSpec(h, [(c - 2 * rho, c + 2 * rho) for c in center.x], (2 * rho) ** 2, N=2)
+    cyl = spec.flat_offsets(np.array(node) + steps)
+    lcyl = local.flat_offsets(np.array(node[:-1] + (local.levels,)) + steps)
     u_cyl = u.values.ravel()[cyl]
 
     if tol is None:
@@ -307,7 +304,7 @@ def abp_diagnostic(
         "ratio": ratio,
         "K": float(K),
         "rho": rho,
-        "center": ParabolicPoint(cx, mc * tau),
+        "center": center,
         "cylinder_node_count": len(cyl),
         "contact_count": count,
         "contact_measure": measure,

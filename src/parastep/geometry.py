@@ -8,8 +8,8 @@ x_i = k_i*h and t = m*h^2.
 This module owns the lattice neighbour arithmetic and its tolerance: the
 neighbour shift (NaN off the mesh), the standard stencil directions, the
 quotient weight 1/|hy|^2 and the second quotient fields, and ``_FP_SLACK``
-with its snap helper :func:`lattice_index` and the regions' tie rule, and the
-lattice steps of a backward cylinder (:meth:`MeshSpec.cylinder_steps`).
+with its snap helper :func:`lattice_index` and the regions' tie rule, and a
+backward cylinder's lattice steps and fit rule (:meth:`MeshSpec.cylinder_steps`, ``cylinder_fits``).
 """
 
 from __future__ import annotations
@@ -58,10 +58,9 @@ _HOLDER_SLACK = 64 * np.finfo(float).eps
 def lattice_index(value: float, step: float, what: str, error: type[Exception] = GridError) -> int:
     """The integer k with value = k*step up to ``_FP_SLACK``; else raises ``error``."""
     q = value / step
-    k = round(q)
-    if abs(q - k) > _FP_SLACK:
-        raise error(f"{what} must sit on the lattice (step {step}), got {value}")
-    return int(k)
+    if not (math.isfinite(q) and abs(q - round(q)) <= _FP_SLACK):
+        raise error(f"{what} must be finite and sit on the lattice (step {step}), got {value}")
+    return round(q)
 
 
 def lattice_directions(n: int) -> tuple[list, dict]:
@@ -165,8 +164,8 @@ class Cylinder:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _coerce_point(self.center))
-        if self.radius <= 0:
-            raise GridError(f"cylinder radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise GridError(f"cylinder radius must be finite and positive, got {self.radius}")
         if self.orientation not in ("forward", "backward"):
             raise GridError(f"orientation must be 'forward' or 'backward', got {self.orientation!r}")
 
@@ -203,8 +202,8 @@ class KBox:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _coerce_point(self.center))
-        if self.r <= 0:
-            raise GridError(f"K-box scale must be positive, got {self.r}")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise GridError(f"K-box scale must be finite and positive, got {self.r}")
 
     @property
     def half_width(self) -> float:
@@ -341,6 +340,26 @@ class MeshSpec:
         dm = np.arange(-int(radius**2 / self.tau) - 1, 1)
         dm = dm[cyl.contains_points(np.zeros((len(dm), self.n)), dm * self.tau)]
         return np.column_stack([np.tile(dm, len(dk)), np.repeat(dk, len(dm), axis=0)])
+
+    def cylinder_fits(self, radius: float, index: Sequence[int] | None = None):
+        """Whether the backward :class:`Cylinder` of this radius about a node lies in
+        the domain: iff lat^2 >= r^2 - e and t >= r^2 - e, with lat the node's lateral
+        distance (0 off the box), t its time and e = ``_FP_SLACK`` r^2 the cylinder's
+        own edge slack, so ``contains_points`` holds at no point of the domain's
+        boundary.  A mask over the mesh, or a bool at one global ``index`` in O(n).
+        The falsifier, the certificate replay and the ABP diagnostic all ask here."""
+        if index is None:
+            lat, t = self.lateral_distance(), self.times().reshape((-1,) + (1,) * self.n)
+        else:
+            x = [k * self.h for k in index[:-1]]
+            lat = max(0.0, min(min(c - lo, hi - c) for c, (lo, hi) in zip(x, self.bounds)))
+            t = index[-1] * self.tau
+        edge = radius**2 - _FP_SLACK * radius**2  # r2 - e, as Cylinder computes it
+        return (lat**2 >= edge) & (t >= edge)
+
+    def middle_node(self) -> tuple[int, ...]:
+        """The final-time node over the snapped box midpoint: a cylinder fits somewhere iff here."""
+        return tuple(round((lo + hi) / 2.0 / self.h) for lo, hi in self.bounds) + (self.levels,)
 
     def flat_offsets(self, index: np.ndarray) -> np.ndarray:
         """Time-major flat array offsets of rows (k_1, ..., k_n, m) of global

@@ -326,6 +326,24 @@ def test_certify_names_the_first_node_outside_the_mesh(tmp_path, capsys, drift_g
     assert err.strip() == "parastep: error: node (0, 2) is not in the mesh"
 
 
+def test_certify_refuses_a_node_where_the_cylinder_does_not_fit(tmp_path, capsys):
+    # on (0, 0.95) node (6, 4) is 0.2 < delta = 0.25 from the boundary while
+    # its whole cylinder is in the mesh: certify used to replay the moved row
+    spec = MeshSpec(h=0.125, bounds=[(0.0, 0.95)], T=0.25, N=2)
+    grid = tmp_path / "short.txt"
+    MeshFunction.from_callable(spec, lambda x, t: -t).write_text(grid)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(f"scheme.kind = linear\nscheme.matrix = [[1.0]]\nboundary.file = {grid}\n")
+    out_dir = tmp_path / "diag"
+    assert run(capsys, "diagnose", "--config", str(cfg), "--out", str(out_dir))[0] == 0
+    row = (out_dir / "certificates.txt").read_text().splitlines()[0]
+    moved = tmp_path / "moved.txt"
+    moved.write_text(row.replace(" node=2,4 ", " node=6,4 ") + "\n")
+    code, _, err = run(capsys, "certify", str(moved), "--config", str(cfg))
+    assert code == 1
+    assert err.strip() == "parastep: error: node (6, 4): its delta = 0.25 cylinder leaves the domain"
+
+
 def test_diagnose_keeps_the_results_when_abp_is_skipped(tmp_path, capsys, drift_grid):
     # v = -t is negative on the ABP cylinder's parabolic boundary; that used
     # to end the run with exit 1 and no diagnostics.txt

@@ -313,6 +313,15 @@ def test_x_convolution_rejects_off_lattice_time():
         x_inf_convolution(v, 0.5, (0.5,), spec.T + spec.tau)  # past final level
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_x_convolution_refuses_a_non_finite_time(t):
+    # round() on the time used to raise ValueError (nan) or OverflowError (inf)
+    spec = MeshSpec(**MESH_1D)
+    v = MeshFunction(spec, np.zeros(spec.shape))
+    with pytest.raises(GridError, match="time must be finite"):
+        x_inf_convolution(v, 0.1, (0.5,), t)
+
+
 def test_x_convolution_constant():
     spec = MeshSpec(**MESH_1D)
     v = MeshFunction(spec, np.full(spec.shape, -1.25))

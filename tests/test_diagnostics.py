@@ -40,7 +40,9 @@ from parastep.diagnostics import (
     _local_model,
     _margin_field,
 )
-from parastep.errors import DiagnosticsError
+from parastep import geometry
+from parastep.envelopes import abp_diagnostic
+from parastep.errors import DiagnosticsError, EnvelopeError, GridError
 from parastep.geometry import _FP_SLACK, Cylinder, KBox, MeshFunction, MeshSpec, region_mask, shift
 from parastep.harness import get_problem, run_diagnostics
 from parastep.nonlinearity import NonlinearityDescriptor, evaluate_F
@@ -166,6 +168,18 @@ def _cylinder_offsets(spec, delta):
     return out
 
 
+def _old_eligible(spec, delta):
+    """The falsifier's eligible set before ``MeshSpec.cylinder_fits``, with its
+    own 1e-12 relative slack."""
+    lat = spec.lateral_distance()[None, ...]
+    t = spec.times().reshape((-1,) + (1,) * spec.n)
+    return (
+        spec.classification().interior
+        & (lat >= delta * (1.0 - 1e-12))
+        & (t >= delta**2 * (1.0 - 1e-12))
+    )
+
+
 def falsifier_oracle(v, F, delta, side="super", config=None):
     """The falsifier as one whole-mesh pass per probe and offset: the probe's
     (l, m, Q) fields, its touching value w_ext, the gap and the margin at
@@ -188,13 +202,7 @@ def falsifier_oracle(v, F, delta, side="super", config=None):
     touch_tol = cfg.touch_tol if cfg.touch_tol is not None else 1e-9 * scale
     viol_tol = cfg.violation_tol if cfg.violation_tol is not None else 1e-9 * scale
 
-    lat = spec.lateral_distance()[None, ...]
-    t = spec.times().reshape((-1,) + (1,) * n)
-    eligible = (
-        spec.classification().interior
-        & (lat >= delta * (1.0 - 1e-12))
-        & (t >= delta**2 * (1.0 - 1e-12))
-    )
+    eligible = _old_eligible(spec, delta)
     if not eligible.any():
         raise DiagnosticsError(
             f"no node admits a delta-cylinder with delta = {delta}; enlarge the mesh"
@@ -444,6 +452,71 @@ def test_replay_refuses_a_cylinder_larger_than_the_mesh():
         replay_violation(dataclasses.replace(cert, node=(16, 8), delta=3 * spec.h), deep, HEAT)
 
 
+def test_replay_refuses_a_node_where_the_cylinder_does_not_fit():
+    # on (0, 0.95) at h = 1/8, node (6, 4) is 0.2 from the boundary, less than
+    # delta = 0.25, yet every node of its cylinder (columns 5..7, levels 1..4)
+    # is in the mesh; the falsifier never certifies there, and the replay
+    # used to accept such a certificate as valid
+    spec = MeshSpec(h=0.125, bounds=[(0.0, 0.95)], T=0.25, N=2)
+    v = MeshFunction.from_callable(spec, lambda x, t: -t + 0.0 * x[..., 0])
+    cfg = FalsifierConfig(samples=0, max_violations=10**6)
+    certs = delta_falsifier(v, HEAT, 0.25, "super", cfg)
+    assert certs[0].node == (2, 4) and replay_violation(certs[0], v, HEAT)["valid"]
+    assert {c.node[0] for c in certs} == {2, 3, 4, 5}
+    moved = dataclasses.replace(certs[0], node=(6, 4))
+    cylinder = np.array((6, 4)) + np.roll(spec.cylinder_steps(0.25), -1, axis=1)
+    assert (spec.flat_offsets(cylinder) >= 0).all()
+    with pytest.raises(DiagnosticsError, match=r"node \(6, 4\): its delta = 0.25 cylinder leaves"):
+        replay_violation(moved, v, HEAT)
+
+
+def test_one_slack_moves_every_cylinder_fit_decision(monkeypatch):
+    # The falsifier's eligible set, the replay's refusal and ABP's radius
+    # check all ask MeshSpec.cylinder_fits, so a wider _FP_SLACK moves them
+    # together.  On v = -t the osculating probe certifies every eligible node.
+    h = 0.125
+    cfg = FalsifierConfig(samples=0, include_battery=False, max_violations=10**6)
+    # (a) delta = 2h (1 + 1e-4) on (0, 1): in a 1e-3 tie band it counts as 2h,
+    # so lateral distance 2h and a depth of 4 levels fit; at 1e-9 they do not
+    spec, v = drift_mesh()
+    delta = 2 * h * (1 + 1e-4)
+    # (b) the tie in the bound, so that ABP, whose radius is a multiple of h,
+    # meets it too: on (0, 1 - 1e-4 h), column 5 is 3h (1 - 3.3e-5) from the
+    # boundary, and its delta = 3h cylinder (columns 3..7) is in the mesh
+    short = MeshSpec(h=h, bounds=[(0.0, 1.0 - 1e-4 * h)], T=0.25, N=2)
+    w = MeshFunction.from_callable(short, lambda x, t: -t + 0.0 * x[..., 0])
+    zero = MeshFunction(short, np.zeros(short.shape))
+    at5 = ((5 * h,), short.T)
+
+    def eligible():
+        return [
+            sorted(c.node for c in delta_falsifier(u, HEAT, d, "super", cfg))
+            for u, d in ((v, delta), (w, 3 * h))
+        ]
+
+    narrow = eligible()
+    assert [len(e) for e in narrow] == [3 * 12, 2 * 8]  # as the old rules decide
+    assert abp_diagnostic(zero, center=at5)["rho"] == 2 * h
+    with pytest.raises(EnvelopeError, match="does not fit"):
+        abp_diagnostic(zero, center=at5, rho=3 * h)
+    monkeypatch.setattr(geometry, "_FP_SLACK", 1e-3)
+    wide = eligible()
+    assert [len(e) for e in wide] == [5 * 13, 3 * 8]
+    assert set(narrow[0]) < set(wide[0]) and set(narrow[1]) < set(wide[1])
+    assert abp_diagnostic(zero, center=at5)["rho"] == 3 * h
+    assert abp_diagnostic(zero, center=at5, rho=3 * h)["rho"] == 3 * h
+    edge = delta_falsifier(v, HEAT, delta, "super", cfg)[0]
+    last = delta_falsifier(w, HEAT, 3 * h, "super", cfg)[-1]
+    assert (edge.node, last.node) == ((2, 4), (5, 16))
+    assert replay_violation(edge, v, HEAT)["valid"] and replay_violation(last, w, HEAT)["valid"]
+    monkeypatch.setattr(geometry, "_FP_SLACK", _FP_SLACK)
+    assert eligible() == narrow
+    with pytest.raises(GridError, match=r"node \(0, 0\) is not in the mesh"):
+        replay_violation(edge, v, HEAT)
+    with pytest.raises(DiagnosticsError, match=r"node \(5, 16\): its delta = 0.375 cylinder leaves"):
+        replay_violation(last, w, HEAT)
+
+
 def test_replay_refuses_a_certificate_of_another_dimension():
     # a 1-D certificate on a 2-D mesh used to end in a numpy broadcast error
     spec, v = drift_mesh()
@@ -606,9 +679,25 @@ def test_falsifier_config_rejects_invalid_values():
             FalsifierConfig(**kw)
     with pytest.raises(DiagnosticsError, match="touch_tol must be nonnegative"):
         FalsifierConfig.with_grid_touch(spec, c_touch=-1.0)
+    # infinite tolerances used to be accepted: violation_tol = inf reported
+    # every grid clean, and touch_tol = inf let every probe touch
+    for kw in (dict(touch_tol=math.inf), dict(violation_tol=math.inf)):
+        with pytest.raises(DiagnosticsError, match="must be nonnegative and finite, got inf"):
+            FalsifierConfig(**kw)
+    with pytest.raises(DiagnosticsError, match="touch_tol must be nonnegative and finite"):
+        FalsifierConfig.with_grid_touch(spec, c_touch=math.inf)
     FalsifierConfig(samples=0, touch_tol=0.0, violation_tol=0.0, max_violations=1)
     FalsifierConfig(seed=np.int64(3))
     FalsifierConfig(samples=np.int64(4), max_violations=np.int32(2))
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_falsifier_refuses_a_non_finite_delta(delta):
+    # nan and inf used to report "no node admits a delta-cylinder; enlarge the mesh"
+    spec, v = drift_mesh()
+    assert len(delta_falsifier(v, HEAT, 2 * spec.h, "super", FalsifierConfig(samples=0))) == 65
+    with pytest.raises(DiagnosticsError, match=f"delta = {delta} must be finite"):
+        delta_falsifier(v, HEAT, delta, "super", FalsifierConfig(samples=0))
 
 
 # the probe dimension n + 1 + n (n + 1) / 2 for n = 1..4
@@ -802,6 +891,91 @@ def test_cylinder_steps_match_the_offset_oracle(n):
             assert got.shape == (len(want), n + 1) and got.tolist() == [list(w) for w in want]
             checked += 1
     assert checked == 6 * 45
+
+
+def _old_abp_radius(spec, node):
+    """ABP's largest fitting multiple j of h at a node before
+    ``MeshSpec.cylinder_fits``: its absolute slack 1e-9 h and integer levels."""
+    x = [k * spec.h for k in node[:-1]]
+    lat = min(min(c - lo, hi - c) for c, (lo, hi) in zip(x, spec.bounds))
+    return min(int(lat / spec.h + _FP_SLACK), int(math.isqrt(node[-1])))
+
+
+@st.composite
+def fit_cases(draw, exact=False):
+    """A small mesh (n <= 3, h from 1/4 to 1/12, bounds on an h/4 grid,
+    lattice-aligned or not, sides and depth near those that the cylinder
+    or the stencil reach 2h needs, so that ties with the boundary are
+    common), a radius sqrt(k) h or m h/4, perhaps times 1 +- 1e-10, and a
+    node.  ``exact``: lattice-aligned bounds and an untilted radius."""
+    n = draw(st.integers(1, 3))
+    h = 1.0 / draw(st.integers(4, 12))
+    if draw(st.booleans()):
+        lattice = math.sqrt(draw(st.integers(1, (12, 12, 6)[n - 1]))) * h
+    else:
+        lattice = draw(st.integers(1, (14, 14, 10)[n - 1])) * h / 4
+    tilt = 1.0 if exact else draw(st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 1e-10]))
+    aligned = exact or draw(st.booleans())
+    reach = max(lattice, 2 * h)
+    bounds = []
+    for _ in range(n):  # in quarters of h
+        lo = draw(st.integers(-8, 8))
+        side = 2 * math.ceil(4 * reach / h) + draw(st.integers(-4, 8))
+        if aligned:
+            lo, side = 4 * (lo // 4), 4 * -(-side // 4)
+        bounds.append((lo * h / 4, (lo + side) * h / 4))
+    levels = max(1, math.ceil(reach**2 / h**2) + draw(st.integers(-2, 4)))
+    spec = MeshSpec(h=h, bounds=bounds, T=levels * h * h, N=2)
+    at = draw(st.integers(0, spec.node_count() - 1))
+    return spec, lattice, tilt, spec.index_from_offset(np.unravel_index(at, spec.shape))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=fit_cases())
+def test_generated_cylinder_steps_match_the_oracle_and_fit_the_mesh(case):
+    spec, lattice, tilt, _ = case
+    radius = lattice * tilt
+    # the steps are the oracle's; within 1e-10 of a lattice radius they stay
+    # those of the lattice radius (the oracle's own 1e-12 tie rule would not)
+    steps = spec.cylinder_steps(radius)
+    assert steps.tolist() == [[dm, *dk] for dk, dm in _cylinder_offsets(spec, lattice)]
+    # wherever the rule holds, the whole cylinder is in the mesh
+    fits = spec.cylinder_fits(radius)
+    cells = np.argwhere(fits)[:, None, :] + steps[None, :, :]
+    assert (cells >= 0).all() and (cells < np.array(spec.shape)).all()
+    assert fits.any() == spec.cylinder_fits(radius, spec.middle_node())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=fit_cases(exact=True))
+def test_generated_fit_decisions_match_the_old_rules(case):
+    # on lattice radii and lattice-aligned bounds, the falsifier's eligible
+    # set (v = -t: the osculating probe certifies every eligible node) is the
+    # old one
+    spec, radius, _, node = case
+    old = _old_eligible(spec, radius)
+    v = MeshFunction.from_callable(spec, lambda x, t: -t + 0.0 * x[..., 0])
+    F = NonlinearityDescriptor.linear(np.eye(spec.n))
+    cfg = FalsifierConfig(samples=0, include_battery=False, max_violations=10**6)
+    if radius < spec.h * math.sqrt(spec.n + 1) * (1.0 - 1e-12) or not old.any():
+        with pytest.raises(DiagnosticsError, match="cell diameter|enlarge the mesh"):
+            delta_falsifier(v, F, radius, "super", cfg)
+    else:
+        got = {spec.offset(c.node) for c in delta_falsifier(v, F, radius, "super", cfg)}
+        assert got == {tuple(i) for i in np.argwhere(old)}
+    # ABP's default radius and its check of a given one, at the middle node
+    # and at a drawn node, are the old ones
+    zero = MeshFunction(spec, np.zeros(spec.shape))
+    for at in (spec.middle_node(), node):
+        center = (tuple(k * spec.h for k in at[:-1]), at[-1] * spec.tau)
+        j = _old_abp_radius(spec, at)
+        if j < 1:
+            with pytest.raises(EnvelopeError, match="no backward cylinder"):
+                abp_diagnostic(zero, center=center)
+        else:
+            assert abp_diagnostic(zero, center=center)["rho"] == j * spec.h
+        with pytest.raises(EnvelopeError, match="does not fit"):
+            abp_diagnostic(zero, center=center, rho=(max(j, 0) + 1) * spec.h)
 
 
 def test_falsifier_memory_stays_within_budget_at_delta_4h():

@@ -367,6 +367,23 @@ def test_abp_parameter_validation():
         abp_diagnostic(u, rho=0.625)  # needs rho^2 <= top time and ball inside box
 
 
+@pytest.mark.parametrize(
+    "kw, fragment",
+    [
+        (dict(center=((0.5,), math.nan)), "center time must be finite"),
+        (dict(center=((math.inf,), 0.25)), "center coordinate must be finite"),
+        (dict(rho=math.nan), "radius must be finite"),
+        (dict(rho=math.inf), "radius must be finite"),
+    ],
+    ids=["t=nan", "x=inf", "rho=nan", "rho=inf"],
+)
+def test_abp_refuses_non_finite_lattice_values(kw, fragment):
+    # round() used to raise ValueError on nan and OverflowError on inf
+    spec = MeshSpec(**ABP_MESH)
+    with pytest.raises(EnvelopeError, match=fragment):
+        abp_diagnostic(MeshFunction(spec, np.zeros(spec.shape)), **kw)
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1e-12, math.inf, -math.inf])
 def test_nonsense_contact_tolerances_are_refused(tol):
     # unchecked, nan and -1e-12 gave ratio inf with 0 contacts and inf

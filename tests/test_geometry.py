@@ -242,6 +242,47 @@ def test_classification_2d_band():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.25])
+def test_regions_refuse_a_radius_that_is_not_finite_and_positive(radius):
+    # nan and inf used to construct, and cylinder_steps(inf) ended in OverflowError
+    center = ParabolicPoint((0.5,), 0.25)
+    with pytest.raises(GridError, match="cylinder radius must be finite and positive"):
+        Cylinder(center, radius=radius)
+    with pytest.raises(GridError, match="K-box scale must be finite and positive"):
+        KBox(center, r=radius)
+    with pytest.raises(GridError, match="cylinder radius must be finite and positive"):
+        MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=0.25, N=2).cylinder_steps(radius)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_lattice_index_refuses_a_non_finite_value_with_the_callers_error(value):
+    with pytest.raises(ValueError, match="time must be finite"):
+        geometry.lattice_index(value, 0.125, "time", ValueError)
+    with pytest.raises(GridError, match="radius must be finite"):
+        geometry.lattice_index(value, 0.125, "radius")
+
+
+@pytest.mark.parametrize(
+    "bounds", [[(0.0, 1.0)], [(0.0, 0.95)], [(-0.3, 0.7), (0.1, 0.85)], [(0.0, 0.75)] * 3]
+)
+def test_cylinder_fits_one_node_as_the_mask_does(bounds):
+    spec = MeshSpec(h=0.125, bounds=bounds, T=0.25, N=2)
+    mid = spec.middle_node()
+    assert spec.contains_index(mid)
+    lat = spec.lateral_distance()
+    assert lat[spec.offset(mid)[1:]] == lat.max()
+    for radius in (0.1, 0.125, 0.25, math.sqrt(2) * 0.125, 0.3, 0.375, 0.5):
+        mask = spec.cylinder_fits(radius)
+        assert mask.shape == spec.shape
+        assert [bool(spec.cylinder_fits(radius, i)) for i in spec.node_indices()] == (
+            mask.ravel().tolist()
+        )
+        assert mask.any() == spec.cylinder_fits(radius, mid)
+    # a node off the box never fits, whichever side it is on
+    outside = tuple(k - 20 for k in mid[:-1]) + (mid[-1],)
+    assert not spec.cylinder_fits(0.01, outside)
+
+
 def test_tiny_cylinder_hits_single_node():
     spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=0.25, N=2)
     cyl = Cylinder(ParabolicPoint((0.5,), 0.125), radius=0.05, orientation="backward")
