@@ -312,6 +312,11 @@ def verify_convolution_properties(v: MeshFunction, theta: float, eta: float = 0.
       theta_monotone   v^-_{theta/2} >= v^-_{theta} pointwise;
       omega_lower_bound  v^- >= v - ||v||_{C^0,eta} * omega^eta on the
                        admissible set (the omega-correction bound).
+
+    The semiconcavity check holds two ``second_quotient_field`` arrays of the
+    mesh's size (v^- and v^+) and their shift temporaries for one stencil
+    direction at a time: its scratch peaks at five mesh-sized arrays
+    (``tracemalloc``, 2D h = 1/32), whatever the number of directions.
     """
     spec = v.spec
     norm = discrete_holder_norm(v, eta)["norm"]

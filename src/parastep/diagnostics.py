@@ -267,7 +267,8 @@ class FalsifierConfig:
 
 @dataclass(frozen=True)
 class ViolationCertificate:
-    """A replayable counterexample to one delta-viscosity inequality."""
+    """A replayable counterexample to one delta-viscosity inequality; its
+    ``delta`` must be finite and positive (DiagnosticsError)."""
 
     node: tuple
     side: str
@@ -276,6 +277,10 @@ class ViolationCertificate:
     touch_gap: float
     delta: float
     probe: str
+
+    def __post_init__(self):
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise DiagnosticsError(f"delta must be a finite positive number, got {self.delta!r}")
 
     def row(self) -> str:
         P = self.paraboloid
@@ -317,7 +322,7 @@ def row_to_certificate(row: str) -> ViolationCertificate:
         a = [float(s) for s in kv["a"].split(",")]
         Q = np.array([float(s) for s in kv["Q"].split(",")]).reshape(len(l), len(l))
         P = Paraboloid(c=float(kv["c"]), l=l, m=float(kv["m"]), a=a, Q=Q)
-        cert = ViolationCertificate(
+        fields = dict(
             node=node,
             side=kv["side"],
             paraboloid=P,
@@ -330,9 +335,7 @@ def row_to_certificate(row: str) -> ViolationCertificate:
         raise DiagnosticsError(f"certificate row missing field {exc}") from None
     except ValueError as exc:
         raise DiagnosticsError(f"malformed certificate row: {exc}") from None
-    if not (math.isfinite(cert.delta) and cert.delta > 0):
-        raise DiagnosticsError(f"delta must be a finite positive number, got {cert.delta!r}")
-    return cert
+    return ViolationCertificate(**fields)
 
 
 def _local_model(v: MeshFunction):

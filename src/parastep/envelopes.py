@@ -211,7 +211,10 @@ def abp_diagnostic(
     EnvelopeError.  The cylinder's nodes are the steps of
     :meth:`MeshSpec.cylinder_steps` about the center on u's mesh and about
     the top center of the local grid, so one gather pairs each local node
-    with its parent node.
+    with its parent node.  The default K's ``second_quotient_field`` runs on
+    the cylinder's bounding box ((j^2 + 1) levels x (2j + 1)^n columns for
+    rho = j h), one axis at a time, so its scratch is a few box-sized arrays
+    whatever the size of the mesh.
     """
     spec = u.spec
     h, tau, n = spec.h, spec.tau, spec.n

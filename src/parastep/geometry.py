@@ -45,6 +45,9 @@ __all__ = [
 # classified exactly.
 _FP_SLACK = 1e-9
 
+# The most nodes a mesh may have: numpy allocates no larger float64 array.
+_MAX_NODES = np.iinfo(np.intp).max // 8
+
 # Node lines that MeshFunction.read_text parses at a time.
 _READ_CHUNK_LINES = 1 << 14
 
@@ -234,12 +237,15 @@ class MeshSpec:
     h : float
         Spatial step; the time step is tau = h^2.
     bounds : sequence of (lo, hi)
-        The spatial domain, an axis-aligned open box.
+        The spatial domain, an axis-aligned open box with finite sides.
     T : float
         Final time.  Rounded down to a multiple of h^2 if it is not one.
     N : int
         Stencil reach: directions satisfy 0 < |y| < N*h, and nodes within
         parabolic distance N*h of the parabolic boundary form the boundary band.
+
+    A mesh with more nodes than one float64 array can hold is refused
+    (GridError), before anything is allocated.
     """
 
     def __init__(self, h: float, bounds: Sequence[Sequence[float]], T: float, N: int = 2):
@@ -255,8 +261,8 @@ class MeshSpec:
         if not bounds:
             raise GridError("bounds must be non-empty")
         for lo, hi in bounds:
-            if not hi > lo:
-                raise GridError(f"invalid bounds ({lo}, {hi})")
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise GridError(f"invalid bounds ({lo}, {hi}): need finite lo < hi")
         min_side = min(hi - lo for lo, hi in bounds)
         if not N * h < min_side:
             raise GridError(
@@ -269,18 +275,26 @@ class MeshSpec:
         self.N = int(N)
         self.n = len(bounds)
         # Global index ranges: k with lo < k*h < hi, and time levels 1..levels.
-        self.k_min = tuple(int(math.floor(lo / h + _FP_SLACK)) + 1 for lo, _ in bounds)
-        self.k_max = tuple(int(math.ceil(hi / h - _FP_SLACK)) - 1 for _, hi in bounds)
+        # A quotient that overflows to inf has more nodes than numpy can index.
+        try:
+            self.k_min = tuple(int(math.floor(lo / h + _FP_SLACK)) + 1 for lo, _ in bounds)
+            self.k_max = tuple(int(math.ceil(hi / h - _FP_SLACK)) - 1 for _, hi in bounds)
+            self.levels = int(math.floor(T / self.tau + _FP_SLACK))
+        except OverflowError:
+            raise GridError(f"a mesh at h={h} on {bounds} up to T={T} has too many nodes") from None
         for (lo, hi), klo, khi in zip(bounds, self.k_min, self.k_max):
             if khi < klo:
                 raise GridError(f"no lattice nodes inside ({lo}, {hi}) at h={h}")
-        self.levels = int(math.floor(T / self.tau + _FP_SLACK))
         if self.levels < 1:
             raise GridError(f"T={T} admits no time level at tau={self.tau}")
         self.T = self.levels * self.tau  # effective final time
         self.T_requested = T
         self.spatial_shape = tuple(khi - klo + 1 for klo, khi in zip(self.k_min, self.k_max))
         self.shape = (self.levels,) + self.spatial_shape
+        if math.prod(self.shape) > _MAX_NODES:
+            raise GridError(
+                f"a mesh of shape {self.shape} has more nodes than one float array can hold"
+            )
         self._classification = None
 
     # -- coordinates ---------------------------------------------------------
@@ -443,6 +457,23 @@ def classify_mesh_points(spec: MeshSpec) -> MeshClassification:
     return MeshClassification(interior=interior, boundary=~interior, interior_columns=lat_ok)
 
 
+def _sample_levels(spec: MeshSpec, f: Callable, start: int, stop: int) -> np.ndarray:
+    """``f(x, t)`` on the array rows start:stop (levels start+1 .. stop), as an
+    array of shape (stop - start, *spatial).  ``t`` and ``x`` (..., n) are fresh,
+    writable full-shape arrays filled in place, so n + 1 of them are alive
+    while f runs; a scalar or broadcastable result is expanded."""
+    shape = (stop - start,) + spec.spatial_shape
+    t = np.empty(shape)
+    t[...] = (spec.tau * np.arange(start + 1, stop + 1)).reshape((-1,) + (1,) * spec.n)
+    x = np.empty(shape + (spec.n,))
+    for a in range(spec.n):
+        x[..., a] = spec.axis_coords(a).reshape([-1 if b == a else 1 for b in range(spec.n)])
+    vals = np.asarray(f(x, t), dtype=float)
+    if vals.shape != shape:
+        vals = np.broadcast_to(vals, shape).copy()
+    return vals
+
+
 def region_mask(spec: MeshSpec, region: Cylinder | KBox | None) -> np.ndarray:
     """The nodes that ``region.contains``, as a boolean array over the mesh
     (every node when ``region`` is None)."""
@@ -473,15 +504,8 @@ class MeshFunction:
 
     @classmethod
     def from_callable(cls, spec: MeshSpec, f: Callable) -> "MeshFunction":
-        """Sample ``f(x, t)`` (x an n-vector) on every node."""
-        axes = [spec.axis_coords(a) for a in range(spec.n)]
-        grids = np.meshgrid(spec.times(), *axes, indexing="ij")
-        t = grids[0]
-        x = np.stack(grids[1:], axis=-1)
-        vals = np.asarray(f(x, t), dtype=float)
-        if vals.shape != spec.shape:
-            vals = np.broadcast_to(vals, spec.shape).copy()
-        return cls(spec, vals)
+        """Sample ``f(x, t)`` (x an n-vector) on every node, in one call."""
+        return cls(spec, _sample_levels(spec, f, 0, spec.levels))
 
     def value(self, index: Sequence[int]) -> float:
         return float(self.values[self.spec.offset(index)])

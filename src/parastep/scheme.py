@@ -18,10 +18,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SchemeError
+from .errors import GridError, SchemeError
 from .geometry import (
     MeshFunction,
     MeshSpec,
+    _sample_levels,
     lattice_directions,
     quotient_weight,
     shift,
@@ -137,7 +138,8 @@ class SchemeDescriptor:
     def _scores(self, r: np.ndarray) -> np.ndarray:
         """(..., rows, forms) array of gamma . r per form.  A stack is one
         product over all its vectors; its rows equal those of each part's own
-        product bit for bit (the solver's block route depends on it)."""
+        product bit for bit (the solver's blocks and the S_h sweep chunks depend
+        on it)."""
         ndir = self.forms.shape[-1]
         flat = r.reshape(-1, r.shape[-1]) @ self.forms.reshape(-1, ndir).T
         return flat.reshape(r.shape[:-1] + self.forms.shape[:2])
@@ -304,6 +306,16 @@ def scheme_tables_text(scheme: SchemeDescriptor) -> str:
 # ---------------------------------------------------------------------------
 
 
+# byte budget of one chunk of levels in an S_h sweep (``_sweep``), which
+# sets the chunk's length from ``_InteriorGather.level_bytes``.  Pucci+ 2D,
+# ``tracemalloc`` peaks at h = 1/32 / 1/64: ``residual_sweep`` 2.0 / 2.0 MiB,
+# ``consistency_error`` 3.1 / 2.8 MiB (one pass over every level: 24.7 / 437
+# and 35.7 / 589 MiB); ``scheme_residual_field`` adds its NaN field (1.9 / 31
+# MiB).  Sweep time at h = 1/32, 2 cores, median of 9 by budget: 1 MiB 9.7 ms,
+# 2 MiB 8.5 ms, 4 MiB 8.9 ms, 8 MiB 14.0 ms; one pass 128 ms.
+_SWEEP_BYTES = 4 << 20
+
+
 def _form_max(scores: np.ndarray) -> np.ndarray:
     """Each row's max over the short forms axis of (..., rows, forms) scores,
     folded one form slice at a time with ``np.maximum``: the same values as
@@ -358,17 +370,42 @@ class _InteriorGather:
         its predecessor and the ``scores`` of ``x``."""
         return (x - b) / self.spec.tau - _min_max(scores)
 
+    def level_bytes(self) -> int:
+        """Scratch bytes of S_h on one level: its nodes, and per interior node
+        the quotients, the form scores twice over (a temporary or a gather of
+        them), the row maxima and 8 node vectors.  It sets the levels of a
+        sweep chunk (``_sweep``) and of a solver's frozen-policy block."""
+        rows, width, ndir = self.scheme.forms.shape
+        nodes = math.prod(self.spec.spatial_shape)
+        return 8 * (nodes + self.int_flat.size * (ndir + 2 * rows * width + rows + 8))
+
+
+def _sweep(op: _InteriorGather, rows: Callable[[int, int], np.ndarray]):
+    """S_h over the interior levels in chunks of consecutive levels whose
+    scratch (``level_bytes`` each) stays under _SWEEP_BYTES.  ``rows(a, b)``
+    gives the array rows a:b of the mesh function as (b - a, nodes); a chunk
+    reads its levels and the level before them.  Yields (start, stop, res):
+    res (stop - start, K) is S_h at the interior columns of rows start:stop.
+    Per node the values are those of one pass over every level, bit for bit."""
+    levels = op.spec.levels
+    step = max(1, _SWEEP_BYTES // op.level_bytes())
+    # from the row of the earliest level with interior nodes
+    for start in range(op.spec.N**2 - 1, levels, step):
+        stop = min(start + step, levels)
+        w = rows(start - 1, stop)
+        x, b = w[1:, op.int_flat], w[:-1, op.int_flat]
+        yield start, stop, op.residual(x, b, op.scores(w[1:]))
+
 
 def scheme_residual_field(scheme: SchemeDescriptor, u: MeshFunction) -> np.ndarray:
-    """S_h[u] on the interior set, NaN on the boundary band, with every
-    interior level in one pass of the scheme's interior gather."""
+    """S_h[u] on the interior set, NaN on the boundary band, filled chunk by
+    chunk of levels from the scheme's interior gather."""
     spec = u.spec
     op = _InteriorGather(scheme, spec)
     flat = u.values.reshape(spec.levels, -1)
     res = np.full(flat.shape, np.nan)
-    first = spec.N**2 - 1  # the row of the earliest level with interior nodes
-    x, b = flat[first:, op.int_flat], flat[first - 1 : -1, op.int_flat]
-    res[first:, op.int_flat] = op.residual(x, b, op.scores(flat[first:]))
+    for start, stop, r in _sweep(op, lambda a, b: flat[a:b]):
+        res[start:stop, op.int_flat] = r
     return res.reshape(spec.shape)
 
 
@@ -466,17 +503,31 @@ class TestFunction:
 
 
 def consistency_error(scheme: SchemeDescriptor, phi: TestFunction, spec: MeshSpec) -> float:
-    """sup over interior nodes of |phi_t - F(D^2 phi) - S_h[phi]|."""
+    """sup over interior nodes of |phi_t - F(D^2 phi) - S_h[phi]|.  phi, phi_t
+    and F(D^2 phi) are sampled chunk by chunk of the S_h sweep, so the scratch
+    does not grow with the number of levels."""
 
     def F_of_hessian(x, t):
         return evaluate_F(scheme.nonlinearity, np.asarray(phi.hessian(x, t), dtype=float))
 
-    res = scheme_residual_field(scheme, MeshFunction.from_callable(spec, phi.fn))
-    ut = MeshFunction.from_callable(spec, phi.ut).values
-    FH = MeshFunction.from_callable(spec, F_of_hessian).values
-    interior = spec.classification().interior
-    err = np.abs(ut[interior] - FH[interior] - res[interior])
-    return float(err.max())
+    op = _InteriorGather(scheme, spec)
+    if not spec.classification().interior.any():
+        raise SchemeError(f"{spec!r} has no interior nodes")
+    err = 0.0  # np.maximum keeps a NaN, as one max over every node does
+    for start, stop, res in _sweep(op, lambda a, b: _finite_levels(spec, phi.fn, a, b)):
+        ut = _finite_levels(spec, phi.ut, start, stop)[:, op.int_flat]
+        FH = _finite_levels(spec, F_of_hessian, start, stop)[:, op.int_flat]
+        err = np.maximum(err, np.abs(ut - FH - res).max())
+    return float(err)
+
+
+def _finite_levels(spec: MeshSpec, f: Callable, start: int, stop: int) -> np.ndarray:
+    """f on the array rows start:stop as (stop - start, nodes); refuses a
+    non-finite value as a mesh function would."""
+    vals = _sample_levels(spec, f, start, stop).reshape(stop - start, -1)
+    if not np.all(np.isfinite(vals)):
+        raise GridError("mesh function values must be finite")
+    return vals
 
 
 def consistency_fit(

@@ -4,7 +4,8 @@ Marches level by level: at each time level the interior-column values solve
 the implicit (backward-in-time quotient) equation, with the lateral band and
 all levels before t = (N h)^2 prescribed.  S_h, its quotients and its form
 scores come from the scheme's interior gather, the evaluator that
-``scheme_residual_field`` uses too; this module holds the linear side.
+``scheme_residual_field`` and ``residual_sweep`` use too; this module holds the
+linear side.
 
 Every table shape (max, min and mixed min-max) is solved by nested policy
 iteration (Hoffman & Karp 1966; Bokanowski, Maroso & Zidani 2009).  F_h is
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import SchemeError, SolverConvergenceError
 from .geometry import MeshFunction, MeshSpec
-from .scheme import SchemeDescriptor, _form_max, _InteriorGather, scheme_residual_field
+from .scheme import SchemeDescriptor, _form_max, _InteriorGather, _sweep
 
 __all__ = ["SolveReport", "solve", "residual_sweep"]
 
@@ -282,12 +283,10 @@ def _howard_level(lp: _LevelProblem, w_flat, b_flat, tol, max_policy=60, level=N
 
 def _block_length(lp: _LevelProblem) -> int:
     """Levels per frozen-policy block: _BLOCK over the scratch bytes of one
-    level in ``_frozen_block``.  Per level it holds the level's nodes, its
-    interior values, its boundary terms and, while a check runs, its
-    quotients and scores with their temporaries."""
-    rows, width, ndir = lp.forms.shape
-    floats = lp.inv.size + lp.out_k.size + lp.K * (ndir + 2 * rows * width + rows + 8)
-    return _BLOCK // (8 * floats)
+    level in ``_frozen_block``: its boundary terms, and the level's nodes,
+    interior values and, while a check runs, its quotients and scores with
+    their temporaries (the gather's ``level_bytes``)."""
+    return _BLOCK // (lp.op.level_bytes() + 8 * lp.out_k.size)
 
 
 def _frozen_block(lp: _LevelProblem, flat: np.ndarray, m: int, length: int, tol: float):
@@ -394,9 +393,12 @@ def solve(
 
 
 def residual_sweep(scheme: SchemeDescriptor, u: MeshFunction) -> dict:
-    """Sup of |S_h[u]| over the interior set (NaN-free summary)."""
-    vals = scheme_residual_field(scheme, u)[u.spec.classification().interior]
-    return {
-        "sup_residual": float(np.max(np.abs(vals), initial=0.0)),
-        "interior_nodes": int(vals.size),
-    }
+    """Sup of |S_h[u]| over the interior set (NaN-free summary), with a
+    running sup over the chunks of the scheme's S_h sweep."""
+    op = _InteriorGather(scheme, u.spec)
+    flat = u.values.reshape(u.spec.levels, -1)
+    sup, nodes = 0.0, 0  # np.maximum keeps a NaN, as one max over every node does
+    for _, _, res in _sweep(op, lambda a, b: flat[a:b]):
+        sup = np.maximum(sup, np.abs(res).max(initial=0.0))
+        nodes += res.size
+    return {"sup_residual": float(sup), "interior_nodes": nodes}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,23 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def _traced_peak(call, *args, **kwargs):
+    """Run ``call(*args, **kwargs)`` under ``tracemalloc``; returns its result
+    and the traced peak in bytes.  Tracing stops even when the call raises."""
+    tracemalloc.start()
+    try:
+        out = call(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# session scope: ``hypothesis`` refuses function-scoped fixtures in @given tests
+@pytest.fixture(scope="session")
+def traced_peak():
+    return _traced_peak
 
 
 @pytest.fixture

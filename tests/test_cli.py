@@ -218,6 +218,24 @@ def test_non_finite_mesh_is_an_error(tmp_path, capsys, args, message):
     assert code == 1 and err.startswith(f"parastep: error: {message}")
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("domain = [[0.0, inf]]\n", "invalid bounds (0.0, inf): need finite lo < hi"),
+        ("T = 1e300\n", "a mesh of shape "),
+    ],
+    ids=["infinite-bound", "huge-T"],
+)
+def test_unindexable_mesh_is_an_error(tmp_path, capsys, config, message):
+    # these used to end in an OverflowError traceback from k_max and in
+    # "ValueError: Maximum allowed size exceeded" from MeshSpec.times()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = heat_sine\n" + config)
+    code, _, err = run(capsys, "solve", "--config", str(cfg), "--h-list", "0.25", "--out", str(tmp_path))
+    assert code == 1 and err.startswith(f"parastep: error: {message}")
+    assert not any(tmp_path.glob("solution_*.txt"))
+
+
 @pytest.mark.parametrize("theta", ["inf", "nan"])
 def test_non_finite_theta_is_an_error(tmp_path, capsys, theta):
     # theta = inf used to end in an IndexError traceback inside the envelope

@@ -1,7 +1,5 @@
 import math
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -502,19 +500,14 @@ def test_generated_transform_matches_the_per_line_oracle(
     np.testing.assert_allclose(vals, brute, atol=1e-12, rtol=0)
 
 
-def test_transform_memory_is_linear_in_the_lines():
+def test_transform_memory_is_linear_in_the_lines(traced_peak):
     # 1D h=1/64: 1024 levels x 63 columns.  The transform's scratch is lines x
     # (line length + abscissae), about 0.5 MiB an array; a lines x length x
     # abscissae comparison would take 65 MiB.  The Hölder norm is passed in:
     # its search keeps its own byte budget.
     spec = MeshSpec(h=1 / 64, bounds=[(0.0, 1.0)], T=0.25, N=2)
     v = MeshFunction.from_callable(spec, get_problem("heat_sine").fn)
-    tracemalloc.start()
-    try:
-        inf_convolution_mesh(v, 0.05, holder_norm=1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(inf_convolution_mesh, v, 0.05, holder_norm=1.0)
     assert peak <= 8 * 2**20, peak
 
 

@@ -9,7 +9,7 @@ certificates are replayed from scratch.
 import dataclasses
 import functools
 import math
-import tracemalloc
+import re
 
 import numpy as np
 import pytest
@@ -452,6 +452,17 @@ def test_replay_refuses_a_cylinder_larger_than_the_mesh():
         replay_violation(dataclasses.replace(cert, node=(16, 8), delta=3 * spec.h), deep, HEAT)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -0.25, 0.0])
+def test_certificate_refuses_a_delta_that_is_not_finite_and_positive(delta):
+    # in memory, nan and inf used to replay as "too large for the mesh", and
+    # -0.25 and 0.0 failed later in Cylinder with a GridError
+    spec, v = drift_mesh()
+    cert = delta_falsifier(v, HEAT, 2 * spec.h, "super", FalsifierConfig(samples=0))[0]
+    want = f"delta must be a finite positive number, got {delta!r}"
+    with pytest.raises(DiagnosticsError, match=re.escape(want)):
+        dataclasses.replace(cert, delta=delta)
+
+
 def test_replay_refuses_a_node_where_the_cylinder_does_not_fit():
     # on (0, 0.95) at h = 1/8, node (6, 4) is 0.2 from the boundary, less than
     # delta = 0.25, yet every node of its cylinder (columns 5..7, levels 1..4)
@@ -622,7 +633,7 @@ def test_falsifier_parameter_validation():
         delta_falsifier(v, HEAT, delta=0.51)  # needs lat >= 0.51: no such column
 
 
-def test_falsifier_memory_is_bounded_by_one_probe():
+def test_falsifier_memory_is_bounded_by_one_probe(traced_peak):
     # One probe's fields (gradient, slope, half-Hessian) are three mesh-sized
     # arrays in 1D.  The shifted stack adds 12 more (delta = 2h gives 12
     # cylinder offsets), the local model 3, the per-probe loop a few
@@ -637,12 +648,7 @@ def test_falsifier_memory_is_bounded_by_one_probe():
     assert run() == []  # side "sub" is clean, so every probe is visited
     # the warm-up call above also keeps the first read of the Sobol' table
     # out of the measurement
-    tracemalloc.start()
-    try:
-        run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run)
     assert peak <= 16 * probe_bytes, peak / probe_bytes
 
 
@@ -978,7 +984,7 @@ def test_generated_fit_decisions_match_the_old_rules(case):
             abp_diagnostic(zero, center=center, rho=(max(j, 0) + 1) * spec.h)
 
 
-def test_falsifier_memory_stays_within_budget_at_delta_4h():
+def test_falsifier_memory_stays_within_budget_at_delta_4h(traced_peak):
     # delta = 4h on the 2D heat grid at h=1/16: 720 cylinder offsets and
     # 14,400 nodes, so an offsets x mesh stack alone would be 83 MB
     u = solved("heat_product_2d", 1 / 16)
@@ -988,12 +994,7 @@ def test_falsifier_memory_stays_within_budget_at_delta_4h():
     cfg = FalsifierConfig(samples=16)
     # warm-up at delta = 2h: the Sobol' table read and first-call allocations
     delta_falsifier(u, F, 2 * u.spec.h, side="super", config=cfg)
-    tracemalloc.start()
-    try:
-        delta_falsifier(u, F, delta, side="super", config=cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(delta_falsifier, u, F, delta, side="super", config=cfg)
     assert peak <= 16 * 2**20, peak / 2**20
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +184,33 @@ def test_mesh_spec_rejects_non_finite_h_and_T(h, T, fragment):
     # level count, and h = nan as a misleading stencil-reach message
     with pytest.raises(GridError, match=fragment):
         MeshSpec(h=h, bounds=[(0.0, 1.0)], T=T, N=2)
+
+
+@pytest.mark.parametrize(
+    "h, bounds, T, fragment",
+    [
+        (0.25, [(0.0, math.inf)], 0.25, r"invalid bounds \(0.0, inf\): need finite lo < hi"),
+        (0.25, [(-math.inf, 1.0)], 0.25, r"invalid bounds \(-inf, 1.0\)"),
+        (0.25, [(0.0, 1.0), (0.0, math.inf)], 0.25, r"invalid bounds \(0.0, inf\)"),
+        # the quotients overflow to inf; the node counts exceed numpy's arrays
+        (1e-10, [(0.0, 1e308)], 0.25, "has too many nodes"),
+        (0.25, [(0.0, 1.0)], 1e300, "more nodes than one float array can hold"),
+        (1e-3, [(0.0, 1.0), (0.0, 1.0)], 1e9, "more nodes than one float array can hold"),
+    ],
+)
+def test_mesh_spec_refuses_infinite_bounds_and_unindexable_meshes(h, bounds, T, fragment):
+    # an infinite bound used to end in an OverflowError from k_max, and
+    # T = 1e300 in "ValueError: Maximum allowed size exceeded" from times()
+    with pytest.raises(GridError, match=fragment):
+        MeshSpec(h=h, bounds=bounds, T=T, N=2)
+
+
+def test_mesh_spec_accepts_the_largest_indexable_mesh():
+    # levels x columns at the cap is a legal mesh (nothing is allocated); T
+    # holds the level count to about 1e-16 relative
+    levels = geometry._MAX_NODES // 7
+    spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=levels * 0.125**2, N=2)
+    assert 0 <= levels - spec.levels < 64 and spec.node_count() <= geometry._MAX_NODES
 
 
 def test_mesh_spec_index_round_trip():
@@ -402,6 +428,58 @@ def test_mesh_function_from_callable_and_value():
     spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=0.25, N=2)
     u = MeshFunction.from_callable(spec, lambda x, t: x[..., 0] + 10 * t)
     assert u.value((4, 8)) == pytest.approx(0.5 + 10 * 0.125)
+
+
+def _from_callable_oracle(spec, f):
+    """``MeshFunction.from_callable`` by ``np.meshgrid`` and ``np.stack``, as
+    it was built before the level sampler."""
+    axes = [spec.axis_coords(a) for a in range(spec.n)]
+    grids = np.meshgrid(spec.times(), *axes, indexing="ij")
+    vals = np.asarray(f(np.stack(grids[1:], axis=-1), grids[0]), dtype=float)
+    return np.broadcast_to(vals, spec.shape).copy()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x, t: np.sin(x.sum(axis=-1)) * np.exp(-t) + x[..., 0] * t,
+        lambda x, t: np.einsum("...i,ij,...j->...", x, np.eye(x.shape[-1]) + 0.5, x) + t,
+        lambda x, t: 2.5,
+        lambda x, t: np.cos(x[0, ..., 0]),  # one level's shape, broadcast over time
+        lambda x, t: t[(slice(None),) + (slice(0, 1),) * (t.ndim - 1)] ** 2,
+    ],
+    ids=["elementwise", "einsum", "scalar", "spatial", "temporal"],
+)
+def test_from_callable_equals_the_meshgrid_oracle(n, f):
+    spec = MeshSpec(h=1 / 8, bounds=[(0.0, 1.0)] * n, T=0.1, N=2)
+    u = MeshFunction.from_callable(spec, f)
+    assert np.array_equal(u.values, _from_callable_oracle(spec, f))
+
+
+def test_from_callable_hands_out_writable_coordinates():
+    spec = MeshSpec(h=0.25, bounds=[(0.0, 1.0)] * 2, T=0.25, N=2)
+
+    def f(x, t):
+        x += 1.0  # a callable may work in place on its own arguments
+        t *= 2.0
+        return x[..., 0] + t
+
+    want = _from_callable_oracle(spec, lambda x, t: x[..., 0] + 1.0 + 2.0 * t)
+    assert np.array_equal(MeshFunction.from_callable(spec, f).values, want)
+
+
+@pytest.mark.parametrize(
+    "n, h, T", [(1, 1 / 128, 0.25), (2, 1 / 32, 0.5), (3, 1 / 16, 0.25)], ids=["1d", "2d", "3d"]
+)
+def test_from_callable_holds_n_plus_one_grids(n, h, T, traced_peak):
+    # t and x are the only full-shape arrays while f runs: n + 1 grids, where
+    # np.meshgrid and np.stack held 2n + 1
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=T, N=2)
+    grid = spec.node_count() * 8
+    assert grid >= 2**20
+    _, peak = traced_peak(MeshFunction.from_callable, spec, lambda x, t: t)
+    assert peak <= (n + 1) * grid + 2**20, peak / grid
 
 
 def test_mesh_function_text_round_trip(tmp_path, rng):
@@ -723,17 +801,12 @@ def test_holder_norm_finds_the_maximum_on_a_tight_tile_pair():
 
 
 @pytest.mark.parametrize("n, h", [(2, 1 / 12), (1, 1 / 64)], ids=["2d-12", "1d-64"])
-def test_holder_norm_memory_stays_within_budget(n, h):
+def test_holder_norm_memory_stays_within_budget(n, h, traced_peak):
     # The all-pairs blocks peaked at 224 MiB on 2D h=1/12 (4,356 nodes).
     spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=0.25, N=2)
     u = MeshFunction.from_callable(spec, lambda x, t: np.sin(np.pi * x[..., 0]) * np.exp(-t))
     discrete_holder_norm(u, 0.5)
-    tracemalloc.start()
-    try:
-        discrete_holder_norm(u, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(discrete_holder_norm, u, 0.5)
     assert peak <= 32 * 2**20, peak
 
 

@@ -1,5 +1,5 @@
 import math
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from parastep.errors import SchemeError
 from parastep.geometry import MeshFunction, MeshSpec, second_quotient_field, shift
 from parastep.nonlinearity import NonlinearityDescriptor, evaluate_F
+from parastep import scheme as scheme_module
 from parastep.scheme import (
     SchemeDescriptor,
     _form_max,
+    _InteriorGather,
     _min_max,
+    _sweep,
     Stencil,
     TestFunction,
     build_monotone_scheme,
@@ -21,6 +24,7 @@ from parastep.scheme import (
     consistency_fit,
     scheme_residual_field,
 )
+from parastep.solver import residual_sweep
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -527,24 +531,97 @@ def test_F_h_matches_the_oracle_to_rounding_on_one_form_rows(scheme, seed, F_h_o
     assert np.all(np.abs(scheme.F_h(r) - F_h_oracle(scheme, r)) <= bound)
 
 
-def test_residual_field_peaks_below_the_oracle_route(residual_field_oracle, rng):
-    # Pucci+ 2D h=1/32 over every level at once: the gather holds levels x K
-    # x (ndir + rows x forms) floats, still less than the oracle's per-direction
-    # NaN-filled fields
+# the chunked S_h sweep: n in {1, 2}, linear, Pucci+-, Isaacs
+CHUNK_SCHEMES = [s for s in GENERATED_SCHEMES if s.stencil.n <= 2] + [
+    build_monotone_scheme(NonlinearityDescriptor.linear([[1.5]])),
+    build_monotone_scheme(NonlinearityDescriptor.linear([[2.0, 0.5], [0.5, 1.0]])),
+]
+
+
+@settings(max_examples=40, derandomize=True)
+@given(
+    scheme=st.sampled_from(CHUNK_SCHEMES),
+    k=st.integers(4, 10),
+    levels=st.integers(1, 12),
+    family=st.sampled_from(["noisy", "tie"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generated_sweep_chunks_match_the_oracle(
+    scheme, k, levels, family, seed, residual_field_oracle
+):
+    # the budget gives chunks of one level, of three and of every level; each
+    # route must equal the one-pass oracle field and its reductions
+    n = scheme.stencil.n
+    spec = MeshSpec(h=1 / k, bounds=[(0.0, 1.0)] * n, T=levels / k**2, N=2)
+    u = generated_data(spec, family, seed)
+    rng = np.random.default_rng(seed)
+    Q = rng.standard_normal((n, n))
+    phi = TestFunction.class_P(
+        l=rng.standard_normal(n), m=rng.standard_normal(), a=rng.standard_normal(n), Q=Q + Q.T
+    )
+    want = residual_field_oracle(scheme, u)
+    interior = spec.classification().interior
+    want_sweep = {
+        "sup_residual": float(np.max(np.abs(want[interior]), initial=0.0)),
+        "interior_nodes": int(interior.sum()),
+    }
+    if interior.any():
+        res = residual_field_oracle(scheme, MeshFunction.from_callable(spec, phi.fn))
+        ut = MeshFunction.from_callable(spec, phi.ut).values
+        FH = MeshFunction.from_callable(
+            spec, lambda x, t: evaluate_F(scheme.nonlinearity, phi.hessian(x, t))
+        ).values
+        want_error = float(np.abs(ut[interior] - FH[interior] - res[interior]).max())
+    op = _InteriorGather(scheme, spec)
+    flat = u.values.reshape(spec.levels, -1)
+    interior_levels = max(0, spec.levels - spec.N**2 + 1)
+    for length in (1, 3, spec.levels):
+        with mock.patch.object(scheme_module, "_SWEEP_BYTES", length * op.level_bytes()):
+            chunks = [stop - start for start, stop, _ in _sweep(op, lambda a, b: flat[a:b])]
+            starts = range(0, interior_levels, length)
+            assert chunks == [min(length, interior_levels - i) for i in starts]
+            assert np.array_equal(scheme_residual_field(scheme, u), want, equal_nan=True)
+            assert residual_sweep(scheme, u) == want_sweep
+            if interior.any():
+                assert consistency_error(scheme, phi, spec) == want_error
+            else:
+                with pytest.raises(SchemeError, match="no interior nodes"):
+                    consistency_error(scheme, phi, spec)
+
+
+def test_residual_field_peaks_below_the_oracle_route(residual_field_oracle, rng, traced_peak):
+    # Pucci+ 2D h=1/32: the gather holds one chunk of levels x K x (ndir +
+    # rows x forms) floats next to the NaN field, less than the oracle's
+    # per-direction NaN-filled fields
     spec = MeshSpec(h=1 / 32, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.25, N=2)
     scheme = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2))
     u = MeshFunction(spec, rng.standard_normal(spec.shape))
     spec.classification()  # cached on the mesh, outside both traces
-    peaks, fields = [], []
-    for route in (scheme_residual_field, residual_field_oracle):
-        tracemalloc.start()
-        try:
-            fields.append(route(scheme, u))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert np.array_equal(fields[0], fields[1], equal_nan=True)
-    assert peaks[0] <= peaks[1], peaks
+    (field, peak), (oracle, oracle_peak) = (
+        traced_peak(route, scheme, u) for route in (scheme_residual_field, residual_field_oracle)
+    )
+    assert np.array_equal(field, oracle, equal_nan=True)
+    assert peak <= oracle_peak, (peak, oracle_peak)
+
+
+def test_sweep_memory_does_not_grow_with_the_levels(traced_peak):
+    # Pucci+ 2D h=1/32: the sweeps hold one chunk of levels at a time, so
+    # doubling T leaves their peaks where they were
+    scheme = build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2))
+    phi = TestFunction.class_P(l=[0.1, 0.2], m=0.5, a=[0.3, -0.1], Q=np.diag([1.0, -0.5]))
+    rng = np.random.default_rng(7)
+    peaks = []
+    for T in (0.25, 0.5):
+        spec = MeshSpec(h=1 / 32, bounds=[(0.0, 1.0)] * 2, T=T, N=2)
+        spec.classification()  # cached on the mesh, outside the traces
+        u = MeshFunction(spec, rng.standard_normal(spec.shape))
+        sweep = traced_peak(residual_sweep, scheme, u)[1]
+        peaks.append((sweep, traced_peak(consistency_error, scheme, phi, spec)[1]))
+    (sweep, cons), (sweep2, cons2) = peaks
+    assert sweep <= 8 * 2**20, sweep
+    # 64 KiB of slack for the interpreter's own allocations; a pass over
+    # every level would add megabytes
+    assert sweep2 <= sweep + 2**16 and cons2 <= cons + 2**16, peaks
 
 
 # ---------------------------------------------------------------------------
