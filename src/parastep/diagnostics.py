@@ -71,8 +71,9 @@ _SYM_TOL = 1e-12
 # (nodes x constraint nodes, each node's padded to the chunk's longest),
 # whose features take (k + 2) * 8 bytes each for k paraboloid parameters, so
 # 12 MiB in 1D and 20 MiB in 2D; seed rows per node; rows added per node and
-# round; exchange pivots per node and round, past which the node's fit falls
-# back to HiGHS (the longest exchange of the benchmark's verify sweep takes 42).
+# round; exchange pivots per node and round, past which the node's fit is not
+# certified, a DiagnosticsError (the longest exchange of the benchmark's verify
+# sweep takes 42).
 _FIT_CHUNK_NODES = 64
 _FIT_CHUNK_ROWS = 1 << 18
 _FIT_SEED_ROWS = 24
@@ -88,9 +89,9 @@ _SOBOL_BITS = 30
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported at the first call: only a
-    good-set fit that the exchange cannot certify solves an LP, and
-    scipy.optimize is slow to import."""
+    """``scipy.optimize.linprog``, imported at the first call.  No package
+    code calls it: only the benchmark's span wrappers bind it, and it goes
+    once they read package spans (ROADMAP item 1(b))."""
     from scipy.optimize import linprog
 
     return linprog(*args, **kwargs)
@@ -721,42 +722,6 @@ def _exceeds(ratio, level):
     return ratio > level * (1.0 + 1e-9) + 1e-12
 
 
-def _block_lp(blocks) -> np.ndarray:
-    """Solve min sum_b z_b s.t. |du - phi.p_b| <= w z_b over the rows
-    (phi, w, du) of every block b, as one block-diagonal HiGHS LP.  The
-    objective separates, so each block ends at its own optimum.  HiGHS runs
-    at feasibility tolerances of 1e-10: at its defaults (1e-7) a row with a
-    small weight w may be violated by far more than 1e-9 of z.  Returns one
-    row (p_b, z_b) per block."""
-    from scipy import sparse
-
-    phi, w, du = (np.concatenate(part) for part in zip(*blocks))
-    block = np.repeat(np.arange(len(blocks)), [len(b[1]) for b in blocks])
-    kk = phi.shape[1] + 1
-    data = np.concatenate([np.column_stack([-phi, -w]), np.column_stack([phi, -w])])
-    cols = np.tile(block, 2)[:, None] * kk + np.arange(kk)
-    A = sparse.csr_matrix(
-        (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, kk)),
-        shape=(len(data), len(blocks) * kk),
-    )
-    A.eliminate_zeros()
-    cost = np.zeros(len(blocks) * kk)
-    cost[kk - 1 :: kk] = 1.0
-    bounds = np.full((len(blocks) * kk, 2), [-np.inf, np.inf])
-    bounds[kk - 1 :: kk, 0] = 0.0
-    res = linprog(
-        cost,
-        A_ub=A,
-        b_ub=np.concatenate([-du, du]),
-        bounds=bounds,
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    if res.status != 0:
-        raise DiagnosticsError(f"membership fit failed: {res.message}")
-    return res.x.reshape(len(blocks), kk)
-
-
 def _inverses(B: np.ndarray) -> np.ndarray:
     """The inverse of each matrix of a stack, NaN for a singular one."""
     try:
@@ -794,14 +759,14 @@ def _basis(a: np.ndarray, b: np.ndarray, code: np.ndarray):
 def _reference(a: np.ndarray, live: np.ndarray):
     """A first reference of k + 1 slots per node, with valid dual signs.
 
-    A parameter whose column is zero on all of a node's rows gets its
-    artificial column.  Gaussian elimination with partial pivoting picks one
-    row for every other parameter; one more row (the first free one, or a
-    padding row) completes the reference, and the signs of the null vector
-    mu of the picked rows' features (mu = 1 on the extra row) make
-    lambda = |mu| / sum |mu| a feasible dual.  Returns the codes of
-    :func:`_basis` and a flag per node whose rows are rank-deficient in a way
-    no artificial column repairs."""
+    Gaussian elimination with partial pivoting picks one row for every
+    parameter it can pivot on; a parameter whose column is zero on all of a
+    node's rows, or depends on the picked ones, gets its artificial column.
+    One more row (the first free one, or a padding row) completes the
+    reference, and the signs of the null vector mu of the picked rows'
+    features (mu = 1 on the extra row) make lambda = |mu| / sum |mu| a
+    feasible dual.  Returns the codes of :func:`_basis` and a flag per node
+    whose mu is not finite."""
     P, m, k = a.shape
     pick = np.arange(P)
     zero = ~(a != 0).any(axis=1)
@@ -809,12 +774,10 @@ def _reference(a: np.ndarray, live: np.ndarray):
     W = a.copy()
     free = live.copy()
     code = np.empty((P, k + 1), dtype=np.int64)
-    bad = np.zeros(P, dtype=bool)
     for j in range(k):
         i = np.where(free, np.abs(W[:, :, j]), -1.0).argmax(axis=1)
         piv = W[pick, i, j]
         take = ~zero[:, j] & free[pick, i] & (np.abs(piv) > 1e-9 * scale[:, j])
-        bad |= ~zero[:, j] & ~take
         code[:, j] = np.where(take, i, -1 - j)
         free[pick[take], i[take]] = False
         f = np.where(take[:, None], W[:, :, j] / np.where(take, piv, 1.0)[:, None], 0.0)
@@ -826,9 +789,8 @@ def _reference(a: np.ndarray, live: np.ndarray):
     code = np.where(real, 2 * code, code)
     G = _basis(a, np.zeros((P, m)), code)[0][:, :k]
     mu = -np.einsum("pij,pj->pi", _inverses(G[:, :, :k]), G[:, :, k])
-    bad |= ~np.isfinite(mu).all(axis=1)
     code[:, :k] += real[:, :k] & (mu < 0)
-    return code, bad
+    return code, ~np.isfinite(mu).all(axis=1)
 
 
 def _exchange(a: np.ndarray, b: np.ndarray, live: np.ndarray, code: np.ndarray):
@@ -950,16 +912,15 @@ def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
     (added rows keep it dual-feasible), then adds at each node up to
     ``_FIT_ADD_ROWS`` of its worst rows with ratio > z (1 + 1e-9) + 1e-12,
     z being the certified optimum on the rows so far; a node without such a
-    row is done.  A node the exchange does not certify falls back, for
-    this and every later round, to a block-diagonal HiGHS LP
-    (:func:`_block_lp`), the only route that imports ``scipy.optimize``.
+    row is done.  A node whose first reference is not finite, or whose fit
+    the exchange does not certify within ``_FIT_PIVOTS`` pivots, is a
+    DiagnosticsError naming it.
 
-    Returns ``(ratios, coefs, counts, fallback)``: the largest ratio the
-    returned coefficients reach over all of a node's rows (so at most
+    Returns ``(ratios, coefs, counts)``: the largest ratio the returned
+    coefficients reach over all of a node's rows (so at most
     z (1 + 1e-9) + 1e-12, above the optimum of the full fit by no more),
     the centred coefficients (l, m, a, q) with q as in
-    :func:`_quad_features`, the number of rows per node, and which nodes
-    fell back to HiGHS.
+    :func:`_quad_features`, and the number of rows per node.
     """
     spec = u.spec
     n = spec.n
@@ -985,7 +946,6 @@ def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
 
     ratios = np.empty(len(nodes))
     coefs = np.empty((len(nodes), k))
-    fallback = np.zeros(len(nodes), dtype=bool)
     chunk = max(1, min(_FIT_CHUNK_NODES, _FIT_CHUNK_ROWS // len(region)))
     for lo in range(0, len(nodes), chunk):
         sel = np.arange(lo, min(lo + chunk, len(nodes)))
@@ -1013,33 +973,25 @@ def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
         active = np.where(live, active, me[sel, None])
         code = np.full((len(sel), k + 1), -1, dtype=np.int64)
         has_ref = np.zeros(len(sel), dtype=bool)
-        lost = fallback[sel]
         pending = np.arange(len(sel))
         while pending.size:
             at = (pending[:, None], active[pending])
             a = phi[at] / w[at][..., None]
             b = du[at] / w[at]
             lv = live[pending]
-            fits = np.empty((len(pending), k + 1))
-            # warm start unless a parameter's column stopped being zero
+            # warm start unless the artificial columns differ from the zero
+            # ones (a column stopped being zero, or was found dependent)
             zero = ~(a != 0).any(axis=1)
             arts = (code[pending, :, None] == -1 - np.arange(k)).any(axis=1)
             cold = ~has_ref[pending] | (arts != zero).any(axis=1)
             ref = code[pending]
             ref[cold], bad = _reference(a[cold], lv[cold])
-            lost[pending[cold][bad]] = True
-            ex = ~lost[pending]
-            ok, fits[ex], code[pending[ex]] = _exchange(a[ex], b[ex], lv[ex], ref[ex])
-            has_ref[pending[ex]] = True
-            lost[pending[ex][~ok]] = True
-            hard = np.flatnonzero(lost[pending])
-            if hard.size:
-                fits[hard] = _block_lp(
-                    [
-                        (phi[j, act[go]], w[j, act[go]], du[j, act[go]])
-                        for j, act, go in zip(pending[hard], active[pending[hard]], lv[hard])
-                    ]
-                )
+            ok, fits, code[pending] = _exchange(a, b, lv, ref)
+            ok[cold] &= ~bad
+            if not ok.all():
+                node = spec.index_from_offset(nodes[sel[pending[np.argmin(ok)]]])
+                raise DiagnosticsError(f"node {node}: the exchange did not certify its fit")
+            has_ref[pending] = True
             P, Z = fits[:, :k], fits[:, k]
             ratio = np.abs(du[pending] - np.einsum("prk,pk->pr", phi[pending], P)) / w[pending]
             ratios[sel[pending]] = ratio.max(axis=1)
@@ -1056,8 +1008,7 @@ def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
             active = np.concatenate([active, extra], axis=1)
             live = np.concatenate([live, more], axis=1)
             pending = pending[grow.any(axis=1)]
-        fallback[sel] = lost
-    return ratios, coefs, counts, fallback
+    return ratios, coefs, counts
 
 
 def _opening(M) -> float:
@@ -1076,9 +1027,9 @@ def psi_M_membership(u: MeshFunction, node, M: float, region=None) -> dict:
     region's nodes with s <= t; membership at opening M (finite, positive,
     not a bool) means that ratio stays within n*M.  The fit is the
     constraint-generation routine of :func:`good_set_measure` on a batch of
-    one node: an exact Chebyshev exchange on the rows taken so far, HiGHS
-    only if the exchange cannot certify its optimum, stopping once no row
-    has ratio > z (1 + 1e-9) + 1e-12, z being that optimum.
+    one node: an exact Chebyshev exchange on the rows taken so far,
+    stopping once no row has ratio > z (1 + 1e-9) + 1e-12, z being that
+    certified optimum.
 
     Returns ``member``, ``worst_ratio`` (the largest ratio the returned
     paraboloid reaches over all constraint nodes, within 1e-9 relative plus
@@ -1091,7 +1042,7 @@ def psi_M_membership(u: MeshFunction, node, M: float, region=None) -> dict:
     M = _opening(M)
     node = tuple(int(i) for i in node)
     off = np.array([spec.offset(node)])
-    ratios, coefs, counts, _ = _expansion_fits(u, off, region_mask(spec, region))
+    ratios, coefs, counts = _expansion_fits(u, off, region_mask(spec, region))
     coef = coefs[0]
     worst = float(ratios[0])
     P = _centered_to_absolute(
@@ -1124,7 +1075,6 @@ class GoodSetReport:
     worst_ratios: np.ndarray
     slope: float
     slope_ci: tuple[float, float]
-    fallback_nodes: int
 
 
 def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> GoodSetReport:
@@ -1138,8 +1088,8 @@ def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> Good
     exchange over all the chunk's unresolved nodes (see
     :func:`psi_M_membership`), so ``worst_ratios`` holds, per node, the
     largest ratio of the returned paraboloid over all its constraint nodes.
-    ``fallback_nodes`` counts the nodes whose fits the exchange could not
-    certify and HiGHS solved instead.  The log-log slope of measure against
+    A fit the exchange cannot certify is a DiagnosticsError naming its
+    node.  The log-log slope of measure against
     M comes with a 95 percent confidence interval and is reported, never
     asserted against any theoretical exponent.
     """
@@ -1150,7 +1100,7 @@ def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> Good
     nodes = np.argwhere(region_mask(spec, kbox))
     if not len(nodes):
         raise DiagnosticsError("the K-box contains no mesh nodes")
-    ratios, _, _, fallback = _expansion_fits(u, nodes, region_mask(spec, region))
+    ratios, _, _ = _expansion_fits(u, nodes, region_mask(spec, region))
     n = spec.n
     bad = _exceeds(ratios[None, :], n * M_values[:, None])
     frac = bad.mean(axis=1)
@@ -1174,5 +1124,4 @@ def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> Good
         worst_ratios=ratios,
         slope=slope,
         slope_ci=ci,
-        fallback_nodes=int(fallback.sum()),
     )

@@ -406,7 +406,7 @@ class MeshSpec:
         return math.sqrt(diag2 + self.T)
 
     def classification(self) -> "MeshClassification":
-        """Cached interior/boundary masks (see classify_mesh_points)."""
+        """Cached interior masks (see classify_mesh_points)."""
         if self._classification is None:
             self._classification = classify_mesh_points(self)
         return self._classification
@@ -436,8 +436,7 @@ class MeshSpec:
 class MeshClassification:
     """Boolean masks over the mesh array, time-major."""
 
-    interior: np.ndarray
-    boundary: np.ndarray
+    interior: np.ndarray  # the boundary band is its complement
     interior_columns: np.ndarray  # spatial mask: lateral distance >= N*h
 
 
@@ -454,7 +453,7 @@ def classify_mesh_points(spec: MeshSpec) -> MeshClassification:
     m = np.arange(1, spec.levels + 1).reshape((-1,) + (1,) * spec.n)
     time_ok = m >= spec.N**2  # t = m*h^2 >= (N*h)^2, exact in integers
     interior = np.logical_and(time_ok, lat_ok)
-    return MeshClassification(interior=interior, boundary=~interior, interior_columns=lat_ok)
+    return MeshClassification(interior=interior, interior_columns=lat_ok)
 
 
 def _sample_levels(spec: MeshSpec, f: Callable, start: int, stop: int) -> np.ndarray:

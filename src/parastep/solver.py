@@ -360,7 +360,7 @@ def solve(
         values = MeshFunction.from_callable(spec, boundary).values
 
     lp = _LevelProblem(scheme, spec)
-    band_sup = float(np.max(np.abs(values[spec.classification().boundary]), initial=0.0))
+    band_sup = float(np.max(np.abs(values[~spec.classification().interior]), initial=0.0))
     if tol is None:
         tol = 1e-10 * (1.0 + band_sup)
 

@@ -44,20 +44,16 @@ def test_benchmark_wrappers_bind_every_target():
     assert not hasattr(sys.modules["parastep.solver"].spla.spsolve, "__wrapped__")
 
 
-def test_good_set_sweep_records_lp_spans(monkeypatch):
-    # The diagnostics.lp span reads the row count from ``A_ub``'s shape, so
-    # an LP call that passes A_ub positionally or as a plain list fails here.
-    # Only fits the exchange cannot certify reach the LP; with no pivot
-    # allowed, some of this sweep's fits do.
-    monkeypatch.setattr(sys.modules["parastep.diagnostics"], "_FIT_PIVOTS", 0)
+def test_good_set_sweep_records_no_lp_span():
+    # The exchange is the fits' only route: a traced sweep records its one
+    # diagnostics.goodset span and no diagnostics.lp span.
     spans = _load_spans()
     tracer = spans.Tracer()
     spec = parastep.MeshSpec(h=0.25, bounds=[(-1.0, 1.0)], T=0.25, N=2)
     u = parastep.MeshFunction.from_callable(spec, lambda x, t: np.abs(x[..., 0]) ** 3)
     with spans.installed(tracer):
         rep = parastep.good_set_measure(u, [1.0], parastep.KBox(((0.0,), spec.tau), r=4.0))
-    assert rep.node_count > 0 and rep.fallback_nodes > 0
-    (sweep,) = [s for s in tracer.spans if s["name"] == "diagnostics.goodset"]
-    lps = [s for s in tracer.spans if s["name"] == "diagnostics.lp"]
-    assert lps
-    assert all(s["attrs"]["rows"] > 0 and s["parent"] == sweep["id"] for s in lps)
+    assert rep.node_count > 0
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("diagnostics.goodset") == 1
+    assert "diagnostics.lp" not in names

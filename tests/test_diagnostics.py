@@ -1215,7 +1215,7 @@ def test_good_set_matches_full_lp_oracle(case, chunk_rows, monkeypatch):
     def full_lp_fits(u, nodes, mask):
         fits = [full_lp_worst_ratio(u, u.spec.index_from_offset(o), mask) for o in nodes]
         z = np.array([z for z, _ in fits])
-        return z, None, np.array([c for _, c in fits]), np.zeros(len(z), dtype=bool)
+        return z, None, np.array([c for _, c in fits])
 
     monkeypatch.setattr(diagnostics, "_expansion_fits", full_lp_fits)
     old = good_set_measure(u, Ms, kbox, region)
@@ -1246,54 +1246,42 @@ def test_membership_paraboloid_reaches_the_reported_ratio(case, cylinder_nodes):
         assert out["worst_ratio"] == pytest.approx(z, rel=1e-9, abs=0.0)
 
 
-def counted_linprog(monkeypatch):
-    """Route the fits' HiGHS fallback through a counter; returns the list of
-    the calls' row counts."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["A_ub"].shape[0])
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(diagnostics, "linprog", counting)
-    return calls
-
-
 def test_verify_sweep_needs_few_lp_calls(monkeypatch):
     # the benchmark's verify sweep: heat 1D at h=1/16, every node in the K-box;
-    # the exchange certifies every fit, so no node reaches HiGHS
+    # each round of each 64-node chunk is one batched exchange
     u = solved("heat_sine", 1 / 16)
-    calls = counted_linprog(monkeypatch)
+    calls, exchange = [], diagnostics._exchange
+    monkeypatch.setattr(diagnostics, "_exchange", lambda *args: calls.append(len(args[0])) or exchange(*args))
     rep = good_set_measure(u, [1.0, 4.0, 16.0, 64.0], centred_kbox(u.spec))
     assert rep.node_count == u.spec.node_count() == 960
-    assert rep.fallback_nodes == 0
-    assert (len(calls) > 0) == (rep.fallback_nodes > 0)
-    assert len(calls) <= 64
+    assert 0 < len(calls) <= 64
 
 
 @pytest.mark.parametrize("case", ["heat-1d", "noisy-2d"])
-def test_forced_fallback_reproduces_the_highs_route(case, monkeypatch):
-    # with no pivot allowed, every node whose first reference is not optimal
-    # falls back to the block HiGHS LP, is counted, and ends at the same fit;
-    # on the noisy case HiGHS at its default tolerances ended 8e-6 above it
+def test_an_uncertified_fit_raises_naming_the_node(case, monkeypatch):
+    # with no pivot allowed, a node whose first reference is not optimal is
+    # not certified, and there is no other route to its fit
     if case == "heat-1d":
         u, kbox, region, Ms = sweep_case(case)
     else:
         (u, kbox, region), Ms = _noisy_2d_case(), [2.0**j for j in range(-12, 9, 2)]
-    calls = counted_linprog(monkeypatch)
     monkeypatch.setattr(diagnostics, "_FIT_PIVOTS", 0)
-    new = good_set_measure(u, Ms, kbox, region)
-    assert 0 < new.fallback_nodes <= new.node_count
-    assert calls and all(rows > 0 for rows in calls)
-    mask = region_mask(u.spec, region)
-    z = [full_lp_worst_ratio(u, u.spec.index_from_offset(o), mask)[0] for o in np.argwhere(region_mask(u.spec, kbox))]
-    assert_allclose(new.worst_ratios, z, rtol=1e-9, atol=1e-12)
-    monkeypatch.setattr(diagnostics, "_FIT_PIVOTS", 200)
-    calls.clear()
-    exact = good_set_measure(u, Ms, kbox, region)
-    assert exact.fallback_nodes == 0 and calls == []
-    assert np.array_equal(new.bad_fraction, exact.bad_fraction)
-    assert np.array_equal(new.bad_measure, exact.bad_measure)
+    with pytest.raises(DiagnosticsError, match=r"node \(.*did not certify"):
+        good_set_measure(u, Ms, kbox, region)
+
+
+def test_a_non_finite_first_reference_raises_naming_the_node(monkeypatch):
+    # no known input gives one, so the flag is forced on every node
+    reference = diagnostics._reference
+
+    def non_finite(a, live):
+        code, bad = reference(a, live)
+        return code, np.ones_like(bad)
+
+    monkeypatch.setattr(diagnostics, "_reference", non_finite)
+    u, kbox, region, Ms = sweep_case("heat-1d")
+    with pytest.raises(DiagnosticsError, match=r"node \(.*did not certify"):
+        good_set_measure(u, Ms, kbox, region)
 
 
 def tiny_fit():
@@ -1357,15 +1345,30 @@ def test_exchange_stops_at_the_pivot_cap(monkeypatch):
     assert not ok.any() and np.isnan(y).all()
 
 
-def test_reference_flags_dependent_columns_and_pads_zero_ones():
+def test_reference_pads_dependent_and_zero_columns():
     live = np.ones((2, 4), bool)
     a = np.zeros((2, 4, 2))
     a[0, :, 0] = [1.0, 2.0, 3.0, 4.0]
-    a[0, :, 1] = 2.0 * a[0, :, 0]  # dependent: no reference repairs it
+    a[0, :, 1] = 2.0 * a[0, :, 0]  # dependent on parameter 0
     a[1, :, 1] = [1.0, -1.0, 2.0, 0.5]  # parameter 0 moves no row
     code, bad = diagnostics._reference(a, live)
-    assert bad.tolist() == [True, False]
+    assert bad.tolist() == [False, False]
+    assert code[0, 1] == -2  # the artificial column e_1
     assert code[1, 0] == -1  # the artificial column e_0
+    # node 0 fits p_0 + 2 p_1 alone; its artificial column pins p_1 = 0 and
+    # the exchange ends at the full LP's optimum, z = 1.4
+    b0 = np.array([1.0, -1.0, 2.0, 0.5])
+    ok, y, _ = diagnostics._exchange(a[:1], b0[None], live[:1], code[:1])
+    assert ok.all() and y[0, 1] == 0.0
+    res = linprog(
+        [0.0, 0.0, 1.0],
+        A_ub=np.vstack([np.column_stack([-a[0], -np.ones(4)]), np.column_stack([a[0], -np.ones(4)])]),
+        b_ub=np.concatenate([-b0, b0]),
+        bounds=[(None, None)] * 2 + [(0, None)],
+        method="highs",
+    )
+    assert y[0, 2] == pytest.approx(1.4, rel=0.0, abs=1e-12)
+    assert abs(y[0, 2] - res.fun) <= 1e-12
     ok, y, _ = diagnostics._exchange(a[1:], np.array([[1.0, 0.0, -1.0, 2.0]]), live[1:], code[1:])
     assert ok.all() and y[0, 0] == 0.0
 
@@ -1447,8 +1450,7 @@ def fit_cases(draw):
 
 
 def _noisy_2d_case():
-    # HiGHS at its default tolerances missed node (0, 1, 3) by 4e-6 (as the
-    # oracle) and 8e-6 (as the block fallback, which reports the ratio of its p)
+    # HiGHS at its default tolerances missed node (0, 1, 3) by 4e-6 as the oracle
     spec = MeshSpec(h=1 / 6, bounds=[(-0.5, 0.5)] * 2, T=3 / 36, N=2)
     return fit_family("noisy", spec, 0), KBox(((1 / 6, 0.0), 2 / 36), 9.0 * math.sqrt(2.0) / 6), None
 
@@ -1470,10 +1472,9 @@ def test_generated_fits_match_the_full_lp(case):
     z = np.array(
         [full_lp_worst_ratio(u, spec.index_from_offset(o), mask)[0] for o in np.argwhere(region_mask(spec, kbox))]
     )
-    assert new.fallback_nodes == 0
     assert_allclose(new.worst_ratios, z, rtol=1e-9, atol=1e-12)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(diagnostics, "_expansion_fits", lambda *_: (z, None, None, np.zeros(len(z), bool)))
+        mp.setattr(diagnostics, "_expansion_fits", lambda *_: (z, None, None))
         old = good_set_measure(u, Ms, kbox, region)
     assert np.array_equal(new.bad_fraction, old.bad_fraction)
     assert np.array_equal(new.bad_measure, old.bad_measure)

@@ -1,12 +1,12 @@
 """Start-up cost guard: a fresh interpreter that imports parastep, or runs
 ``python -m parastep --help``, loads every parastep module (the benchmark's
 span wrappers look them up in ``sys.modules``) but no part of scipy: each
-one is imported where it is used (``scipy.sparse`` by the solver,
-``scipy.spatial`` by the envelopes, and ``scipy.optimize`` only when a
-good-set fit falls back from the exchange to HiGHS).  A small ``diagnose``
-run loads none of them either, with the falsifier alone (it draws its
-Sobol' probes in the package, not with ``scipy.stats``) or with the good-set
-sweep, whose fits the exchange certifies without HiGHS.
+one is imported where it is used (``scipy.sparse`` by the solver and
+``scipy.spatial`` by the envelopes).  A small ``diagnose`` run loads none of
+them either, with the falsifier alone (it draws its Sobol' probes in the
+package, not with ``scipy.stats``) or with the good-set sweep, whose fits the
+exchange certifies.  A good-set fit that the exchange cannot certify raises
+and loads no scipy module on the way: there is no LP route behind it.
 
 The package's public names are pinned too, so that removing or adding one is
 a deliberate change to this list."""
@@ -92,6 +92,29 @@ def test_start_up_loads_parastep_but_not_scipy(case, tmp_path):
     assert scipy == []
     want = LIBRARY | ({"parastep.cli"} if case != "import" else set())
     assert want <= modules, sorted(want - modules)
+
+
+# A good-set sweep whose fits the exchange may not certify: with no pivot
+# allowed, some first reference is not optimal and the sweep raises.
+UNCERTIFIED = (
+    "import numpy as np\n"
+    "import parastep.diagnostics as diagnostics\n"
+    "from parastep import DiagnosticsError, KBox, MeshFunction, MeshSpec\n"
+    "diagnostics._FIT_PIVOTS = 0\n"
+    "spec = MeshSpec(h=0.25, bounds=[(-1.0, 1.0)], T=0.25, N=2)\n"
+    "u = MeshFunction.from_callable(spec, lambda x, t: np.abs(x[..., 0]) ** 3)\n"
+    "try:\n"
+    "    diagnostics.good_set_measure(u, [1.0], KBox(((0.0,), spec.tau), r=4.0))\n"
+    "except DiagnosticsError as exc:\n"
+    "    assert 'node (' in str(exc), exc\n"
+    "else:\n"
+    "    raise AssertionError('the uncertified fit did not raise')\n"
+)
+
+
+def test_an_uncertified_fit_loads_no_lp_solver(tmp_path):
+    modules = loaded_modules(UNCERTIFIED, tmp_path)
+    assert not {"scipy.optimize", "scipy.sparse"} & modules
 
 
 PUBLIC = """

@@ -69,7 +69,7 @@ def picard_oracle(scheme, spec, boundary, F_h, max_sweeps=100_000):
     else:
         values = MeshFunction.from_callable(spec, boundary).values
     op = _InteriorGather(scheme, spec)
-    band = spec.classification().boundary
+    band = ~spec.classification().interior
     tol = 1e-10 * (1.0 + float(np.max(np.abs(values[band]))))
     omega = 1.0 / (
         1.0
@@ -243,7 +243,7 @@ def test_discrete_maximum_principle(rng):
     vals = rng.standard_normal(spec.shape)
     g = MeshFunction(spec, vals)
     u, _ = solve(sch, spec, g)
-    band = spec.classification().boundary
+    band = ~spec.classification().interior
     lo, hi = float(vals[band].min()), float(vals[band].max())
     assert np.all(u.values >= lo - 1e-9)
     assert np.all(u.values <= hi + 1e-9)
