@@ -653,7 +653,7 @@ def delta_falsifier(
 def replay_violation(
     cert: ViolationCertificate, v: MeshFunction, F: NonlinearityDescriptor
 ) -> dict:
-    """Re-run a certificate on its backward cylinder, ``spec.cylinder_steps(delta)``
+    """Re-run a certificate on its backward cylinder, ``spec.node_steps(delta)``
     about its node: ``touching`` if P is on its side of v there and its gap at
     the node is at most the recorded one plus 1e-9 (1 + sup|v| on the cylinder),
     ``valid`` if the margin also has the forbidden sign.  Refused, in this order: a
@@ -665,7 +665,7 @@ def replay_violation(
         raise DiagnosticsError(f"certificate node {node} does not live on a {spec.n}-D mesh")
     if not spec.cylinder_fits(cert.delta, spec.middle_node()):
         raise DiagnosticsError(f"delta = {cert.delta!r} is too large for the mesh")
-    idx = np.array(node) + np.roll(spec.cylinder_steps(cert.delta), -1, axis=1)
+    idx = np.array(node) + spec.node_steps(cert.delta)
     flat = spec.flat_offsets(idx)
     if (flat < 0).any():
         spec.offset(idx[np.argmax(flat < 0)].tolist())  # the GridError naming that node

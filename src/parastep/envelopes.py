@@ -247,7 +247,7 @@ def abp_diagnostic(
     # the cylinder's steps about its center on u's mesh and about the top center
     # of the local doubled cylinder (half-width 2 rho, depth (2 rho)^2, same
     # lattice; N = 2 there: only the envelope runs on it, no stencil does)
-    steps = np.roll(spec.cylinder_steps(rho), -1, axis=1)
+    steps = spec.node_steps(rho)
     local = MeshSpec(h, [(c - 2 * rho, c + 2 * rho) for c in center.x], (2 * rho) ** 2, N=2)
     cyl = spec.flat_offsets(np.array(node) + steps)
     lcyl = local.flat_offsets(np.array(node[:-1] + (local.levels,)) + steps)

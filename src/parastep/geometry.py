@@ -295,7 +295,7 @@ class MeshSpec:
             raise GridError(
                 f"a mesh of shape {self.shape} has more nodes than one float array can hold"
             )
-        self._classification = None
+        self._classification, self._node_steps = None, (None, None)
 
     # -- coordinates ---------------------------------------------------------
 
@@ -354,6 +354,16 @@ class MeshSpec:
         dm = np.arange(-int(radius**2 / self.tau) - 1, 1)
         dm = dm[cyl.contains_points(np.zeros((len(dm), self.n)), dm * self.tau)]
         return np.column_stack([np.tile(dm, len(dk)), np.repeat(dk, len(dm), axis=0)])
+
+    def node_steps(self, radius: float) -> np.ndarray:
+        """:meth:`cylinder_steps` as rows (dk_1, ..., dk_n, dm) to add to a node
+        index: read-only, cached for the last radius and slack (certificate
+        replay, ABP)."""
+        if self._node_steps[0] != (radius, _FP_SLACK):
+            steps = np.roll(self.cylinder_steps(radius), -1, axis=1)
+            steps.flags.writeable = False
+            self._node_steps = ((radius, _FP_SLACK), steps)
+        return self._node_steps[1]
 
     def cylinder_fits(self, radius: float, index: Sequence[int] | None = None):
         """Whether the backward :class:`Cylinder` of this radius about a node lies in

@@ -14,14 +14,16 @@ row a = argmin over rows of the row's max, and the inner loop is pure-max
 Howard over the forms of that row.  A single table makes the outer loop
 trivial, singleton rows make the inner loop trivial.  Each policy
 evaluation is one sparse linear solve on a sparsity pattern built once per
-solve.  One base LU factor is kept across levels.  A policy that differs
-from the base's at no more than _RANK nodes is solved through that factor
-by a Sherman-Morrison-Woodbury update (Hager, SIAM Review 31, 1989), with
-the factor's solved unit columns cached up to _CACHE columns; a larger
-change, a full cache or a failed r x r capacitance solve refactors.  A
-linear scheme keeps its policy, so it factors once per solve.  Howard's
-stopping test evaluates the true residual, so an inexact update can only
-cost iterations.
+solve.  One base LU factor is kept across levels: SuperLU's, made through
+scipy's extension module alone (``_factor``), so no ``scipy.sparse``
+package ``__init__`` runs.  A policy that differs from the base's at no
+more than _RANK nodes is solved through that factor by a
+Sherman-Morrison-Woodbury update (Hager, SIAM Review 31, 1989), with the
+factor's solved unit columns cached up to _CACHE columns; a larger change,
+a full cache or a failed r x r capacitance solve refactors.  A linear
+scheme keeps its policy, so it factors once per solve.  Howard's stopping
+test evaluates the true residual, so an inexact update can only cost
+iterations.
 
 Frozen-policy blocks.  After a level that Howard accepts in one evaluation
 of the base factor's own policy (solved by the factor alone, or the level
@@ -39,7 +41,11 @@ _BLOCK bytes, which sets its length; _BLOCK = 0 is the per-level route.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,18 +73,46 @@ _CACHE = 2 * _RANK
 # 0.076 s; 0 (level by level) about 0.47 / 0.10 s.  The traced scratch
 # peaks at 0.54-0.70 of the budget.
 _BLOCK = 4 << 20
+# scipy's SuperLU extension module, the one part of scipy that a solve loads
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
 
 def __getattr__(name):
     # ``solver.spla`` binds and returns scipy.sparse.linalg, which the level
-    # solve imports where it factors.  Only the benchmark's span wrappers read
-    # it; this hook goes once they read package spans (ROADMAP item 1(b)).
+    # solve no longer imports (``_factor``).  Only the benchmark's span wrappers
+    # read it; this hook goes once they read package spans (ROADMAP item 1(b)).
     if name == "spla":
         import scipy.sparse.linalg as spla
 
         globals()["spla"] = spla
         return spla
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _factor(K: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """SuperLU factor of the K x K CSC matrix (data, indices, indptr), by the
+    call ``splu(A, permc_spec="MMD_AT_PLUS_A")`` makes.  Its module is loaded
+    once from its file (4 ms and 2 MB, against 0.26 s and 32 MB for importing
+    ``scipy.sparse.linalg``), or by that import if there is no such file."""
+    if _SUPERLU not in sys.modules:
+        (root,) = importlib.util.find_spec("scipy").submodule_search_locations
+        stem = os.path.join(root, *_SUPERLU.split(".")[1:])
+        files = [stem + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + s)]
+        if files:
+            spec = importlib.util.spec_from_file_location(_SUPERLU, files[0])
+            superlu = sys.modules[_SUPERLU] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(superlu)
+    return importlib.import_module(_SUPERLU).gstrf(
+        K, data.size, data, indices, indptr, csc_construct_func=_csc_array, ilu=False,
+        options=dict(ColPerm="MMD_AT_PLUS_A", DiagPivotThresh=None, PanelSize=None, Relax=None),
+    )
+
+
+def _csc_array(*args, **kwargs):
+    """The factor's L and U type, imported only when one is read."""
+    from scipy.sparse import csc_array
+
+    return csc_array(*args, **kwargs)
 
 
 @dataclass
@@ -153,14 +187,12 @@ class _LevelProblem:
         best = nodes[np.arange(nodes.shape[0]), rows.ravel()].argmax(axis=-1)
         return rows * self.forms.shape[1] + best.reshape(rows.shape)
 
-    def matrix(self, coef: np.ndarray) -> "scipy.sparse.csc_matrix":
-        """Level matrix for per-node weighted coefficients ``coef`` (K, ndir)."""
-        from scipy import sparse
-
+    def values(self, coef: np.ndarray) -> np.ndarray:
+        """CSC values (pattern ``indices``, ``indptr``) of the level matrix for ``coef``."""
         data = np.empty(self.nb_pos.size + self.K)
         data[self.diag_pos] = 1.0 / self.spec.tau + 2.0 * coef.sum(axis=1)
         data[self.nb_pos] = -np.repeat(coef, 2, axis=1)[self.inside]
-        return sparse.csc_matrix((data, self.indices, self.indptr), shape=(self.K, self.K))
+        return data
 
     def boundary_terms(self, coef: np.ndarray, w_flat: np.ndarray) -> np.ndarray:
         """(..., out slots) array: coef times the off-mesh neighbour's value
@@ -198,11 +230,9 @@ class _LevelProblem:
             x = self._lu.solve(rhs) if changed.size == 0 else self._update(changed, coef, rhs)
             self.updated = x is not None and changed.size > 0
         if x is None:
-            from scipy.sparse.linalg import splu
-
             # the pattern is structurally symmetric, which suits a minimum
             # degree ordering of A^T + A
-            self._lu = splu(self.matrix(coef), permc_spec="MMD_AT_PLUS_A")
+            self._lu = _factor(self.K, self.values(coef), self.indices, self.indptr)
             self._base_policy, self._base_coef = policy, coef
             self._slot.fill(-1)
             self._cached = 0
@@ -338,13 +368,9 @@ def solve(
     linear solve each); a level that needs more than 60 raises
     SolverConvergenceError, which names the level and its time.
 
-    Levels are marched one at a time by nested Howard until a level is
-    accepted in one evaluation of the base factor's own policy.  The levels
-    after it go as frozen-policy blocks of ``_block_length`` levels: one
-    bare solve per level, then one batched check that accepts the prefix
-    Howard's first iteration would accept.  The first rejected level, and
-    every level after a cut block until the next entry, is Howard's again.
-    Values and report are those of the per-level route (``_BLOCK = 0``).
+    Levels are marched by nested Howard and in frozen-policy blocks (see the
+    module docstring); values and report are those of the per-level route
+    (``_BLOCK = 0``).
 
     Returns
     -------

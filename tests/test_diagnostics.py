@@ -895,6 +895,10 @@ def test_cylinder_steps_match_the_offset_oracle(n):
             want = [(dm,) + dk for dk, dm in _cylinder_offsets(spec, delta)]
             got = spec.cylinder_steps(delta)
             assert got.shape == (len(want), n + 1) and got.tolist() == [list(w) for w in want]
+            # the same steps in (k, m) order, cached read-only for the last radius
+            steps = spec.node_steps(delta)
+            assert steps.tolist() == [list(w[1:] + w[:1]) for w in want]
+            assert spec.node_steps(delta) is steps and not steps.flags.writeable
             checked += 1
     assert checked == 6 * 45
 

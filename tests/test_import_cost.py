@@ -1,12 +1,17 @@
 """Start-up cost guard: a fresh interpreter that imports parastep, or runs
 ``python -m parastep --help``, loads every parastep module (the benchmark's
 span wrappers look them up in ``sys.modules``) but no part of scipy: each
-one is imported where it is used (``scipy.sparse`` by the solver and
-``scipy.spatial`` by the envelopes).  A small ``diagnose`` run loads none of
-them either, with the falsifier alone (it draws its Sobol' probes in the
-package, not with ``scipy.stats``) or with the good-set sweep, whose fits the
-exchange certifies.  A good-set fit that the exchange cannot certify raises
-and loads no scipy module on the way: there is no LP route behind it.
+one is imported where it is used (``scipy.spatial`` by the envelopes).  A
+small ``diagnose`` run loads none of them either, with the falsifier alone
+(it draws its Sobol' probes in the package, not with ``scipy.stats``) or
+with the good-set sweep, whose fits the exchange certifies.  A good-set fit
+that the exchange cannot certify raises and loads no scipy module on the
+way: there is no LP route behind it.
+
+A ``solve`` or ``converge`` run loads one scipy module, SuperLU's extension,
+which the solver's ``_factor`` takes from its file without running any
+``scipy.sparse`` package ``__init__``.  That factor is the one ``splu`` makes,
+and a later ``import scipy.sparse.linalg`` finds the same module.
 
 The package's public names are pinned too, so that removing or adding one is
 a deliberate change to this list."""
@@ -67,7 +72,23 @@ PROGRAMS = {
         "assert cli_main(['diagnose', '--config', 'run.cfg']) == 0\n"
         "assert 'good_set nodes=960 ' in Path('diagnostics.txt').read_text()\n"
     ),
+    "solve": (
+        "from pathlib import Path\n"
+        "from parastep.cli import cli_main\n"
+        "assert cli_main(['solve', '--problem', 'heat_sine', '--h-list', '0.0625']) == 0\n"
+        "assert Path('solution_heat_sine_h0.0625.txt').is_file()\n"
+    ),
+    "converge": (
+        "from pathlib import Path\n"
+        "from parastep.cli import cli_main\n"
+        "argv = ['converge', '--problem', 'pucci_plus_concave', '--h-list', '0.125,0.0625']\n"
+        "assert cli_main(argv) == 0\n"
+        "rows = Path('convergence.csv').read_text().splitlines()\n"
+        "assert [r.split(',')[0] for r in rows if r[0] == '0'] == ['0.125', '0.0625']\n"
+    ),
 }
+# The one scipy module that a solve loads.
+SUPERLU = {"scipy.sparse.linalg._dsolve._superlu"}
 
 
 def loaded_modules(program: str, cwd: Path) -> set:
@@ -88,10 +109,54 @@ def loaded_modules(program: str, cwd: Path) -> set:
 @pytest.mark.parametrize("case", sorted(PROGRAMS))
 def test_start_up_loads_parastep_but_not_scipy(case, tmp_path):
     modules = loaded_modules(PROGRAMS[case], tmp_path)
-    scipy = sorted(m for m in modules if m.partition(".")[0] == "scipy")
-    assert scipy == []
+    scipy = {m for m in modules if m.partition(".")[0] == "scipy"}
+    assert scipy <= (SUPERLU if case in ("solve", "converge") else set()), sorted(scipy)
     want = LIBRARY | ({"parastep.cli"} if case != "import" else set())
     assert want <= modules, sorted(want - modules)
+
+
+# A level factor made before scipy.sparse.linalg is imported, against splu's
+# factor of the same matrix made after it.  With no extension suffix the
+# factor imports its module by name, which loads scipy.sparse.linalg.
+FACTOR = (
+    "import importlib.machinery\n"
+    "import numpy as np\n"
+    "from parastep import MeshSpec, NonlinearityDescriptor, build_monotone_scheme\n"
+    "from parastep.solver import _SUPERLU, _factor, _LevelProblem\n"
+    "{suffixes}"
+    "spec = MeshSpec(h=1 / 8, bounds=[(0.0, 1.0)] * 2, T=0.125, N=2)\n"
+    "lp = _LevelProblem(build_monotone_scheme(NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2)), spec)\n"
+    "rng = np.random.default_rng(5)\n"
+    "coef = lp.flat_forms[rng.integers(0, lp.flat_forms.shape[0], lp.K)] * lp.weights\n"
+    "lu = _factor(lp.K, lp.values(coef), lp.indices, lp.indptr)\n"
+    "loaded = {{m for m in sys.modules if m.startswith('scipy')}}\n"
+    "assert {check}, sorted(loaded)\n"
+    "superlu = sys.modules[_SUPERLU]\n"
+    "import scipy.sparse.linalg as spla\n"
+    "from scipy.sparse import csc_matrix\n"
+    "assert spla._dsolve.linsolve._superlu is superlu and type(lu) is spla.SuperLU\n"
+    "A = csc_matrix((lp.values(coef), lp.indices, lp.indptr), shape=(lp.K, lp.K))\n"
+    "want = spla.splu(A, permc_spec='MMD_AT_PLUS_A')\n"
+    "assert lu.nnz == want.nnz\n"
+    "for p in ('perm_r', 'perm_c'):\n"
+    "    assert np.array_equal(getattr(lu, p), getattr(want, p)), p\n"
+    "for f in ('L', 'U'):\n"
+    "    assert (getattr(lu, f) != getattr(want, f)).nnz == 0, f\n"
+    "b = rng.standard_normal((lp.K, 8))\n"
+    "assert np.array_equal(lu.solve(b), want.solve(b))\n"
+)
+
+
+@pytest.mark.parametrize("route", ["file", "import"])
+def test_a_fresh_factor_equals_splu_and_shares_its_module(route, tmp_path):
+    if route == "file":
+        program = FACTOR.format(suffixes="", check="loaded == {_SUPERLU}")
+    else:
+        program = FACTOR.format(
+            suffixes="importlib.machinery.EXTENSION_SUFFIXES = []\n",
+            check="{_SUPERLU, 'scipy.sparse.linalg'} <= loaded",
+        )
+    assert SUPERLU <= loaded_modules(program, tmp_path)
 
 
 # A good-set sweep whose fits the exchange may not certify: with no pivot

@@ -409,6 +409,11 @@ def coo_level_system(lp, gamma, w_flat, b_flat):
     return A, rhs
 
 
+def level_matrix(lp, coef):
+    """The level matrix of ``coef`` as a scipy CSC matrix on the solver's pattern."""
+    return sp.csc_matrix((lp.values(coef), lp.indices, lp.indptr), shape=(lp.K, lp.K))
+
+
 @pytest.mark.parametrize(
     "descriptor",
     [
@@ -432,20 +437,20 @@ def test_fixed_pattern_system_equals_coo_assembly(descriptor, rng):
         gamma = lp.flat_forms[policy]
         want_A, want_rhs = coo_level_system(lp, gamma, w_flat, b_flat)
         coef = gamma * lp.weights
-        assert np.array_equal(lp.matrix(coef).toarray(), want_A.toarray())
+        assert np.array_equal(level_matrix(lp, coef).toarray(), want_A.toarray())
         assert np.array_equal(lp.rhs(coef, w_flat, b_flat), want_rhs)
 
 
 @pytest.fixture
 def splu_calls(monkeypatch):
     calls = []
-    splu = solver_module.spla.splu
+    factor = solver_module._factor
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return splu(*args, **kwargs)
+        return factor(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module.spla, "splu", counting)
+    monkeypatch.setattr(solver_module, "_factor", counting)
     return calls
 
 
@@ -514,6 +519,48 @@ def solve_case(name, monkeypatch=None, rank=None):
     return solve(build_monotone_scheme(descriptor), spec, nonconvex_data())
 
 
+def first_level_policy(descriptor, h, g, changed=0):
+    """The level problem on the unit box, with the policy Howard picks from
+    the data of the level before the first interior one; ``changed`` rows of
+    it moved to the next form."""
+    n = descriptor.dimension
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=0.125, N=2)
+    lp = _LevelProblem(build_monotone_scheme(descriptor), spec)
+    w_flat = MeshFunction.from_callable(spec, g).values[spec.N**2 - 2].ravel()
+    scores = lp.op.scores(w_flat)
+    policy = lp.policy(scores, lp.rows(scores))
+    rows = np.linspace(0, lp.K - 1, changed).astype(int)
+    policy[rows] = (policy[rows] + 1) % lp.flat_forms.shape[0]
+    return lp, policy
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (NonlinearityDescriptor.linear([[1.0]]), 1 / 16, 0),
+        (NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2), 1 / 16, 0),
+        (NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2), 1 / 16, 12),
+        (ISAACS_2D, 1 / 16, 0),
+    ],
+    ids=["heat-1d", "pucci_plus-2d", "pucci_plus-2d-changed", "isaacs-2d"],
+)
+def test_factor_equals_splu(case, rng):
+    descriptor, h, changed = case
+    g = sine_data() if descriptor.dimension == 1 else nonconvex_data()
+    lp, policy = first_level_policy(descriptor, h, g, changed)
+    coef = lp.flat_forms[policy] * lp.weights
+    lu = solver_module._factor(lp.K, lp.values(coef), lp.indices, lp.indptr)
+    want = sp.linalg.splu(level_matrix(lp, coef), permc_spec="MMD_AT_PLUS_A")
+    assert lu.nnz == want.nnz
+    assert np.array_equal(lu.perm_r, want.perm_r) and np.array_equal(lu.perm_c, want.perm_c)
+    for got, exp in [(lu.L, want.L), (lu.U, want.U)]:
+        assert got.shape == exp.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(exp, part))
+    for b in (rng.standard_normal(lp.K), rng.standard_normal((lp.K, 8))):
+        assert np.array_equal(lu.solve(b), want.solve(b))
+
+
 @pytest.mark.parametrize("name", list(UPDATE_CASES))
 def test_update_route_matches_refactor_oracle(name, monkeypatch, splu_calls):
     u, report = solve_case(name)
@@ -562,7 +609,7 @@ def level_solution(lp, policy, w_flat, b_flat):
     """The level equation of ``policy`` solved by a fresh sparse solve."""
     coef = lp.flat_forms[policy] * lp.weights
     x = w_flat.copy()
-    x[lp.int_flat] = sp.linalg.spsolve(lp.matrix(coef), lp.rhs(coef, w_flat, b_flat))
+    x[lp.int_flat] = sp.linalg.spsolve(level_matrix(lp, coef), lp.rhs(coef, w_flat, b_flat))
     return x
 
 
