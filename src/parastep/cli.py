@@ -5,8 +5,9 @@
     parastep certify results/certificates.txt --problem heat_sine
 
 Exit codes: 0 on success, 1 on error (bad usage, unreadable or malformed
-config -- config problems carry ``file:line``), 2 when ``--strict`` is set
-and a checked property fails.
+config -- every config error in a line or a flag names its ``file:line``
+or its flag, as in ``--seed: seed must be nonnegative, got -3``), 2 when
+``--strict`` is set and a checked property fails.
 
 Thread pinning: set ``PARASTEP_THREADS`` in the environment.  The package
 ``__init__`` copies it to the BLAS/OpenMP pool variables that are unset
@@ -22,7 +23,8 @@ neither ``scheme.dimension`` nor ``domain`` is set.  ``converge`` refuses
 ``domain``: it sweeps the problem's own domain.  Each command returns
 its report lines and property violations; one tail writes the
 ``--dump-tables`` file, prints them and applies ``--strict``.
-``--h-list TEXT`` reads as the config line ``h_list = [TEXT]``.
+``--h-list TEXT`` reads as the config line ``h_list = [TEXT]`` of the
+source ``--h-list``, so its errors start with ``--h-list:1:``.
 ``certify`` expects the rows ``diagnose`` writes (certificates.txt).
 """
 
@@ -115,16 +117,16 @@ def _resolved_config(args) -> ProblemConfig:
     h_list = None
     if args.h_list is not None:
         h_list = ProblemConfig.from_text(f"h_list = [{args.h_list}]", "--h-list").h_list
-    return cfg.with_overrides(
-        seed=args.seed,
-        strict=args.strict,
-        out=args.out,
-        h_list=h_list,
-        scheme_kind=args.scheme,
-        N=args.stencil_N,
-        problem=args.problem,
-        T=args.T,
-    )
+    return cfg.with_overrides({
+        "--seed": ("seed", args.seed),
+        "--strict": ("strict", args.strict),
+        "--out": ("out", args.out),
+        "--h-list": ("h_list", h_list),
+        "--scheme": ("scheme.kind", args.scheme),
+        "--stencil-N": ("stencil.N", args.stencil_N),
+        "--problem": ("problem", args.problem),
+        "--T": ("T", args.T),
+    })
 
 
 class _Inputs(NamedTuple):

@@ -4,7 +4,8 @@ One assignment per line.  Dots in key names act as section separators
 (``solver.tol = 1e-8``); there are no section headers.  ``#`` starts a
 comment.  Values are booleans (``true``/``false``), integers, floats,
 bracketed lists -- nested once for matrices, ``[[1.0, 0.0], [0.0, 1.0]]`` --
-or bare strings.  Every parse error carries the source name and line number.
+or bare strings.  Every error in a config line carries the source name and
+line number; an error in a command line flag starts with the flag.
 
 The parser is plain stdlib, but it never runs before numpy is imported:
 the package ``__init__`` imports numpy first.  Thread pools are pinned by
@@ -146,60 +147,68 @@ def _str(val):
     return val
 
 
+def _positive(x):
+    return math.isfinite(x) and x > 0
+
+
+def _all_positive(xs):
+    return all(map(_positive, xs))
+
+
+_POSITIVE = (_positive, "must be a finite positive number, got {!r}")
+_KINDS = ("linear", "pucci_plus", "pucci_minus")
+
+
+def _key(name, conv, ok=None, must="", **default):
+    """A config key, declared once: its name, its type converter, then its
+    range test and the message (after the key name) for a value that fails
+    it, formatted with that value."""
+    return field(metadata={"key": name, "conv": conv, "ok": ok, "must": must}, **default)
+
+
 @dataclass
 class ProblemConfig:
     """Everything a command run needs, resolved from config text plus flags.
 
     The boundary data source is either ``problem`` (a built-in exact
     solution) or ``boundary.file`` (a mesh function in the text format);
-    custom operators come in through the ``scheme.*`` keys.
+    custom operators come in through the ``scheme.*`` keys.  Each field
+    declares its key (``_key``); config lines and flags share ``_set``.
     """
 
-    problem: str | None = None
-    boundary_file: str | None = None
-    scheme_kind: str | None = None
-    scheme_lam: float = 1.0
-    scheme_Lam: float = 2.0
-    scheme_matrix: list | None = None
-    scheme_dimension: int | None = None
-    domain: list | None = None
-    T: float = 0.25
-    h_list: list = field(default_factory=lambda: [1 / 8, 1 / 16, 1 / 32, 1 / 64])
-    N: int = 2
-    tol: float | None = None
-    seed: int = 0
-    out: str | None = None
-    strict: bool = False
-    delta_multiple: float | None = None
-    theta: float | None = None
-    M_values: list | None = None
-    samples: int = 200
-    abp: bool = False
-    rate_floor: float = 0.9
+    problem: str | None = _key("problem", _str, default=None)
+    boundary_file: str | None = _key("boundary.file", _str, default=None)
+    scheme_kind: str | None = _key(
+        "scheme.kind", _str, _KINDS.__contains__, "{!r} is not a built-in operator", default=None
+    )
+    scheme_lam: float = _key("scheme.lam", _float, default=1.0)
+    scheme_Lam: float = _key("scheme.Lam", _float, default=2.0)
+    scheme_matrix: list | None = _key("scheme.matrix", _matrix, default=None)
+    scheme_dimension: int | None = _key("scheme.dimension", _int, default=None)
+    domain: list | None = _key("domain", _matrix, default=None)
+    T: float = _key("T", _float, *_POSITIVE, default=0.25)
+    h_list: list = _key(
+        "h_list", _float_list, _all_positive,
+        "must be a nonempty list of finite positive spacings, got {!r}",
+        default_factory=lambda: [1 / 8, 1 / 16, 1 / 32, 1 / 64],
+    )
+    N: int = _key("stencil.N", _int, lambda n: n >= 2, "must be at least 2, got {!r}", default=2)
+    tol: float | None = _key("solver.tol", _float, *_POSITIVE, default=None)
+    seed: int = _key("seed", _int, lambda s: s >= 0, "must be nonnegative, got {!r}", default=0)
+    out: str | None = _key("out", _str, default=None)
+    strict: bool = _key("strict", _bool, default=False)
+    delta_multiple: float | None = _key("diagnostics.delta_multiple", _float, *_POSITIVE, default=None)
+    theta: float | None = _key("diagnostics.theta", _float, *_POSITIVE, default=None)
+    M_values: list | None = _key(
+        "diagnostics.M_values", _float_list, _all_positive,
+        "must be a nonempty list of finite positive levels, got {!r}", default=None,
+    )
+    samples: int = _key("diagnostics.samples", _int, lambda n: n >= 0, "must be nonnegative", default=200)
+    abp: bool = _key("diagnostics.abp", _bool, default=False)
+    rate_floor: float = _key(
+        "diagnostics.rate_floor", _float, math.isfinite, "must be finite, got {!r}", default=0.9
+    )
 
-    _KEYS = {
-        "problem": ("problem", _str),
-        "boundary.file": ("boundary_file", _str),
-        "scheme.kind": ("scheme_kind", _str),
-        "scheme.lam": ("scheme_lam", _float),
-        "scheme.Lam": ("scheme_Lam", _float),
-        "scheme.matrix": ("scheme_matrix", _matrix),
-        "scheme.dimension": ("scheme_dimension", _int),
-        "domain": ("domain", _matrix),
-        "T": ("T", _float),
-        "h_list": ("h_list", _float_list),
-        "stencil.N": ("N", _int),
-        "solver.tol": ("tol", _float),
-        "seed": ("seed", _int),
-        "out": ("out", _str),
-        "strict": ("strict", _bool),
-        "diagnostics.delta_multiple": ("delta_multiple", _float),
-        "diagnostics.theta": ("theta", _float),
-        "diagnostics.M_values": ("M_values", _float_list),
-        "diagnostics.samples": ("samples", _int),
-        "diagnostics.abp": ("abp", _bool),
-        "diagnostics.rate_floor": ("rate_floor", _float),
-    }
     # keys of the removed solver choice: naming one is an error, not a no-op
     _REMOVED_KEYS = ("solver.method", "solver.max_iterations")
 
@@ -215,14 +224,7 @@ class ProblemConfig:
                 raise ConfigError(
                     f"{where}: key {key!r} was removed; Howard policy iteration is the only solver"
                 )
-            if key not in cls._KEYS:
-                raise ConfigError(f"{where}: unknown key {key!r}")
-            attr, conv = cls._KEYS[key]
-            try:
-                setattr(cfg, attr, conv(val))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: key {key!r}: {exc}") from None
-        cfg.validate()
+            cfg._set(key, val, where)
         return cfg
 
     @classmethod
@@ -234,53 +236,28 @@ class ProblemConfig:
             raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
         return cls.from_text(text, source=str(path))
 
-    def with_overrides(self, **kw) -> "ProblemConfig":
-        """Apply command line overrides; ``None`` means 'not given'."""
-        updates = {k: v for k, v in kw.items() if v is not None}
-        cfg = dataclasses.replace(self, **updates)
-        cfg.validate()
+    def with_overrides(self, flags: dict) -> "ProblemConfig":
+        """Apply command line flags, given as ``{flag: (key, value)}``; a
+        ``None`` value means 'not given'.  An error starts with its flag."""
+        cfg = dataclasses.replace(self)
+        for flag, (key, value) in flags.items():
+            if value is not None:
+                cfg._set(key, value, flag)
         return cfg
 
-    def validate(self):
-        if not self.h_list or not all(math.isfinite(h) and h > 0 for h in self.h_list):
-            raise ConfigError(
-                f"h_list must be a nonempty list of finite positive spacings, got {self.h_list!r}"
-            )
-        if self.T <= 0:
-            raise ConfigError(f"T must be positive, got {self.T!r}")
-        if not math.isfinite(self.T):
-            raise ConfigError(f"T must be a finite positive number, got {self.T!r}")
-        if self.N < 2:
-            raise ConfigError(f"stencil.N must be at least 2, got {self.N}")
-        if self.scheme_kind is not None and self.scheme_kind not in (
-            "linear",
-            "pucci_plus",
-            "pucci_minus",
-        ):
-            raise ConfigError(f"scheme.kind {self.scheme_kind!r} is not a built-in operator")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(f"solver.tol must be a finite positive number, got {self.tol!r}")
-        if self.samples < 0:
-            raise ConfigError("diagnostics.samples must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        for key in ("theta", "delta_multiple"):
-            value = getattr(self, key)
-            if value is not None and value <= 0:
-                raise ConfigError(f"diagnostics.{key} must be positive")
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(
-                    f"diagnostics.{key} must be a finite positive number, got {value!r}"
-                )
-        if self.M_values is not None and (
-            not self.M_values or not all(math.isfinite(m) and m > 0 for m in self.M_values)
-        ):
-            raise ConfigError(
-                "diagnostics.M_values must be a nonempty list of finite positive levels, "
-                f"got {self.M_values!r}"
-            )
-        if not math.isfinite(self.rate_floor):
-            raise ConfigError(f"diagnostics.rate_floor must be finite, got {self.rate_floor!r}")
+    def _set(self, key, val, where):
+        """The one setter: convert ``val`` by the key's rule, test its range."""
+        f = _FIELDS.get(key)
+        if f is None:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        rule = f.metadata
+        try:
+            value = rule["conv"](val)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: key {key!r}: {exc}") from None
+        if rule["ok"] is not None and not rule["ok"](value):
+            raise ConfigError(f"{where}: {key} " + rule["must"].format(value))
+        setattr(self, f.name, value)
 
     # -- resolution helpers (import numerics lazily) ------------------------
 
@@ -314,3 +291,6 @@ class ProblemConfig:
 
             return tuple(tuple(b) for b in get_problem(self.problem).bounds)
         raise ConfigError("config needs domain = [[lo, hi], ...] for a custom operator")
+
+
+_FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(ProblemConfig)}

@@ -269,7 +269,8 @@ class FalsifierConfig:
 @dataclass(frozen=True)
 class ViolationCertificate:
     """A replayable counterexample to one delta-viscosity inequality; its
-    ``delta`` must be finite and positive (DiagnosticsError)."""
+    ``side`` must be ``super`` or ``sub`` and its ``delta`` finite and
+    positive (DiagnosticsError)."""
 
     node: tuple
     side: str
@@ -280,6 +281,8 @@ class ViolationCertificate:
     probe: str
 
     def __post_init__(self):
+        if self.side not in ("super", "sub"):
+            raise DiagnosticsError(f"side must be 'super' or 'sub', got {self.side!r}")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise DiagnosticsError(f"delta must be a finite positive number, got {self.delta!r}")
 
@@ -309,33 +312,38 @@ def row_to_certificate(row: str) -> ViolationCertificate:
     """Inverse of :meth:`ViolationCertificate.row`.
 
     Floats are written with ``repr`` so the round trip is exact; the probe
-    label is the only field that may itself contain an ``=``.
+    label is the only field that may itself contain an ``=``.  Each field is
+    taken once, so a repeated field or one left over is refused.
     """
     kv = {}
     for field in row.split():
         key, sep, val = field.partition("=")
         if not sep:
             raise DiagnosticsError(f"malformed certificate field {field!r}")
+        if key in kv:
+            raise DiagnosticsError(f"repeated certificate field {key!r}")
         kv[key] = val
     try:
-        node = tuple(int(s) for s in kv["node"].split(","))
-        l = [float(s) for s in kv["l"].split(",")]
-        a = [float(s) for s in kv["a"].split(",")]
-        Q = np.array([float(s) for s in kv["Q"].split(",")]).reshape(len(l), len(l))
-        P = Paraboloid(c=float(kv["c"]), l=l, m=float(kv["m"]), a=a, Q=Q)
+        node = tuple(int(s) for s in kv.pop("node").split(","))
+        l = [float(s) for s in kv.pop("l").split(",")]
+        a = [float(s) for s in kv.pop("a").split(",")]
+        Q = np.array([float(s) for s in kv.pop("Q").split(",")]).reshape(len(l), len(l))
+        P = Paraboloid(c=float(kv.pop("c")), l=l, m=float(kv.pop("m")), a=a, Q=Q)
         fields = dict(
             node=node,
-            side=kv["side"],
+            side=kv.pop("side"),
             paraboloid=P,
-            margin=float(kv["margin"]),
-            touch_gap=float(kv["touch_gap"]),
-            delta=float(kv["delta"]),
-            probe=kv["probe"],
+            margin=float(kv.pop("margin")),
+            touch_gap=float(kv.pop("touch_gap")),
+            delta=float(kv.pop("delta")),
+            probe=kv.pop("probe"),
         )
     except KeyError as exc:
         raise DiagnosticsError(f"certificate row missing field {exc}") from None
     except ValueError as exc:
         raise DiagnosticsError(f"malformed certificate row: {exc}") from None
+    if kv:
+        raise DiagnosticsError(f"unknown certificate field {next(iter(kv))!r}")
     return ViolationCertificate(**fields)
 
 

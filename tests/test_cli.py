@@ -181,11 +181,11 @@ def test_negative_seed_is_an_error(tmp_path, capsys, drift_grid):
     code, _, err = run(
         capsys, "diagnose", "--config", str(drift_grid), "--seed", "-3", "--out", str(tmp_path)
     )
-    assert code == 1 and err.startswith("parastep: error: seed must be nonnegative, got -3")
+    assert code == 1 and err.startswith("parastep: error: --seed: seed must be nonnegative, got -3")
     cfg = tmp_path / "seed.cfg"
     cfg.write_text(drift_grid.read_text() + "seed = -2\n")
     code, _, err = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path))
-    assert code == 1 and err.startswith("parastep: error: seed must be nonnegative, got -2")
+    assert code == 1 and err.startswith(f"parastep: error: {cfg}:5: seed must be nonnegative, got -2")
     assert not (tmp_path / "certificates.txt").exists()
 
 
@@ -196,7 +196,7 @@ def test_bad_solver_tol_is_an_error(tmp_path, capsys, tol):
     cfg = tmp_path / "tol.cfg"
     cfg.write_text(f"problem = heat_sine\nh_list = [0.25]\nsolver.tol = {tol}\n")
     code, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
-    assert code == 1 and err.startswith("parastep: error: solver.tol must be a finite positive")
+    assert code == 1 and err.startswith(f"parastep: error: {cfg}:3: solver.tol must be a finite positive")
     assert "stalled" not in err
     assert not any(tmp_path.glob("*.txt"))
 
@@ -213,9 +213,36 @@ def test_bad_solver_tol_is_an_error(tmp_path, capsys, tol):
 def test_non_finite_mesh_is_an_error(tmp_path, capsys, args, message):
     # these used to end in a ValueError or OverflowError traceback
     (tmp_path / "T.cfg").write_text("T = nan\n")
+    # a flag's error starts with the flag; --h-list reads as a one-line config
+    where = {"--T": "--T", "--h-list": "--h-list:1", "--config": f"{tmp_path / 'T.cfg'}:1"}[args[0]]
     args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
     code, _, err = run(capsys, "solve", "--problem", "heat_sine", *args, "--out", str(tmp_path))
-    assert code == 1 and err.startswith(f"parastep: error: {message}")
+    assert code == 1 and err.startswith(f"parastep: error: {where}: {message}")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--T", "-1.0", "--T: T must be a finite positive number, got -1.0"),
+        ("--T", "0", "--T: T must be a finite positive number, got 0.0"),
+        ("--seed", "-3", "--seed: seed must be nonnegative, got -3"),
+        ("--stencil-N", "1", "--stencil-N: stencil.N must be at least 2, got 1"),
+        (
+            "--h-list",
+            "0.25,-0.125",
+            "--h-list:1: h_list must be a nonempty list of finite positive spacings,"
+            " got [0.25, -0.125]",
+        ),
+        ("--scheme", "monge_ampere", "--scheme: scheme.kind 'monge_ampere' is not a built-in operator"),
+    ],
+)
+def test_flag_range_errors_name_the_flag(tmp_path, capsys, flag, value, message):
+    # each flag goes through its key's rule, and the error names the flag
+    argv = ["solve", "--problem", "heat_sine", flag, value, "--out", str(tmp_path / "o")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"parastep: error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -244,7 +271,7 @@ def test_non_finite_theta_is_an_error(tmp_path, capsys, theta):
     argv = ["diagnose", "--config", str(cfg), "--h-list", "0.25", "--out", str(tmp_path)]
     code, _, err = run(capsys, *argv)
     assert code == 1
-    want = f"parastep: error: diagnostics.theta must be a finite positive number, got {theta}"
+    want = f"parastep: error: {cfg}:2: diagnostics.theta must be a finite positive number, got {theta}"
     assert err.startswith(want)
     assert "Traceback" not in err
 
@@ -393,6 +420,29 @@ def test_certify_malformed_row_is_line_numbered(tmp_path, capsys, drift_grid):
     code, _, err = run(capsys, "certify", str(bad), "--config", str(drift_grid))
     assert code == 1
     assert f"{bad}:2" in err and "missing field" in err
+    # a repeated field used to keep its last value, and an unknown one was
+    # ignored: both rows replayed
+    out_dir = tmp_path / "diag"
+    assert run(capsys, "diagnose", "--config", str(drift_grid), "--out", str(out_dir))[0] == 0
+    row = (out_dir / "certificates.txt").read_text().splitlines()[0]
+    for extra, why in [(" margin=5.0", "repeated certificate field 'margin'"),
+                       (" colour=red", "unknown certificate field 'colour'")]:
+        bad.write_text(f"# header\n{row}{extra}\n")
+        code, out, err = run(capsys, "certify", str(bad), "--config", str(drift_grid))
+        assert code == 1 and out == ""
+        assert err.strip() == f"parastep: error: {bad}:2: {why}"
+
+
+def test_certify_refuses_a_side_that_is_not_super_or_sub(tmp_path, capsys, drift_grid):
+    # side=banana used to replay as the sub side and print FAILED (margin mismatch)
+    out_dir = tmp_path / "diag"
+    assert run(capsys, "diagnose", "--config", str(drift_grid), "--out", str(out_dir))[0] == 0
+    row = (out_dir / "certificates.txt").read_text().splitlines()[0]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(row.replace("side=super ", "side=banana ") + "\n")
+    code, out, err = run(capsys, "certify", str(bad), "--config", str(drift_grid))
+    assert code == 1 and out == ""
+    assert err.strip() == f"parastep: error: {bad}:1: side must be 'super' or 'sub', got 'banana'"
 
 
 def test_threads_validation(capsys, monkeypatch, tmp_path):

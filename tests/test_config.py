@@ -109,8 +109,10 @@ def test_unknown_key_is_line_numbered():
     ],
 )
 def test_type_errors_name_the_key(text, fragment):
-    with pytest.raises(ConfigError, match=fragment):
-        ProblemConfig.from_text(text)
+    key = text.split(" =")[0]
+    with pytest.raises(ConfigError, match=fragment) as exc:
+        ProblemConfig.from_text("# run\n" + text, source="run.cfg")
+    assert str(exc.value).startswith(f"run.cfg:2: key {key!r}: ")
 
 
 @pytest.mark.parametrize(
@@ -126,22 +128,24 @@ def test_type_errors_name_the_key(text, fragment):
 def test_number_lists_take_numbers_only(text):
     # list items go through the scalar number rule: these used to parse as
     # [1.0], [0.5], [[1.0]], [[0.0, 0.0]] and [1.0, 4.0]
-    with pytest.raises(ConfigError, match="expected a number"):
-        ProblemConfig.from_text(text)
+    key = text.split(" =")[0]
+    with pytest.raises(ConfigError, match="expected a number") as exc:
+        ProblemConfig.from_text("# run\n" + text, source="run.cfg")
+    assert str(exc.value).startswith(f"run.cfg:2: key {key!r}: ")
 
 
 @pytest.mark.parametrize(
     "text,fragment",
     [
         ("h_list = [0.1, -0.2]", "positive spacings"),
-        ("T = -1.0", "T must be positive"),
+        ("T = -1.0", "T must be a finite positive number, got -1.0"),
         ("T = nan", "T must be a finite positive number, got nan"),
         ("T = inf", "T must be a finite positive number, got inf"),
         ("h_list = [0.1, nan]", "finite positive spacings"),
         ("h_list = [inf]", "finite positive spacings"),
         ("stencil.N = 1", "at least 2"),
         ("scheme.kind = monge_ampere", "not a built-in operator"),
-        ("diagnostics.theta = 0.0", "theta must be positive"),
+        ("diagnostics.theta = 0.0", r"diagnostics\.theta must be a finite positive number, got 0\.0"),
         ("diagnostics.M_values = []", "nonempty"),
         ("seed = -2", "seed must be nonnegative, got -2"),
         ("solver.tol = -1", "solver.tol must be a finite positive number, got -1.0"),
@@ -150,7 +154,10 @@ def test_number_lists_take_numbers_only(text):
         ("solver.tol = inf", "solver.tol must be a finite positive number, got inf"),
         ("diagnostics.theta = inf", "diagnostics.theta must be a finite positive number, got inf"),
         ("diagnostics.theta = nan", "diagnostics.theta must be a finite positive number, got nan"),
-        ("diagnostics.delta_multiple = 0", "diagnostics.delta_multiple must be positive"),
+        (
+            "diagnostics.delta_multiple = 0",
+            "diagnostics.delta_multiple must be a finite positive number, got 0.0",
+        ),
         (
             "diagnostics.delta_multiple = inf",
             "diagnostics.delta_multiple must be a finite positive number, got inf",
@@ -166,8 +173,10 @@ def test_number_lists_take_numbers_only(text):
     ],
 )
 def test_value_validation(text, fragment):
-    with pytest.raises(ConfigError, match=fragment):
-        ProblemConfig.from_text(text)
+    # every rule reports its line; the range rules name the key themselves
+    with pytest.raises(ConfigError, match=fragment) as exc:
+        ProblemConfig.from_text("# run\n" + text, source="run.cfg")
+    assert str(exc.value).startswith("run.cfg:2: ")
 
 
 @pytest.mark.parametrize("key", ["solver.method", "solver.max_iterations"])
@@ -181,11 +190,13 @@ def test_removed_solver_keys_fail_loudly(key, tmp_path):
 
 def test_overrides_replace_only_given_fields():
     cfg = ProblemConfig.from_text("problem = heat_sine\nseed = 3\n")
-    out = cfg.with_overrides(seed=None, T=0.0625, strict=True)
+    out = cfg.with_overrides(
+        {"--seed": ("seed", None), "--T": ("T", 0.0625), "--strict": ("strict", True)}
+    )
     assert out.seed == 3 and out.T == 0.0625 and out.strict
     assert cfg.T == 0.25  # original untouched
-    with pytest.raises(ConfigError, match="seed must be nonnegative, got -3"):
-        cfg.with_overrides(seed=-3)
+    with pytest.raises(ConfigError, match="^--seed: seed must be nonnegative, got -3$"):
+        cfg.with_overrides({"--seed": ("seed", -3)})
 
 
 def test_descriptor_resolution():

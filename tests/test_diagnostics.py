@@ -463,6 +463,17 @@ def test_certificate_refuses_a_delta_that_is_not_finite_and_positive(delta):
         dataclasses.replace(cert, delta=delta)
 
 
+def test_certificate_refuses_a_side_that_is_not_super_or_sub():
+    # a parsed side=banana used to replay with the sub side's sign
+    spec, v = drift_mesh()
+    cert = delta_falsifier(v, HEAT, 2 * spec.h, "super", FalsifierConfig(samples=0))[0]
+    want = "side must be 'super' or 'sub', got 'banana'"
+    with pytest.raises(DiagnosticsError, match=re.escape(want)):
+        dataclasses.replace(cert, side="banana")
+    with pytest.raises(DiagnosticsError, match=re.escape(want)):
+        row_to_certificate(cert.row().replace("side=super ", "side=banana "))
+
+
 def test_replay_refuses_a_node_where_the_cylinder_does_not_fit():
     # on (0, 0.95) at h = 1/8, node (6, 4) is 0.2 from the boundary, less than
     # delta = 0.25, yet every node of its cylinder (columns 5..7, levels 1..4)
@@ -566,6 +577,10 @@ def test_certificate_rows_round_trip_and_replay():
         row_to_certificate("side=super margin=0.0")
     with pytest.raises(DiagnosticsError, match="malformed"):
         row_to_certificate(certs[0].row().replace("delta=", "delta=zzz"))
+    with pytest.raises(DiagnosticsError, match="repeated certificate field 'margin'"):
+        row_to_certificate(certs[0].row() + " margin=5.0")
+    with pytest.raises(DiagnosticsError, match="unknown certificate field 'colour'"):
+        row_to_certificate(certs[0].row() + " colour=red")
 
 
 def test_exact_paraboloid_solution_is_unflagged_on_both_sides():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parastep import (
@@ -612,6 +612,51 @@ def test_text_io_matches_per_node_oracle(name, tmp_path, rng, read_chunks):
     padded = tmp_path / "padded.txt"
     padded.write_text("\n\n" + "\n  \n".join("  " + ln + "\t" for ln in lines) + "\n\n")
     assert np.array_equal(MeshFunction.read_text(padded).values, u.values)
+
+
+@st.composite
+def text_mesh_functions(draw):
+    """Small 1- to 3-D meshes anywhere on the lattice (on or off it at the
+    bounds), with values drawn from all finite doubles and the edge cases."""
+    h = draw(st.sampled_from([0.25, 0.125, 0.1]))
+    bounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.integers(-8, 4)) * h + draw(st.sampled_from([0.0, h / 3]))
+        bounds.append((lo, lo + draw(st.integers(3, 4)) * h))
+    spec = MeshSpec(h, bounds, draw(st.integers(1, 3)) * h * h, N=2)
+    # SPECIAL_VALUES plus +0.0, -5e-324, the largest subnormal and the lowest double
+    edges = SPECIAL_VALUES + [0.0, -5e-324, 2.225073858507201e-308, -1.7976931348623157e308]
+    value = st.one_of(st.sampled_from(edges), st.floats(allow_nan=False, allow_infinity=False))
+    size = spec.node_count()
+    vals = draw(st.lists(value, min_size=size, max_size=size))
+    return MeshFunction(spec, np.array(vals).reshape(spec.shape))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(u=text_mesh_functions(), chunk=st.sampled_from([geometry._READ_CHUNK_LINES, 1, 3]))
+@example(
+    u=MeshFunction(
+        MeshSpec(0.25, [(-1.0, 0.0)], 0.125, N=2),
+        np.array([[-0.0, 5e-324, -5e-324], [0.0, -2.2250738585072014e-308, 1e300]]),
+    ),
+    chunk=1,
+)
+def test_generated_text_io_matches_the_per_node_oracle(u, chunk, tmp_path_factory):
+    # same file bytes as the per-node writer, and the same values, sign bits
+    # included, from the array-wide reader (in chunks of `chunk` lines) and
+    # the per-node reader
+    new, old = (tmp_path_factory.mktemp("text") / name for name in ("new.txt", "old.txt"))
+    u.write_text(new)
+    write_text_oracle(u, old)
+    assert new.read_bytes() == old.read_bytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_READ_CHUNK_LINES", chunk)
+        v = MeshFunction.read_text(new)
+    w = read_text_oracle(new)
+    assert v.spec == u.spec and w.spec == u.spec
+    for got in (v.values, w.values):
+        assert np.array_equal(got, u.values)
+        assert np.array_equal(np.signbit(got), np.signbit(u.values))
 
 
 def _node_line_swap(lines, i, text):
