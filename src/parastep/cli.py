@@ -26,6 +26,9 @@ its report lines and property violations; one tail writes the
 ``--h-list TEXT`` reads as the config line ``h_list = [TEXT]`` of the
 source ``--h-list``, so its errors start with ``--h-list:1:``.
 ``certify`` expects the rows ``diagnose`` writes (certificates.txt).
+``diagnose`` with ``diagnostics.M_values`` prints ``# good_set sweeping N
+K-box nodes`` before the good-set sweep starts, since a large box can take
+minutes.
 """
 
 from __future__ import annotations
@@ -295,6 +298,12 @@ def _cmd_diagnose(cfg: ProblemConfig, run: _Inputs, args):
     delta = None if cfg.delta_multiple is None else cfg.delta_multiple * spec.h
     fcfg = FalsifierConfig(samples=cfg.samples, seed=cfg.seed)
     kbox = _centered_kbox(spec) if cfg.M_values is not None else None
+    if kbox is not None:
+        from .geometry import region_mask
+
+        # a whole-mesh sweep can take minutes: say its size before it starts
+        nodes = int(region_mask(spec, kbox).sum())
+        print(f"# good_set sweeping {nodes} K-box nodes", flush=True)
     report = run_diagnostics(
         u,
         run.descriptor,

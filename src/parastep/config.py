@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, NonlinearityError
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*$")
 
@@ -155,6 +155,18 @@ def _all_positive(xs):
     return all(map(_positive, xs))
 
 
+def _positive_definite(rows):
+    """The check ``NonlinearityDescriptor.linear`` applies to its matrix:
+    square, finite, symmetric and positive definite."""
+    from .nonlinearity import NonlinearityDescriptor
+
+    try:
+        NonlinearityDescriptor.linear(rows)
+    except NonlinearityError:
+        return False
+    return True
+
+
 _POSITIVE = (_positive, "must be a finite positive number, got {!r}")
 _KINDS = ("linear", "pucci_plus", "pucci_minus")
 
@@ -181,10 +193,17 @@ class ProblemConfig:
     scheme_kind: str | None = _key(
         "scheme.kind", _str, _KINDS.__contains__, "{!r} is not a built-in operator", default=None
     )
-    scheme_lam: float = _key("scheme.lam", _float, default=1.0)
-    scheme_Lam: float = _key("scheme.Lam", _float, default=2.0)
-    scheme_matrix: list | None = _key("scheme.matrix", _matrix, default=None)
-    scheme_dimension: int | None = _key("scheme.dimension", _int, default=None)
+    # each scheme.* key's own part of the descriptor's checks; the cross-key
+    # lam <= Lam stays with NonlinearityDescriptor
+    scheme_lam: float = _key("scheme.lam", _float, *_POSITIVE, default=1.0)
+    scheme_Lam: float = _key("scheme.Lam", _float, *_POSITIVE, default=2.0)
+    scheme_matrix: list | None = _key(
+        "scheme.matrix", _matrix, _positive_definite,
+        "must be a symmetric positive definite matrix of finite numbers, got {!r}", default=None,
+    )
+    scheme_dimension: int | None = _key(
+        "scheme.dimension", _int, lambda n: n >= 1, "must be at least 1, got {!r}", default=None
+    )
     domain: list | None = _key("domain", _matrix, default=None)
     T: float = _key("T", _float, *_POSITIVE, default=0.25)
     h_list: list = _key(

@@ -33,6 +33,7 @@ import importlib.util
 import math
 import numbers
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +98,34 @@ def linprog(*args, **kwargs):
     return linprog(*args, **kwargs)
 
 
-@functools.lru_cache(maxsize=1)
-def _joe_kuo_table():
-    """The Joe & Kuo (2008) primitive polynomials and initial direction
-    numbers that scipy ships; found without importing scipy.stats."""
+def _npy_rows(member, d: int) -> np.ndarray:
+    """The first d rows of the ``.npy`` array streamed by ``member``, read
+    only (the table cache hands them to every caller).  A Fortran-order
+    array is read one column at a time, keeping the first d entries of
+    each, so no more than one column of it is held at once."""
+    fmt = np.lib.format
+    version = fmt.read_magic(member)
+    header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+    shape, fortran, dtype = header(member)
+    width = math.prod(shape[1:])
+    if fortran:
+        out = np.empty((d, width), dtype)
+        for j in range(width):
+            out[:, j] = np.frombuffer(member.read(shape[0] * dtype.itemsize), dtype)[:d]
+        out.flags.writeable = False
+        return out.reshape((d,) + shape[1:], order="F")
+    return np.frombuffer(member.read(d * width * dtype.itemsize), dtype).reshape((d,) + shape[1:])
+
+
+@functools.lru_cache(maxsize=16)
+def _joe_kuo_table(d: int):
+    """The first d Joe & Kuo (2008) primitive polynomials and rows of
+    initial direction numbers that scipy ships, found without importing
+    scipy.stats; the other 21,201 - d rows are read past, not kept."""
     (root,) = importlib.util.find_spec("scipy").submodule_search_locations
-    with np.load(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as npz:
-        return npz["poly"], npz["vinit"]
+    with zipfile.ZipFile(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as npz:
+        with npz.open("poly.npy") as poly, npz.open("vinit.npy") as vinit:
+            return _npy_rows(poly, d), _npy_rows(vinit, d)
 
 
 def _sobol(d: int, m: int, seed: int) -> np.ndarray:
@@ -115,7 +137,7 @@ def _sobol(d: int, m: int, seed: int) -> np.ndarray:
     bits = _SOBOL_BITS
     if m > 1 << bits:
         raise DiagnosticsError(f"at most 2**{bits} Sobol' points, asked for {m}")
-    poly, vinit = _joe_kuo_table()
+    poly, vinit = _joe_kuo_table(d)
     v = np.ones((d, bits), dtype=np.int64)
     for i in range(1, d):
         p = int(poly[i])

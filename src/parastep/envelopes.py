@@ -8,7 +8,8 @@ minimum over time followed by a per-slice lower convex hull: an affine function
 convex envelope of m_t.  The running minimum often stands still (every level
 of a nonnegative function, or below the cylinder in the ABP extension, is the
 zero slice), so a level whose slice equals the previous one copies its
-envelope instead of taking the hull again.
+envelope instead of taking the hull again, and a constant slice is its own
+envelope with no hull at all.
 
 The ABP-type diagnostic bounds an interior dip ``sup u^-`` against the measure
 of the contact set between u and the monotone envelope of ``-u^-`` taken on the
@@ -76,7 +77,10 @@ def _qhull_envelope(axes: list[np.ndarray], f: np.ndarray) -> np.ndarray:
 
     Every lower facet's plane is a global affine minorant of the data, and at
     points projecting into that facet it attains the envelope, so the envelope
-    equals the max over lower-facet planes.
+    equals the max over lower-facet planes.  ``lower_monotone_envelope`` calls
+    it only on a non-constant slice in n >= 2, so only such a slice loads
+    ``scipy.spatial``; a constant one is its own envelope, as the flat-input
+    fallback below would also return.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -119,8 +123,10 @@ def lower_monotone_envelope(u: MeshFunction) -> MeshFunction:
         snapping distance of u are set exactly equal, which keeps contact
         detection and idempotence free of hull round-off.
 
-    One hull is taken per distinct running-minimum slice: a level whose
-    slice equals the previous level's copies that level's envelope.
+    One hull is taken per distinct non-constant running-minimum slice: a
+    level whose slice equals the previous level's copies that level's
+    envelope, and a constant slice (``np.ptp`` exactly 0) is its own
+    envelope, copied without the hull that Qhull would refuse as flat.
     """
     spec = u.spec
     m = np.minimum.accumulate(u.values, axis=0)
@@ -134,7 +140,8 @@ def lower_monotone_envelope(u: MeshFunction) -> MeshFunction:
             # the same slice has the same envelope
             out[lev] = out[lev - 1]
             continue
-        if not live:
+        if not live or np.ptp(sl) == 0.0:
+            # a constant slice is its own envelope (Qhull refuses it as flat)
             env = sl.copy()
         else:
             red = sl.reshape([len(axes[i]) for i in live])

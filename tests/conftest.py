@@ -200,7 +200,9 @@ def transform_oracle():
 
 def _monotone_envelope_oracle(u):
     """``lower_monotone_envelope`` taking every level's hull afresh, even
-    where the running minimum repeats the previous level's slice."""
+    where the running minimum repeats the previous level's slice, and
+    through ``_qhull_envelope`` even where that slice is constant (Qhull
+    refuses it as flat, and the fallback returns a copy of it)."""
     from parastep.envelopes import _SNAP, _chain_envelope, _qhull_envelope
     from parastep.geometry import MeshFunction
 

@@ -5,6 +5,7 @@ Everything drives ``cli_main(argv)`` in-process; 0 = success, 1 = error,
 """
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import parastep
-from parastep import _THREAD_VARS
+from parastep import _THREAD_VARS, harness
 from parastep.cli import cli_main
 from parastep.geometry import MeshFunction, MeshSpec
 
@@ -163,6 +164,26 @@ def test_diagnose_optional_sections(tmp_path, capsys):
     assert "convolution check ordering passed=true" in text
     assert "good_set M=1.0" in text and "good_set M=64.0" in text
     assert "abp ratio=" in text
+
+
+def test_diagnose_says_the_sweep_size_before_it_sweeps(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = heat_sine\nh_list = [0.125]\ndiagnostics.samples = 4\n")
+    code, out, _ = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0 and out.startswith("# parastep diagnostics\n")
+    cfg.write_text(cfg.read_text() + "diagnostics.M_values = [1, 64]\n")
+    printed = []
+    sweep = harness.good_set_measure
+
+    def recording(*args):
+        printed.append(capsys.readouterr().out)
+        return sweep(*args)
+
+    monkeypatch.setattr(harness, "good_set_measure", recording)
+    code, out, _ = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0 and out.startswith("# parastep diagnostics\n")
+    nodes = re.search(r"^good_set nodes=(\d+) ", out, re.M).group(1)
+    assert int(nodes) > 0 and printed == [f"# good_set sweeping {nodes} K-box nodes\n"]
 
 
 def test_diagnose_strict_exit_two_on_violations(tmp_path, capsys, drift_grid):
@@ -519,6 +540,17 @@ def test_stored_grid_gives_the_operator_its_dimension(tmp_path, capsys, drift_gr
     code, out, _ = run(capsys, "certify", str(certs), "--config", str(cfg), "--strict")
     assert code == 0
     assert f"# replayed {len(rows)}/{len(rows)} certificates" in out
+
+
+def test_scheme_dimension_zero_is_refused_on_its_line(tmp_path, capsys, drift_grid_2d):
+    # it used to be read as "not set": the operator took dimension 1 and the
+    # run failed later with "F has dimension 1, mesh has 2", naming no line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"boundary.file = {drift_grid_2d}\nscheme.kind = pucci_plus\nscheme.dimension = 0\n")
+    code, out, err = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"parastep: error: {cfg}:3: scheme.dimension must be at least 1, got 0\n"
+    assert not (tmp_path / "certificates.txt").exists()
 
 
 def test_diagnose_and_certify_do_not_build_the_scheme(tmp_path, capsys, drift_grid_2d):

@@ -3,7 +3,7 @@
 import pytest
 
 from parastep.config import ProblemConfig
-from parastep.errors import ConfigError
+from parastep.errors import ConfigError, NonlinearityError
 
 
 def test_scalars_and_sections():
@@ -177,6 +177,39 @@ def test_value_validation(text, fragment):
     with pytest.raises(ConfigError, match=fragment) as exc:
         ProblemConfig.from_text("# run\n" + text, source="run.cfg")
     assert str(exc.value).startswith("run.cfg:2: ")
+
+
+SPD = "must be a symmetric positive definite matrix of finite numbers, got "
+
+
+@pytest.mark.parametrize(
+    "text,must",
+    [
+        ("scheme.lam = -1", "must be a finite positive number, got -1.0"),
+        ("scheme.lam = nan", "must be a finite positive number, got nan"),
+        ("scheme.Lam = 0", "must be a finite positive number, got 0.0"),
+        ("scheme.Lam = inf", "must be a finite positive number, got inf"),
+        ("scheme.matrix = [[-1.0]]", SPD + "[[-1.0]]"),
+        ("scheme.matrix = [[1.0, 0.5], [0.0, 1.0]]", SPD + "[[1.0, 0.5], [0.0, 1.0]]"),
+        ("scheme.matrix = [[1.0, 0.0]]", SPD + "[[1.0, 0.0]]"),
+        ("scheme.matrix = [[nan]]", SPD + "[[nan]]"),
+        ("scheme.dimension = 0", "must be at least 1, got 0"),
+        ("scheme.dimension = -2", "must be at least 1, got -2"),
+    ],
+)
+def test_scheme_keys_are_checked_on_their_line(text, must):
+    # each key's own part of NonlinearityDescriptor's checks, at parse time;
+    # scheme.dimension = 0 used to be replaced by the grid's dimension
+    key = text.split(" =")[0]
+    with pytest.raises(ConfigError) as exc:
+        ProblemConfig.from_text("# run\n" + text, source="run.cfg")
+    assert str(exc.value) == f"run.cfg:2: {key} {must}"
+
+
+def test_lam_above_Lam_is_left_to_the_descriptor():
+    cfg = ProblemConfig.from_text("scheme.kind = pucci_plus\nscheme.lam = 3.0\nscheme.Lam = 2.0\n")
+    with pytest.raises(NonlinearityError, match=r"0 < lam <= Lam, got \(3\.0, 2\.0\)"):
+        cfg.descriptor()
 
 
 @pytest.mark.parametrize("key", ["solver.method", "solver.max_iterations"])

@@ -8,8 +8,11 @@ certificates are replayed from scratch.
 
 import dataclasses
 import functools
+import importlib.util
 import math
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -732,6 +735,29 @@ def test_sobol_matches_scipy_qmc(d, seed):
     assert np.array_equal(diagnostics._sobol(d, 200, seed), want[:200])
 
 
+def test_sobol_table_keeps_only_the_rows_it_uses():
+    # the first d rows of scipy's direction numbers, read column by column,
+    # for every probe dimension up to 3-D (d <= 10), and the draws they make
+    (root,) = importlib.util.find_spec("scipy").submodule_search_locations
+    with np.load(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as npz:
+        poly, vinit = npz["poly"], npz["vinit"]
+    for d in range(1, 11):
+        got = diagnostics._joe_kuo_table(d)
+        assert np.array_equal(got[0], poly[:d]) and np.array_equal(got[1], vinit[:d]), d
+        want = qmc.Sobol(d=d, scramble=True, seed=7).random(64)
+        assert np.array_equal(diagnostics._sobol(d, 64, 7), want), d
+    # a first call peaks at under 1 MiB (4.4 MiB when the whole 21,201-row
+    # table was loaded) and keeps a few KiB (3.1 MiB for the whole table)
+    diagnostics._joe_kuo_table.cache_clear()
+    tracemalloc.start()
+    try:
+        diagnostics._sobol(3, 200, 11)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and kept < 64 << 10, (peak, kept)
+
+
 def test_sobol_refuses_more_points_than_its_bits():
     with pytest.raises(DiagnosticsError, match="at most 2\\*\\*30"):
         diagnostics._sobol(3, (1 << 30) + 1, 0)
@@ -870,6 +896,67 @@ def test_falsifier_pair_on_the_touch_threshold(side):
     assert any(c.touch_gap == gap for c in want)
     got = delta_falsifier(v, F, delta, side, tight)
     assert certificates_to_rows(got) == certificates_to_rows(want)
+
+
+SCREEN_OPERATORS = {
+    "heat-1d": HEAT,
+    "pucci_plus-1d": NonlinearityDescriptor.pucci_plus(1.0, 2.0),
+    "heat-2d": NonlinearityDescriptor.linear(np.eye(2)),
+    "pucci_plus-2d": NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2),
+}
+
+
+@st.composite
+def screen_cases(draw):
+    """(v, F, delta, side, config) on a small mesh.  v is a smooth profile
+    plus seeded noise of size tau, either raw or quantized to quarters of
+    tau (so that many gaps tie exactly), or the pure drift -c t, whose gaps
+    tie at zero.  The config touches at grid resolution with no cut."""
+    name = draw(st.sampled_from(sorted(SCREEN_OPERATORS)))
+    F = SCREEN_OPERATORS[name]
+    n = F.dimension
+    h = 1.0 / draw(st.sampled_from([8, 16] if n == 1 else [6, 8]))
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=0.25, N=2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["noise", "quantized", "drift"]))
+    if kind == "drift":
+        vals = -draw(st.integers(1, 4)) * spec.times().reshape((-1,) + (1,) * n) + np.zeros(spec.shape)
+    else:
+        v = MeshFunction.from_callable(
+            spec, lambda x, t: np.prod(np.sin(np.pi * x), axis=-1) * np.exp(-np.pi**2 * t)
+        )
+        noise = rng.uniform(-1.0, 1.0, spec.shape)
+        if kind == "quantized":
+            noise = np.round(4.0 * noise) / 4.0
+        vals = v.values + spec.tau * noise
+    cfg = FalsifierConfig.with_grid_touch(
+        spec, samples=draw(st.integers(0, 8)), seed=draw(st.integers(0, 99)), max_violations=10**6
+    )
+    delta = draw(st.sampled_from([2.0, 2.5])) * h
+    return MeshFunction(spec, vals), F, delta, draw(st.sampled_from(["super", "sub"])), cfg
+
+
+@settings(max_examples=16, derandomize=True, deadline=None)
+@given(case=screen_cases(), data=st.data())
+def test_generated_screen_matches_the_whole_mesh_oracle(case, data):
+    # the screen-then-confirm route gives the oracle's certificates: with
+    # touch_tol set to one of the oracle's own gaps, so that pair sits on the
+    # threshold, and with a max_violations cut inside each probe family
+    v, F, delta, side, cfg = case
+    certs = falsifier_oracle(v, F, delta, side, cfg)
+    if certs:
+        gap = certs[data.draw(st.integers(0, len(certs) - 1), label="tie")].touch_gap
+        cfg = dataclasses.replace(cfg, touch_tol=gap)
+        certs = falsifier_oracle(v, F, delta, side, cfg)
+        assert any(c.touch_gap == gap for c in certs)
+    want = certificates_to_rows(certs)
+    assert certificates_to_rows(delta_falsifier(v, F, delta, side, cfg)) == want
+    families = [family(r) for r in want]
+    for name in dict.fromkeys(families):
+        first, last = families.index(name), len(families) - families[::-1].index(name)
+        cut = data.draw(st.integers(first + 1, last), label=f"{name} cut")
+        got = delta_falsifier(v, F, delta, side, dataclasses.replace(cfg, max_violations=cut))
+        assert certificates_to_rows(got) == want[:cut], (name, cut)
 
 
 @pytest.mark.parametrize("grid", ["one", "minus-one", "zero", "1e6", "affine"])

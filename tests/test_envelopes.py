@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from parastep import envelopes
 from parastep.envelopes import (
     abp_diagnostic,
     contact_set,
@@ -14,6 +15,9 @@ from parastep.envelopes import (
 )
 from parastep.errors import EnvelopeError, GridError
 from parastep.geometry import Cylinder, MeshFunction, MeshSpec, region_mask
+from parastep.harness import get_problem
+from parastep.scheme import build_monotone_scheme
+from parastep.solver import solve
 
 # ---------------------------------------------------------------------------
 # oracle: per-node affine-minorant LP
@@ -201,6 +205,98 @@ def test_a_slice_that_differs_in_one_node_gets_its_own_hull(dim, monotone_envelo
         got = lower_monotone_envelope(u).values
         assert np.array_equal(got, monotone_envelope_oracle(u).values), node
         assert got[1].flat[node] == -1.0 and np.array_equal(got[0], base)
+
+
+# ---------------------------------------------------------------------------
+# constant slices skip Qhull
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def slice_kinds(draw):
+    """2-D data whose levels are each of a drawn kind: zero, another
+    constant, zero with one dip, exactly affine (small integers on a dyadic
+    mesh) or random.  The running minimum of a first level is that level;
+    a later one mixes kinds, e.g. a zero level under a dip keeps the dip."""
+    h = 1.0 / draw(st.sampled_from([4, 8]))
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * 2, T=draw(st.integers(1, 4)) * h * h, N=2)
+    x, y = np.meshgrid(spec.axis_coords(0), spec.axis_coords(1), indexing="ij")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    vals = np.empty(spec.shape)
+    for lev in range(spec.levels):
+        kind = draw(st.sampled_from(["zero", "constant", "dip", "affine", "random"]))
+        if kind == "constant":
+            vals[lev] = draw(st.floats(-1e6, 1e6, allow_subnormal=True))
+        elif kind == "affine":
+            a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+            vals[lev] = a * x + b * y + c
+        elif kind == "random":
+            vals[lev] = rng.standard_normal(spec.spatial_shape)
+        else:
+            vals[lev] = 0.0
+            if kind == "dip":
+                vals[lev].flat[draw(st.integers(0, x.size - 1))] = -draw(st.floats(1e-6, 10.0))
+    return MeshFunction(spec, vals)
+
+
+SQUARE_2D = MeshSpec(h=0.25, bounds=[(0.0, 1.0)] * 2, T=2 / 16, N=2)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(u=slice_kinds())
+@example(u=MeshFunction(SQUARE_2D, np.full(SQUARE_2D.shape, 2.5)))
+def test_generated_envelope_skips_qhull_on_constant_slices_only(u, monotone_envelope_oracle):
+    # the same envelope bit for bit as Qhull on every slice, and one hull per
+    # distinct non-constant running-minimum slice
+    calls = []
+    qhull = envelopes._qhull_envelope
+
+    def counted(axes, f):
+        calls.append(f)
+        return qhull(axes, f)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envelopes, "_qhull_envelope", counted)
+        got = lower_monotone_envelope(u).values
+    assert np.array_equal(got, monotone_envelope_oracle(u).values)
+    m = np.minimum.accumulate(u.values, axis=0)
+    hulls = [
+        lev
+        for lev in range(u.spec.levels)
+        if np.ptp(m[lev]) > 0.0 and not (lev and np.array_equal(m[lev], m[lev - 1]))
+    ]
+    assert len(calls) == len(hulls)
+
+
+def verify_2d_grid():
+    """The benchmark's verify 2-D grid: heat on the unit square, h = 1/12,
+    solved to T = 1/4; positive on the whole cylinder."""
+    sol = get_problem("heat_product_2d")
+    spec = MeshSpec(h=1 / 12, bounds=sol.bounds, T=0.25, N=2)
+    return solve(build_monotone_scheme(sol.descriptor), spec, sol.fn)[0]
+
+
+def with_interior_dip(u):
+    """``u`` with one negative node three levels below the default ABP
+    cylinder's top center."""
+    vals = u.values.copy()
+    node = u.spec.middle_node()
+    vals[(node[-1] - 4,) + u.spec.offset(node)[1:]] = -0.3
+    return MeshFunction(u.spec, vals)
+
+
+@pytest.mark.parametrize("grid", ["verify-2d", "interior-dip"])
+def test_abp_is_unchanged_by_the_constant_slice_route(grid, monotone_envelope_oracle, monkeypatch):
+    u = verify_2d_grid()
+    if grid == "interior-dip":
+        u = with_interior_dip(u)
+    got = abp_diagnostic(u)
+    monkeypatch.setattr(envelopes, "lower_monotone_envelope", monotone_envelope_oracle)
+    want = abp_diagnostic(u)
+    for key in ("lhs", "K", "contact_count", "ratio", "rhs_core"):
+        assert got[key] == want[key], key
+    assert np.array_equal(got["envelope"].values, want["envelope"].values)
+    assert (got["lhs"] > 0.0) == (grid == "interior-dip")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Start-up cost guard: a fresh interpreter that imports parastep, or runs
 ``python -m parastep --help``, loads every parastep module (the benchmark's
 span wrappers look them up in ``sys.modules``) but no part of scipy: each
-one is imported where it is used (``scipy.spatial`` by the envelopes).  A
+one is imported where it is used (``scipy.spatial`` by the envelopes, and
+only for a non-constant slice in n >= 2: the ABP ratio of a grid that is
+positive on its cylinder loads none, one with an interior dip does).  A
 small ``diagnose`` run loads none of them either, with the falsifier alone
 (it draws its Sobol' probes in the package, not with ``scipy.stats``) or
 with the good-set sweep, whose fits the exchange certifies.  A good-set fit
@@ -157,6 +159,34 @@ def test_a_fresh_factor_equals_splu_and_shares_its_module(route, tmp_path):
             check="{_SUPERLU, 'scipy.sparse.linalg'} <= loaded",
         )
     assert SUPERLU <= loaded_modules(program, tmp_path)
+
+
+# The ABP ratio on the benchmark's verify 2-D grid (heat, h = 1/12), which is
+# positive on the cylinder: the zero extension's slices are constant, and
+# their envelopes take no hull.  The same grid with one interior dip needs one.
+ABP = (
+    "from parastep import FalsifierConfig, MeshFunction, MeshSpec, build_monotone_scheme\n"
+    "from parastep import get_problem, run_diagnostics, solve\n"
+    "sol = get_problem('heat_product_2d')\n"
+    "spec = MeshSpec(h=1 / 12, bounds=sol.bounds, T=0.25, N=2)\n"
+    "u, _ = solve(build_monotone_scheme(sol.descriptor), spec, sol.fn)\n"
+    "fcfg = FalsifierConfig(samples=4)\n"
+    "abp = run_diagnostics(u, sol.descriptor, falsifier_config=fcfg, abp=True)['abp']\n"
+    "assert abp['lhs'] == 0.0, abp\n"
+    "spatial = [m for m in sys.modules if m.startswith('scipy.spatial')]\n"
+    "assert not spatial, spatial\n"
+    "vals, node = u.values.copy(), spec.middle_node()\n"
+    "vals[(node[-1] - 4,) + spec.offset(node)[1:]] = -0.3\n"
+    "dip = MeshFunction(spec, vals)\n"
+    "abp = run_diagnostics(dip, sol.descriptor, falsifier_config=fcfg, abp=True)['abp']\n"
+    "assert abp['lhs'] > 0.0, abp\n"
+)
+
+
+def test_abp_loads_scipy_spatial_only_for_a_non_constant_slice(tmp_path):
+    # the program checks that the verify grid's ratio loaded no scipy.spatial
+    modules = loaded_modules(ABP, tmp_path)
+    assert "scipy.spatial" in modules
 
 
 # A good-set sweep whose fits the exchange may not certify: with no pivot

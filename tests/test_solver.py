@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import parastep.solver as solver_module
 from parastep.errors import SchemeError, SolverConvergenceError
@@ -849,3 +851,86 @@ def test_block_scratch_stays_under_its_budget(budget, monkeypatch):
     lengths = {length for _, length in peaks}
     assert max(lengths) == solver_module._block_length(_LevelProblem(heat, spec)) >= 2
     assert 0 < max(peak for peak, _ in peaks) <= budget
+
+
+# ---------------------------------------------------------------------------
+# generated: both fast paths against their oracles on seeded nonlinear data
+# ---------------------------------------------------------------------------
+
+GENERATED_OPERATORS = {
+    "pucci_plus-1d": NonlinearityDescriptor.pucci_plus(1.0, 2.0),
+    "pucci_minus-1d": NonlinearityDescriptor.pucci_minus(1.0, 3.0),
+    "pucci_plus-2d": NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2),
+    "isaacs-2d": ISAACS_2D,
+}
+# Woodbury against refactoring: both routes solve each level's equations to
+# the same unique solution, so values differ by rounding alone.  The bound is
+# relative to 1 + sup|u|; the largest gap over this test's examples was 3e-16.
+WOODBURY_ATOL = 1e-12
+
+
+@st.composite
+def nonlinear_solves(draw):
+    """(label, operator, small mesh, seeded band data).  The data are three
+    product sine modes whose amplitudes decay, grow and oscillate in time,
+    so the operator's policy moves from level to level."""
+    label = draw(st.sampled_from(sorted(GENERATED_OPERATORS)))
+    descriptor = GENERATED_OPERATORS[label]
+    n = descriptor.dimension
+    h = 1.0 / draw(st.sampled_from([8, 12, 16] if n == 1 else [6, 8]))
+    spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=draw(st.sampled_from([1 / 8, 1 / 4])), N=2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    modes = rng.integers(1, 4, size=(3, n))
+    amp, rate, freq = rng.uniform(-1.0, 1.0, 3), rng.uniform(-3.0, 3.0, 3), rng.uniform(0.0, 8.0, 3)
+
+    def g(x, t):
+        out = 0.0
+        for k, a, r, w in zip(modes, amp, rate, freq):
+            out = out + a * np.prod(np.sin(math.pi * k * x), axis=-1) * np.exp(-r * t) * np.cos(w * t)
+        return out
+
+    return label, descriptor, spec, g
+
+
+CONCAVE_1D = (
+    "pucci_plus_concave-1d",
+    NonlinearityDescriptor.pucci_plus(1.0, 2.0),
+    MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2),
+    sine_data(),
+)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(case=nonlinear_solves())
+@example(case=CONCAVE_1D)
+def test_generated_fast_paths_match_their_oracles(case):
+    label, descriptor, spec, g = case
+    scheme = build_monotone_scheme(descriptor)
+    accepted = []
+    frozen_block = solver_module._frozen_block
+
+    def counted(*args):
+        resid = frozen_block(*args)
+        accepted.append(resid.size)
+        return resid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "_frozen_block", counted)
+        u, report = solve(scheme, spec, g)
+    assert report.max_residual <= report.tol
+    # frozen blocks: the per-level route's values and report, bit for bit
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "_BLOCK", 0)
+        want, want_report = solve(scheme, spec, g)
+    assert np.array_equal(u.values, want.values)
+    assert report.iterations == want_report.iterations
+    assert report.max_residual == want_report.max_residual
+    # Woodbury updates: refactoring at every policy change, within WOODBURY_ATOL
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "_RANK", 0)
+        want, want_report = solve(scheme, spec, g)
+    scale = 1.0 + float(np.max(np.abs(u.values)))
+    np.testing.assert_allclose(u.values, want.values, rtol=0, atol=WOODBURY_ATOL * scale)
+    assert want_report.max_residual <= want_report.tol
+    if label == "pucci_plus_concave-1d":
+        assert sum(accepted) > 0  # the block route ran
