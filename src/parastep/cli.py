@@ -331,7 +331,7 @@ def _cmd_diagnose(cfg: ProblemConfig, run: _Inputs, args):
 
 
 def _cmd_certify(cfg: ProblemConfig, run: _Inputs, args):
-    from .diagnostics import replay_violation, row_to_certificate
+    from .diagnostics import replay_violations, row_to_certificate
     from .errors import DiagnosticsError
 
     path = Path(args.certificates)
@@ -356,8 +356,8 @@ def _cmd_certify(cfg: ProblemConfig, run: _Inputs, args):
         f" certificates={len(certs)}",
     ]
     failed = 0
-    for lineno, cert in certs:
-        rep = replay_violation(cert, u, run.descriptor)
+    reps = replay_violations([cert for _, cert in certs], u, run.descriptor)
+    for (lineno, cert), rep in zip(certs, reps):
         if not rep["valid"]:
             failed += 1
             why = "not touching" if not rep["touching"] else "margin mismatch"

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticsError
+from .errors import DiagnosticsError, GridError, NonlinearityError
 from .geometry import (
     _FP_SLACK,
     KBox,
@@ -50,7 +50,7 @@ from .geometry import (
     second_quotient_field,
     shift,
 )
-from .nonlinearity import NonlinearityDescriptor, evaluate_F
+from .nonlinearity import NonlinearityDescriptor, _apply_F, evaluate_F
 
 __all__ = [
     "Paraboloid",
@@ -60,6 +60,7 @@ __all__ = [
     "ViolationCertificate",
     "delta_falsifier",
     "replay_violation",
+    "replay_violations",
     "certificates_to_rows",
     "psi_M_membership",
     "GoodSetReport",
@@ -84,6 +85,11 @@ _FIT_PIVOTS = 200
 # Falsifier screen (delta_falsifier): the bytes that one tile of nodes and
 # one chunk of probes' flags take together.
 _SCREEN_TILE_BYTES = 1 << 21
+
+# Certificate replay (replay_violations): the bytes that one chunk of a delta
+# group's certificates takes, at about 8 (2n + 12) bytes per certificate and
+# cylinder step.
+_REPLAY_CHUNK_BYTES = 1 << 22
 
 # Bits of the Sobol' direction numbers, as scipy.stats.qmc.Sobol uses them.
 _SOBOL_BITS = 30
@@ -218,13 +224,6 @@ def paraboloid_derivatives(P: Paraboloid, point) -> tuple[float, np.ndarray]:
     if p.n != P.n:
         raise DiagnosticsError(f"dimension mismatch: paraboloid n={P.n}, point n={p.n}")
     return float(P.m + P.a @ np.asarray(p.x)), 2.0 * P.Q
-
-
-def _eval_paraboloid_many(P: Paraboloid, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float).reshape(-1, P.n)
-    T = np.asarray(T, dtype=float).ravel()
-    quad = np.einsum("ki,ij,kj->k", X, P.Q, X)
-    return P.c + X @ P.l + P.m * T + (X @ P.a) * T + quad
 
 
 def _centered_to_absolute(c, l, m, a, Q, x, t) -> Paraboloid:
@@ -397,15 +396,20 @@ def _local_model(v: MeshFunction):
     return grad, slope, Q
 
 
-def _margin_field(F, m_f, Q_f, shape):
-    """m - F(2Q), NaN-safe, broadcast to ``shape``."""
-    if np.ndim(Q_f) > 2:
-        nanq = np.isnan(Q_f).any(axis=(-2, -1))
-        FQ = evaluate_F(F, 2.0 * np.where(np.isnan(Q_f), 0.0, Q_f))
-        FQ = np.where(nanq, np.nan, FQ)
+def _margins(F, m, Q, shape):
+    """m - F(2Q) broadcast to ``shape``, for Q that the falsifier built
+    exactly symmetric, so only :func:`evaluate_F`'s finiteness rule is kept:
+    a row (..., n, n) of Q with a NaN entry gets a NaN margin, and an
+    infinite entry, or a NaN in a single matrix, raises NonlinearityError."""
+    Q = np.asarray(Q, dtype=float)
+    finite = np.isfinite(Q)
+    if finite.all():
+        FQ = _apply_F(F, 2.0 * Q)
+    elif Q.ndim == 2 or np.isinf(Q).any():
+        raise NonlinearityError("matrix entries must be finite")
     else:
-        FQ = evaluate_F(F, 2.0 * np.asarray(Q_f, dtype=float))
-    return np.broadcast_to(np.asarray(m_f, dtype=float) - FQ, shape)
+        FQ = np.where(finite.all(axis=(-2, -1)), _apply_F(F, 2.0 * np.where(finite, Q, 0.0)), np.nan)
+    return np.broadcast_to(np.asarray(m, dtype=float) - FQ, shape)
 
 
 def delta_falsifier(
@@ -453,7 +457,11 @@ def delta_falsifier(
     in probe order and C node order, by the direct per-offset evaluation:
     the margin first, so that F (an eigen-solve per node for Pucci or
     Isaacs operators) runs at flagged nodes only, then the touching value
-    and the gap where the margin has the forbidden sign.  The certificates,
+    and the gap where the margin has the forbidden sign.  The margin is
+    built from the probe's m and Q alone, and F skips ``evaluate_F``'s
+    symmetry check on those Q, which the falsifier builds exactly symmetric;
+    a NaN entry still gives a NaN margin and an infinite one still raises
+    NonlinearityError.  The certificates,
     and where ``max_violations`` cuts them, are therefore exactly those of
     the direct evaluation of every probe at every node.
 
@@ -522,12 +530,14 @@ def delta_falsifier(
         return 4.0 * (n + 2) ** 2 * np.finfo(float).eps * T
 
     def families():
-        """(names, fields, D, on_B, slack) per probe family, where
-        ``fields(r, S)`` is probe r's (l, m, Q) at the flat nodes S, built
-        as the direct evaluation builds it."""
+        """(names, l_at, mq_at, D, on_B, slack) per probe family, where
+        ``l_at(r, S)`` and ``mq_at(r, S)`` are probe r's l and (m, Q) at the flat
+        nodes S, built as the direct evaluation builds them; the margin reads
+        (m, Q) only."""
         yield (
             ["osculating"],
-            lambda r, S: (grad[S], slope[S], Qhat[S]),
+            lambda r, S: grad[S],
+            lambda r, S: (slope[S], Qhat[S]),
             np.zeros((1, O)),
             True,
             slack(s_l, s_m, s_q),
@@ -543,7 +553,8 @@ def delta_falsifier(
             ]
             yield (
                 [name for name, _, _ in battery],
-                lambda r, S: (grad[S], battery[r][1], battery[r][2]),
+                lambda r, S: grad[S],
+                lambda r, S: battery[r][1:],
                 np.array([m for _, m, _ in battery])[:, None] * dts
                 + quad_rows(np.array([Q for _, _, Q in battery])),
                 False,
@@ -556,11 +567,8 @@ def delta_falsifier(
             dQ = 0.5 * (dQ + dQ.transpose(0, 2, 1))
             yield (
                 [f"sobol[{r}]" for r in range(cfg.samples)],
-                lambda r, S: (
-                    grad[S] + s_l * xi[r, :n],
-                    slope[S] + s_m * xi[r, n],
-                    Qhat[S] + s_q * dQ[r],
-                ),
+                lambda r, S: grad[S] + s_l * xi[r, :n],
+                lambda r, S: (slope[S] + s_m * xi[r, n], Qhat[S] + s_q * dQ[r]),
                 s_l * xi[:, :n] @ d.T + s_m * xi[:, n : n + 1] * dts + s_q * quad_rows(dQ),
                 True,
                 slack(2.0 * s_l, 2.0 * s_m, 2.0 * s_q),
@@ -626,18 +634,18 @@ def delta_falsifier(
             del flags  # before the next chunk's flags exist
 
     certs: list[ViolationCertificate] = []
-    for names, fields, D, on_B, family_slack in families():
+    for names, l_at, mq_at, D, on_B, family_slack in families():
         for r, S in screened(D, on_B, touch_tol + family_slack):
             if not S.size:
                 continue
-            _, m_f, Q_f = fields(r, S)
             with np.errstate(invalid="ignore"):
-                margin = _margin_field(F, m_f, Q_f, S.shape)
+                margin = _margins(F, *mq_at(r, S), S.shape)
                 forbidden = sign * margin < -viol_tol
             if not forbidden.any():
                 continue
             S, margin = S[forbidden], margin[forbidden]
-            l_f, m_f, Q_f = fields(r, S)
+            l_f = l_at(r, S)
+            m_f, Q_f = mq_at(r, S)
             w_ext = None
             for o, (dk, dt) in enumerate(zip(d, dts)):
                 lin = np.einsum("...i,i->...", l_f, dk)
@@ -683,41 +691,137 @@ def delta_falsifier(
 def replay_violation(
     cert: ViolationCertificate, v: MeshFunction, F: NonlinearityDescriptor
 ) -> dict:
-    """Re-run a certificate on its backward cylinder, ``spec.node_steps(delta)``
-    about its node: ``touching`` if P is on its side of v there and its gap at
-    the node is at most the recorded one plus 1e-9 (1 + sup|v| on the cylinder),
-    ``valid`` if the margin also has the forbidden sign.  Refused, in this order: a
-    delta whose cylinder fits at no node, before any step is built; a cylinder node
-    off the mesh (a GridError names it); a node where :meth:`MeshSpec.cylinder_fits` fails."""
-    spec = v.spec
-    node = tuple(int(i) for i in cert.node)
-    if len(node) != spec.n + 1 or cert.paraboloid.n != spec.n:
-        raise DiagnosticsError(f"certificate node {node} does not live on a {spec.n}-D mesh")
-    if not spec.cylinder_fits(cert.delta, spec.middle_node()):
-        raise DiagnosticsError(f"delta = {cert.delta!r} is too large for the mesh")
-    idx = np.array(node) + spec.node_steps(cert.delta)
-    flat = spec.flat_offsets(idx)
-    if (flat < 0).any():
-        spec.offset(idx[np.argmax(flat < 0)].tolist())  # the GridError naming that node
-    if not spec.cylinder_fits(cert.delta, node):
-        raise DiagnosticsError(f"node {node}: its delta = {cert.delta!r} cylinder leaves the domain")
-    vvals = v.values.ravel()[flat]
-    pvals = _eval_paraboloid_many(cert.paraboloid, idx[:, :-1] * spec.h, idx[:, -1] * spec.tau)
-    sign = 1.0 if cert.side == "super" else -1.0
-    vscale = 1.0 + float(np.max(np.abs(vvals)))
-    side_ok = float(np.min(sign * (vvals - pvals))) >= -1e-9 * vscale
-    center = spec.node_point(node)
-    touch_gap = sign * (v.value(node) - evaluate_paraboloid(cert.paraboloid, center))
-    touching = side_ok and touch_gap <= cert.touch_gap + 1e-9 * vscale
-    pt, d2 = paraboloid_derivatives(cert.paraboloid, center)
-    margin = float(pt - evaluate_F(F, d2))
-    return {
-        "valid": bool(touching and sign * margin < 0.0),
-        "touching": bool(touching),
-        "touch_gap": float(touch_gap),
-        "margin": margin,
-        "margin_matches": bool(abs(margin - cert.margin) <= 1e-9 * (1.0 + abs(cert.margin))),
-    }
+    """Replay one certificate: :func:`replay_violations` of ``[cert]``, the
+    one replay route, with its result dict and its refusals."""
+    return replay_violations([cert], v, F)[0]
+
+
+def replay_violations(
+    certs: list[ViolationCertificate], v: MeshFunction, F: NonlinearityDescriptor
+) -> list[dict]:
+    """Re-run each certificate on its backward cylinder, ``spec.node_steps(delta)``
+    about its node, with arithmetic of the replay's own, not the falsifier's.  A
+    certificate is ``touching`` if P is on its side of v there and its gap at the
+    node is at most the recorded one plus 1e-9 (1 + sup|v| on the cylinder), and
+    ``valid`` if the margin P_t - F(D^2 P) at the node also has the forbidden
+    sign.  Returns one dict per certificate, in order: ``valid``, ``touching``,
+    ``touch_gap``, ``margin`` and ``margin_matches`` (within 1e-9 relative).
+
+    Certificates are grouped by delta, and a group's mesh-side work runs once
+    over chunks of at most ``_REPLAY_CHUNK_BYTES``: the fit at the middle node,
+    the :meth:`MeshSpec.cylinder_fits` mask, one gather of certificates x steps
+    and one side test.  Refusals are those of a loop over the certificates in
+    order: the first certificate refused raises, with the first of its own
+    refusals in this order: a node or paraboloid of another dimension; a delta
+    whose cylinder fits at no node, before any step is built; a cylinder node
+    off the mesh (a GridError names the first, in step order); a node where
+    ``cylinder_fits`` fails.  F refuses (``evaluate_F``) only the matrices of
+    certificates before it."""
+    spec, n = v.spec, v.spec.n
+    vals = v.values.ravel()
+    first = [len(certs), None]  # the first refused certificate and its error
+
+    def refuse(i, exc):
+        if i < first[0]:
+            first[:] = [i, exc]
+
+    groups: dict[float, list[int]] = {}
+    for i, cert in enumerate(certs):
+        if len(cert.node) != n + 1 or cert.paraboloid.n != n:
+            node = tuple(int(k) for k in cert.node)
+            refuse(i, DiagnosticsError(f"certificate node {node} does not live on a {n}-D mesh"))
+        else:
+            groups.setdefault(cert.delta, []).append(i)
+
+    side_ok = np.zeros(len(certs), dtype=bool)
+    vscale = np.zeros(len(certs))
+    for delta, members in groups.items():
+        if not spec.cylinder_fits(delta, spec.middle_node()):
+            refuse(members[0], DiagnosticsError(f"delta = {delta!r} is too large for the mesh"))
+            continue
+        steps = spec.node_steps(delta)
+        fits = spec.cylinder_fits(delta).ravel()
+        chunk = max(1, _REPLAY_CHUNK_BYTES // (8 * (2 * n + 12) * len(steps)))
+        for c0 in range(0, len(members), chunk):
+            rows = np.array(members[c0 : c0 + chunk])
+            nodes = np.array([certs[i].node for i in rows], dtype=np.int64)
+            idx = nodes[:, None, :] + steps
+            flat = spec.flat_offsets(idx.reshape(-1, n + 1)).reshape(len(rows), len(steps))
+            absent = flat < 0
+            off_mesh = absent.any(axis=1)
+            if off_mesh.any():
+                k = int(np.argmax(off_mesh))
+                try:
+                    spec.offset(idx[k, np.argmax(absent[k])].tolist())
+                except GridError as exc:
+                    refuse(rows[k], exc)
+            loose = ~off_mesh & ~fits[spec.flat_offsets(nodes)]
+            if loose.any():
+                k = int(np.argmax(loose))
+                node = tuple(int(i) for i in nodes[k])
+                refuse(
+                    rows[k], DiagnosticsError(f"node {node}: its delta = {delta!r} cylinder leaves the domain")
+                )
+            keep = ~(off_mesh | loose)
+            if not keep.any():
+                continue
+            rows, idx, flat = rows[keep], idx[keep], flat[keep]
+            c, l, m, a, Q = _paraboloid_arrays([certs[i].paraboloid for i in rows])
+            X, T = idx[..., :-1] * spec.h, idx[..., -1] * spec.tau
+            pvals = (
+                c[:, None]
+                + (X @ l[:, :, None])[..., 0]
+                + m[:, None] * T
+                + (X @ a[:, :, None])[..., 0] * T
+                + np.einsum("cki,cij,ckj->ck", X, Q, X)
+            )
+            vvals = vals[flat]
+            sign = _signs([certs[i] for i in rows])
+            vscale[rows] = 1.0 + np.abs(vvals).max(axis=1)
+            side_ok[rows] = (sign[:, None] * (vvals - pvals)).min(axis=1) >= -1e-9 * vscale[rows]
+
+    done = certs[: first[0]]
+    reps = []
+    if done:
+        nodes = np.array([cert.node for cert in done], dtype=np.int64)
+        c, l, m, a, Q = _paraboloid_arrays([cert.paraboloid for cert in done])
+        x = (nodes[:, :-1] * spec.h)[:, :, None]
+        t = nodes[:, -1] * spec.tau
+        ax = (a[:, None, :] @ x)[:, 0, 0]
+        center = c + (l[:, None, :] @ x)[:, 0, 0] + m * t + ax * t + (x.transpose(0, 2, 1) @ Q @ x)[:, 0, 0]
+        sign = _signs(done)
+        touch_gap = sign * (vals[spec.flat_offsets(nodes)] - center)
+        recorded = np.array([cert.touch_gap for cert in done])
+        touching = side_ok[: len(done)] & (touch_gap <= recorded + 1e-9 * vscale[: len(done)])
+        if F.dimension != n:
+            evaluate_F(F, 2.0 * Q[0])  # refused as one certificate's matrix is
+        margin = (m + ax) - evaluate_F(F, 2.0 * Q)
+        want = np.array([cert.margin for cert in done])
+        matches = np.abs(margin - want) <= 1e-9 * (1.0 + np.abs(want))
+        valid = touching & (sign * margin < 0.0)
+        reps = [
+            {"valid": bool(ok), "touching": bool(t), "touch_gap": g, "margin": mg, "margin_matches": bool(mm)}
+            for ok, t, g, mg, mm in zip(valid, touching, touch_gap.tolist(), margin.tolist(), matches)
+        ]
+    if first[1] is not None:
+        raise first[1]
+    return reps
+
+
+def _paraboloid_arrays(Ps):
+    """The pieces (c, l, m, a, Q) of k paraboloids as arrays (k,), (k, n), (k,), (k, n), (k, n, n)."""
+    return (
+        np.array([P.c for P in Ps]),
+        np.array([P.l for P in Ps]),
+        np.array([P.m for P in Ps]),
+        np.array([P.a for P in Ps]),
+        np.array([P.Q for P in Ps]),
+    )
+
+
+def _signs(certs) -> np.ndarray:
+    """+1 for each ``super`` certificate, -1 for each ``sub`` one."""
+    return np.array([1.0 if cert.side == "super" else -1.0 for cert in certs])
 
 
 # ---------------------------------------------------------------------------

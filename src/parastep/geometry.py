@@ -51,6 +51,10 @@ _MAX_NODES = np.iinfo(np.intp).max // 8
 # Node lines that MeshFunction.read_text parses at a time.
 _READ_CHUNK_LINES = 1 << 14
 
+# region_mask: the bytes that one chunk of levels' points and containment
+# tests take, at about 8 (2n + 6) bytes per node.
+_MASK_BYTES = 1 << 21
+
 # Hölder search (see _holder_seminorm): region nodes per tile, the byte
 # budget of its scratch arrays, and the relative slack of its tile-pair bound.
 _HOLDER_TILE_NODES = 64
@@ -485,14 +489,20 @@ def _sample_levels(spec: MeshSpec, f: Callable, start: int, stop: int) -> np.nda
 
 def region_mask(spec: MeshSpec, region: Cylinder | KBox | None) -> np.ndarray:
     """The nodes that ``region.contains``, as a boolean array over the mesh
-    (every node when ``region`` is None)."""
+    (every node when ``region`` is None).  ``region.contains_points`` decides
+    a chunk of levels at a time, within ``_MASK_BYTES`` next to the mask."""
     if region is None:
         return np.ones(spec.shape, dtype=bool)
     if region.center.n != spec.n:
         raise GridError(f"region dimension {region.center.n} != mesh dimension {spec.n}")
-    off = np.indices(spec.shape).reshape(spec.n + 1, -1).T
-    inside = region.contains_points((off[:, 1:] + spec.k_min) * spec.h, (off[:, 0] + 1) * spec.tau)
-    return inside.reshape(spec.shape)
+    x = (np.indices(spec.spatial_shape).reshape(spec.n, -1).T + spec.k_min) * spec.h
+    levels = max(1, _MASK_BYTES // (8 * (2 * spec.n + 6) * len(x)))
+    mask = np.empty(spec.shape, dtype=bool)
+    for m0 in range(0, spec.levels, levels):
+        m = np.arange(m0 + 1, min(m0 + levels, spec.levels) + 1)
+        inside = region.contains_points(np.tile(x, (len(m), 1)), np.repeat(m * spec.tau, len(x)))
+        mask[m0 : m0 + len(m)] = inside.reshape((len(m),) + spec.spatial_shape)
+    return mask
 
 
 class MeshFunction:

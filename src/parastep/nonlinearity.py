@@ -12,6 +12,7 @@ pair, which coincides with the declared pair when n = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,15 +35,15 @@ EIGEN_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class EllipticityConstants:
-    """The pair 0 < lam <= Lam."""
+    """The pair 0 < lam <= Lam, both finite (NonlinearityError)."""
 
     lam: float
     Lam: float
 
     def __post_init__(self):
-        if not (0 < self.lam <= self.Lam):
+        if not (0 < self.lam <= self.Lam and math.isfinite(self.Lam)):
             raise NonlinearityError(
-                f"ellipticity constants need 0 < lam <= Lam, got ({self.lam}, {self.Lam})"
+                f"ellipticity constants need finite 0 < lam <= Lam, got ({self.lam}, {self.Lam})"
             )
 
 
@@ -60,6 +61,15 @@ def _check_symmetric(X, n: int | None = None) -> np.ndarray:
     return X
 
 
+def _pucci(X: np.ndarray, lam: float, Lam: float, plus: bool):
+    """The extremal operators on checked matrices (the unchecked core)."""
+    e = np.linalg.eigvalsh(X)
+    pos = np.where(e > EIGEN_TOLERANCE, e, 0.0).sum(axis=-1)
+    neg = np.where(e < -EIGEN_TOLERANCE, e, 0.0).sum(axis=-1)
+    out = Lam * pos + lam * neg if plus else lam * pos + Lam * neg
+    return float(out) if out.ndim == 0 else out
+
+
 def pucci_minus(X, lam: float, Lam: float):
     """Extremal operator M^-(X) = lam*sum(e_i > 0) + Lam*sum(e_i < 0).
 
@@ -68,23 +78,13 @@ def pucci_minus(X, lam: float, Lam: float):
     zero contribute to neither sum.
     """
     EllipticityConstants(lam, Lam)
-    X = _check_symmetric(X)
-    e = np.linalg.eigvalsh(X)
-    pos = np.where(e > EIGEN_TOLERANCE, e, 0.0).sum(axis=-1)
-    neg = np.where(e < -EIGEN_TOLERANCE, e, 0.0).sum(axis=-1)
-    out = lam * pos + Lam * neg
-    return float(out) if out.ndim == 0 else out
+    return _pucci(_check_symmetric(X), lam, Lam, plus=False)
 
 
 def pucci_plus(X, lam: float, Lam: float):
     """Extremal operator M^+(X) = Lam*sum(e_i > 0) + lam*sum(e_i < 0)."""
     EllipticityConstants(lam, Lam)
-    X = _check_symmetric(X)
-    e = np.linalg.eigvalsh(X)
-    pos = np.where(e > EIGEN_TOLERANCE, e, 0.0).sum(axis=-1)
-    neg = np.where(e < -EIGEN_TOLERANCE, e, 0.0).sum(axis=-1)
-    out = Lam * pos + lam * neg
-    return float(out) if out.ndim == 0 else out
+    return _pucci(_check_symmetric(X), lam, Lam, plus=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,16 +203,24 @@ class NonlinearityDescriptor:
 
 
 def evaluate_F(descriptor: NonlinearityDescriptor, X):
-    """Evaluate F(X); X may be stacked (..., n, n) for the non-custom kinds."""
-    X = _check_symmetric(X, descriptor.dimension)
+    """Evaluate F(X); X may be stacked (..., n, n) for the non-custom kinds.
+
+    X must hold square n x n matrices, finite and symmetric to 1e-9 of its
+    largest entry (NonlinearityError).  This is the checked entry; callers
+    that build their matrices symmetric themselves may call the core,
+    ``_apply_F``, after their own finiteness rule."""
+    return _apply_F(descriptor, _check_symmetric(X, descriptor.dimension))
+
+
+def _apply_F(descriptor: NonlinearityDescriptor, X: np.ndarray):
+    """F(X) on matrices :func:`evaluate_F` has checked, or that are built
+    finite and exactly symmetric (the unchecked core)."""
     kind = descriptor.kind
     if kind == "linear":
         out = np.trace(descriptor.matrix @ X, axis1=-2, axis2=-1)
         return float(out) if np.ndim(out) == 0 else out
-    if kind == "pucci_plus":
-        return pucci_plus(X, *descriptor.pucci_pair)
-    if kind == "pucci_minus":
-        return pucci_minus(X, *descriptor.pucci_pair)
+    if kind in ("pucci_plus", "pucci_minus"):
+        return _pucci(X, *descriptor.pucci_pair, plus=kind == "pucci_plus")
     if kind == "bellman_isaacs":
         inner = []
         for row in descriptor.families:

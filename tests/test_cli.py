@@ -4,6 +4,7 @@ Everything drives ``cli_main(argv)`` in-process; 0 = success, 1 = error,
 2 = property violation under --strict.
 """
 
+import hashlib
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import parastep
@@ -653,3 +655,79 @@ def test_space_separated_h_list_is_refused(tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 1 and err.startswith("parastep: error: --h-list:1: key 'h_list'")
     assert not any(tmp_path.iterdir())
+
+
+def _pinned_grid(tmp_path, grid):
+    """The config of a stored grid: v = -t with linear F (1-D, h = 1/16), or
+    -t left of x = 1/2 and 3t right of it, plus a quadratic, with Pucci+
+    (2-D, h = 1/8, 16 samples), which has certificates on both sides."""
+    if grid == "drift-1d":
+        spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2)
+        f = lambda x, t: -t  # noqa: E731
+        keys = "scheme.kind = linear\nscheme.matrix = [[1.0]]\n"
+    else:
+        spec = MeshSpec(h=1 / 8, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.25, N=2)
+
+        def f(x, t):
+            x0, x1 = x[..., 0], x[..., 1]
+            return np.where(x0 < 0.5, -t, 3.0 * t) + 0.5 * (x0 - 0.5) * (x1 - 0.5) + 0.25 * x0**2
+
+        keys = "scheme.kind = pucci_plus\ndiagnostics.samples = 16\n"
+    path = tmp_path / f"{grid}.txt"
+    MeshFunction.from_callable(spec, f).write_text(path)
+    cfg = tmp_path / f"{grid}.cfg"
+    cfg.write_text(f"boundary.file = {path}\n{keys}")
+    return cfg
+
+
+# sha256 of certificates.txt, diagnostics.txt and the certify output
+PINNED = {
+    ("drift-1d", 1): (
+        "94d0481ae8262bf83fdbd36c84567817a1835d8fd03752fa59e8acc60205b834",
+        "01b8c9eae20b9edfa8eaedbaf01a9457b7b43e9e465753ec47374c683d229d50",
+        "fc6059b1e30a54aea357334bc42da13ae17be0d3ac2358bd5caba3fe4bc8c437",
+    ),
+    ("drift-1d", 7): (
+        "8b362486f2c3c1d4085a323fa0419be748bb21fa80f2c16b2320aac12e93dfd7",
+        "cffd53db213c5cc48e5c4c326062000523cde32e58d2364fe866ab401ae65a4c",
+        "eea40c5fbcb85917de56d48d650ec0266ad1d308e7ab8a0fa2d498ba97b9db59",
+    ),
+    ("drift-1d", 11): (
+        "0fe2b4e9448de1709202204f2b4dbe48dc90a8bf26ccb77f2b23c03ee01d239b",
+        "42fb086c163ce34f5397a3831206d358caeabaeb5c9c9f19b378754b56cd1958",
+        "47079ed21dfd3dcde97877a5d839aa627ad0c188ac41c5df185430d8b84da6f1",
+    ),
+    ("split-pucci-2d", 1): (
+        "5a65f52371d6bb35eac652af5b10319f80671f7c298b1182135b7fe802a71320",
+        "c895f9b77e70e77565e3665cfe3315186bec2f7d1bc3b58c703b82b55561c89c",
+        "64ee8535d7f751df0951c71f1d73b279a8b1a1fd7155de3f4653fc5d9aad03b2",
+    ),
+    ("split-pucci-2d", 7): (
+        "5a65f52371d6bb35eac652af5b10319f80671f7c298b1182135b7fe802a71320",
+        "72809adc5462f6ca11caf421e9cbfbfdb27dc4d772482a23d2a51ff979b16cbf",
+        "64ee8535d7f751df0951c71f1d73b279a8b1a1fd7155de3f4653fc5d9aad03b2",
+    ),
+    ("split-pucci-2d", 11): (
+        "5a65f52371d6bb35eac652af5b10319f80671f7c298b1182135b7fe802a71320",
+        "00ca93bc10937734e93babe09ac11995dc7c5e675c2d10ffa23b86a75165cf27",
+        "64ee8535d7f751df0951c71f1d73b279a8b1a1fd7155de3f4653fc5d9aad03b2",
+    ),
+}
+
+
+@pytest.mark.parametrize("grid, seed", sorted(PINNED))
+def test_diagnose_and_certify_outputs_are_byte_pinned(tmp_path, capsys, grid, seed):
+    # digests taken before certify replayed in one batch and the falsifier
+    # built its margins from (m, Q) alone; both must leave every byte alone
+    cfg = _pinned_grid(tmp_path, grid)
+    out_dir = tmp_path / "diag"
+    argv = ["diagnose", "--config", str(cfg), "--seed", str(seed), "--out", str(out_dir)]
+    assert run(capsys, *argv)[0] == 0
+    certs = out_dir / "certificates.txt"
+    code, out, _ = run(capsys, "certify", str(certs), "--config", str(cfg), "--strict")
+    assert code == 0
+    got = tuple(
+        hashlib.sha256(b).hexdigest()
+        for b in (certs.read_bytes(), (out_dir / "diagnostics.txt").read_bytes(), out.encode())
+    )
+    assert got == PINNED[grid, seed]

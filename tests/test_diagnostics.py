@@ -33,19 +33,19 @@ from parastep.diagnostics import (
     paraboloid_derivatives,
     psi_M_membership,
     replay_violation,
+    replay_violations,
     row_to_certificate,
 )
 from parastep.cli import _centered_kbox
 from parastep.diagnostics import (
     ViolationCertificate,
     _centered_to_absolute,
-    _eval_paraboloid_many,
     _local_model,
-    _margin_field,
+    _margins,
 )
 from parastep import geometry
 from parastep.envelopes import abp_diagnostic
-from parastep.errors import DiagnosticsError, EnvelopeError, GridError
+from parastep.errors import DiagnosticsError, EnvelopeError, GridError, NonlinearityError
 from parastep.geometry import _FP_SLACK, Cylinder, KBox, MeshFunction, MeshSpec, region_mask, shift
 from parastep.harness import get_problem, run_diagnostics
 from parastep.nonlinearity import NonlinearityDescriptor, evaluate_F
@@ -66,6 +66,62 @@ def loop_poly(c, l, m, a, Q, x, t):
         for j in range(len(l)):
             val += x[i] * Q[i][j] * x[j]
     return val
+
+
+def _eval_paraboloid_many(P, X, T):
+    """P at k points: positions X (k, n), times T (k,)."""
+    X = np.asarray(X, dtype=float).reshape(-1, P.n)
+    T = np.asarray(T, dtype=float).ravel()
+    quad = np.einsum("ki,ij,kj->k", X, P.Q, X)
+    return P.c + X @ P.l + P.m * T + (X @ P.a) * T + quad
+
+
+def _margin_field(F, m_f, Q_f, shape):
+    """m - F(2Q), NaN-safe, broadcast to ``shape``, through the checked
+    ``evaluate_F``.  This was the falsifier's margin; ``_margins`` must
+    give the same array."""
+    if np.ndim(Q_f) > 2:
+        nanq = np.isnan(Q_f).any(axis=(-2, -1))
+        FQ = evaluate_F(F, 2.0 * np.where(np.isnan(Q_f), 0.0, Q_f))
+        FQ = np.where(nanq, np.nan, FQ)
+    else:
+        FQ = evaluate_F(F, 2.0 * np.asarray(Q_f, dtype=float))
+    return np.broadcast_to(np.asarray(m_f, dtype=float) - FQ, shape)
+
+
+def replay_oracle(cert, v, F):
+    """One certificate's replay, check by check and with the scalar
+    paraboloid helpers.  This was ``replay_violation`` before the batch;
+    ``replay_violations`` must give the same fields and refusals."""
+    spec = v.spec
+    node = tuple(int(i) for i in cert.node)
+    if len(node) != spec.n + 1 or cert.paraboloid.n != spec.n:
+        raise DiagnosticsError(f"certificate node {node} does not live on a {spec.n}-D mesh")
+    if not spec.cylinder_fits(cert.delta, spec.middle_node()):
+        raise DiagnosticsError(f"delta = {cert.delta!r} is too large for the mesh")
+    idx = np.array(node) + spec.node_steps(cert.delta)
+    flat = spec.flat_offsets(idx)
+    if (flat < 0).any():
+        spec.offset(idx[np.argmax(flat < 0)].tolist())  # the GridError naming that node
+    if not spec.cylinder_fits(cert.delta, node):
+        raise DiagnosticsError(f"node {node}: its delta = {cert.delta!r} cylinder leaves the domain")
+    vvals = v.values.ravel()[flat]
+    pvals = _eval_paraboloid_many(cert.paraboloid, idx[:, :-1] * spec.h, idx[:, -1] * spec.tau)
+    sign = 1.0 if cert.side == "super" else -1.0
+    vscale = 1.0 + float(np.max(np.abs(vvals)))
+    side_ok = float(np.min(sign * (vvals - pvals))) >= -1e-9 * vscale
+    center = spec.node_point(node)
+    touch_gap = sign * (v.value(node) - evaluate_paraboloid(cert.paraboloid, center))
+    touching = side_ok and touch_gap <= cert.touch_gap + 1e-9 * vscale
+    pt, d2 = paraboloid_derivatives(cert.paraboloid, center)
+    margin = float(pt - evaluate_F(F, d2))
+    return {
+        "valid": bool(touching and sign * margin < 0.0),
+        "touching": bool(touching),
+        "touch_gap": float(touch_gap),
+        "margin": margin,
+        "margin_matches": bool(abs(margin - cert.margin) <= 1e-9 * (1.0 + abs(cert.margin))),
+    }
 
 
 def fd_time_derivative(P, x, t, s=1e-4):
@@ -1584,3 +1640,168 @@ def test_generated_fits_match_the_full_lp(case):
         old = good_set_measure(u, Ms, kbox, region)
     assert np.array_equal(new.bad_fraction, old.bad_fraction)
     assert np.array_equal(new.bad_measure, old.bad_measure)
+
+
+# ---------------------------------------------------------------------------
+# batched replay against the per-certificate oracle
+# ---------------------------------------------------------------------------
+
+REPLAY_OPERATORS = {
+    "linear-1d": HEAT,
+    "pucci_plus-1d": NonlinearityDescriptor.pucci_plus(1.0, 2.0),
+    "pucci_minus-1d": NonlinearityDescriptor.pucci_minus(1.0, 3.0),
+    "linear-2d": NonlinearityDescriptor.linear([[2.0, 0.5], [0.5, 1.0]]),
+    "pucci_plus-2d": NonlinearityDescriptor.pucci_plus(1.0, 2.0, 2),
+    "pucci_minus-2d": NonlinearityDescriptor.pucci_minus(1.0, 3.0, 2),
+    "isaacs-2d": ISAACS_2D,
+}
+REPLAY_DELTAS = (2.0, 2.5)  # multiples of h
+
+
+@functools.lru_cache(maxsize=None)
+def replay_pool(name):
+    """(v, F, certificates) on a small mesh: -t left of x_0 = 1/2 and 3t right
+    of it, plus a quadratic, so the falsifier certifies on both sides at both
+    deltas.  The domain ends at x_0 = 0.95, off the lattice, so that column 6
+    is 0.2 < 2h from the boundary while its whole 2h-cylinder is in the mesh."""
+    F = REPLAY_OPERATORS[name]
+    n = F.dimension
+    spec = MeshSpec(h=1 / 8, bounds=[(0.0, 0.95)] + [(0.0, 1.0)] * (n - 1), T=0.25, N=2)
+    v = MeshFunction.from_callable(
+        spec,
+        lambda x, t: np.where(x[..., 0] < 0.5, -t, 3.0 * t)
+        + 0.25 * x[..., 0] ** 2
+        + 0.5 * (x[..., 0] - 0.5) * (x[..., -1] - 0.4),
+    )
+    cfg = FalsifierConfig(samples=4, max_violations=30)
+    certs = [
+        c
+        for m in REPLAY_DELTAS
+        for side in ("super", "sub")
+        for c in delta_falsifier(v, F, m * spec.h, side, cfg)
+    ]
+    return v, F, tuple(certs)
+
+
+def _tweaked(cert, how, rng, pool):
+    """A certificate that replays without refusal: as found, lowered (c - 1),
+    tampered (c moved by up to 1), side flipped, moved to another found node
+    of its delta, or a random paraboloid with random recorded fields."""
+    P = cert.paraboloid
+    if how == "lowered":
+        P = dataclasses.replace(P, c=P.c - 1.0)
+    elif how == "tampered":
+        P = dataclasses.replace(P, c=P.c + float(rng.uniform(-1.0, 1.0)))
+    elif how == "flipped":
+        return dataclasses.replace(cert, side="sub" if cert.side == "super" else "super")
+    elif how == "moved":
+        nodes = [c.node for c in pool if c.delta == cert.delta]
+        return dataclasses.replace(cert, node=nodes[rng.integers(len(nodes))])
+    elif how == "random":
+        P = random_paraboloid(rng, P.n)
+        return dataclasses.replace(
+            cert, paraboloid=P, margin=float(rng.standard_normal()), touch_gap=float(rng.uniform(0.0, 1e-8))
+        )
+    return dataclasses.replace(cert, paraboloid=P)
+
+
+@st.composite
+def replay_cases(draw, n):
+    """(v, F, certificates) in dimension n: found ones of both sides and both
+    deltas, some lowered, tampered, flipped, moved or random, in a drawn order."""
+    names = sorted(name for name, F in REPLAY_OPERATORS.items() if F.dimension == n)
+    v, F, pool = replay_pool(draw(st.sampled_from(names)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=16))
+    hows = ["as found", "lowered", "tampered", "flipped", "moved", "random"]
+    certs = [_tweaked(pool[i], draw(st.sampled_from(hows)), rng, pool) for i in picks]
+    # random paraboloids round at every step, so their gaps and margins
+    # show any change in the order of the arithmetic
+    for _ in range(draw(st.integers(0, 12))):
+        at = int(rng.integers(len(certs) + 1))
+        certs.insert(at, _tweaked(pool[rng.integers(len(pool))], "random", rng, pool))
+    return v, F, certs
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_generated_batch_replay_matches_the_per_certificate_oracle(n, data):
+    v, F, certs = data.draw(replay_cases(n), label="case")
+    want = [replay_oracle(c, v, F) for c in certs]
+    assert replay_violations(certs, v, F) == want
+    assert [replay_violation(c, v, F) for c in certs] == want
+    assert replay_violations([], v, F) == []
+
+
+def _refused(kind, cert, v, rng):
+    """A certificate that the replay refuses, of the given kind."""
+    spec = v.spec
+    h = spec.h
+    if kind == "dimension":
+        return dataclasses.replace(cert, node=cert.node + (4,))
+    if kind == "paraboloid dimension":
+        return dataclasses.replace(cert, paraboloid=random_paraboloid(rng, spec.n + 1))
+    if kind == "too large":
+        return dataclasses.replace(cert, delta=float(rng.choice([4.5 * h, 50.0])))
+    if kind == "off mesh":  # column 1 at delta = 2h reaches column 0
+        return dataclasses.replace(cert, node=(1,) + cert.node[1:], delta=2.0 * h)
+    if kind == "leaves":  # column 6 is 0.2 < 2h from x_0 = 0.95
+        return dataclasses.replace(cert, node=(6,) + cert.node[1:-1] + (8,), delta=2.0 * h)
+    Q = np.full((spec.n, spec.n), float(rng.choice([np.inf, np.nan])))  # infinite or NaN Q
+    with np.errstate(invalid="ignore"):
+        return dataclasses.replace(cert, paraboloid=dataclasses.replace(cert.paraboloid, Q=Q))
+
+
+REFUSALS = ["dimension", "paraboloid dimension", "too large", "off mesh", "leaves", "non-finite Q"]
+
+
+@pytest.mark.parametrize("kind", REFUSALS)
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_generated_batch_replay_refuses_as_the_loop_does(kind, data):
+    # the first refused certificate in order raises its own first refusal,
+    # whatever delta group it falls in and whatever refused ones follow it
+    v, F, certs = data.draw(replay_cases(data.draw(st.sampled_from([1, 2]), label="n")), label="case")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    base = list(certs)
+    at = data.draw(st.integers(0, len(certs)), label="at")
+    later = data.draw(st.lists(st.sampled_from(REFUSALS), max_size=2), label="later")
+    for j, k in enumerate(later):
+        where = data.draw(st.integers(at, len(certs)), label=f"later {j}")
+        certs.insert(where, _refused(k, base[rng.integers(len(base))], v, rng))
+    certs.insert(at, _refused(kind, base[rng.integers(len(base))], v, rng))
+    with np.errstate(all="ignore"):
+        with pytest.raises(Exception) as want:
+            [replay_oracle(c, v, F) for c in certs]
+        with pytest.raises(want.type) as got:
+            replay_violations(certs, v, F)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            replay_oracle(certs[at], v, F)  # the drawn kind is the first refusal
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_OPERATORS))
+def test_margins_match_the_checked_margin_field(name):
+    # the falsifier's margins skip evaluate_F's symmetry check on the
+    # matrices it built symmetric: the local model with its NaN rows at the
+    # mesh's edges, and a Sobol-like perturbation of it
+    v, F, _ = replay_pool(name)
+    _, slope, Qhat = _local_model(v)
+    assert np.isnan(Qhat).any() and not np.isnan(Qhat).all()
+    rng = np.random.default_rng(3)
+    dQ = rng.uniform(-1.0, 1.0, Qhat.shape[-2:])
+    for m, Q in [(slope, Qhat), (slope + 0.5, Qhat + 2.0 * (dQ + dQ.T)), (0.25, Qhat[-1, ...])]:
+        want = _margin_field(F, m, Q, Q.shape[:-2])
+        assert np.array_equal(_margins(F, m, Q, Q.shape[:-2]), want, equal_nan=True)
+    # one matrix (the battery's) and a finite stack
+    Q = 0.5 * (dQ + dQ.T)
+    assert _margins(F, 1.5, Q, (3,)).tolist() == _margin_field(F, 1.5, Q, (3,)).tolist()
+    for bad in (np.inf, -np.inf):
+        Qbad = Qhat.copy()
+        Qbad[5, ..., 0, 0] = bad
+        for margins in (_margins, _margin_field):
+            with pytest.raises(NonlinearityError, match="matrix entries must be finite"):
+                margins(F, slope, Qbad, Qbad.shape[:-2])
+    with pytest.raises(NonlinearityError, match="matrix entries must be finite"):
+        _margins(F, 1.0, np.full(Q.shape, np.nan), ())

@@ -382,6 +382,41 @@ def test_region_mask_matches_cylinder_nodes_on_ties(n, h, cylinder_mask):
         assert np.array_equal(mask, cylinder_mask(spec, region)), region
 
 
+def whole_mesh_mask(spec, region):
+    """``region.contains_points`` over every node in one call.  This was
+    ``region_mask`` before it took a chunk of levels at a time."""
+    off = np.indices(spec.shape).reshape(spec.n + 1, -1).T
+    inside = region.contains_points((off[:, 1:] + spec.k_min) * spec.h, (off[:, 0] + 1) * spec.tau)
+    return inside.reshape(spec.shape)
+
+
+@pytest.mark.parametrize("levels", [1, 5, None])
+@pytest.mark.parametrize("n", [1, 2])
+def test_region_mask_by_level_chunks_equals_the_whole_mesh_mask(monkeypatch, rng, n, levels):
+    # chunks of one level, of five, and one chunk (the verify meshes' case)
+    for h in (1 / 8, 1 / 12, 0.1):
+        spec, regions = tie_regions(n, h)
+        if levels is not None:
+            per_level = 8 * (2 * n + 6) * math.prod(spec.spatial_shape)
+            monkeypatch.setattr(geometry, "_MASK_BYTES", levels * per_level)
+        for _ in range(6):
+            center = (tuple(rng.uniform(0.0, 1.0, n)), rng.uniform(0.0, spec.T))
+            r = rng.uniform(0.05, 0.6)
+            regions += [Cylinder(center, r, "backward"), Cylinder(center, r, "forward"), KBox(center, 9 * r)]
+        for region in regions:
+            assert np.array_equal(region_mask(spec, region), whole_mesh_mask(spec, region)), region
+
+
+def test_region_mask_peak_stays_within_its_budget(traced_peak):
+    # the default K-box of diagnose on 2-D h = 1/32 covers all 246,016 nodes;
+    # one contains_points call over them peaked at 21.1 MiB
+    spec = MeshSpec(h=1 / 32, bounds=[(0.0, 1.0)] * 2, T=0.25, N=2)
+    box = KBox(((0.5, 0.5), 0.0), math.sqrt(81.0 * 2 * spec.T))
+    mask, peak = traced_peak(region_mask, spec, box)
+    assert mask.all()
+    assert peak <= mask.nbytes + geometry._MASK_BYTES
+
+
 def test_region_on_open_bottom_level_is_left_out():
     # r^2 rounds to 0.007812500000000002 > 2 tau, so level 6 sits on the open
     # bottom t = 0.0234375 only up to rounding: 3 nodes on each of levels 7, 8
@@ -852,6 +887,58 @@ def test_holder_norm_memory_stays_within_budget(n, h, traced_peak):
     discrete_holder_norm(u, 0.5)
     _, peak = traced_peak(discrete_holder_norm, u, 0.5)
     assert peak <= 32 * 2**20, peak
+
+
+@st.composite
+def holder_cases(draw):
+    """(u, eta, tile nodes, block bytes) on a small 1-D or 2-D mesh on the
+    dyadic lattice, so that coordinates and squared distances are exact:
+    affine data (every pair in a row ties in 1-D at eta = 1), data tied to
+    a few values, or noise.  Small tiles and blocks make the search prune
+    and batch on a few dozen nodes."""
+    n = draw(st.sampled_from([1, 2]))
+    h = draw(st.sampled_from([0.25, 0.125]))
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.integers(-4, 2)) * h
+        bounds.append((lo, lo + draw(st.integers(3, 6) if n == 1 else st.integers(3, 4)) * h))
+    spec = MeshSpec(h, bounds, draw(st.integers(1, 6) if n == 1 else st.integers(1, 3)) * h * h, N=2)
+    kind = draw(st.sampled_from(["affine", "tied", "noise"]))
+    if kind == "affine":
+        coef = draw(st.lists(st.integers(-8, 8), min_size=n + 2, max_size=n + 2))
+        u = MeshFunction.from_callable(
+            spec, lambda x, t: coef[0] / 4 + np.tensordot(x, np.array(coef[1:-1]) / 4, 1) + coef[-1] * t
+        )
+    else:
+        value = st.sampled_from([0.0, 1.0, -1.0, 0.5]) if kind == "tied" else st.floats(-1.0, 1.0)
+        size = spec.node_count()
+        u = MeshFunction(spec, np.array(draw(st.lists(value, min_size=size, max_size=size))).reshape(spec.shape))
+    eta = draw(st.sampled_from([1.0, 0.5, 0.75, 0.25]))
+    return u, eta, draw(st.sampled_from([1, 2, 3, 5, 64])), draw(st.sampled_from([256, 1 << 22]))
+
+
+def _affine_pow_case():
+    # u = 1.75 - x - t: the search returned the all-pairs maximum bit for
+    # bit, one ulp above the pair loop's, as numpy's array ``d**0.25`` (SIMD
+    # on AVX-512) and the C library's ``pow`` round apart
+    spec = MeshSpec(0.125, [(0.0, 0.625)], 5 * 0.125**2, N=2)
+    return MeshFunction.from_callable(spec, lambda x, t: 1.75 - x[..., 0] - t), 0.25, 5, 256
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(case=holder_cases())
+@example(case=_affine_pow_case())
+def test_generated_holder_tiles_match_the_pair_loop(case):
+    # bit for bit the all-pairs maximum in numpy's arithmetic, and the plain
+    # pair loop's up to pow's rounding: 4 eps relative
+    u, eta, tile, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_HOLDER_TILE_NODES", tile)
+        mp.setattr(geometry, "_HOLDER_BLOCK_BYTES", block)
+        got = discrete_holder_norm(u, eta)["seminorm"]
+    assert np.array_equal(got, holder_pairs_oracle(u, eta))
+    want = holder_oracle(u, eta)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * want
 
 
 def test_holder_norm_rejects_bad_eta(rng):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parastep import nonlinearity as nl
 from parastep.errors import NonlinearityError
 from parastep.nonlinearity import (
     EllipticityConstants,
@@ -158,6 +159,31 @@ def test_constants_validation():
         EllipticityConstants(0.0, 1.0)
     with pytest.raises(NonlinearityError):
         EllipticityConstants(2.0, 1.0)
+
+
+@pytest.mark.parametrize("lam, Lam", [(1.0, np.inf), (np.inf, np.inf), (1.0, np.nan), (np.nan, 2.0)])
+def test_constants_must_be_finite(lam, Lam):
+    # pucci_plus(1, inf) used to be built; its falsifier margins were NaN, so
+    # run_diagnostics reported a clean grid
+    with pytest.raises(NonlinearityError, match=r"need finite 0 < lam <= Lam"):
+        EllipticityConstants(lam, Lam)
+    for build in (NonlinearityDescriptor.pucci_plus, NonlinearityDescriptor.pucci_minus):
+        with pytest.raises(NonlinearityError, match=r"need finite 0 < lam <= Lam"):
+            build(lam, Lam, dimension=2)
+    with pytest.raises(NonlinearityError, match=r"need finite 0 < lam <= Lam"):
+        pucci_plus(np.eye(2), lam, Lam)
+
+
+@pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+def test_evaluate_F_checks_pucci_arguments_once_and_still_refuses(kind):
+    desc = getattr(NonlinearityDescriptor, kind)(1.0, 2.0, dimension=2)
+    X = np.diag([2.0, -3.0])
+    assert evaluate_F(desc, X) == getattr(nl, kind)(X, 1.0, 2.0)
+    assert np.array_equal(evaluate_F(desc, np.stack([X, -X])), getattr(nl, kind)(np.stack([X, -X]), 1.0, 2.0))
+    for bad, why in [(np.array([[0.0, 1.0], [0.0, 0.0]]), "not symmetric"), (np.diag([np.inf, 0.0]), "finite"),
+                     (np.eye(3), "expected 2x2")]:
+        with pytest.raises(NonlinearityError, match=why):
+            evaluate_F(desc, bad)
 
 
 # ---------------------------------------------------------------------------
