@@ -186,9 +186,10 @@ class Paraboloid:
     Q: np.ndarray
 
     def __post_init__(self):
+        c, m = float(self.c), float(self.m)
         l = np.atleast_1d(np.asarray(self.l, dtype=float))
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        Q = np.asarray(self.Q, dtype=float)
+        Q = np.array(self.Q, dtype=float)
         if Q.ndim == 0:
             Q = Q.reshape(1, 1)
         n = len(l)
@@ -196,13 +197,14 @@ class Paraboloid:
             raise DiagnosticsError(
                 f"paraboloid pieces disagree: l {l.shape}, a {a.shape}, Q {Q.shape}"
             )
-        if np.max(np.abs(Q - Q.T)) > _SYM_TOL * (1.0 + np.max(np.abs(Q))):
-            raise DiagnosticsError("Q must be symmetric")
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", float(self.m))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
+        if not np.isfinite(np.concatenate(([c, m], l, a, Q.ravel()))).all():
+            raise DiagnosticsError("paraboloid pieces must be finite")
+        if (Q != Q.T).any():
+            if np.max(np.abs(Q - Q.T)) > _SYM_TOL * (1.0 + np.max(np.abs(Q))):
+                raise DiagnosticsError("Q must be symmetric")
+            Q = 0.5 * Q + 0.5 * Q.T  # halves first, so that no finite Q overflows
+        for name, value in dict(c=c, l=l, m=m, a=a, Q=Q).items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -210,12 +212,35 @@ class Paraboloid:
 
 
 def evaluate_paraboloid(P: Paraboloid, point) -> float:
-    """Exact polynomial evaluation at one (x, t) point."""
+    """P at one (x, t) point, by :func:`_paraboloid_values`."""
     p = _coerce_point(point)
     if p.n != P.n:
         raise DiagnosticsError(f"dimension mismatch: paraboloid n={P.n}, point n={p.n}")
-    x = np.asarray(p.x)
-    return float(P.c + P.l @ x + P.m * p.t + (P.a @ x) * p.t + x @ P.Q @ x)
+    x = np.asarray(p.x, dtype=float).reshape(1, 1, P.n)
+    return float(_paraboloid_values(*_paraboloid_arrays([P]), x, np.array([[p.t]]))[0, 0])
+
+
+def _paraboloid_arrays(Ps):
+    """The pieces (c, l, m, a, Q) of k paraboloids as arrays (k,), (k, n), (k,), (k, n), (k, n, n)."""
+    return (
+        np.array([P.c for P in Ps]),
+        np.array([P.l for P in Ps]),
+        np.array([P.m for P in Ps]),
+        np.array([P.a for P in Ps]),
+        np.array([P.Q for P in Ps]),
+    )
+
+
+def _paraboloid_values(c, l, m, a, Q, X, T) -> np.ndarray:
+    """Paraboloid k, stacked as :func:`_paraboloid_arrays` gives it, at the
+    points (X[k, p], T[k, p]): a (k, p) array.  Each product is a stacked
+    (1, n) @ (n, 1) or (1, n) @ (n, n), so every value rounds as one point's
+    ``c + l @ x + m * t + (a @ x) * t + x @ Q @ x`` does; an einsum does not."""
+    x = X[..., None, :]
+    lx = (x @ l[:, None, :, None])[..., 0, 0]
+    ax = (x @ a[:, None, :, None])[..., 0, 0]
+    xQx = (x @ Q[:, None] @ x.swapaxes(-1, -2))[..., 0, 0]
+    return c[:, None] + lx + m[:, None] * T + ax * T + xQx
 
 
 def paraboloid_derivatives(P: Paraboloid, point) -> tuple[float, np.ndarray]:
@@ -228,13 +253,8 @@ def paraboloid_derivatives(P: Paraboloid, point) -> tuple[float, np.ndarray]:
 
 def _centered_to_absolute(c, l, m, a, Q, x, t) -> Paraboloid:
     """Rewrite c + l.dy + m ds + (a.dy) ds + dy.Q.dy, dy = y - x, ds = s - t,
-    as a paraboloid in absolute coordinates."""
-    x = np.asarray(x, dtype=float)
-    l = np.atleast_1d(np.asarray(l, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim == 0:
-        Q = Q.reshape(1, 1)
+    as a paraboloid in absolute coordinates; l, a, Q and x are float arrays
+    (n,), (n,), (n, n) and (n,), and :class:`Paraboloid` checks the result."""
     l_abs = l - 2.0 * Q @ x - t * a
     m_abs = m - float(a @ x)
     c_abs = c + float(x @ Q @ x) + t * float(a @ x) - float(l @ x) - m * t
@@ -290,8 +310,9 @@ class FalsifierConfig:
 @dataclass(frozen=True)
 class ViolationCertificate:
     """A replayable counterexample to one delta-viscosity inequality; its
-    ``side`` must be ``super`` or ``sub`` and its ``delta`` finite and
-    positive (DiagnosticsError)."""
+    ``side`` must be ``super`` or ``sub``, its ``delta`` finite and positive
+    and its ``margin`` and ``touch_gap`` finite (DiagnosticsError).  The node
+    is stored as a tuple of ints, the three numbers as Python floats."""
 
     node: tuple
     side: str
@@ -304,25 +325,47 @@ class ViolationCertificate:
     def __post_init__(self):
         if self.side not in ("super", "sub"):
             raise DiagnosticsError(f"side must be 'super' or 'sub', got {self.side!r}")
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise DiagnosticsError(f"delta must be a finite positive number, got {self.delta!r}")
+        for name in ("delta", "margin", "touch_gap"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or name == "delta" and not value > 0:
+                rule = "a finite positive number" if name == "delta" else "finite"
+                raise DiagnosticsError(f"{name} must be {rule}, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "node", tuple(int(i) for i in self.node))
 
     def row(self) -> str:
         P = self.paraboloid
-        fields = [
-            f"side={self.side}",
-            "node=" + ",".join(str(int(i)) for i in self.node),
-            f"delta={self.delta!r}",
-            f"margin={self.margin!r}",
-            f"touch_gap={self.touch_gap!r}",
-            f"probe={self.probe}",
-            f"c={float(P.c)!r}",
-            "l=" + ",".join(repr(float(v)) for v in P.l),
-            f"m={float(P.m)!r}",
-            "a=" + ",".join(repr(float(v)) for v in P.a),
-            "Q=" + ",".join(repr(float(v)) for v in P.Q.ravel()),
-        ]
-        return " ".join(fields)
+        return " ".join(
+            f"{key}={text(getattr(P if key in _PIECES else self, key))}"
+            for key, (text, _) in _ROW_FIELDS.items()
+        )
+
+
+def _joined(values) -> str:
+    return ",".join(map(repr, np.ravel(values).tolist()))
+
+
+def _floats(text: str) -> list[float]:
+    return [float(s) for s in text.split(",")]
+
+
+# The fields of a certificate row, in row order, each with its text form and
+# its parser; the paraboloid's pieces come last, Q flat in C order.  Floats
+# are written with ``repr``, so they read back exactly.
+_PIECES = ("c", "l", "m", "a", "Q")
+_ROW_FIELDS = dict(
+    side=(str, str),
+    node=(_joined, lambda text: tuple(int(s) for s in text.split(","))),
+    delta=(repr, float),
+    margin=(repr, float),
+    touch_gap=(repr, float),
+    probe=(str, str),
+    c=(repr, float),
+    l=(_joined, _floats),
+    m=(repr, float),
+    a=(_joined, _floats),
+    Q=(_joined, _floats),
+)
 
 
 def certificates_to_rows(certs) -> list[str]:
@@ -330,11 +373,11 @@ def certificates_to_rows(certs) -> list[str]:
 
 
 def row_to_certificate(row: str) -> ViolationCertificate:
-    """Inverse of :meth:`ViolationCertificate.row`.
+    """Inverse of :meth:`ViolationCertificate.row`, by the same field table.
 
-    Floats are written with ``repr`` so the round trip is exact; the probe
-    label is the only field that may itself contain an ``=``.  Each field is
-    taken once, so a repeated field or one left over is refused.
+    The probe label is the only field that may itself contain an ``=``.
+    Each field is taken once, so a repeated field or one left over is
+    refused; so is every number that is not finite.
     """
     kv = {}
     for field in row.split():
@@ -345,27 +388,16 @@ def row_to_certificate(row: str) -> ViolationCertificate:
             raise DiagnosticsError(f"repeated certificate field {key!r}")
         kv[key] = val
     try:
-        node = tuple(int(s) for s in kv.pop("node").split(","))
-        l = [float(s) for s in kv.pop("l").split(",")]
-        a = [float(s) for s in kv.pop("a").split(",")]
-        Q = np.array([float(s) for s in kv.pop("Q").split(",")]).reshape(len(l), len(l))
-        P = Paraboloid(c=float(kv.pop("c")), l=l, m=float(kv.pop("m")), a=a, Q=Q)
-        fields = dict(
-            node=node,
-            side=kv.pop("side"),
-            paraboloid=P,
-            margin=float(kv.pop("margin")),
-            touch_gap=float(kv.pop("touch_gap")),
-            delta=float(kv.pop("delta")),
-            probe=kv.pop("probe"),
-        )
+        fields = {key: parse(kv.pop(key)) for key, (_, parse) in _ROW_FIELDS.items()}
+        c, l, m, a, Q = (fields.pop(key) for key in _PIECES)
+        P = Paraboloid(c, l, m, a, np.reshape(Q, (len(l), len(l))))
     except KeyError as exc:
         raise DiagnosticsError(f"certificate row missing field {exc}") from None
     except ValueError as exc:
         raise DiagnosticsError(f"malformed certificate row: {exc}") from None
     if kv:
         raise DiagnosticsError(f"unknown certificate field {next(iter(kv))!r}")
-    return ViolationCertificate(**fields)
+    return ViolationCertificate(paraboloid=P, **fields)
 
 
 def _local_model(v: MeshFunction):
@@ -662,23 +694,16 @@ def delta_falsifier(
             for i in np.flatnonzero(bad):
                 node = spec.index_from_offset(np.unravel_index(S[i], spec.shape))
                 x = np.asarray(node[:-1], dtype=float) * spec.h
-                tt = node[-1] * spec.tau
-                P = _centered_to_absolute(
-                    float(w_ext[i]),
-                    l_f[i],
-                    float(m_f[i]) if np.ndim(m_f) > 0 else float(m_f),
-                    np.zeros(n),
-                    Q_f[i] if np.ndim(Q_f) > 2 else np.asarray(Q_f, dtype=float),
-                    x,
-                    tt,
-                )
+                m_i = m_f[i] if np.ndim(m_f) > 0 else m_f
+                Q_i = Q_f[i] if np.ndim(Q_f) > 2 else Q_f
+                P = _centered_to_absolute(w_ext[i], l_f[i], m_i, np.zeros(n), Q_i, x, node[-1] * spec.tau)
                 certs.append(
                     ViolationCertificate(
                         node=node,
                         side=side,
                         paraboloid=P,
-                        margin=float(margin[i]),
-                        touch_gap=float(gap[i]),
+                        margin=margin[i],
+                        touch_gap=gap[i],
                         delta=delta,
                         probe=names[r],
                     )
@@ -728,8 +753,7 @@ def replay_violations(
     groups: dict[float, list[int]] = {}
     for i, cert in enumerate(certs):
         if len(cert.node) != n + 1 or cert.paraboloid.n != n:
-            node = tuple(int(k) for k in cert.node)
-            refuse(i, DiagnosticsError(f"certificate node {node} does not live on a {n}-D mesh"))
+            refuse(i, DiagnosticsError(f"certificate node {cert.node} does not live on a {n}-D mesh"))
         else:
             groups.setdefault(cert.delta, []).append(i)
 
@@ -766,15 +790,8 @@ def replay_violations(
             if not keep.any():
                 continue
             rows, idx, flat = rows[keep], idx[keep], flat[keep]
-            c, l, m, a, Q = _paraboloid_arrays([certs[i].paraboloid for i in rows])
-            X, T = idx[..., :-1] * spec.h, idx[..., -1] * spec.tau
-            pvals = (
-                c[:, None]
-                + (X @ l[:, :, None])[..., 0]
-                + m[:, None] * T
-                + (X @ a[:, :, None])[..., 0] * T
-                + np.einsum("cki,cij,ckj->ck", X, Q, X)
-            )
+            pieces = _paraboloid_arrays([certs[i].paraboloid for i in rows])
+            pvals = _paraboloid_values(*pieces, idx[..., :-1] * spec.h, idx[..., -1] * spec.tau)
             vvals = vals[flat]
             sign = _signs([certs[i] for i in rows])
             vscale[rows] = 1.0 + np.abs(vvals).max(axis=1)
@@ -785,17 +802,15 @@ def replay_violations(
     if done:
         nodes = np.array([cert.node for cert in done], dtype=np.int64)
         c, l, m, a, Q = _paraboloid_arrays([cert.paraboloid for cert in done])
-        x = (nodes[:, :-1] * spec.h)[:, :, None]
-        t = nodes[:, -1] * spec.tau
-        ax = (a[:, None, :] @ x)[:, 0, 0]
-        center = c + (l[:, None, :] @ x)[:, 0, 0] + m * t + ax * t + (x.transpose(0, 2, 1) @ Q @ x)[:, 0, 0]
+        x = nodes[:, None, :-1] * spec.h
+        center = _paraboloid_values(c, l, m, a, Q, x, nodes[:, -1:] * spec.tau)[:, 0]
         sign = _signs(done)
         touch_gap = sign * (vals[spec.flat_offsets(nodes)] - center)
         recorded = np.array([cert.touch_gap for cert in done])
         touching = side_ok[: len(done)] & (touch_gap <= recorded + 1e-9 * vscale[: len(done)])
         if F.dimension != n:
             evaluate_F(F, 2.0 * Q[0])  # refused as one certificate's matrix is
-        margin = (m + ax) - evaluate_F(F, 2.0 * Q)
+        margin = (m + (x @ a[:, :, None])[:, 0, 0]) - evaluate_F(F, 2.0 * Q)
         want = np.array([cert.margin for cert in done])
         matches = np.abs(margin - want) <= 1e-9 * (1.0 + np.abs(want))
         valid = touching & (sign * margin < 0.0)
@@ -806,17 +821,6 @@ def replay_violations(
     if first[1] is not None:
         raise first[1]
     return reps
-
-
-def _paraboloid_arrays(Ps):
-    """The pieces (c, l, m, a, Q) of k paraboloids as arrays (k,), (k, n), (k,), (k, n), (k, n, n)."""
-    return (
-        np.array([P.c for P in Ps]),
-        np.array([P.l for P in Ps]),
-        np.array([P.m for P in Ps]),
-        np.array([P.a for P in Ps]),
-        np.array([P.Q for P in Ps]),
-    )
 
 
 def _signs(certs) -> np.ndarray:

@@ -299,7 +299,7 @@ class MeshSpec:
             raise GridError(
                 f"a mesh of shape {self.shape} has more nodes than one float array can hold"
             )
-        self._classification, self._node_steps = None, (None, None)
+        self._classification = None
 
     # -- coordinates ---------------------------------------------------------
 
@@ -361,13 +361,8 @@ class MeshSpec:
 
     def node_steps(self, radius: float) -> np.ndarray:
         """:meth:`cylinder_steps` as rows (dk_1, ..., dk_n, dm) to add to a node
-        index: read-only, cached for the last radius and slack (certificate
-        replay, ABP)."""
-        if self._node_steps[0] != (radius, _FP_SLACK):
-            steps = np.roll(self.cylinder_steps(radius), -1, axis=1)
-            steps.flags.writeable = False
-            self._node_steps = ((radius, _FP_SLACK), steps)
-        return self._node_steps[1]
+        index (certificate replay, ABP)."""
+        return np.roll(self.cylinder_steps(radius), -1, axis=1)
 
     def cylinder_fits(self, radius: float, index: Sequence[int] | None = None):
         """Whether the backward :class:`Cylinder` of this radius about a node lies in
@@ -753,7 +748,7 @@ def discrete_holder_norm(
     offs = np.argwhere(region)
     pts = np.empty((offs.shape[0], spec.n + 1))
     for a in range(spec.n):
-        pts[:, a] = (offs[:, a + 1] + spec.k_min[a]) * spec.h
-    pts[:, -1] = offs[:, 0] * spec.tau + spec.tau
+        pts[:, a] = spec.axis_coords(a)[offs[:, a + 1]]
+    pts[:, -1] = spec.times()[offs[:, 0]]
     semi = _holder_seminorm(pts, offs, u.values[region], eta)
     return {"seminorm": semi, "sup": sup, "norm": semi + sup}

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +455,35 @@ def test_certify_malformed_row_is_line_numbered(tmp_path, capsys, drift_grid):
         code, out, err = run(capsys, "certify", str(bad), "--config", str(drift_grid))
         assert code == 1 and out == ""
         assert err.strip() == f"parastep: error: {bad}:2: {why}"
+
+
+def _with_field(row, key, value):
+    return " ".join(f"{key}={value}" if f.partition("=")[0] == key else f for f in row.split())
+
+
+def test_certify_refuses_rows_with_non_finite_numbers(tmp_path, capsys, drift_grid):
+    # Q=inf used to end in a numpy RuntimeWarning and "matrix entries must
+    # be finite" with no path:line, and touch_gap=inf let a lowered
+    # paraboloid replay as valid
+    out_dir = tmp_path / "diag"
+    assert run(capsys, "diagnose", "--config", str(drift_grid), "--out", str(out_dir))[0] == 0
+    row = (out_dir / "certificates.txt").read_text().splitlines()[0]
+    c = float(re.search(r" c=(\S+)", row).group(1))
+    lowered = _with_field(row, "c", repr(c - 1.0))
+    rows = tmp_path / "rows.txt"
+    rows.write_text(f"{row}\n{lowered}\n")
+    out = run(capsys, "certify", str(rows), "--config", str(drift_grid))[1]
+    assert "certificate line 1: ok" in out and "certificate line 2: FAILED (not touching)" in out
+    bad_rows = [_with_field(row, "Q", "inf"), _with_field(lowered, "touch_gap", "inf")]
+    bad_rows += [_with_field(row, key, "nan") for key in ("c", "l", "m", "a", "margin", "touch_gap")]
+    for bad in bad_rows:
+        rows.write_text(f"# header\n{row}\n{bad}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "certify", str(rows), "--config", str(drift_grid))
+        assert code == 1 and out == ""
+        assert err.startswith(f"parastep: error: {rows}:3: ") and "must be finite" in err, err
+        assert len(err.splitlines()) == 1
 
 
 def test_certify_refuses_a_side_that_is_not_super_or_sub(tmp_path, capsys, drift_grid):

@@ -18,6 +18,8 @@ from parastep.convolutions import (
 from parastep.errors import GridError
 from parastep.geometry import MeshFunction, MeshSpec, discrete_holder_norm, second_quotient_field
 from parastep.harness import get_problem
+from parastep.scheme import build_monotone_scheme
+from parastep.solver import solve
 
 # ---------------------------------------------------------------------------
 # oracle: brute-force double loop over all mesh nodes
@@ -404,6 +406,18 @@ def test_verify_convolution_properties_passes(profile):
     assert out["passed"], out
     for name in ("ordering", "semiconcavity", "time_lipschitz", "theta_monotone", "omega_lower_bound"):
         assert out["checks"][name]["passed"], (name, out["checks"][name])
+
+
+def test_omega_lower_bound_is_checked_on_a_non_empty_admissible_set():
+    # at theta = 1e-4 a solved heat grid has admissible nodes, so the check
+    # compares v - v^- there with ||v||_{C^0,eta} omega^eta
+    sol = get_problem("heat_sine")
+    spec = MeshSpec(h=1 / 16, bounds=sol.bounds, T=0.25, N=2)
+    v, _ = solve(build_monotone_scheme(sol.descriptor, N=2), spec, sol.fn)
+    out = verify_convolution_properties(v, theta=1e-4, eta=0.5)
+    check = out["checks"]["omega_lower_bound"]
+    assert check["admissible_nodes"] > 0 and check["passed"], check
+    assert check["bound"] == discrete_holder_norm(v, 0.5)["norm"] * out["omega"] ** 0.5
 
 
 def test_verify_convolution_properties_reports_fields(rng):

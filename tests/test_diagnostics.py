@@ -387,6 +387,22 @@ def test_derivatives_match_finite_differences(rng, n):
         assert_allclose(d2, fd_hessian(P, tuple(x), t), atol=1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_evaluation_rounds_as_one_points_matmul(rng, n):
+    # the one evaluator of the replay's cylinder and centres and of
+    # evaluate_paraboloid: equal, bit for bit, to the scalar expression at
+    # each point (an einsum over the stack rounds apart in 2-D and 3-D)
+    k, p = 7, 11
+    Ps = [random_paraboloid(rng, n) for _ in range(k)]
+    X = rng.integers(-40, 40, (k, p, n)) * (1 / 12)
+    T = rng.integers(1, 60, (k, p)) * (1 / 144)
+    got = diagnostics._paraboloid_values(*diagnostics._paraboloid_arrays(Ps), X, T)
+    for i, P in enumerate(Ps):
+        for j, (x, t) in enumerate(zip(X[i], T[i])):
+            assert got[i, j] == P.c + P.l @ x + P.m * t + (P.a @ x) * t + x @ P.Q @ x
+            assert evaluate_paraboloid(P, (x, t)) == got[i, j]
+
+
 def test_half_norm_square_has_identity_hessian():
     P = Paraboloid(c=0.0, l=[0.0, 0.0], m=0.0, a=[0.0, 0.0], Q=0.5 * np.eye(2))
     pt, d2 = paraboloid_derivatives(P, ((0.3, -0.7), 0.2))
@@ -640,6 +656,129 @@ def test_certificate_rows_round_trip_and_replay():
         row_to_certificate(certs[0].row() + " margin=5.0")
     with pytest.raises(DiagnosticsError, match="unknown certificate field 'colour'"):
         row_to_certificate(certs[0].row() + " colour=red")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e308, -1e308]
+_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_SPOILS = ["c", "l", "m", "a", "Q", "delta", "margin", "touch_gap"]
+
+
+@st.composite
+def certificate_fields(draw):
+    """The fields of a certificate (n = 1..3, finite pieces with signed
+    zeros, subnormals and +-1e308, delta, margin and touch_gap as Python
+    floats or numpy scalars, probe labels with ``=``), and perhaps one
+    field to spoil with a non-finite value."""
+    n = draw(st.integers(1, 3))
+
+    def floats(k):
+        return draw(st.lists(_FINITE, min_size=k, max_size=k))
+
+    Q = np.zeros((n, n))
+    Q[np.triu_indices(n)] = Q.T[np.triu_indices(n)] = floats(n * (n + 1) // 2)
+    pieces = dict(c=draw(_FINITE), l=floats(n), m=draw(_FINITE), a=floats(n), Q=Q)
+    kind = st.sampled_from([float, np.float64])
+    positive = st.one_of(st.sampled_from([5e-324, 1e308]), st.floats(min_value=5e-324, max_value=1e308))
+    fields = dict(
+        node=tuple(draw(st.lists(st.integers(-(10**6), 10**6), min_size=n + 1, max_size=n + 1))),
+        side=draw(st.sampled_from(["super", "sub"])),
+        delta=draw(kind)(draw(positive)),
+        margin=draw(kind)(draw(_FINITE)),
+        touch_gap=draw(kind)(draw(_FINITE)),
+        probe=draw(st.text(st.sampled_from("ab=[]()0.9_"), max_size=12)),
+    )
+    bad = st.sampled_from([math.inf, -math.inf, math.nan])
+    spoil = draw(st.none() | st.tuples(st.sampled_from(_SPOILS), bad))
+    return pieces, fields, spoil
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=certificate_fields())
+@example(  # a numpy delta was written as its numpy repr, which no parser read
+    case=(
+        dict(c=0.0, l=[0.0], m=-1.0, a=[0.0], Q=[[0.0]]),
+        dict(node=(8, 9), side="super", delta=np.float64(0.15625), margin=-1.0, touch_gap=0.0, probe=""),
+        None,
+    )
+)
+@example(  # an infinite recorded gap parsed, and made any paraboloid touch
+    case=(
+        dict(c=-1.0, l=[0.0], m=-1.0, a=[0.0], Q=[[0.0]]),
+        dict(node=(8, 9), side="super", delta=0.125, margin=-1.0, touch_gap=0.0, probe=""),
+        ("touch_gap", math.inf),
+    )
+)
+def test_generated_certificate_rows_round_trip(case):
+    # row() and row_to_certificate read one field table: a parsed row is the
+    # certificate bit for bit (signed zeros too), and writes the same row;
+    # a non-finite number is refused in memory and in a row
+    pieces, fields, spoil = case
+    cert = ViolationCertificate(paraboloid=Paraboloid(**pieces), **fields)
+    if spoil is not None:
+        key, bad = spoil
+        spoilt = np.full(np.shape(pieces.get(key, 0.0)), bad)
+        with pytest.raises(DiagnosticsError, match="must be .*finite"):
+            if key in pieces:
+                Paraboloid(**{**pieces, key: spoilt})
+            else:
+                ViolationCertificate(paraboloid=cert.paraboloid, **{**fields, key: bad})
+        row = " ".join(
+            f"{k}={','.join(map(repr, spoilt.ravel().tolist()))}" if k == key else f"{k}={v}"
+            for k, _, v in (f.partition("=") for f in cert.row().split())
+        )
+        with np.errstate(all="raise", under="ignore"):
+            with pytest.raises(DiagnosticsError, match="must be .*finite"):
+                row_to_certificate(row)
+        return
+    back = row_to_certificate(cert.row())
+    assert (back.node, back.side, back.probe) == (cert.node, cert.side, cert.probe)
+    for name in ("delta", "margin", "touch_gap"):
+        assert type(getattr(back, name)) is float and type(getattr(cert, name)) is float
+        assert _bits(getattr(back, name)) == _bits(getattr(cert, name)) == _bits(fields[name]), name
+    for name in "clmaQ":
+        got, want = getattr(back.paraboloid, name), getattr(cert.paraboloid, name)
+        assert _bits(got) == _bits(want) == _bits(pieces[name]), name
+    assert back.row() == cert.row()
+
+
+def test_a_numpy_delta_writes_rows_that_read_back():
+    # delta = np.float64(2.5) * h was written as delta=np.float64(0.15625)
+    spec, v = drift_mesh(h=1 / 16)
+    delta = np.float64(2.5) * spec.h
+    certs = delta_falsifier(v, HEAT, delta, "super", FalsifierConfig(samples=4))
+    assert certs and all(type(c.delta) is float for c in certs)
+    rows = certificates_to_rows(certs)
+    assert all(" delta=0.15625 " in row for row in rows)
+    assert [row_to_certificate(row).row() for row in rows] == rows
+    report = run_diagnostics(v, HEAT, delta=delta, falsifier_config=FalsifierConfig(samples=4))
+    assert report["falsifier"]["super"]["certificates"] == rows
+
+
+def test_non_finite_pieces_and_numbers_are_refused_at_construction():
+    # a non-finite Q used to build a certificate that the replay refused
+    # late, without its row; an infinite touch_gap made any lowered
+    # paraboloid replay as touching
+    spec, v = drift_mesh(h=1 / 16)
+    cert = delta_falsifier(v, HEAT, 2 * spec.h, "super", FalsifierConfig(samples=4))[0]
+    P = cert.paraboloid
+    lowered = dataclasses.replace(cert, paraboloid=dataclasses.replace(P, c=P.c - 1.0))
+    assert replay_violation(lowered, v, HEAT)["touching"] is False
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DiagnosticsError, match="touch_gap must be finite"):
+            dataclasses.replace(lowered, touch_gap=bad)
+        with pytest.raises(DiagnosticsError, match="margin must be finite"):
+            dataclasses.replace(cert, margin=bad)
+        for piece in ("c", "l", "m", "a", "Q"):
+            value = np.full(np.shape(getattr(P, piece)), bad)
+            with np.errstate(all="raise"), pytest.raises(DiagnosticsError, match="pieces must be finite"):
+                dataclasses.replace(P, **{piece: value})
+    # a finite Q near the largest float stays finite
+    big = Paraboloid(c=0.0, l=[0.0, 0.0], m=0.0, a=[0.0, 0.0], Q=[[1e308, -1e308], [-1e308, 1e308]])
+    assert np.array_equal(big.Q, [[1e308, -1e308], [-1e308, 1e308]])
 
 
 def test_exact_paraboloid_solution_is_unflagged_on_both_sides():
@@ -1053,10 +1192,8 @@ def test_cylinder_steps_match_the_offset_oracle(n):
             want = [(dm,) + dk for dk, dm in _cylinder_offsets(spec, delta)]
             got = spec.cylinder_steps(delta)
             assert got.shape == (len(want), n + 1) and got.tolist() == [list(w) for w in want]
-            # the same steps in (k, m) order, cached read-only for the last radius
-            steps = spec.node_steps(delta)
-            assert steps.tolist() == [list(w[1:] + w[:1]) for w in want]
-            assert spec.node_steps(delta) is steps and not steps.flags.writeable
+            # the same steps in (k, m) order
+            assert spec.node_steps(delta).tolist() == [list(w[1:] + w[:1]) for w in want]
             checked += 1
     assert checked == 6 * 45
 
@@ -1746,14 +1883,11 @@ def _refused(kind, cert, v, rng):
         return dataclasses.replace(cert, delta=float(rng.choice([4.5 * h, 50.0])))
     if kind == "off mesh":  # column 1 at delta = 2h reaches column 0
         return dataclasses.replace(cert, node=(1,) + cert.node[1:], delta=2.0 * h)
-    if kind == "leaves":  # column 6 is 0.2 < 2h from x_0 = 0.95
-        return dataclasses.replace(cert, node=(6,) + cert.node[1:-1] + (8,), delta=2.0 * h)
-    Q = np.full((spec.n, spec.n), float(rng.choice([np.inf, np.nan])))  # infinite or NaN Q
-    with np.errstate(invalid="ignore"):
-        return dataclasses.replace(cert, paraboloid=dataclasses.replace(cert.paraboloid, Q=Q))
+    # leaves: column 6 is 0.2 < 2h from x_0 = 0.95
+    return dataclasses.replace(cert, node=(6,) + cert.node[1:-1] + (8,), delta=2.0 * h)
 
 
-REFUSALS = ["dimension", "paraboloid dimension", "too large", "off mesh", "leaves", "non-finite Q"]
+REFUSALS = ["dimension", "paraboloid dimension", "too large", "off mesh", "leaves"]
 
 
 @pytest.mark.parametrize("kind", REFUSALS)

@@ -154,6 +154,44 @@ def test_dual_swaps_pucci(rng):
     assert evaluate_F(dd, X) == pytest.approx(-evaluate_F(d, -X))
 
 
+def _custom_heat_2d():
+    """tr(A X) + |X|_max / 4, an operator with no structural kind."""
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    F = lambda X: float(np.trace(A @ X)) + 0.25 * float(np.abs(X).max())  # noqa: E731
+    return NonlinearityDescriptor.custom(F, 2, EllipticityConstants(0.5, 4.0))
+
+
+def test_custom_operator_evaluates_one_matrix_and_a_stack(rng):
+    d = _custom_heat_2d()
+    X = np.stack([random_symmetric(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
+    got = evaluate_F(d, X)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [[evaluate_F(d, M) for M in row] for row in X]
+    assert type(evaluate_F(d, X[0, 0])) is float
+
+
+@pytest.mark.parametrize("kind", ["pucci_minus", "pucci_plus", "max", "min", "custom"])
+def test_dual_is_minus_F_of_minus_X(kind, rng):
+    mats = [np.diag([1.0, 2.0]), np.array([[1.5, 0.25], [0.25, 0.5]]), np.eye(2)]
+    d = {
+        "pucci_minus": lambda: NonlinearityDescriptor.pucci_minus(1, 2, dimension=2),
+        "pucci_plus": lambda: NonlinearityDescriptor.pucci_plus(1, 2, dimension=2),
+        "max": lambda: NonlinearityDescriptor.bellman_isaacs([mats]),
+        "min": lambda: NonlinearityDescriptor.bellman_isaacs([[A] for A in mats]),
+        "custom": _custom_heat_2d,
+    }[kind]()
+    dd = d.dual()
+    X = np.stack([random_symmetric(rng, 2) for _ in range(8)])
+    assert np.allclose(evaluate_F(dd, X), -evaluate_F(d, -X), rtol=1e-12, atol=1e-12)
+    assert np.allclose(evaluate_F(dd.dual(), X), evaluate_F(d, X), rtol=1e-12, atol=1e-12)
+
+
+def test_mixed_min_max_family_has_no_structural_dual():
+    d = NonlinearityDescriptor.bellman_isaacs([[np.eye(2), 2.0 * np.eye(2)], [np.eye(2)]])
+    with pytest.raises(NonlinearityError, match="no structural dual for kind 'bellman_isaacs'"):
+        d.dual()
+
+
 def test_constants_validation():
     with pytest.raises(NonlinearityError):
         EllipticityConstants(0.0, 1.0)
