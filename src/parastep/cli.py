@@ -331,7 +331,7 @@ def _cmd_diagnose(cfg: ProblemConfig, run: _Inputs, args):
 
 
 def _cmd_certify(cfg: ProblemConfig, run: _Inputs, args):
-    from .diagnostics import replay_violations, row_to_certificate
+    from .diagnostics import replay_violation, replay_violations, row_to_certificate
     from .errors import DiagnosticsError
 
     path = Path(args.certificates)
@@ -356,7 +356,17 @@ def _cmd_certify(cfg: ProblemConfig, run: _Inputs, args):
         f" certificates={len(certs)}",
     ]
     failed = 0
-    reps = replay_violations([cert for _, cert in certs], u, run.descriptor)
+    try:
+        reps = replay_violations([cert for _, cert in certs], u, run.descriptor)
+    except ParastepError:
+        # the batch refuses as a loop over the certificates would: find the
+        # first one refused alone, to name its line
+        for lineno, cert in certs:
+            try:
+                replay_violation(cert, u, run.descriptor)
+            except ParastepError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        raise
     for (lineno, cert), rep in zip(certs, reps):
         if not rep["valid"]:
             failed += 1

@@ -17,10 +17,11 @@ through :meth:`FalsifierConfig.with_grid_touch`.
 Evaluation: for a paraboloid probe, v - P over a node's backward cylinder
 splits into a per-node and a per-probe part, so each probe family's
 touching values form one min-plus product of a nodes x offsets matrix with
-a probes x offsets matrix.  The falsifier computes that product over tiles
-of nodes as a screen that flags every (probe, node) pair within the touch
-tolerance plus a stated rounding slack, then re-decides only the flagged
-pairs with the direct per-offset evaluation, in probe order and node order.
+a probes x offsets matrix.  The falsifier screens that product one
+cylinder offset at a time over tiles of nodes, flagging every (probe, node)
+pair within the touch tolerance plus a stated rounding slack, then
+re-decides only the flagged pairs with the direct per-offset evaluation, in
+probe order and node order.
 The certificates are exactly those of the direct evaluation over the whole
 mesh, and the screen's arrays stay within ``_SCREEN_TILE_BYTES`` (2 MiB)
 instead of growing as offsets x nodes.
@@ -200,7 +201,9 @@ class Paraboloid:
         if not np.isfinite(np.concatenate(([c, m], l, a, Q.ravel()))).all():
             raise DiagnosticsError("paraboloid pieces must be finite")
         if (Q != Q.T).any():
-            if np.max(np.abs(Q - Q.T)) > _SYM_TOL * (1.0 + np.max(np.abs(Q))):
+            with np.errstate(over="ignore"):  # an overflowing difference is refused too
+                skew = np.max(np.abs(Q - Q.T))
+            if skew > _SYM_TOL * (1.0 + np.max(np.abs(Q))):
                 raise DiagnosticsError("Q must be symmetric")
             Q = 0.5 * Q + 0.5 * Q.T  # halves first, so that no finite Q overflows
         for name, value in dict(c=c, l=l, m=m, a=a, Q=Q).items():
@@ -310,9 +313,10 @@ class FalsifierConfig:
 @dataclass(frozen=True)
 class ViolationCertificate:
     """A replayable counterexample to one delta-viscosity inequality; its
-    ``side`` must be ``super`` or ``sub``, its ``delta`` finite and positive
-    and its ``margin`` and ``touch_gap`` finite (DiagnosticsError).  The node
-    is stored as a tuple of ints, the three numbers as Python floats."""
+    ``side`` must be ``super`` or ``sub``, its ``delta`` finite and positive,
+    its ``margin`` and ``touch_gap`` finite and its ``probe`` a str with no
+    whitespace, which would split its row (DiagnosticsError).  The node is
+    stored as a tuple of ints, the three numbers as Python floats."""
 
     node: tuple
     side: str
@@ -325,6 +329,8 @@ class ViolationCertificate:
     def __post_init__(self):
         if self.side not in ("super", "sub"):
             raise DiagnosticsError(f"side must be 'super' or 'sub', got {self.side!r}")
+        if not isinstance(self.probe, str) or any(ch.isspace() for ch in self.probe):
+            raise DiagnosticsError(f"probe must be a str with no whitespace, got {self.probe!r}")
         for name in ("delta", "margin", "touch_gap"):
             value = getattr(self, name)
             if not math.isfinite(value) or name == "delta" and not value > 0:
@@ -497,11 +503,10 @@ def delta_falsifier(
     and where ``max_violations`` cuts them, are therefore exactly those of
     the direct evaluation of every probe at every node.
 
-    Memory: one tile of nodes (B, its gather index and a scratch term, 24
-    bytes per node and offset, plus the offset comparisons) and one chunk
-    of probes' flags (a byte per probe and node) take at most
-    ``_SCREEN_TILE_BYTES`` (2 MiB) together, next to the mesh-sized local
-    model; no array is offsets x mesh.
+    Memory: one chunk of probes' flags (a byte per probe and node) and one
+    tile of nodes (one offset's hits and 6 + n + n^2 node vectors) take at
+    most ``_SCREEN_TILE_BYTES`` (2 MiB) together, next to the mesh-sized
+    local model; no array is offsets x mesh or offsets x tile.
 
     Returns the certificate list; empty means "nothing found", not a proof.
     """
@@ -551,6 +556,7 @@ def delta_falsifier(
     grad = grad.reshape(-1, n)
     slope = slope.reshape(-1)
     Qhat = Qhat.reshape(-1, n, n)
+    columns = [*grad.T, slope, *Qhat.reshape(-1, n * n).T]  # the model, one view per feature
 
     def quad_rows(Qs):
         """d_o.Q_r.d_o as an (r, o) matrix."""
@@ -610,57 +616,41 @@ def delta_falsifier(
     extremum = np.minimum if side == "super" else np.maximum
     fits = np.less_equal if side == "super" else np.greater_equal
 
-    def screen(D, on_B, tol, tile, block):
+    def screen(D, on_B, tol):
         """Flags (probes x nodes): screened gap at most tol.
 
         gap = sign (v - min_o (B - D)) <= tol holds iff every offset o has
         D[r, o] <= B[node, o] - v + tol (super) or >= B - v - tol (sub), so
-        the product is tested on booleans, ``block`` offsets at a time."""
+        the product is tested on booleans, one offset at a time over a tile
+        of nodes.  A tile takes half of ``_SCREEN_TILE_BYTES``: one offset's
+        hits (a byte per probe and node) and 6 + n + n^2 node vectors of 8
+        bytes (v - sign tol, the model's columns, and an offset's gather
+        index, its B column and the previous offset's, and a scratch term)."""
         K = len(nodes)
-        flags = np.empty((len(D), K), dtype=bool)
-        part = np.empty(len(D) * min(tile, K), dtype=bool) if block > 1 else None
-        hit = np.empty(len(D) * block * min(tile, K), dtype=bool)
-        term = np.empty(O * min(tile, K))
+        flags = np.ones((len(D), K), dtype=bool)
+        tile = max(1, _SCREEN_TILE_BYTES // 2 // (len(D) + 8 * (6 + n + n * n)))
+        hit = np.empty(len(D) * min(tile, K), dtype=bool)
         for k0 in range(0, K, tile):
             S = nodes[k0 : k0 + tile]
-            C = vals[S + step[:, None]]
-            C -= vals[S] - sign * tol
-            model = grad[S].T
-            if on_B:
-                model = np.vstack([model, slope[S], Qhat[S].reshape(len(S), n * n).T])
-            for col, z in zip(phi.T, model):
-                C -= np.multiply(col[:, None], z, out=term[: C.size].reshape(C.shape))
+            base = vals[S] - sign * tol
+            model = [col[S] for col in (columns if on_B else columns[:n])]
+            term = np.empty(len(S))
             f = flags[:, k0 : k0 + len(S)]
-            for o in range(0, O, block):
-                Db = D[:, o : o + block, None]
-                h = hit[: Db.shape[0] * Db.shape[1] * len(S)].reshape(Db.shape[:2] + (len(S),))
-                fits(Db, C[None, o : o + block], out=h)
-                if block > 1:
-                    h = np.logical_and.reduce(h, axis=1, out=part[: f.size].reshape(f.shape))
-                else:
-                    h = h[:, 0]
-                if o == 0:
-                    f[...] = h
-                else:
-                    f &= h
+            h = hit[: f.size].reshape(f.shape)
+            for o in range(O):
+                c = vals[S + step[o]]
+                c -= base
+                for p, z in zip(phi[o], model):
+                    c -= np.multiply(p, z, out=term)
+                f &= fits(D[:, o, None], c, out=h)
         return flags
 
     def screened(D, on_B, tol):
-        """Yield (r, flat nodes flagged by the screen) per probe r.
-
-        Probes go in chunks whose flags take half of ``_SCREEN_TILE_BYTES``;
-        a tile of nodes takes the other half: C, its gather index and a
-        scratch term (24 bytes per node and offset) and the hits of
-        ``block`` offsets (a byte per probe, offset and node).  A block
-        covers about 4096 node-offsets, so comparisons stay large when a
-        small tile has many offsets."""
-        half = _SCREEN_TILE_BYTES // 2
-        chunk = max(1, min(len(D), half // max(1, len(nodes))))
-        tile = max(1, half // (24 * O + 2 * chunk))
-        block = max(1, min(O, 4096 // tile))
-        tile = max(1, half // (24 * O + chunk * (block + 1)))
+        """Yield (r, flat nodes flagged by the screen) per probe r, for probes
+        in chunks whose flags take half of ``_SCREEN_TILE_BYTES``."""
+        chunk = max(1, min(len(D), _SCREEN_TILE_BYTES // 2 // max(1, len(nodes))))
         for r0 in range(0, len(D), chunk):
-            flags = screen(D[r0 : r0 + chunk], on_B, tol, tile, block)
+            flags = screen(D[r0 : r0 + chunk], on_B, tol)
             for i in range(len(flags)):
                 yield r0 + i, nodes[flags[i]]
             del flags  # before the next chunk's flags exist
@@ -678,15 +668,12 @@ def delta_falsifier(
             S, margin = S[forbidden], margin[forbidden]
             l_f = l_at(r, S)
             m_f, Q_f = mq_at(r, S)
+            m_f, Q_f = np.broadcast_to(m_f, S.shape), np.broadcast_to(Q_f, S.shape + (n, n))
             w_ext = None
             for o, (dk, dt) in enumerate(zip(d, dts)):
                 lin = np.einsum("...i,i->...", l_f, dk)
-                quad = (
-                    np.einsum("i,...ij,j->...", dk, Q_f, dk)
-                    if np.ndim(Q_f) > 2
-                    else float(dk @ np.asarray(Q_f) @ dk)
-                )
-                w = vals[S + step[o]] - (lin + np.multiply(m_f, dt) + quad)
+                quad = np.einsum("i,...ij,j->...", dk, Q_f, dk)
+                w = vals[S + step[o]] - (lin + m_f * dt + quad)
                 w_ext = w if w_ext is None else extremum(w_ext, w)
             with np.errstate(invalid="ignore"):
                 gap = sign * (vals[S] - w_ext)
@@ -694,9 +681,7 @@ def delta_falsifier(
             for i in np.flatnonzero(bad):
                 node = spec.index_from_offset(np.unravel_index(S[i], spec.shape))
                 x = np.asarray(node[:-1], dtype=float) * spec.h
-                m_i = m_f[i] if np.ndim(m_f) > 0 else m_f
-                Q_i = Q_f[i] if np.ndim(Q_f) > 2 else Q_f
-                P = _centered_to_absolute(w_ext[i], l_f[i], m_i, np.zeros(n), Q_i, x, node[-1] * spec.tau)
+                P = _centered_to_absolute(w_ext[i], l_f[i], m_f[i], np.zeros(n), Q_f[i], x, node[-1] * spec.tau)
                 certs.append(
                     ViolationCertificate(
                         node=node,
@@ -808,9 +793,11 @@ def replay_violations(
         touch_gap = sign * (vals[spec.flat_offsets(nodes)] - center)
         recorded = np.array([cert.touch_gap for cert in done])
         touching = side_ok[: len(done)] & (touch_gap <= recorded + 1e-9 * vscale[: len(done)])
+        with np.errstate(over="ignore"):  # evaluate_F refuses what overflows
+            D2P = 2.0 * Q
         if F.dimension != n:
-            evaluate_F(F, 2.0 * Q[0])  # refused as one certificate's matrix is
-        margin = (m + (x @ a[:, :, None])[:, 0, 0]) - evaluate_F(F, 2.0 * Q)
+            evaluate_F(F, D2P[0])  # refused as one certificate's matrix is
+        margin = (m + (x @ a[:, :, None])[:, 0, 0]) - evaluate_F(F, D2P)
         want = np.array([cert.margin for cert in done])
         matches = np.abs(margin - want) <= 1e-9 * (1.0 + np.abs(want))
         valid = touching & (sign * margin < 0.0)

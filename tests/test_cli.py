@@ -392,7 +392,7 @@ def test_certify_names_the_first_node_outside_the_mesh(tmp_path, capsys, drift_g
     edge.write_text(row.replace(" node=2,4 ", " node=1,5 ") + "\n")
     code, _, err = run(capsys, "certify", str(edge), "--config", str(drift_grid))
     assert code == 1
-    assert err.strip() == "parastep: error: node (0, 2) is not in the mesh"
+    assert err.strip() == f"parastep: error: {edge}:1: node (0, 2) is not in the mesh"
 
 
 def test_certify_refuses_a_node_where_the_cylinder_does_not_fit(tmp_path, capsys):
@@ -410,7 +410,7 @@ def test_certify_refuses_a_node_where_the_cylinder_does_not_fit(tmp_path, capsys
     moved.write_text(row.replace(" node=2,4 ", " node=6,4 ") + "\n")
     code, _, err = run(capsys, "certify", str(moved), "--config", str(cfg))
     assert code == 1
-    assert err.strip() == "parastep: error: node (6, 4): its delta = 0.25 cylinder leaves the domain"
+    assert err.strip() == f"parastep: error: {moved}:1: node (6, 4): its delta = 0.25 cylinder leaves the domain"
 
 
 def test_diagnose_keeps_the_results_when_abp_is_skipped(tmp_path, capsys, drift_grid):
@@ -484,6 +484,40 @@ def test_certify_refuses_rows_with_non_finite_numbers(tmp_path, capsys, drift_gr
         assert code == 1 and out == ""
         assert err.startswith(f"parastep: error: {rows}:3: ") and "must be finite" in err, err
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "grid, field, value, message",
+    [
+        ("1d", "node", "1,256", "is not in the mesh"),
+        ("1d", "Q", "1e308", "matrix entries must be finite"),
+        ("2d", "Q", "0.0,1e308,-1e308,0.0", "Q must be symmetric"),
+    ],
+)
+def test_certify_names_the_line_the_replay_refuses(
+    tmp_path, capsys, drift_grid, drift_grid_2d, grid, field, value, message
+):
+    # the replay's refusals of a node off the mesh and of a Q whose 2 Q
+    # overflows used to name no path:line, the second after a numpy
+    # RuntimeWarning; an antisymmetric Q of 1e308 warned in the symmetry test
+    cfg = drift_grid
+    if grid == "2d":
+        cfg = tmp_path / "run2.cfg"
+        cfg.write_text(f"boundary.file = {drift_grid_2d}\nscheme.kind = linear\ndiagnostics.samples = 4\n")
+    out_dir = tmp_path / "diag"
+    assert run(capsys, "diagnose", "--config", str(cfg), "--out", str(out_dir))[0] == 0
+    row = (out_dir / "certificates.txt").read_text().splitlines()[0]
+    bad = _with_field(row, field, value)
+    if field == "Q" and grid == "1d":
+        bad = _with_field(bad, "c", "1e308")
+    rows = tmp_path / "rows.txt"
+    rows.write_text(f"# header\n{row}\n{bad}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "certify", str(rows), "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"parastep: error: {rows}:3: ") and message in err, err
+    assert "RuntimeWarning" not in err and len(err.splitlines()) == 1
 
 
 def test_certify_refuses_a_side_that_is_not_super_or_sub(tmp_path, capsys, drift_grid):

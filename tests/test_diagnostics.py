@@ -745,6 +745,18 @@ def test_generated_certificate_rows_round_trip(case):
     assert back.row() == cert.row()
 
 
+@pytest.mark.parametrize("probe", ["a b", "a\tb", "a\nb", 7])
+def test_a_probe_label_with_whitespace_is_refused(probe):
+    # probe="a b" used to build a certificate whose row did not read back
+    # ("malformed certificate field 'b'"); labels with "=" stay legal
+    P = Paraboloid(c=0.0, l=[0.0], m=-1.0, a=[0.0], Q=[[0.0]])
+    fields = dict(node=(8, 9), side="super", delta=0.125, margin=-1.0, touch_gap=0.0)
+    with pytest.raises(DiagnosticsError, match="probe must be a str with no whitespace"):
+        ViolationCertificate(paraboloid=P, probe=probe, **fields)
+    row = ViolationCertificate(paraboloid=P, probe="a=b", **fields).row()
+    assert row_to_certificate(row).probe == "a=b"
+
+
 def test_a_numpy_delta_writes_rows_that_read_back():
     # delta = np.float64(2.5) * h was written as delta=np.float64(0.15625)
     spec, v = drift_mesh(h=1 / 16)
@@ -1074,6 +1086,25 @@ def test_falsifier_matches_whole_mesh_oracle(case, side):
     assert {family(r) for r in want} >= set(families)
     if case.startswith("drift-cut-"):
         assert len(want) == (cfg.max_violations if side == "super" else 0)
+
+
+@pytest.mark.parametrize("side", ["super", "sub"])
+@pytest.mark.parametrize(
+    "case, budget",
+    [
+        (case, 16384)
+        for case in ("heat-1d", "heat-2d", "pucci-2d", "drift-cut-7", "perturbed-1d", "perturbed-2d")
+    ]
+    + [("pucci-2d", 4096), ("perturbed-2d", 4096)],
+)
+def test_falsifier_matches_the_oracle_across_chunks_and_tiles(case, budget, side, monkeypatch):
+    # at the shipped 2 MiB no oracle case crosses a probe chunk and most run
+    # as one tile of nodes; these budgets give chunks of a few probes and
+    # tiles of tens of nodes
+    monkeypatch.setattr(diagnostics, "_SCREEN_TILE_BYTES", budget)
+    v, F, delta, cfg, _ = falsifier_case(case)
+    want = certificates_to_rows(oracle_certificates(case, side))
+    assert certificates_to_rows(delta_falsifier(v, F, delta, side, cfg)) == want
 
 
 @pytest.mark.parametrize("side", ["super", "sub"])
