@@ -23,7 +23,7 @@ pair within the touch tolerance plus a stated rounding slack, then
 re-decides only the flagged pairs with the direct per-offset evaluation, in
 probe order and node order.
 The certificates are exactly those of the direct evaluation over the whole
-mesh, and the screen's arrays stay within ``_SCREEN_TILE_BYTES`` (2 MiB)
+mesh, and the screen's arrays stay within ``_SCRATCH_BYTES`` (2 MiB)
 instead of growing as offsets x nodes.
 """
 
@@ -42,6 +42,7 @@ import numpy as np
 from .errors import DiagnosticsError, GridError, NonlinearityError
 from .geometry import (
     _FP_SLACK,
+    _SCRATCH_BYTES,
     KBox,
     MeshFunction,
     MeshSpec,
@@ -82,15 +83,6 @@ _FIT_CHUNK_ROWS = 1 << 18
 _FIT_SEED_ROWS = 24
 _FIT_ADD_ROWS = 16
 _FIT_PIVOTS = 200
-
-# Falsifier screen (delta_falsifier): the bytes that one tile of nodes and
-# one chunk of probes' flags take together.
-_SCREEN_TILE_BYTES = 1 << 21
-
-# Certificate replay (replay_violations): the bytes that one chunk of a delta
-# group's certificates takes, at about 8 (2n + 12) bytes per certificate and
-# cylinder step.
-_REPLAY_CHUNK_BYTES = 1 << 22
 
 # Bits of the Sobol' direction numbers, as scipy.stats.qmc.Sobol uses them.
 _SOBOL_BITS = 30
@@ -505,7 +497,7 @@ def delta_falsifier(
 
     Memory: one chunk of probes' flags (a byte per probe and node) and one
     tile of nodes (one offset's hits and 6 + n + n^2 node vectors) take at
-    most ``_SCREEN_TILE_BYTES`` (2 MiB) together, next to the mesh-sized
+    most ``_SCRATCH_BYTES`` (2 MiB) together, next to the mesh-sized
     local model; no array is offsets x mesh or offsets x tile.
 
     Returns the certificate list; empty means "nothing found", not a proof.
@@ -622,13 +614,13 @@ def delta_falsifier(
         gap = sign (v - min_o (B - D)) <= tol holds iff every offset o has
         D[r, o] <= B[node, o] - v + tol (super) or >= B - v - tol (sub), so
         the product is tested on booleans, one offset at a time over a tile
-        of nodes.  A tile takes half of ``_SCREEN_TILE_BYTES``: one offset's
+        of nodes.  A tile takes half of ``_SCRATCH_BYTES``: one offset's
         hits (a byte per probe and node) and 6 + n + n^2 node vectors of 8
         bytes (v - sign tol, the model's columns, and an offset's gather
         index, its B column and the previous offset's, and a scratch term)."""
         K = len(nodes)
         flags = np.ones((len(D), K), dtype=bool)
-        tile = max(1, _SCREEN_TILE_BYTES // 2 // (len(D) + 8 * (6 + n + n * n)))
+        tile = max(1, _SCRATCH_BYTES // 2 // (len(D) + 8 * (6 + n + n * n)))
         hit = np.empty(len(D) * min(tile, K), dtype=bool)
         for k0 in range(0, K, tile):
             S = nodes[k0 : k0 + tile]
@@ -647,8 +639,8 @@ def delta_falsifier(
 
     def screened(D, on_B, tol):
         """Yield (r, flat nodes flagged by the screen) per probe r, for probes
-        in chunks whose flags take half of ``_SCREEN_TILE_BYTES``."""
-        chunk = max(1, min(len(D), _SCREEN_TILE_BYTES // 2 // max(1, len(nodes))))
+        in chunks whose flags take half of ``_SCRATCH_BYTES``."""
+        chunk = max(1, min(len(D), _SCRATCH_BYTES // 2 // max(1, len(nodes))))
         for r0 in range(0, len(D), chunk):
             flags = screen(D[r0 : r0 + chunk], on_B, tol)
             for i in range(len(flags)):
@@ -718,7 +710,7 @@ def replay_violations(
     ``touch_gap``, ``margin`` and ``margin_matches`` (within 1e-9 relative).
 
     Certificates are grouped by delta, and a group's mesh-side work runs once
-    over chunks of at most ``_REPLAY_CHUNK_BYTES``: the fit at the middle node,
+    over chunks of at most ``_SCRATCH_BYTES``: the fit at the middle node,
     the :meth:`MeshSpec.cylinder_fits` mask, one gather of certificates x steps
     and one side test.  Refusals are those of a loop over the certificates in
     order: the first certificate refused raises, with the first of its own
@@ -750,7 +742,7 @@ def replay_violations(
             continue
         steps = spec.node_steps(delta)
         fits = spec.cylinder_fits(delta).ravel()
-        chunk = max(1, _REPLAY_CHUNK_BYTES // (8 * (2 * n + 12) * len(steps)))
+        chunk = max(1, _SCRATCH_BYTES // (8 * (2 * n + 12) * len(steps)))
         for c0 in range(0, len(members), chunk):
             rows = np.array(members[c0 : c0 + chunk])
             nodes = np.array([certs[i].node for i in rows], dtype=np.int64)

@@ -14,6 +14,7 @@ backward cylinder's lattice steps and fit rule (:meth:`MeshSpec.cylinder_steps`,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -48,17 +49,15 @@ _FP_SLACK = 1e-9
 # The most nodes a mesh may have: numpy allocates no larger float64 array.
 _MAX_NODES = np.iinfo(np.intp).max // 8
 
-# Node lines that MeshFunction.read_text parses at a time.
-_READ_CHUNK_LINES = 1 << 14
+# The one scratch budget, the bytes of one chunk of work.  region_mask, the
+# Hölder search and read_text size their chunks from it; the S_h sweep, the
+# solver's frozen-policy blocks, the falsifier's screen and the certificate
+# replay import the name, so patching one module's binding resizes its chunks.
+_SCRATCH_BYTES = 1 << 21
 
-# region_mask: the bytes that one chunk of levels' points and containment
-# tests take, at about 8 (2n + 6) bytes per node.
-_MASK_BYTES = 1 << 21
-
-# Hölder search (see _holder_seminorm): region nodes per tile, the byte
-# budget of its scratch arrays, and the relative slack of its tile-pair bound.
+# Hölder search (see _holder_seminorm): region nodes per tile and the
+# relative slack of its tile-pair bound.
 _HOLDER_TILE_NODES = 64
-_HOLDER_BLOCK_BYTES = 1 << 22
 _HOLDER_SLACK = 64 * np.finfo(float).eps
 
 
@@ -485,13 +484,13 @@ def _sample_levels(spec: MeshSpec, f: Callable, start: int, stop: int) -> np.nda
 def region_mask(spec: MeshSpec, region: Cylinder | KBox | None) -> np.ndarray:
     """The nodes that ``region.contains``, as a boolean array over the mesh
     (every node when ``region`` is None).  ``region.contains_points`` decides
-    a chunk of levels at a time, within ``_MASK_BYTES`` next to the mask."""
+    a chunk of levels at a time, within ``_SCRATCH_BYTES`` next to the mask."""
     if region is None:
         return np.ones(spec.shape, dtype=bool)
     if region.center.n != spec.n:
         raise GridError(f"region dimension {region.center.n} != mesh dimension {spec.n}")
     x = (np.indices(spec.spatial_shape).reshape(spec.n, -1).T + spec.k_min) * spec.h
-    levels = max(1, _MASK_BYTES // (8 * (2 * spec.n + 6) * len(x)))
+    levels = max(1, _SCRATCH_BYTES // (8 * (2 * spec.n + 6) * len(x)))
     mask = np.empty(spec.shape, dtype=bool)
     for m0 in range(0, spec.levels, levels):
         m = np.arange(m0 + 1, min(m0 + levels, spec.levels) + 1)
@@ -553,68 +552,78 @@ class MeshFunction:
 
     @classmethod
     def read_text(cls, path) -> "MeshFunction":
+        """Node lines are streamed in chunks of _SCRATCH_BYTES // (160 (n + 2))
+        lines (a token took 80-95 bytes in flight), so the scratch stays
+        within ``_SCRATCH_BYTES`` next to the grid."""
         with open(path) as fh:
-            raw = [ln for ln in map(str.strip, fh) if ln]
-        if not raw:
-            raise GridError(f"{path}: empty mesh-function file")
-        head = raw[0].split()
-        try:
-            n = int(head[0])
-            h = float(head[1])
-            N = int(head[2])
-            if len(head) != 3 + 2 * n + 1:
-                raise IndexError
-            bounds = [(float(head[3 + 2 * a]), float(head[4 + 2 * a])) for a in range(n)]
-            T = float(head[3 + 2 * n])
-        except (IndexError, ValueError) as exc:
-            raise GridError(f"{path}: malformed header {raw[0]!r}") from exc
-        spec = MeshSpec(h, bounds, T, N)
-        if len(raw) - 1 != spec.node_count():
-            raise GridError(
-                f"{path}: expected {spec.node_count()} node lines, got {len(raw) - 1}"
-            )
-        # Parsed in chunks of lines, so only one chunk's tokens are alive; each
-        # chunk is one flat token list, as per-line lists would wake the cyclic GC.
-        width = n + 2
-        vals = np.full(spec.shape, np.nan)
-        try:
-            for start in range(1, len(raw), _READ_CHUNK_LINES):
-                tokens: list[str] = []
-                for parts in map(str.split, raw[start : start + _READ_CHUNK_LINES]):
-                    if len(parts) != width:
+            lines = filter(None, map(str.strip, fh))
+            header = next(lines, None)
+            if header is None:
+                raise GridError(f"{path}: empty mesh-function file")
+            head = header.split()
+            try:
+                n, h, N = int(head[0]), float(head[1]), int(head[2])
+                if len(head) != 3 + 2 * n + 1:
+                    raise IndexError
+                bounds = [(float(head[3 + 2 * a]), float(head[4 + 2 * a])) for a in range(n)]
+                T = float(head[3 + 2 * n])
+            except (IndexError, ValueError) as exc:
+                raise GridError(f"{path}: malformed header {header!r}") from exc
+            spec = MeshSpec(h, bounds, T, N)
+            width, count = n + 2, 0
+            size = max(1, _SCRATCH_BYTES // (160 * width))
+            vals = np.full(spec.shape, np.nan)
+            try:
+                while True:
+                    # one flat token list per chunk: per-line lists would wake the cyclic GC
+                    tokens: list[str] = []
+                    for parts in map(str.split, itertools.islice(lines, size)):
+                        if len(parts) != width:
+                            raise ValueError
+                        tokens += parts
+                    if not tokens:
+                        break
+                    index = np.array(
+                        [list(map(int, tokens[a::width])) for a in range(n + 1)], dtype=np.int64
+                    ).T
+                    flat = spec.flat_offsets(index)
+                    chunk = np.array(list(map(float, tokens[n + 1 :: width])))
+                    if np.any(flat < 0) or not np.isfinite(chunk).all():
                         raise ValueError
-                    tokens += parts
-                index = np.array(
-                    [list(map(int, tokens[a::width])) for a in range(n + 1)], dtype=np.int64
-                ).T
-                flat = spec.flat_offsets(index)
-                chunk = np.array(list(map(float, tokens[n + 1 :: width])))
-                if np.any(flat < 0) or not np.isfinite(chunk).all():
-                    raise ValueError
-                vals.flat[flat] = chunk
-        except (ValueError, OverflowError):
-            # Name the first bad line in file order, checked as a single line.
-            for ln in raw[1:]:
-                parts = ln.split()
-                malformed = GridError(f"{path}: malformed node line {ln!r}")
-                try:
-                    if len(parts) != width:
-                        raise malformed
-                    idx = tuple(int(p) for p in parts[:-1])
-                except ValueError:
-                    raise malformed from None
-                if not spec.contains_index(idx):
-                    raise GridError(f"{path}: node {idx} outside the declared mesh") from None
-                try:
-                    value = float(parts[-1])
-                except ValueError:
-                    raise malformed from None
-                if not math.isfinite(value):
-                    raise GridError(f"{path}: non-finite value in node line {ln!r}") from None
-            raise
+                    vals.flat[flat] = chunk
+                    count += len(chunk)
+            except (ValueError, OverflowError):
+                _refuse_node_lines(path, spec)
+                raise
+        if count != spec.node_count():
+            _refuse_node_lines(path, spec)
         if np.isnan(vals).any():
             raise GridError(f"{path}: some mesh nodes missing from file")
         return cls(spec, vals)
+
+
+def _refuse_node_lines(path, spec: MeshSpec) -> None:
+    """Re-read a grid file that ``read_text`` refused: raise the GridError of a
+    wrong node-line count, else of its first bad line in file order, if any."""
+    with open(path) as fh:
+        count = sum(1 for _ in filter(None, map(str.strip, fh))) - 1
+    if count != spec.node_count():
+        raise GridError(f"{path}: expected {spec.node_count()} node lines, got {count}") from None
+    with open(path) as fh:
+        for ln in itertools.islice(filter(None, map(str.strip, fh)), 1, None):
+            parts = ln.split()
+            try:
+                if len(parts) != spec.n + 2:
+                    raise ValueError
+                idx = tuple(map(int, parts[:-1]))
+                if spec.contains_index(idx):
+                    value = float(parts[-1])
+            except ValueError:
+                raise GridError(f"{path}: malformed node line {ln!r}") from None
+            if not spec.contains_index(idx):
+                raise GridError(f"{path}: node {idx} outside the declared mesh") from None
+            if not math.isfinite(value):
+                raise GridError(f"{path}: non-finite value in node line {ln!r}") from None
 
 
 def _ratio_max(P: np.ndarray, V: np.ndarray, Q: np.ndarray, W: np.ndarray, eta: float) -> float:
@@ -658,7 +667,7 @@ def _holder_seminorm(pts: np.ndarray, offs: np.ndarray, vals: np.ndarray, eta: f
     ``d``, ``dv`` and ``dv / d**eta`` like all pairs do, and ``max`` does not
     depend on order, so the result is the all-pairs maximum bit for bit.
     Scratch arrays (one block of tile-pair bounds, one batch of node-pair
-    ratios) stay within ``_HOLDER_BLOCK_BYTES``, next to a tile-ordered copy
+    ratios) stay within ``_SCRATCH_BYTES``, next to a tile-ordered copy
     of the nodes' coordinates and values.
     """
     n = pts.shape[1] - 1
@@ -674,7 +683,7 @@ def _holder_seminorm(pts: np.ndarray, offs: np.ndarray, vals: np.ndarray, eta: f
     lo, hi = TP.min(axis=1), TP.max(axis=1)
     vmin, vmax = TV.min(axis=1), TV.max(axis=1)
 
-    entries = _HOLDER_BLOCK_BYTES // (8 * (3 * n + 9))
+    entries = _SCRATCH_BYTES // (8 * (3 * n + 9))
     batch = max(1, entries // (size * size))
     rows_per_block = max(1, entries // nt)
     cols = np.arange(nt)
@@ -731,7 +740,9 @@ def discrete_holder_norm(
     dict with keys ``seminorm``, ``sup`` and ``norm`` (= seminorm + sup).
     The seminorm is the maximum over all node pairs, bit for bit; a
     branch-and-bound over tiles of nodes (``_holder_seminorm``) finds it
-    with scratch memory under ``_HOLDER_BLOCK_BYTES``.
+    with scratch memory under ``_SCRATCH_BYTES``.  Its last bit follows
+    numpy's SIMD dispatch of ``d**eta``, so it can differ by one ulp on a CPU
+    without AVX-512.
     """
     if not 0 < eta <= 1:
         raise GridError(f"eta must lie in (0, 1], got {eta}")

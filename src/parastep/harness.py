@@ -217,6 +217,9 @@ def run_convergence_study(
     sol = get_problem(problem) if isinstance(problem, str) else problem
     if len(h_values) == 0:
         raise ConfigError("empty h sweep")
+    for i, h in enumerate(h_values):
+        if h in h_values[:i]:
+            raise ConfigError(f"h sweep repeats the spacing {h!r}")
     scheme = build_monotone_scheme(sol.descriptor, N=N)
 
     t0 = time.perf_counter()

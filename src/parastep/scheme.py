@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import GridError, SchemeError
 from .geometry import (
+    _SCRATCH_BYTES,
     MeshFunction,
     MeshSpec,
     _sample_levels,
@@ -306,16 +307,6 @@ def scheme_tables_text(scheme: SchemeDescriptor) -> str:
 # ---------------------------------------------------------------------------
 
 
-# byte budget of one chunk of levels in an S_h sweep (``_sweep``), which
-# sets the chunk's length from ``_InteriorGather.level_bytes``.  Pucci+ 2D,
-# ``tracemalloc`` peaks at h = 1/32 / 1/64: ``residual_sweep`` 2.0 / 2.0 MiB,
-# ``consistency_error`` 3.1 / 2.8 MiB (one pass over every level: 24.7 / 437
-# and 35.7 / 589 MiB); ``scheme_residual_field`` adds its NaN field (1.9 / 31
-# MiB).  Sweep time at h = 1/32, 2 cores, median of 9 by budget: 1 MiB 9.7 ms,
-# 2 MiB 8.5 ms, 4 MiB 8.9 ms, 8 MiB 14.0 ms; one pass 128 ms.
-_SWEEP_BYTES = 4 << 20
-
-
 def _form_max(scores: np.ndarray) -> np.ndarray:
     """Each row's max over the short forms axis of (..., rows, forms) scores,
     folded one form slice at a time with ``np.maximum``: the same values as
@@ -380,15 +371,21 @@ class _InteriorGather:
         return 8 * (nodes + self.int_flat.size * (ndir + 2 * rows * width + rows + 8))
 
 
+# Pucci+ 2D, ``tracemalloc`` peaks at h = 1/32 / 1/64: ``residual_sweep`` 1.0 /
+# 1.1 MiB, ``consistency_error`` 1.6 / 1.5 MiB (one pass over every level: 24.7
+# / 437 and 35.7 / 589 MiB); ``scheme_residual_field`` adds its NaN field (1.9 /
+# 31 MiB).  Sweep time at h = 1/32, 2 cores, median of 9 by budget: 1 MiB 9.7
+# ms, 2 MiB 8.5 ms, 4 MiB 8.9 ms, 8 MiB 14.0 ms; one pass 128 ms.
 def _sweep(op: _InteriorGather, rows: Callable[[int, int], np.ndarray]):
     """S_h over the interior levels in chunks of consecutive levels whose
-    scratch (``level_bytes`` each) stays under _SWEEP_BYTES.  ``rows(a, b)``
-    gives the array rows a:b of the mesh function as (b - a, nodes); a chunk
-    reads its levels and the level before them.  Yields (start, stop, res):
+    scratch (``level_bytes`` each) stays under _SCRATCH_BYTES, the package's
+    one budget, imported from geometry.  ``rows(a, b)`` gives the array rows
+    a:b of the mesh function as (b - a, nodes); a chunk reads its levels and
+    the level before them.  Yields (start, stop, res):
     res (stop - start, K) is S_h at the interior columns of rows start:stop.
     Per node the values are those of one pass over every level, bit for bit."""
     levels = op.spec.levels
-    step = max(1, _SWEEP_BYTES // op.level_bytes())
+    step = max(1, _SCRATCH_BYTES // op.level_bytes())
     # from the row of the earliest level with interior nodes
     for start in range(op.spec.N**2 - 1, levels, step):
         stop = min(start + step, levels)

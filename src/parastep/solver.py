@@ -36,7 +36,8 @@ Howard's first iteration accepting it.  The passing prefix is kept with one
 evaluation each; the first failing level goes to Howard from its usual warm
 start.  So values, per-level evaluation counts and the maximal residual are
 those of the per-level route bit for bit.  The block's scratch stays under
-_BLOCK bytes, which sets its length; _BLOCK = 0 is the per-level route.
+_SCRATCH_BYTES, the package's one budget, which sets its length; patching
+this module's binding to 0 gives the per-level route.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SchemeError, SolverConvergenceError
-from .geometry import MeshFunction, MeshSpec
+from .geometry import _SCRATCH_BYTES, MeshFunction, MeshSpec
 from .scheme import SchemeDescriptor, _form_max, _InteriorGather, _sweep
 
 __all__ = ["SolveReport", "solve", "residual_sweep"]
@@ -66,13 +67,6 @@ _RANK = 32
 # cap on the cached columns of A_base^-1: 2 _RANK columns, 0.4 MiB at
 # K = 841 unknowns and 1.9 MiB at K = 3721
 _CACHE = 2 * _RANK
-# byte budget of a frozen-policy block's scratch, which sets its length
-# (``_block_length``); 0 turns blocks off.  Heat 1D h=1/128 / heat 2D h=1/32,
-# 2 cores, median of 8 by budget: 128 KiB: 0.19 / 0.096 s, 512 KiB: 0.15 /
-# 0.077 s, 1 MiB: 0.16 / 0.072 s, 4 MiB (blocks of 321 / 43 levels): 0.17 /
-# 0.076 s; 0 (level by level) about 0.47 / 0.10 s.  The traced scratch
-# peaks at 0.54-0.70 of the budget.
-_BLOCK = 4 << 20
 # scipy's SuperLU extension module, the one part of scipy that a solve loads
 _SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
@@ -312,11 +306,14 @@ def _howard_level(lp: _LevelProblem, w_flat, b_flat, tol, max_policy=60, level=N
 
 
 def _block_length(lp: _LevelProblem) -> int:
-    """Levels per frozen-policy block: _BLOCK over the scratch bytes of one
-    level in ``_frozen_block``: its boundary terms, and the level's nodes,
-    interior values and, while a check runs, its quotients and scores with
-    their temporaries (the gather's ``level_bytes``)."""
-    return _BLOCK // (lp.op.level_bytes() + 8 * lp.out_k.size)
+    """Levels per frozen-policy block: _SCRATCH_BYTES over the scratch bytes
+    of one level in ``_frozen_block``: its boundary terms, and the level's
+    nodes, interior values and, while a check runs, its quotients and scores
+    with their temporaries (the gather's ``level_bytes``); 0 turns blocks off.
+    Heat 1D h=1/128 / heat 2D h=1/32, 2 cores, median of 8 by budget: 128 KiB
+    0.19 / 0.096 s, 512 KiB 0.15 / 0.077 s, 1 MiB 0.16 / 0.072 s, 4 MiB 0.17 /
+    0.076 s, level by level 0.47 / 0.10 s; 2 MiB gives blocks of 160 / 21."""
+    return _SCRATCH_BYTES // (lp.op.level_bytes() + 8 * lp.out_k.size)
 
 
 def _frozen_block(lp: _LevelProblem, flat: np.ndarray, m: int, length: int, tol: float):
@@ -370,7 +367,7 @@ def solve(
 
     Levels are marched by nested Howard and in frozen-policy blocks (see the
     module docstring); values and report are those of the per-level route
-    (``_BLOCK = 0``).
+    (``_SCRATCH_BYTES = 0`` in this module).
 
     Returns
     -------

@@ -321,7 +321,7 @@ def test_default_tol_convergence_csv_is_unchanged_by_blocks(tmp_path, capsys, mo
 
     argv = ["converge", "--problem", "pucci_plus_concave", "--h-list", "0.125,0.0625,0.03125"]
     assert run(capsys, *argv, "--out", str(tmp_path / "blocks"))[0] == 0
-    monkeypatch.setattr(solver_module, "_BLOCK", 0)
+    monkeypatch.setattr(solver_module, "_SCRATCH_BYTES", 0)
     assert run(capsys, *argv, "--out", str(tmp_path / "levels"))[0] == 0
     csv = (tmp_path / "blocks" / "convergence.csv").read_bytes()
     assert csv == (tmp_path / "levels" / "convergence.csv").read_bytes()
@@ -719,6 +719,49 @@ def test_space_separated_h_list_is_refused(tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 1 and err.startswith("parastep: error: --h-list:1: key 'h_list'")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("h_list, repeated", [("0.125,0.125", "0.125"), ("0.25,0.125,0.25", "0.25")])
+def test_converge_refuses_a_repeated_spacing(tmp_path, capsys, h_list, repeated):
+    # "0.125,0.125" used to end in a ZeroDivisionError traceback
+    argv = ["converge", "--problem", "heat_sine", "--h-list", h_list, "--out", str(tmp_path / "o")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == f"parastep: error: h sweep repeats the spacing {repeated}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_from_a_stored_grid_is_seeded_by_it(tmp_path, capsys, drift_grid):
+    # boundary.file: the grid's own mesh, its band data and warm start; no
+    # problem, so no sup error
+    from parastep.nonlinearity import NonlinearityDescriptor
+    from parastep.scheme import build_monotone_scheme
+    from parastep.solver import solve
+
+    code, out, err = run(capsys, "solve", "--config", str(drift_grid), "--out", str(tmp_path / "o"))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    grid = MeshFunction.read_text(tmp_path / "drift.txt")
+    want, report = solve(build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]])), grid.spec, grid)
+    assert lines[:3] == [
+        "# parastep solve",
+        "# problem=linear n=1 h=0.125 N=2 T=0.25 seed=0",
+        f"# iterations={report.total_iterations()} max_residual={report.max_residual!r}",
+    ]
+    path = tmp_path / "o" / "solution_linear_h0.125.txt"
+    assert lines[3:] == [f"# wrote {path}"]
+    assert np.array_equal(MeshFunction.read_text(path).values, want.values)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_certify_refuses_a_certificates_file_it_cannot_read(tmp_path, capsys, drift_grid, kind):
+    path = tmp_path / "certs"
+    if kind == "directory":
+        path.mkdir()
+    code, out, err = run(capsys, "certify", str(path), "--config", str(drift_grid))
+    why = "No such file or directory" if kind == "missing" else "Is a directory"
+    assert code == 1 and out == ""
+    assert err == f"parastep: error: cannot read certificates {path}: {why}\n"
 
 
 def _pinned_grid(tmp_path, grid):

@@ -439,6 +439,26 @@ def test_asymmetric_Q_rejected():
         evaluate_paraboloid(P, ((0.0, 0.0), 0.0))
 
 
+def test_nearly_symmetric_Q_is_symmetrized():
+    # a skew within _SYM_TOL (1 + max |Q|) is rounding: Q becomes Q/2 + Q^T/2
+    Q = np.array([[1.0, 0.25 + 1e-13], [0.25, -2.0]])
+    P = Paraboloid(c=0, l=[0, 0], m=0, a=[0, 0], Q=Q)
+    assert np.array_equal(P.Q, 0.5 * Q + 0.5 * Q.T)
+    assert P.Q[0, 1] == P.Q[1, 0] and 0.25 < P.Q[0, 1] < 0.25 + 1e-13
+    assert Q[0, 1] == 0.25 + 1e-13  # the caller's array is not touched
+
+
+def test_inverses_of_a_stack_with_a_singular_matrix():
+    # numpy refuses the whole stack; the singular matrix alone gets NaN
+    B = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [1.0, 3.0]]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(B)
+    got = diagnostics._inverses(B)
+    assert np.isnan(got[1]).all()
+    for i in (0, 2):
+        assert np.array_equal(got[i], np.linalg.inv(B[i]))
+
+
 # ---------------------------------------------------------------------------
 # falsifier
 # ---------------------------------------------------------------------------
@@ -1101,7 +1121,7 @@ def test_falsifier_matches_the_oracle_across_chunks_and_tiles(case, budget, side
     # at the shipped 2 MiB no oracle case crosses a probe chunk and most run
     # as one tile of nodes; these budgets give chunks of a few probes and
     # tiles of tens of nodes
-    monkeypatch.setattr(diagnostics, "_SCREEN_TILE_BYTES", budget)
+    monkeypatch.setattr(diagnostics, "_SCRATCH_BYTES", budget)
     v, F, delta, cfg, _ = falsifier_case(case)
     want = certificates_to_rows(oracle_certificates(case, side))
     assert certificates_to_rows(delta_falsifier(v, F, delta, side, cfg)) == want

@@ -463,6 +463,21 @@ def test_abp_parameter_validation():
         abp_diagnostic(u, rho=0.625)  # needs rho^2 <= top time and ball inside box
 
 
+def test_abp_refuses_a_top_off_the_mesh_a_zero_radius_and_a_mesh_too_narrow():
+    spec = MeshSpec(**ABP_MESH)
+    u = MeshFunction(spec, np.zeros(spec.shape))
+    for m in (0, spec.levels + 1):
+        with pytest.raises(EnvelopeError, match=f"^cylinder top time {m * spec.tau} outside the mesh$"):
+            abp_diagnostic(u, center=((0.5,), m * spec.tau))
+    with pytest.raises(EnvelopeError, match="positive multiple of h, got 0.0"):
+        abp_diagnostic(u, rho=0.0)
+    # bounds off the lattice: columns 1/8 and 1/4 only, so no radius-h ball fits
+    narrow = MeshSpec(h=0.125, bounds=[(0.05, 0.35)], T=0.25, N=2)
+    assert narrow.k_min == (1,) and narrow.k_max == (2,)
+    with pytest.raises(EnvelopeError, match="no backward cylinder of radius h fits this mesh"):
+        abp_diagnostic(MeshFunction(narrow, np.zeros(narrow.shape)))
+
+
 @pytest.mark.parametrize(
     "kw, fragment",
     [

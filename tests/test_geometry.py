@@ -400,7 +400,7 @@ def test_region_mask_by_level_chunks_equals_the_whole_mesh_mask(monkeypatch, rng
         spec, regions = tie_regions(n, h)
         if levels is not None:
             per_level = 8 * (2 * n + 6) * math.prod(spec.spatial_shape)
-            monkeypatch.setattr(geometry, "_MASK_BYTES", levels * per_level)
+            monkeypatch.setattr(geometry, "_SCRATCH_BYTES", levels * per_level)
         for _ in range(6):
             center = (tuple(rng.uniform(0.0, 1.0, n)), rng.uniform(0.0, spec.T))
             r = rng.uniform(0.05, 0.6)
@@ -416,7 +416,7 @@ def test_region_mask_peak_stays_within_its_budget(traced_peak):
     box = KBox(((0.5, 0.5), 0.0), math.sqrt(81.0 * 2 * spec.T))
     mask, peak = traced_peak(region_mask, spec, box)
     assert mask.all()
-    assert peak <= mask.nbytes + geometry._MASK_BYTES
+    assert peak <= mask.nbytes + geometry._SCRATCH_BYTES
 
 
 def test_region_on_open_bottom_level_is_left_out():
@@ -622,11 +622,22 @@ def special_mesh_function(name, rng):
     return MeshFunction(spec, vals.reshape(spec.shape))
 
 
+def read_chunks_of(mp, lines, n):
+    """Make ``read_text`` parse ``lines`` node lines per chunk on an n-D mesh:
+    its chunks are _SCRATCH_BYTES // (160 (n + 2)) lines long."""
+    mp.setattr(geometry, "_SCRATCH_BYTES", lines * 160 * (n + 2))
+
+
 @pytest.fixture(params=["one-chunk", "4-line-chunks"])
 def read_chunks(request, monkeypatch):
-    """Run a reader test with the whole file as one chunk, then with many."""
-    if request.param == "4-line-chunks":
-        monkeypatch.setattr(geometry, "_READ_CHUNK_LINES", 4)
+    """Run a reader test with the whole file as one chunk, then with many:
+    call the fixture with the mesh's dimension before reading."""
+
+    def chunked(n):
+        if request.param == "4-line-chunks":
+            read_chunks_of(monkeypatch, 4, n)
+
+    return chunked
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_MESHES))
@@ -638,6 +649,7 @@ def test_text_io_matches_per_node_oracle(name, tmp_path, rng, read_chunks):
     write_text_oracle(u, old)
     assert new.read_bytes() == old.read_bytes()
 
+    read_chunks(u.spec.n)
     v = MeshFunction.read_text(new)
     assert v.spec == u.spec
     assert np.array_equal(v.values, u.values)
@@ -670,7 +682,7 @@ def text_mesh_functions(draw):
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(u=text_mesh_functions(), chunk=st.sampled_from([geometry._READ_CHUNK_LINES, 1, 3]))
+@given(u=text_mesh_functions(), chunk=st.sampled_from([None, 1, 3]))
 @example(
     u=MeshFunction(
         MeshSpec(0.25, [(-1.0, 0.0)], 0.125, N=2),
@@ -681,13 +693,14 @@ def text_mesh_functions(draw):
 def test_generated_text_io_matches_the_per_node_oracle(u, chunk, tmp_path_factory):
     # same file bytes as the per-node writer, and the same values, sign bits
     # included, from the array-wide reader (in chunks of `chunk` lines) and
-    # the per-node reader
+    # the per-node reader (chunk None: the shipped budget)
     new, old = (tmp_path_factory.mktemp("text") / name for name in ("new.txt", "old.txt"))
     u.write_text(new)
     write_text_oracle(u, old)
     assert new.read_bytes() == old.read_bytes()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_READ_CHUNK_LINES", chunk)
+        if chunk is not None:
+            read_chunks_of(mp, chunk, u.spec.n)
         v = MeshFunction.read_text(new)
     w = read_text_oracle(new)
     assert v.spec == u.spec and w.spec == u.spec
@@ -734,6 +747,7 @@ def test_text_reader_errors_match_per_node_oracle(case, tmp_path, rng, read_chun
     path.write_text("".join(ln + "\n" for ln in BROKEN_TEXT[case](good.read_text().splitlines())))
     with pytest.raises(GridError) as want:
         read_text_oracle(path)
+    read_chunks(spec.n)
     with pytest.raises(GridError) as got:
         MeshFunction.read_text(path)
     assert str(got.value) == str(want.value)
@@ -748,6 +762,28 @@ def test_text_reader_names_unparsable_node_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(GridError, match=r"malformed node line '2 one 0\.0'"):
         MeshFunction.read_text(path)
+
+
+@pytest.mark.parametrize(
+    "n, h, times", [(1, 1 / 64, (0.125, 0.25)), (2, 1 / 32, (0.03125,))], ids=["1d-64", "2d-32"]
+)
+def test_text_reader_peak_stays_within_the_budget(n, h, times, tmp_path, traced_peak):
+    # the reader held every line of the file: 6.9 and 9.6 MiB traced on the
+    # 1-D grid at T = 1/8 and 1/4 (32,257 and 64,513 lines), 6.8 MiB on the
+    # 2-D one at T = 1/32 (30,753 lines; 25.1 MiB at T = 1/4).  Both T of the
+    # 1-D grid put level numbers past 256, which are int objects, in a chunk;
+    # the 64 KiB of slack are for token lengths (a level number past 999
+    # takes a fourth digit, 4 KiB per chunk) and the interpreter's own use
+    peaks = []
+    for T in times:
+        spec = MeshSpec(h=h, bounds=[(0.0, 1.0)] * n, T=T, N=2)
+        path = tmp_path / f"T{T}.txt"
+        MeshFunction.from_callable(spec, lambda x, t: -t).write_text(path)
+        u, peak = traced_peak(MeshFunction.read_text, path)
+        assert peak <= u.values.nbytes + geometry._SCRATCH_BYTES, peak / 2**20
+        peaks.append((peak, u.values.nbytes))
+    for (peak, grid), (peak2, grid2) in zip(peaks, peaks[1:]):
+        assert peak2 - peak <= grid2 - grid + 2**16, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +982,7 @@ def test_generated_holder_tiles_match_the_pair_loop(case):
     u, eta, tile, block = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_HOLDER_TILE_NODES", tile)
-        mp.setattr(geometry, "_HOLDER_BLOCK_BYTES", block)
+        mp.setattr(geometry, "_SCRATCH_BYTES", block)
         got = discrete_holder_norm(u, eta)["seminorm"]
     assert np.array_equal(got, holder_pairs_oracle(u, eta))
     want = holder_oracle(u, eta)

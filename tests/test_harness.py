@@ -172,6 +172,17 @@ def test_empty_sweep_rejected():
         run_convergence_study("heat_sine", [])
 
 
+@pytest.mark.parametrize("h_values, repeated", [([0.125, 0.125], 0.125), ([0.25, 0.125, 0.25], 0.25)])
+def test_sweep_repeating_a_spacing_is_refused_before_any_solve(h_values, repeated, monkeypatch):
+    # adjacent repeats ended in a ZeroDivisionError in the pairwise rate, and
+    # repeats that are not adjacent used to run
+    import parastep.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "solve", lambda *args, **kw: pytest.fail("solved"))
+    with pytest.raises(ConfigError, match=f"h sweep repeats the spacing {repeated!r}$"):
+        run_convergence_study("heat_sine", h_values)
+
+
 def test_elapsed_time_not_in_csv():
     study = run_convergence_study("heat_sine", [1 / 8], T=0.0625)
     assert study.elapsed_seconds > 0

@@ -576,7 +576,7 @@ def test_generated_sweep_chunks_match_the_oracle(
     flat = u.values.reshape(spec.levels, -1)
     interior_levels = max(0, spec.levels - spec.N**2 + 1)
     for length in (1, 3, spec.levels):
-        with mock.patch.object(scheme_module, "_SWEEP_BYTES", length * op.level_bytes()):
+        with mock.patch.object(scheme_module, "_SCRATCH_BYTES", length * op.level_bytes()):
             chunks = [stop - start for start, stop, _ in _sweep(op, lambda a, b: flat[a:b])]
             starts = range(0, interior_levels, length)
             assert chunks == [min(length, interior_levels - i) for i in starts]

@@ -704,7 +704,7 @@ def test_bad_tol_is_refused_up_front(tol):
 
 
 # ---------------------------------------------------------------------------
-# frozen-policy blocks, against the per-level route (``_BLOCK = 0``)
+# frozen-policy blocks, against the per-level route (``_SCRATCH_BYTES = 0``)
 # ---------------------------------------------------------------------------
 
 
@@ -733,10 +733,10 @@ def block_log(monkeypatch):
 def assert_same_as_per_level_route(monkeypatch, log, scheme, spec, g, tol=None):
     """Values and report of the block route are the per-level route's bit
     for bit; ``log`` keeps the block route's calls only."""
-    budget = solver_module._BLOCK
-    monkeypatch.setattr(solver_module, "_BLOCK", 0)
+    budget = solver_module._SCRATCH_BYTES
+    monkeypatch.setattr(solver_module, "_SCRATCH_BYTES", 0)
     want, want_report = solve(scheme, spec, g, tol=tol)
-    monkeypatch.setattr(solver_module, "_BLOCK", budget)
+    monkeypatch.setattr(solver_module, "_SCRATCH_BYTES", budget)
     for calls in log.values():
         calls.clear()
     u, report = solve(scheme, spec, g, tol=tol)
@@ -811,8 +811,8 @@ def test_stall_names_the_same_level_on_both_routes(monkeypatch):
     heat = build_monotone_scheme(NonlinearityDescriptor.linear([[1.0]]))
     _, report = solve(heat, spec, sine_data())
     messages = []
-    for budget in [solver_module._BLOCK, 0]:
-        monkeypatch.setattr(solver_module, "_BLOCK", budget)
+    for budget in [solver_module._SCRATCH_BYTES, 0]:
+        monkeypatch.setattr(solver_module, "_SCRATCH_BYTES", budget)
         for tol in [1e-30, 0.999 * report.max_residual]:
             with pytest.raises(SolverConvergenceError, match="policy iteration stalled at level") as exc:
                 solve(heat, spec, sine_data(), tol=tol)
@@ -825,11 +825,11 @@ def test_stall_names_the_same_level_on_both_routes(monkeypatch):
 
 @pytest.mark.parametrize("budget", [None, 256 << 10])
 def test_block_scratch_stays_under_its_budget(budget, monkeypatch):
-    # heat 2D h=1/32: blocks of 43 levels at the 4 MiB default and of 2 at
-    # 256 KiB; the traced peak was 0.64 and 0.59 of the budget
+    # heat 2D h=1/32: blocks of 21 levels at the 2 MiB default and of 2 at
+    # 256 KiB; the traced peak was 0.70 and 0.59 of the budget
     if budget is not None:
-        monkeypatch.setattr(solver_module, "_BLOCK", budget)
-    budget = solver_module._BLOCK
+        monkeypatch.setattr(solver_module, "_SCRATCH_BYTES", budget)
+    budget = solver_module._SCRATCH_BYTES
     spec = MeshSpec(h=1 / 32, bounds=[(0.0, 1.0)] * 2, T=0.25, N=2)
     heat = build_monotone_scheme(NonlinearityDescriptor.linear(np.eye(2)))
     peaks = []
@@ -920,7 +920,7 @@ def test_generated_fast_paths_match_their_oracles(case):
     assert report.max_residual <= report.tol
     # frozen blocks: the per-level route's values and report, bit for bit
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver_module, "_BLOCK", 0)
+        patch.setattr(solver_module, "_SCRATCH_BYTES", 0)
         want, want_report = solve(scheme, spec, g)
     assert np.array_equal(u.values, want.values)
     assert report.iterations == want_report.iterations
