@@ -47,6 +47,7 @@ from .geometry import (
     MeshFunction,
     MeshSpec,
     _coerce_point,
+    _is_int,
     lattice_directions,
     region_mask,
     second_quotient_field,
@@ -71,15 +72,10 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 
-# Expansion fits (_expansion_fits): nodes per chunk; a cap on a chunk's rows
-# (nodes x constraint nodes, each node's padded to the chunk's longest),
-# whose features take (k + 2) * 8 bytes each for k paraboloid parameters, so
-# 12 MiB in 1D and 20 MiB in 2D; seed rows per node; rows added per node and
-# round; exchange pivots per node and round, past which the node's fit is not
-# certified, a DiagnosticsError (the longest exchange of the benchmark's verify
-# sweep takes 42).
-_FIT_CHUNK_NODES = 64
-_FIT_CHUNK_ROWS = 1 << 18
+# Expansion fits (_expansion_fits): seed rows per node; rows added per node
+# and round; exchange pivots per node and round, past which the node's fit is
+# not certified, a DiagnosticsError (the longest exchange of the benchmark's
+# verify sweep takes 15).
 _FIT_SEED_ROWS = 24
 _FIT_ADD_ROWS = 16
 _FIT_PIVOTS = 200
@@ -259,11 +255,6 @@ def _centered_to_absolute(c, l, m, a, Q, x, t) -> Paraboloid:
 # ---------------------------------------------------------------------------
 # delta-viscosity falsifier
 # ---------------------------------------------------------------------------
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer; ``bool`` is an int subclass, but not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -887,18 +878,19 @@ def _reference(a: np.ndarray, live: np.ndarray):
     P, m, k = a.shape
     pick = np.arange(P)
     zero = ~(a != 0).any(axis=1)
-    scale = np.abs(a).max(axis=1)
-    W = a.copy()
+    scale = np.maximum(a.max(axis=1), -a.min(axis=1))
+    W = a.transpose(0, 2, 1).copy()  # W[:, j] is parameter j's column
     free = live.copy()
     code = np.empty((P, k + 1), dtype=np.int64)
     for j in range(k):
-        i = np.where(free, np.abs(W[:, :, j]), -1.0).argmax(axis=1)
-        piv = W[pick, i, j]
+        i = np.where(free, np.abs(W[:, j]), -1.0).argmax(axis=1)
+        piv = W[pick, j, i]
         take = ~zero[:, j] & free[pick, i] & (np.abs(piv) > 1e-9 * scale[:, j])
         code[:, j] = np.where(take, i, -1 - j)
         free[pick[take], i[take]] = False
-        f = np.where(take[:, None], W[:, :, j] / np.where(take, piv, 1.0)[:, None], 0.0)
-        W -= f[:, :, None] * W[pick, i][:, None, :]
+        f = np.where(take[:, None], W[:, j] / np.where(take, piv, 1.0)[:, None], 0.0)
+        for c in range(j + 1, k):  # the columns still to pivot on
+            W[:, c] -= f * W[pick, c, i][:, None]
     # the extra row: the first free live one, else the first padding slot
     slots = np.arange(m)
     code[:, k] = np.where(free, slots, np.where(live, 3 * m, m + slots)).argmin(axis=1)
@@ -947,67 +939,92 @@ def _exchange(a: np.ndarray, b: np.ndarray, live: np.ndarray, code: np.ndarray):
     y_out = np.full((P, k + 1), np.nan)
     code_out = code.copy()
     ids = np.arange(P)
-    last = np.iinfo(np.int64).max
+    alive = np.ones(P, dtype=bool)  # a stopped node keeps its state until the batch is halved
     z_prev = np.full(P, -np.inf)
     stall = np.zeros(P, dtype=np.int64)  # pivots in a row that left z unchanged
+    pick = np.arange(P)
     for step in range(_FIT_PIVOTS + 1):
-        pick = np.arange(len(ids))
         y = np.einsum("pc,pcj->pj", cost, Binv)
         y += np.einsum("pc,pcj->pj", cost - np.einsum("pjc,pj->pc", B, y), Binv)
         lam = Binv[:, :, k]
-        r = b - (a @ y[:, :k, None])[..., 0]
-        over = _exceeds(np.abs(r), y[:, k : k + 1]) & live
+        err = (a @ y[:, :k, None])[..., 0]
+        err = np.subtract(b, err, out=err)
         # a reference row whose error has its slot's sign is levelled at z:
         # its column is basic, so it cannot enter, however the error rounds
         real = code >= 0
         row = np.where(real, code >> 1, 0)
-        level = real & (r[pick[:, None], row] * np.where(code & 1, -1.0, 1.0) >= 0)
-        viol = over.copy()
-        viol[np.nonzero(level)[0], row[level]] = False
+        level = real & (err[pick[:, None], row] * np.where(code & 1, -1.0, 1.0) >= 0)
+        neg = err < 0
+        err = np.abs(err, out=err)
+        viol = _exceeds(err, y[:, k : k + 1]) & live
+        over = viol.any(axis=1)
         if step == 0:
             # Bland's order of the rows: worst first at the starting reference
-            order = np.argsort(np.where(live, -np.abs(r), np.inf), axis=1, kind="stable")
-            rank = np.empty_like(order)
+            # (sorted on -err in err's own buffer; a dead row ends at -inf,
+            # and no dead row is violated)
+            np.negative(err, out=err)
+            np.putmask(err, ~live, np.inf)
+            order = np.argsort(err, axis=1, kind="stable")
+            np.negative(err, out=err)
+            rank = np.empty(order.shape, dtype=np.int16 if m < 2**14 else np.int64)
             rank[pick[:, None], order] = np.arange(m)
-        finite = np.isfinite(y).all(axis=1) & np.isfinite(lam).all(axis=1)
-        stop = ~viol.any(axis=1)
-        dual = np.where(real, lam >= -1e-9, np.abs(lam) <= 1e-9).all(axis=1)
-        done = stop & finite & dual & ~over.any(axis=1)
+            del order
+        viol[np.nonzero(level)[0], row[level]] = False
+        np.putmask(err, ~viol, -1.0)  # the errors of the violated rows, -1 elsewhere
+        worst = err.max(axis=1)
+        # lambda is column k of B^-1, so a finite z means a finite lambda
+        finite = np.isfinite(y).all(axis=1)
+        stop = worst < 0
+        done = alive & stop & finite & ~over
         if done.any():
+            done[done] = np.where(real[done], lam[done] >= -1e-9, np.abs(lam[done]) <= 1e-9).all(axis=1)
             ok[ids[done]] = True
             y_out[ids[done]] = y[done]
             code_out[ids[done]] = code[done]
-        go = ~stop & finite
+        go = alive & ~stop & finite
         if step == _FIT_PIVOTS or not go.any():
             break
         # a rise within rounding counts as none, which only hastens Bland's rule
         stall = np.where(y[:, k] - z_prev > 1e-12 * np.abs(y[:, k]), 0, stall + 1)
         z_prev = y[:, k]
-        err = np.where(viol, np.abs(r), -1.0)
-        worst = viol & (err == err.max(axis=1, keepdims=True))
-        enter = np.where(np.where(stall[:, None] > k, viol, worst), rank, last).argmin(axis=1)
-        sign = np.where(r[pick, enter] >= 0, 1.0, -1.0)
-        q = np.concatenate([sign[:, None] * a[pick, enter], np.ones((len(ids), 1))], axis=1)
+        # the most violated row enters, or after a stall the first violated
+        # one (error >= 0), ties to the first in the order
+        enter = np.where(err >= np.where(stall > k, 0.0, worst)[:, None], rank, m).argmin(axis=1)
+        flip = neg[pick, enter]
+        sign = np.where(flip, -1.0, 1.0)
+        q = np.concatenate([sign[:, None] * a[pick, enter], np.ones((len(sign), 1))], axis=1)
         d = np.einsum("pij,pj->pi", Binv, q)
+        # the ratio test: a weight at rounding level is a zero one, so that
+        # degenerate ties are exact; ties leave in the order
         elig = real & (d > 1e-11 * np.abs(d).max(axis=1, keepdims=True))
-        # a weight at rounding level is a zero one, so that degenerate ties are exact
-        theta = np.where(elig, np.where(lam > 1e-11, lam, 0.0) / np.where(elig, d, 1.0), np.inf)
-        tie = elig & (theta == theta.min(axis=1, keepdims=True))
-        key = 2 * rank[pick[:, None], row] + (code & 1)
-        leave = np.where(tie, key, last).argmin(axis=1)
+        theta = np.divide(np.where(lam > 1e-11, lam, 0.0), d, out=np.full_like(d, np.inf), where=elig)
+        leave = np.lexsort((2 * rank[pick[:, None], row] + (code & 1), theta), axis=1)[:, 0]
         go &= elig.any(axis=1)
-        # replace the leaving column, and update the inverse by its eta matrix
-        B[pick, :, leave] = q
-        cost[pick, leave] = sign * b[pick, enter]
-        code[pick, leave] = 2 * enter + (sign < 0)
-        out = Binv[pick, leave] / np.where(go, d[pick, leave], 1.0)[:, None]
+        # the pivoting nodes replace the leaving column and update the
+        # inverse by its eta matrix; a stopped node keeps its state
+        g = np.flatnonzero(go)
+        l, e = leave[g], enter[g]
+        B[g, :, l] = q[g]
+        cost[g, l] = sign[g] * b[g, e]
+        code[g, l] = 2 * e + flip[g]
+        d[~go] = 0.0  # a stopped node's eta matrix is the identity
+        out = np.zeros_like(d)
+        out[g] = Binv[g, l] / d[g, l, None]
         Binv -= d[:, :, None] * out[:, None, :]
-        Binv[pick, leave] = out
-        if not go.all():
-            a, b, live, B, Binv, cost, code, rank, ids, z_prev, stall = (
-                v[go] for v in (a, b, live, B, Binv, cost, code, rank, ids, z_prev, stall)
+        Binv[g, l] = out[g]
+        alive = go
+        del err, neg, viol
+        if 2 * len(g) <= len(go):
+            a, b, live, B, Binv, cost, code, rank, ids, z_prev, stall, alive = (
+                v[g] for v in (a, b, live, B, Binv, cost, code, rank, ids, z_prev, stall, alive)
             )
+            pick = np.arange(len(g))
     return ok, y_out, code_out
+
+
+def _weights(r2, ds):
+    """Row weights r^3 + r^2 |s - t| + |s - t|^2 from r^2 and s - t."""
+    return r2 * (np.sqrt(r2) + np.abs(ds)) + ds * ds
 
 
 def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
@@ -1020,18 +1037,19 @@ def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
     r = |y-x|, over centred paraboloids P (no constant, mixed term allowed).
 
     It runs by constraint generation (an optimal fit with k parameters has
-    at most k+1 tight rows).  Nodes go in chunks of ``_FIT_CHUNK_NODES``
-    (fewer when their rows would pass ``_FIT_CHUNK_ROWS``), and only one
-    chunk's rows are alive at a time.  Each node starts from its
-    ``_FIT_SEED_ROWS`` smallest-weight rows.  Every round fits the chunk's
-    unresolved nodes on their rows so far by the batched exchange
+    at most k+1 tight rows), in rounds over the whole sweep.  Each node
+    keeps only its active rows, as region indices, starting from its
+    ``_FIT_SEED_ROWS`` smallest-weight rows.  Every round fits all
+    unresolved nodes on their active rows by one batched exchange
     :func:`_exchange`, warm-started from the node's last optimal reference
-    (added rows keep it dual-feasible), then adds at each node up to
-    ``_FIT_ADD_ROWS`` of its worst rows with ratio > z (1 + 1e-9) + 1e-12,
-    z being the certified optimum on the rows so far; a node without such a
-    row is done.  A node whose first reference is not finite, or whose fit
-    the exchange does not certify within ``_FIT_PIVOTS`` pivots, is a
-    DiagnosticsError naming it.
+    (added rows keep it dual-feasible), then scans each such node's full
+    rows and adds up to ``_FIT_ADD_ROWS`` of its worst rows with ratio >
+    z (1 + 1e-9) + 1e-12, z being the certified optimum on the rows so far;
+    a node without such a row is done.  The scan builds full rows for a
+    chunk of nodes of one level at a time, within ``_SCRATCH_BYTES``.  A
+    node whose first reference is not finite, or whose fit the exchange
+    does not certify within ``_FIT_PIVOTS`` pivots, is a DiagnosticsError
+    naming it.
 
     Returns ``(ratios, coefs, counts)``: the largest ratio the returned
     coefficients reach over all of a node's rows (so at most
@@ -1053,7 +1071,8 @@ def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
     s = (offs[:, 0] + 1) * spec.tau
     u_r = u.values.ravel()[region]
     ends = np.searchsorted(offs[:, 0], nodes[:, 0], side="right")
-    me = np.searchsorted(region, flat)
+    # region indices, in the active rows' int type: int32 halves their store
+    me = np.searchsorted(region, flat).astype(np.int32 if len(region) < 2**31 else np.int64)
     counts = ends - 1
     short = counts < k
     if short.any():
@@ -1061,70 +1080,119 @@ def _expansion_fits(u: MeshFunction, nodes: np.ndarray, mask: np.ndarray):
             f"{counts[np.argmax(short)]} constraint nodes cannot pin {k} paraboloid parameters"
         )
 
+    def chunks(todo):
+        """``todo`` in chunks of nodes of one level, whose full rows take
+        8 (n + 6) bytes each (the scan's arrays) within _SCRATCH_BYTES."""
+        todo = todo[np.argsort(nodes[todo, 0], kind="stable")]
+        for group in np.split(todo, np.flatnonzero(np.diff(nodes[todo, 0])) + 1):
+            size = max(1, _SCRATCH_BYTES // (8 * (n + 6) * int(ends[group[0]])))
+            for lo in range(0, len(group), size):
+                yield group[lo : lo + size]
+
+    def full_rows(sel):
+        """s - t, the columns of y - x and the weights of all the rows of the
+        nodes ``sel`` (of one level); a node's own row weighs 1."""
+        R = int(ends[sel[0]])
+        ds = s[:R] - s[me[sel[0]]]
+        dx = [y[:R, j] - y[me[sel], j, None] for j in range(n)]
+        w = _weights(functools.reduce(np.add, (d * d for d in dx)), ds)
+        w[np.arange(len(sel)), me[sel]] = 1.0
+        return ds, dx, w
+
+    def full_ratios(sel, fits):
+        """The ratios over all the rows of the nodes ``sel`` of their fits,
+        one row (l, m, a, q) per node, q as in :func:`_quad_features`."""
+        ds, dx, w = full_rows(sel)
+        c = fits.T[:, :, None]
+        fit = c[n] * ds
+        for j in range(n):
+            fit += (c[j] + c[n + 1 + j] * ds) * dx[j]
+            fit += c[2 * n + 1 + j] * (dx[j] * dx[j])
+        col = 3 * n + 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                fit += 2.0 * c[col] * (dx[i] * dx[j])
+                col += 1
+        del dx
+        ratio = u_r[: w.shape[1]] - u_r[me[sel], None]
+        ratio -= fit
+        del fit
+        ratio = np.abs(ratio, out=ratio)
+        ratio /= w
+        return ratio
+
+    def active_rows(act, lv, at):
+        """The exchange's (a, b) on the active rows ``act`` of the nodes
+        ``at``; a row that is not live has a = 0 and b = 0."""
+        dx = np.where(lv[..., None], y[act] - y[me[at], None], 0.0)
+        ds = np.where(lv, s[act] - s[me[at], None], 0.0)
+        w = np.where(lv, _weights((dx**2).sum(axis=2), ds), 1.0)
+        a = np.empty(act.shape + (k,))
+        a[..., :n] = dx
+        a[..., n] = ds
+        a[..., n + 1 : 2 * n + 1] = dx * ds[..., None]
+        a[..., 2 * n + 1 :] = _quad_features(dx)
+        a /= w[..., None]
+        return a, np.where(lv, u_r[act] - u_r[me[at], None], 0.0) / w
+
+    pending = np.arange(len(nodes))
+    # each node's active rows and whether each is live: first its seed
+    # rows, then the rows each round adds; its own row pads the rest
+    active = np.repeat(me[:, None], max(_FIT_SEED_ROWS, k + 1), axis=1)
+    for sel in chunks(pending):
+        w = full_rows(sel)[2]
+        w[np.arange(len(sel)), me[sel]] = np.inf
+        if w.shape[1] > _FIT_SEED_ROWS:
+            active[sel, :_FIT_SEED_ROWS] = np.argpartition(w, _FIT_SEED_ROWS - 1, axis=1)[:, :_FIT_SEED_ROWS]
+        else:
+            active[sel, : w.shape[1]] = np.arange(w.shape[1])
+    live = active != me[:, None]
+
     ratios = np.empty(len(nodes))
     coefs = np.empty((len(nodes), k))
-    chunk = max(1, min(_FIT_CHUNK_NODES, _FIT_CHUNK_ROWS // len(region)))
-    for lo in range(0, len(nodes), chunk):
-        sel = np.arange(lo, min(lo + chunk, len(nodes)))
-        # the chunk's rows, padded to its longest prefix; a padding row (and
-        # the node's own) has phi = 0, du = 0 and w = 1, so its ratio is 0
-        R = int(ends[sel].max())
-        pos = np.arange(R)
-        valid = (pos < ends[sel, None]) & (pos != me[sel, None])
-        dx = np.where(valid[..., None], y[None, :R] - y[me[sel], None], 0.0)
-        ds = np.where(valid, s[None, :R] - s[me[sel], None], 0.0)
-        du = np.where(valid, u_r[None, :R] - u_r[me[sel], None], 0.0)
-        r = np.sqrt((dx**2).sum(axis=2))
-        w = np.where(valid, r**3 + r**2 * np.abs(ds) + ds**2, 1.0)
-        phi = np.concatenate([dx, ds[..., None], dx * ds[..., None], _quad_features(dx)], axis=2)
-        del dx, ds, r
-        # active rows per node, padded (not live) with the node's own row
-        seed = np.where(valid, w, np.inf)
-        if R > _FIT_SEED_ROWS:
-            seed = np.argpartition(seed, _FIT_SEED_ROWS - 1, axis=1)[:, :_FIT_SEED_ROWS]
-        else:
-            seed = np.broadcast_to(pos, valid.shape)
-        pad = max(0, k + 1 - seed.shape[1])
-        active = np.concatenate([seed, np.repeat(me[sel, None], pad, axis=1)], axis=1)
-        live = np.concatenate([valid[np.arange(len(sel))[:, None], seed], np.zeros((len(sel), pad), bool)], axis=1)
-        active = np.where(live, active, me[sel, None])
-        code = np.full((len(sel), k + 1), -1, dtype=np.int64)
-        has_ref = np.zeros(len(sel), dtype=bool)
-        pending = np.arange(len(sel))
-        while pending.size:
-            at = (pending[:, None], active[pending])
-            a = phi[at] / w[at][..., None]
-            b = du[at] / w[at]
-            lv = live[pending]
-            # warm start unless the artificial columns differ from the zero
-            # ones (a column stopped being zero, or was found dependent)
-            zero = ~(a != 0).any(axis=1)
-            arts = (code[pending, :, None] == -1 - np.arange(k)).any(axis=1)
-            cold = ~has_ref[pending] | (arts != zero).any(axis=1)
-            ref = code[pending]
-            ref[cold], bad = _reference(a[cold], lv[cold])
-            ok, fits, code[pending] = _exchange(a, b, lv, ref)
-            ok[cold] &= ~bad
-            if not ok.all():
-                node = spec.index_from_offset(nodes[sel[pending[np.argmin(ok)]]])
-                raise DiagnosticsError(f"node {node}: the exchange did not certify its fit")
-            has_ref[pending] = True
-            P, Z = fits[:, :k], fits[:, k]
-            ratio = np.abs(du[pending] - np.einsum("prk,pk->pr", phi[pending], P)) / w[pending]
-            ratios[sel[pending]] = ratio.max(axis=1)
-            coefs[sel[pending]] = P
-            viol = _exceeds(ratio, Z[:, None])
-            viol[np.arange(len(pending))[:, None], active[pending]] = False
-            add = min(_FIT_ADD_ROWS, R)
-            top = np.sort(np.argpartition(np.where(viol, -ratio, np.inf), add - 1, axis=1)[:, :add], axis=1)
-            grow = viol[np.arange(len(pending))[:, None], top]
-            more = np.zeros((len(sel), add), dtype=bool)
-            more[pending] = grow
-            extra = np.repeat(me[sel, None], add, axis=1)
-            extra[pending] = np.where(grow, top, me[sel[pending], None])
-            active = np.concatenate([active, extra], axis=1)
-            live = np.concatenate([live, more], axis=1)
-            pending = pending[grow.any(axis=1)]
+    code = np.full((len(nodes), k + 1), -1, dtype=np.int64)
+    first = True
+    while pending.size:
+        a, b = active_rows(active, live, pending)
+        # warm start unless the artificial columns differ from the zero
+        # ones (a column stopped being zero, or was found dependent)
+        zero = ~(a != 0).any(axis=1)
+        arts = (code[:, :, None] == -1 - np.arange(k)).any(axis=1)
+        cold = (arts != zero).any(axis=1) | first
+        ref = code.copy()
+        ref[cold], bad = _reference(a, live) if cold.all() else _reference(a[cold], live[cold])
+        ok, fits, code = _exchange(a, b, live, ref)
+        del a, b
+        ok[cold] &= ~bad
+        if not ok.all():
+            node = spec.index_from_offset(nodes[pending[np.argmin(ok)]])
+            raise DiagnosticsError(f"node {node}: the exchange did not certify its fit")
+        coefs[pending] = fits[:, :k]
+        # the scan: each node's ratios over all its rows, and its worst
+        # violated rows, in row order
+        extra = np.repeat(me[pending, None], _FIT_ADD_ROWS, axis=1)
+        grow = np.zeros(extra.shape, dtype=bool)
+        for sel in chunks(pending):
+            at = np.searchsorted(pending, sel)
+            ratio = full_ratios(sel, coefs[sel])
+            ratios[sel] = ratio.max(axis=1)
+            viol = _exceeds(ratio, fits[at, k, None])
+            viol[np.arange(len(sel))[:, None], active[at]] = False
+            many = np.flatnonzero(viol.sum(axis=1) > _FIT_ADD_ROWS)
+            if many.size:
+                worst = np.where(viol[many], -ratio[many], np.inf)
+                worst = np.argpartition(worst, _FIT_ADD_ROWS - 1, axis=1)[:, :_FIT_ADD_ROWS]
+                viol[many] = False
+                viol[many[:, None], worst] = True
+            node, row = np.nonzero(viol)
+            slot = np.arange(len(node)) - np.searchsorted(node, node)
+            extra[at[node], slot] = row
+            grow[at[node], slot] = True
+        keep = grow.any(axis=1)
+        active = np.concatenate([active, extra], axis=1)[keep]
+        live = np.concatenate([live, grow], axis=1)[keep]
+        del extra, grow
+        code, pending, first = code[keep], pending[keep], False
     return ratios, coefs, counts
 
 
@@ -1142,7 +1210,8 @@ def psi_M_membership(u: MeshFunction, node, M: float, region=None) -> dict:
     Fits a paraboloid P (mixed term allowed) minimizing the worst ratio
     |u(y,s) - u(x,t) - P| / (|x-y|^3 + |x-y|^2 |t-s| + |t-s|^2) over the
     region's nodes with s <= t; membership at opening M (finite, positive,
-    not a bool) means that ratio stays within n*M.  The fit is the
+    not a bool) means that ratio stays within n*M.  ``node`` is n + 1 ints
+    or numpy integers (not bools); any other is a GridError.  The fit is the
     constraint-generation routine of :func:`good_set_measure` on a batch of
     one node: an exact Chebyshev exchange on the rows taken so far,
     stopping once no row has ratio > z (1 + 1e-9) + 1e-12, z being that
@@ -1157,8 +1226,8 @@ def psi_M_membership(u: MeshFunction, node, M: float, region=None) -> dict:
     spec = u.spec
     n = spec.n
     M = _opening(M)
-    node = tuple(int(i) for i in node)
     off = np.array([spec.offset(node)])
+    node = tuple(int(i) for i in node)
     ratios, coefs, counts = _expansion_fits(u, off, region_mask(spec, region))
     coef = coefs[0]
     worst = float(ratios[0])
@@ -1200,20 +1269,24 @@ def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> Good
     The worst expansion ratio at a node does not depend on M, so one fit per
     node serves the whole sweep; the per-M bad set is {ratio > n M} and its
     measure uses the h^(n+2) node-counting convention.  Every opening must
-    be a finite positive number (not a bool).  The fits run in chunks of
-    nodes by batched constraint generation, each round one exact Chebyshev
-    exchange over all the chunk's unresolved nodes (see
-    :func:`psi_M_membership`), so ``worst_ratios`` holds, per node, the
-    largest ratio of the returned paraboloid over all its constraint nodes.
-    A fit the exchange cannot certify is a DiagnosticsError naming its
-    node.  The log-log slope of measure against
+    be a finite positive number (not a bool), and no opening may repeat.
+    The fits run by batched constraint generation in rounds over all the
+    box's nodes, each round one exact Chebyshev exchange over every
+    unresolved node (see :func:`psi_M_membership`), so ``worst_ratios``
+    holds, per node, the largest ratio of the returned paraboloid over all
+    its constraint nodes.  A fit the exchange cannot certify is a
+    DiagnosticsError naming its node.  The log-log slope of measure against
     M comes with a 95 percent confidence interval and is reported, never
     asserted against any theoretical exponent.
     """
     spec = u.spec
-    M_values = np.asarray(sorted(_opening(m) for m in M_values))
-    if len(M_values) == 0:
+    M_values = sorted(_opening(m) for m in M_values)
+    if not M_values:
         raise DiagnosticsError("empty M sweep")
+    for lo, hi in zip(M_values, M_values[1:]):
+        if lo == hi:  # a repeat would weigh one point twice in the slope's fit
+            raise DiagnosticsError(f"M sweep repeats the opening {hi!r}")
+    M_values = np.asarray(M_values)
     nodes = np.argwhere(region_mask(spec, kbox))
     if not len(nodes):
         raise DiagnosticsError("the K-box contains no mesh nodes")

@@ -232,6 +232,11 @@ class KBox:
         return in_box & (e < dt) & (dt <= self.height + e)
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer; ``bool`` is an int subclass, but not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class MeshSpec:
     """Mesh over (open box) x (0, T] drawn from the lattice hZ^n x h^2 Z.
 
@@ -317,8 +322,10 @@ class MeshSpec:
         return ParabolicPoint(tuple(k * self.h for k in index[:-1]), index[-1] * self.tau)
 
     def contains_index(self, index: Sequence[int]) -> bool:
-        index = tuple(int(i) for i in index)
-        if len(index) != self.n + 1:
+        """Whether ``index`` names a node: n + 1 ints or numpy integers (not
+        bools) within the mesh; any other component is no node."""
+        index = tuple(index)
+        if len(index) != self.n + 1 or not all(map(_is_int, index)):
             return False
         for k, klo, khi in zip(index[:-1], self.k_min, self.k_max):
             if not klo <= k <= khi:
@@ -544,11 +551,12 @@ class MeshFunction:
         # One time level at a time: the spatial index columns repeat per level.
         levels = self.values.reshape(spec.levels, -1)
         ks = np.indices(spec.spatial_shape).reshape(spec.n, -1) + np.array(spec.k_min)[:, None]
-        prefixes = [" ".join(map(str, k)) + " " for k in ks.T.tolist()]
+        # one %r template per grid; each level fills in its number, then its values
+        template = "".join(" ".join(map(str, k)) + " {m} %r\n" for k in ks.T.tolist())
         with open(path, "w") as fh:
             fh.write(" ".join(head) + "\n")
             for m, level in enumerate(levels, start=1):
-                fh.writelines([f"{p}{m} {v!r}\n" for p, v in zip(prefixes, level.tolist())])
+                fh.write(template.replace("{m}", str(m)) % tuple(level.tolist()))
 
     @classmethod
     def read_text(cls, path) -> "MeshFunction":

@@ -731,6 +731,17 @@ def test_converge_refuses_a_repeated_spacing(tmp_path, capsys, h_list, repeated)
     assert not (tmp_path / "o").exists()
 
 
+def test_diagnose_refuses_a_repeated_opening(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "problem = heat_sine\nh_list = [0.125]\ndiagnostics.samples = 4\ndiagnostics.M_values = [1, 1, 4]\n"
+    )
+    code, out, err = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 1 and "Traceback" not in err
+    assert err == "parastep: error: M sweep repeats the opening 1.0\n"
+    assert not (tmp_path / "o" / "diagnostics.txt").exists()
+
+
 def test_solve_from_a_stored_grid_is_seeded_by_it(tmp_path, capsys, drift_grid):
     # boundary.file: the grid's own mesh, its band data and warm start; no
     # problem, so no sup error

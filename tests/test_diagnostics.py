@@ -1463,6 +1463,29 @@ def test_region_restriction_cannot_increase_the_ratio():
     assert boxed <= full + 1e-12
 
 
+def test_a_repeated_opening_is_refused_before_any_fit(monkeypatch):
+    # The verify sweep's openings at the 20/50/80% quantiles of its worst
+    # ratios give a slope CI of width 1.18; a fit that counted the first
+    # opening twice would read 0.73, a falsely narrow interval.
+    u = solved("heat_sine", 1 / 16)
+    box = centred_kbox(u.spec)
+    ratios = good_set_measure(u, [1.0], box).worst_ratios
+    Ms = [float(M) for M in np.quantile(ratios, [0.2, 0.5, 0.8])]
+    rep = good_set_measure(u, Ms, box)
+    assert rep.slope_ci[1] - rep.slope_ci[0] > 1.0
+    monkeypatch.setattr(diagnostics, "_expansion_fits", None)  # any fit would fail
+    with pytest.raises(DiagnosticsError, match=f"^M sweep repeats the opening {re.escape(repr(Ms[0]))}$"):
+        good_set_measure(u, Ms + Ms[:1], box)
+
+
+@pytest.mark.parametrize("node", [(0.7, 2), (True, 2), ("1", "2"), (1.0, 2)])
+def test_membership_refuses_a_node_that_is_not_integers(node):
+    # (0.7, 2) used to fit node (0, 2), and (True, 2) node (1, 2)
+    _, u = cube_kink_mesh(levels=2)
+    with pytest.raises(GridError, match=f"^{re.escape(f'node {node} is not in the mesh')}$"):
+        psi_M_membership(u, node, 1.0)
+
+
 def test_membership_error_paths():
     spec, u = cube_kink_mesh(levels=2)
     with pytest.raises(DiagnosticsError, match="outside the study region"):
@@ -1511,6 +1534,8 @@ def test_good_set_error_paths():
     box = KBox(((0.0,), 0.0), r=1.0)
     with pytest.raises(DiagnosticsError, match="empty M sweep"):
         good_set_measure(u, [], box)
+    with pytest.raises(DiagnosticsError, match=r"^M sweep repeats the opening 1\.0$"):
+        good_set_measure(u, [4.0, 1.0, 2, np.int64(1)], box)
     far = KBox(((50.0,), 0.0), r=0.5)
     with pytest.raises(DiagnosticsError, match="no mesh nodes"):
         good_set_measure(u, [1.0], far)
@@ -1553,13 +1578,13 @@ def sweep_case(case):
 
 
 @pytest.mark.parametrize(
-    "case, chunk_rows",
+    "case, scratch",
     [("heat-1d", None), ("heat-2d-subset", None), ("cube-kink-region", None), ("cube-kink-region", 1)],
 )
-def test_good_set_matches_full_lp_oracle(case, chunk_rows, monkeypatch):
+def test_good_set_matches_full_lp_oracle(case, scratch, monkeypatch):
     u, kbox, region, Ms = sweep_case(case)
-    if chunk_rows is not None:  # one node per chunk
-        monkeypatch.setattr(diagnostics, "_FIT_CHUNK_ROWS", chunk_rows)
+    if scratch is not None:  # one node per scan chunk
+        monkeypatch.setattr(diagnostics, "_SCRATCH_BYTES", scratch)
     new = good_set_measure(u, Ms, kbox, region)
 
     def full_lp_fits(u, nodes, mask):
@@ -1598,13 +1623,41 @@ def test_membership_paraboloid_reaches_the_reported_ratio(case, cylinder_nodes):
 
 def test_verify_sweep_needs_few_lp_calls(monkeypatch):
     # the benchmark's verify sweep: heat 1D at h=1/16, every node in the K-box;
-    # each round of each 64-node chunk is one batched exchange
+    # each constraint round is one batched exchange over all the sweep's
+    # unresolved nodes (three rounds today)
     u = solved("heat_sine", 1 / 16)
     calls, exchange = [], diagnostics._exchange
     monkeypatch.setattr(diagnostics, "_exchange", lambda *args: calls.append(len(args[0])) or exchange(*args))
     rep = good_set_measure(u, [1.0, 4.0, 16.0, 64.0], centred_kbox(u.spec))
     assert rep.node_count == u.spec.node_count() == 960
-    assert 0 < len(calls) <= 64
+    assert 0 < len(calls) <= 6
+    assert calls[0] == 960
+
+
+def test_verify_sweep_peak_stays_within_the_active_rows_and_the_budget(monkeypatch):
+    # Each node keeps only its active rows (the exchange's a and b take
+    # k + 1 doubles a row) and the scan's full rows stay within the scratch
+    # budget, so the sweep's peak is bounded by the mask, the nodes times the
+    # widest active-row list, and _SCRATCH_BYTES; nothing grows as nodes x
+    # rows.  Sweeping by 64-node chunks of full rows (per_chunk_fits below)
+    # peaked at 7.8 MiB on this sweep.
+    u = solved("heat_sine", 1 / 16)
+    spec = u.spec
+    nodes = np.argwhere(region_mask(spec, centred_kbox(spec)))
+    mask = region_mask(spec, None)
+    widths, exchange = [], diagnostics._exchange
+    monkeypatch.setattr(diagnostics, "_exchange", lambda *args: widths.append(args[0].shape[1]) or exchange(*args))
+    diagnostics._expansion_fits(u, nodes, mask)
+    tracemalloc.start()
+    try:
+        diagnostics._expansion_fits(u, nodes, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = 4
+    bound = mask.nbytes + len(nodes) * max(widths) * (k + 1) * 8 + geometry._SCRATCH_BYTES
+    assert peak <= bound
+    assert peak <= 7.8 * 2**20
 
 
 @pytest.mark.parametrize("case", ["heat-1d", "noisy-2d"])
@@ -1828,6 +1881,124 @@ def test_generated_fits_match_the_full_lp(case):
         old = good_set_measure(u, Ms, kbox, region)
     assert np.array_equal(new.bad_fraction, old.bad_fraction)
     assert np.array_equal(new.bad_measure, old.bad_measure)
+
+
+# ---------------------------------------------------------------------------
+# sweep-wide rounds against the per-chunk constraint generation
+# ---------------------------------------------------------------------------
+
+
+def per_chunk_fits(u, nodes, mask, chunk_nodes=64, chunk_rows=1 << 18):
+    """The expansion fits by chunks of nodes, as the package ran them before
+    its rounds spanned the sweep: each chunk builds all its nodes' full rows
+    (padded to the chunk's longest prefix) once and runs its own rounds, one
+    batched exchange per round.  Seeds, added rows, warm starts and the stop
+    rule are the package's."""
+    spec = u.spec
+    n = spec.n
+    k = 2 * n + 1 + n * (n + 1) // 2
+    flat = np.ravel_multi_index(tuple(nodes.T), spec.shape)
+    region = np.flatnonzero(mask)
+    offs = np.column_stack(np.unravel_index(region, spec.shape))
+    y = (offs[:, 1:] + np.asarray(spec.k_min)) * spec.h
+    s = (offs[:, 0] + 1) * spec.tau
+    u_r = u.values.ravel()[region]
+    ends = np.searchsorted(offs[:, 0], nodes[:, 0], side="right")
+    me = np.searchsorted(region, flat)
+    seed_rows, add_rows = diagnostics._FIT_SEED_ROWS, diagnostics._FIT_ADD_ROWS
+    ratios = np.empty(len(nodes))
+    coefs = np.empty((len(nodes), k))
+    chunk = max(1, min(chunk_nodes, chunk_rows // len(region)))
+    for lo in range(0, len(nodes), chunk):
+        sel = np.arange(lo, min(lo + chunk, len(nodes)))
+        R = int(ends[sel].max())
+        pos = np.arange(R)
+        valid = (pos < ends[sel, None]) & (pos != me[sel, None])
+        dx = np.where(valid[..., None], y[None, :R] - y[me[sel], None], 0.0)
+        ds = np.where(valid, s[None, :R] - s[me[sel], None], 0.0)
+        du = np.where(valid, u_r[None, :R] - u_r[me[sel], None], 0.0)
+        r = np.sqrt((dx**2).sum(axis=2))
+        w = np.where(valid, r**3 + r**2 * np.abs(ds) + ds**2, 1.0)
+        phi = np.concatenate([dx, ds[..., None], dx * ds[..., None], diagnostics._quad_features(dx)], axis=2)
+        seed = np.where(valid, w, np.inf)
+        if R > seed_rows:
+            seed = np.argpartition(seed, seed_rows - 1, axis=1)[:, :seed_rows]
+        else:
+            seed = np.broadcast_to(pos, valid.shape)
+        pad = max(0, k + 1 - seed.shape[1])
+        active = np.concatenate([seed, np.repeat(me[sel, None], pad, axis=1)], axis=1)
+        live = np.concatenate([valid[np.arange(len(sel))[:, None], seed], np.zeros((len(sel), pad), bool)], axis=1)
+        active = np.where(live, active, me[sel, None])
+        code = np.full((len(sel), k + 1), -1, dtype=np.int64)
+        has_ref = np.zeros(len(sel), dtype=bool)
+        pending = np.arange(len(sel))
+        while pending.size:
+            at = (pending[:, None], active[pending])
+            a = phi[at] / w[at][..., None]
+            b = du[at] / w[at]
+            lv = live[pending]
+            zero = ~(a != 0).any(axis=1)
+            arts = (code[pending, :, None] == -1 - np.arange(k)).any(axis=1)
+            cold = ~has_ref[pending] | (arts != zero).any(axis=1)
+            ref = code[pending]
+            ref[cold], bad = diagnostics._reference(a[cold], lv[cold])
+            ok, fits, code[pending] = diagnostics._exchange(a, b, lv, ref)
+            ok[cold] &= ~bad
+            assert ok.all()
+            has_ref[pending] = True
+            P, Z = fits[:, :k], fits[:, k]
+            ratio = np.abs(du[pending] - np.einsum("prk,pk->pr", phi[pending], P)) / w[pending]
+            ratios[sel[pending]] = ratio.max(axis=1)
+            coefs[sel[pending]] = P
+            viol = diagnostics._exceeds(ratio, Z[:, None])
+            viol[np.arange(len(pending))[:, None], active[pending]] = False
+            add = min(add_rows, R)
+            top = np.sort(np.argpartition(np.where(viol, -ratio, np.inf), add - 1, axis=1)[:, :add], axis=1)
+            grow = viol[np.arange(len(pending))[:, None], top]
+            more = np.zeros((len(sel), add), dtype=bool)
+            more[pending] = grow
+            extra = np.repeat(me[sel, None], add, axis=1)
+            extra[pending] = np.where(grow, top, me[sel[pending], None])
+            active = np.concatenate([active, extra], axis=1)
+            live = np.concatenate([live, more], axis=1)
+            pending = pending[grow.any(axis=1)]
+    return ratios, coefs, ends - 1
+
+
+def assert_matches_per_chunk_fits(u, kbox, region, Ms):
+    new = good_set_measure(u, Ms, kbox, region)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "_expansion_fits", per_chunk_fits)
+        old = good_set_measure(u, Ms, kbox, region)
+    assert new.node_count == old.node_count
+    assert np.array_equal(new.bad_fraction, old.bad_fraction)
+    assert np.array_equal(new.bad_measure, old.bad_measure)
+    assert np.array_equal(new.slope, old.slope, equal_nan=True)
+    assert np.array_equal(new.slope_ci, old.slope_ci, equal_nan=True)
+    assert_allclose(new.worst_ratios, old.worst_ratios, rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(fit_cases(), st.sampled_from([None, 1]))
+@example(_noisy_2d_case(), None)
+@example(_noisy_2d_case(), 1)
+def test_generated_sweep_matches_the_per_chunk_fits(case, scratch):
+    # scratch = 1 byte: one node per scan chunk
+    u, kbox, region = case
+    Ms = [2.0**j for j in range(-12, 9, 2)]
+    with pytest.MonkeyPatch.context() as mp:
+        if scratch is not None:
+            mp.setattr(diagnostics, "_SCRATCH_BYTES", scratch)
+        try:
+            assert_matches_per_chunk_fits(u, kbox, region, Ms)
+        except DiagnosticsError as exc:
+            assume("cannot pin" not in str(exc))
+            raise
+
+
+def test_verify_sweep_matches_the_per_chunk_fits():
+    u = solved("heat_sine", 1 / 16)
+    assert_matches_per_chunk_fits(u, centred_kbox(u.spec), None, [1.0, 4.0, 16.0, 64.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,31 @@ def test_mesh_spec_index_round_trip():
     p = spec.node_point((3, -2, 4))
     np.testing.assert_allclose(p.x, (0.3, -0.2), rtol=1e-15)
     assert p.t == pytest.approx(4 * 0.01)
+
+
+@pytest.mark.parametrize(
+    "index", [(3.7, 5), (3.0, 5), (True, 5), (3, False), ("3", "5"), (np.float64(3.0), 5), (None, 5)]
+)
+def test_a_node_index_takes_integers_only(index):
+    # int() used to truncate each component: (3.7, 5) read node (3, 5)
+    spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=0.125, N=2)
+    v = MeshFunction.from_callable(spec, lambda x, t: x[..., 0] + t)
+    assert spec.contains_index((3, 5)) and spec.offset((3, 5)) == (4, 2)
+    assert not spec.contains_index(index)
+    message = re.escape(f"node {index} is not in the mesh")
+    with pytest.raises(GridError, match=f"^{message}$"):
+        spec.offset(index)
+    with pytest.raises(GridError, match=f"^{message}$"):
+        v.value(index)
+
+
+def test_a_node_index_may_hold_numpy_integers():
+    spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=0.125, N=2)
+    v = MeshFunction.from_callable(spec, lambda x, t: x[..., 0] + t)
+    for index in ((np.int64(3), 5), (3, np.int32(5)), np.array([3, 5]), [np.uint8(3), 5]):
+        assert spec.contains_index(index) and spec.offset(index) == (4, 2)
+        assert v.value(index) == v.value((3, 5))
+        assert all(type(i) is int for i in spec.offset(index))
 
 
 # ---------------------------------------------------------------------------
