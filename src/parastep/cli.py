@@ -16,25 +16,26 @@ before numpy loads, which is the only point where those pools read them;
 so there is no command-line flag for it.  A value that is not a positive
 integer is not copied, and the CLI reports it as an error.
 
-A run's inputs are read once: the boundary data from ``problem`` (solved on
-the first h) or from ``boundary.file`` (a stored grid), never both, and the
-operator from the problem or ``scheme.*``, with the grid's dimension when
-neither ``scheme.dimension`` nor ``domain`` is set.  ``converge`` refuses
-``domain``: it sweeps the problem's own domain.  Each command returns
-its report lines and property violations; one tail writes the
-``--dump-tables`` file, prints them and applies ``--strict``.
+A run's inputs are resolved in one place, ``_inputs``: the boundary data
+from ``problem`` (solved on the first h, over ``domain`` or the problem's
+own) or from ``boundary.file`` (a stored grid), never both, and the
+operator from the problem, or from ``scheme.*`` with the stored grid's
+dimension.  ``converge`` refuses ``domain``, since it sweeps the problem's
+own domain, and so does a run on ``boundary.file``, whose grid gives the
+mesh.  Each command returns its report lines and property violations; one
+tail writes the ``--dump-tables`` file, prints them and applies ``--strict``.
 ``--h-list TEXT`` reads as the config line ``h_list = [TEXT]`` of the
 source ``--h-list``, so its errors start with ``--h-list:1:``.
 ``certify`` expects the rows ``diagnose`` writes (certificates.txt).
-``diagnose`` with ``diagnostics.M_values`` prints ``# good_set sweeping N
-K-box nodes`` before the good-set sweep starts, since a large box can take
+``diagnose`` with ``diagnostics.M_values`` refuses a bad opening sweep
+before it solves or falsifies, and prints ``# good_set sweeping N K-box
+nodes`` before the good-set sweep starts, since a large box can take
 minutes.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -157,12 +158,20 @@ def _inputs(cfg: ProblemConfig, command: str) -> _Inputs:
         raise ConfigError("converge needs problem = <built-in id> (errors require an exact solution)")
     if cfg.boundary_file is None:
         raise ConfigError(f"{command} needs problem = <name> or boundary.file = <grid>")
+    if cfg.domain is not None:
+        raise ConfigError(f"boundary.file = {cfg.boundary_file} gives the mesh; drop domain")
+    if cfg.scheme_kind is None:
+        raise ConfigError("config needs problem = <name> or scheme.kind = <operator>")
     from .geometry import MeshFunction
+    from .nonlinearity import NonlinearityDescriptor
 
     grid = MeshFunction.read_text(cfg.boundary_file)
-    if cfg.scheme_dimension is None and cfg.domain is None:
-        cfg = dataclasses.replace(cfg, scheme_dimension=grid.spec.n)
-    return _Inputs(grid, None, cfg.descriptor())
+    n = grid.spec.n
+    if cfg.scheme_kind == "linear":
+        identity = [[float(i == j) for j in range(n)] for i in range(n)]
+        return _Inputs(grid, None, NonlinearityDescriptor.linear(cfg.scheme_matrix or identity))
+    pucci = getattr(NonlinearityDescriptor, cfg.scheme_kind)  # pucci_plus or pucci_minus
+    return _Inputs(grid, None, pucci(cfg.scheme_lam, cfg.scheme_Lam, n))
 
 
 def _outdir(cfg: ProblemConfig) -> Path:
@@ -185,7 +194,7 @@ def _solved(cfg: ProblemConfig, run: _Inputs):
     scheme = build_monotone_scheme(run.descriptor, N=cfg.N)
     if run.grid is not None:
         return solve(scheme, run.grid.spec, run.grid, tol=cfg.tol)
-    spec = MeshSpec(h=cfg.h_list[0], bounds=cfg.bounds(), T=cfg.T, N=cfg.N)
+    spec = MeshSpec(h=cfg.h_list[0], bounds=cfg.domain or run.problem.bounds, T=cfg.T, N=cfg.N)
     return solve(scheme, spec, run.problem.fn, tol=cfg.tol)
 
 
@@ -290,9 +299,11 @@ def _format_diagnostics(cfg: ProblemConfig, spec, report: dict) -> str:
 
 
 def _cmd_diagnose(cfg: ProblemConfig, run: _Inputs, args):
-    from .diagnostics import FalsifierConfig
+    from .diagnostics import FalsifierConfig, opening_sweep
     from .harness import run_diagnostics
 
+    if cfg.M_values is not None:
+        opening_sweep(cfg.M_values)  # refuse a bad sweep before any solve
     u = run.grid if run.grid is not None else _solved(cfg, run)[0]
     spec = u.spec
     delta = None if cfg.delta_multiple is None else cfg.delta_multiple * spec.h

@@ -6,6 +6,9 @@ comment.  Values are booleans (``true``/``false``), integers, floats,
 bracketed lists -- nested once for matrices, ``[[1.0, 0.0], [0.0, 1.0]]`` --
 or bare strings.  Every error in a config line carries the source name and
 line number; an error in a command line flag starts with the flag.
+This module parses and checks values only: what they name (the stored
+grid or the library problem, the operator, the mesh bounds) is resolved
+in one place, ``cli._inputs``.
 
 The parser is plain stdlib, but it never runs before numpy is imported:
 the package ``__init__`` imports numpy first.  Thread pools are pinned by
@@ -180,7 +183,7 @@ def _key(name, conv, ok=None, must="", **default):
 
 @dataclass
 class ProblemConfig:
-    """Everything a command run needs, resolved from config text plus flags.
+    """Every setting of a command run, parsed from config text plus flags.
 
     The boundary data source is either ``problem`` (a built-in exact
     solution) or ``boundary.file`` (a mesh function in the text format);
@@ -200,9 +203,6 @@ class ProblemConfig:
     scheme_matrix: list | None = _key(
         "scheme.matrix", _matrix, _positive_definite,
         "must be a symmetric positive definite matrix of finite numbers, got {!r}", default=None,
-    )
-    scheme_dimension: int | None = _key(
-        "scheme.dimension", _int, lambda n: n >= 1, "must be at least 1, got {!r}", default=None
     )
     domain: list | None = _key("domain", _matrix, default=None)
     T: float = _key("T", _float, *_POSITIVE, default=0.25)
@@ -228,8 +228,12 @@ class ProblemConfig:
         "diagnostics.rate_floor", _float, math.isfinite, "must be finite, got {!r}", default=0.9
     )
 
-    # keys of the removed solver choice: naming one is an error, not a no-op
-    _REMOVED_KEYS = ("solver.method", "solver.max_iterations")
+    # removed keys and why: naming one is an error, not a no-op
+    _REMOVED_KEYS = {
+        "solver.method": "Howard policy iteration is the only solver",
+        "solver.max_iterations": "Howard policy iteration is the only solver",
+        "scheme.dimension": "the operator takes the stored grid's dimension",
+    }
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "ProblemConfig":
@@ -240,9 +244,7 @@ class ProblemConfig:
                 raise ConfigError(f"{where}: duplicate key {key!r} (first set on line {seen[key]})")
             seen[key] = lineno
             if key in cls._REMOVED_KEYS:
-                raise ConfigError(
-                    f"{where}: key {key!r} was removed; Howard policy iteration is the only solver"
-                )
+                raise ConfigError(f"{where}: key {key!r} was removed; {cls._REMOVED_KEYS[key]}")
             cfg._set(key, val, where)
         return cfg
 
@@ -277,39 +279,6 @@ class ProblemConfig:
         if rule["ok"] is not None and not rule["ok"](value):
             raise ConfigError(f"{where}: {key} " + rule["must"].format(value))
         setattr(self, f.name, value)
-
-    # -- resolution helpers (import numerics lazily) ------------------------
-
-    def descriptor(self):
-        """The operator to discretize: the library problem's, or scheme.*."""
-        if self.problem is not None:
-            from .harness import get_problem
-
-            return get_problem(self.problem).descriptor
-        if self.scheme_kind is None:
-            raise ConfigError("config needs problem = <name> or scheme.kind = <operator>")
-        from .nonlinearity import NonlinearityDescriptor
-
-        if self.scheme_kind == "linear":
-            if self.scheme_matrix is None:
-                n = self.scheme_dimension or (len(self.domain) if self.domain else 1)
-                matrix = [[float(i == j) for j in range(n)] for i in range(n)]
-            else:
-                matrix = self.scheme_matrix
-            return NonlinearityDescriptor.linear(matrix)
-        n = self.scheme_dimension or (len(self.domain) if self.domain else 1)
-        if self.scheme_kind == "pucci_plus":
-            return NonlinearityDescriptor.pucci_plus(self.scheme_lam, self.scheme_Lam, n)
-        return NonlinearityDescriptor.pucci_minus(self.scheme_lam, self.scheme_Lam, n)
-
-    def bounds(self):
-        if self.domain is not None:
-            return tuple(tuple(row) for row in self.domain)
-        if self.problem is not None:
-            from .harness import get_problem
-
-            return tuple(tuple(b) for b in get_problem(self.problem).bounds)
-        raise ConfigError("config needs domain = [[lo, hi], ...] for a custom operator")
 
 
 _FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(ProblemConfig)}

@@ -68,6 +68,7 @@ __all__ = [
     "psi_M_membership",
     "GoodSetReport",
     "good_set_measure",
+    "opening_sweep",
 ]
 
 _SYM_TOL = 1e-12
@@ -298,8 +299,9 @@ class ViolationCertificate:
     """A replayable counterexample to one delta-viscosity inequality; its
     ``side`` must be ``super`` or ``sub``, its ``delta`` finite and positive,
     its ``margin`` and ``touch_gap`` finite and its ``probe`` a str with no
-    whitespace, which would split its row (DiagnosticsError).  The node is
-    stored as a tuple of ints, the three numbers as Python floats."""
+    whitespace, which would split its row, and its node ints or numpy
+    integers, not bools (DiagnosticsError).  The node is stored as a tuple
+    of ints, the three numbers as Python floats."""
 
     node: tuple
     side: str
@@ -320,6 +322,8 @@ class ViolationCertificate:
                 rule = "a finite positive number" if name == "delta" else "finite"
                 raise DiagnosticsError(f"{name} must be {rule}, got {value!r}")
             object.__setattr__(self, name, float(value))
+        if not all(map(_is_int, self.node)):
+            raise DiagnosticsError(f"node must hold ints, got {self.node!r}")
         object.__setattr__(self, "node", tuple(int(i) for i in self.node))
 
     def row(self) -> str:
@@ -1203,6 +1207,19 @@ def _opening(M) -> float:
     return float(M)
 
 
+def opening_sweep(M_values) -> np.ndarray:
+    """The openings of a good-set sweep, sorted, as floats: at least one,
+    each a finite positive number (not a bool), none repeated, since a
+    repeat would weigh one point twice in the slope's fit."""
+    M_values = sorted(_opening(m) for m in M_values)
+    if not M_values:
+        raise DiagnosticsError("empty M sweep")
+    for lo, hi in zip(M_values, M_values[1:]):
+        if lo == hi:
+            raise DiagnosticsError(f"M sweep repeats the opening {hi!r}")
+    return np.asarray(M_values)
+
+
 def psi_M_membership(u: MeshFunction, node, M: float, region=None) -> dict:
     """Best second-order expansion at a node against the cubic-in-space,
     quadratic-in-time weight.
@@ -1268,8 +1285,8 @@ def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> Good
 
     The worst expansion ratio at a node does not depend on M, so one fit per
     node serves the whole sweep; the per-M bad set is {ratio > n M} and its
-    measure uses the h^(n+2) node-counting convention.  Every opening must
-    be a finite positive number (not a bool), and no opening may repeat.
+    measure uses the h^(n+2) node-counting convention.  The openings are
+    checked by :func:`opening_sweep`.
     The fits run by batched constraint generation in rounds over all the
     box's nodes, each round one exact Chebyshev exchange over every
     unresolved node (see :func:`psi_M_membership`), so ``worst_ratios``
@@ -1280,13 +1297,7 @@ def good_set_measure(u: MeshFunction, M_values, kbox: KBox, region=None) -> Good
     asserted against any theoretical exponent.
     """
     spec = u.spec
-    M_values = sorted(_opening(m) for m in M_values)
-    if not M_values:
-        raise DiagnosticsError("empty M sweep")
-    for lo, hi in zip(M_values, M_values[1:]):
-        if lo == hi:  # a repeat would weigh one point twice in the slope's fit
-            raise DiagnosticsError(f"M sweep repeats the opening {hi!r}")
-    M_values = np.asarray(M_values)
+    M_values = opening_sweep(M_values)
     nodes = np.argwhere(region_mask(spec, kbox))
     if not len(nodes):
         raise DiagnosticsError("the K-box contains no mesh nodes")

@@ -316,9 +316,12 @@ class MeshSpec:
         return self.tau * np.arange(1, self.levels + 1)
 
     def node_point(self, index: Sequence[int]) -> ParabolicPoint:
-        index = tuple(int(i) for i in index)
-        if len(index) != self.n + 1:
-            raise GridError(f"index must have {self.n + 1} entries, got {index}")
+        """The point of a lattice node, in the mesh or not: ``index`` is n + 1
+        ints or numpy integers (not bools), else a GridError."""
+        index = tuple(index)
+        if len(index) != self.n + 1 or not all(map(_is_int, index)):
+            raise GridError(f"index must be {self.n + 1} integers, got {index}")
+        index = tuple(map(int, index))
         return ParabolicPoint(tuple(k * self.h for k in index[:-1]), index[-1] * self.tau)
 
     def contains_index(self, index: Sequence[int]) -> bool:
@@ -561,8 +564,11 @@ class MeshFunction:
     @classmethod
     def read_text(cls, path) -> "MeshFunction":
         """Node lines are streamed in chunks of _SCRATCH_BYTES // (160 (n + 2))
-        lines (a token took 80-95 bytes in flight), so the scratch stays
-        within ``_SCRATCH_BYTES`` next to the grid."""
+        lines (a token took 80-95 bytes in flight, next to its chunk's
+        lines), so the scratch stays within ``_SCRATCH_BYTES`` next to the
+        grid.  The file is opened once, also when it is refused: every chunk
+        before one that fails to parse parsed clean, so the first bad line is
+        in that chunk."""
         with open(path) as fh:
             lines = filter(None, map(str.strip, fh))
             header = next(lines, None)
@@ -581,57 +587,51 @@ class MeshFunction:
             width, count = n + 2, 0
             size = max(1, _SCRATCH_BYTES // (160 * width))
             vals = np.full(spec.shape, np.nan)
-            try:
-                while True:
+            while chunk := list(itertools.islice(lines, size)):
+                try:
                     # one flat token list per chunk: per-line lists would wake the cyclic GC
                     tokens: list[str] = []
-                    for parts in map(str.split, itertools.islice(lines, size)):
+                    for parts in map(str.split, chunk):
                         if len(parts) != width:
                             raise ValueError
                         tokens += parts
-                    if not tokens:
-                        break
                     index = np.array(
                         [list(map(int, tokens[a::width])) for a in range(n + 1)], dtype=np.int64
                     ).T
                     flat = spec.flat_offsets(index)
-                    chunk = np.array(list(map(float, tokens[n + 1 :: width])))
-                    if np.any(flat < 0) or not np.isfinite(chunk).all():
+                    values = np.array(list(map(float, tokens[n + 1 :: width])))
+                    if np.any(flat < 0) or not np.isfinite(values).all():
                         raise ValueError
-                    vals.flat[flat] = chunk
-                    count += len(chunk)
-            except (ValueError, OverflowError):
-                _refuse_node_lines(path, spec)
-                raise
-        if count != spec.node_count():
-            _refuse_node_lines(path, spec)
+                except (ValueError, OverflowError):
+                    _refuse_node_lines(path, spec, count + len(chunk) + sum(1 for _ in lines), chunk)
+                    raise
+                vals.flat[flat] = values
+                count += len(chunk)
+        _refuse_node_lines(path, spec, count, ())
         if np.isnan(vals).any():
             raise GridError(f"{path}: some mesh nodes missing from file")
         return cls(spec, vals)
 
 
-def _refuse_node_lines(path, spec: MeshSpec) -> None:
-    """Re-read a grid file that ``read_text`` refused: raise the GridError of a
-    wrong node-line count, else of its first bad line in file order, if any."""
-    with open(path) as fh:
-        count = sum(1 for _ in filter(None, map(str.strip, fh))) - 1
+def _refuse_node_lines(path, spec: MeshSpec, count: int, lines) -> None:
+    """Raise the GridError of a grid file with ``count`` node lines, if it is
+    the wrong count, else of the first bad line among ``lines``, if any."""
     if count != spec.node_count():
         raise GridError(f"{path}: expected {spec.node_count()} node lines, got {count}") from None
-    with open(path) as fh:
-        for ln in itertools.islice(filter(None, map(str.strip, fh)), 1, None):
-            parts = ln.split()
-            try:
-                if len(parts) != spec.n + 2:
-                    raise ValueError
-                idx = tuple(map(int, parts[:-1]))
-                if spec.contains_index(idx):
-                    value = float(parts[-1])
-            except ValueError:
-                raise GridError(f"{path}: malformed node line {ln!r}") from None
-            if not spec.contains_index(idx):
-                raise GridError(f"{path}: node {idx} outside the declared mesh") from None
-            if not math.isfinite(value):
-                raise GridError(f"{path}: non-finite value in node line {ln!r}") from None
+    for ln in lines:
+        parts = ln.split()
+        try:
+            if len(parts) != spec.n + 2:
+                raise ValueError
+            idx = tuple(map(int, parts[:-1]))
+            if spec.contains_index(idx):
+                value = float(parts[-1])
+        except ValueError:
+            raise GridError(f"{path}: malformed node line {ln!r}") from None
+        if not spec.contains_index(idx):
+            raise GridError(f"{path}: node {idx} outside the declared mesh") from None
+        if not math.isfinite(value):
+            raise GridError(f"{path}: non-finite value in node line {ln!r}") from None
 
 
 def _ratio_max(P: np.ndarray, V: np.ndarray, Q: np.ndarray, W: np.ndarray, eta: float) -> float:

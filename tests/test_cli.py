@@ -143,6 +143,19 @@ def test_converge_strict_flags_bad_rate(tmp_path, capsys):
     assert run(capsys, *argv, "--strict")[0] == 2
 
 
+def test_converge_strict_flags_errors_that_do_not_decrease(tmp_path, capsys):
+    # the finest spacing first: the sup errors grow along the sweep
+    argv = ["converge", "--problem", "heat_sine", "--h-list", "0.0625,0.125", "--T", "0.125"]
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path), "--strict")
+    assert code == 2
+    violations = [ln for ln in out.splitlines() if ln.startswith("# property violation: ")]
+    assert len(violations) == 1
+    e_fine, e_coarse = re.fullmatch(
+        r"# property violation: sup errors not strictly decreasing \((\S+) -> (\S+)\)", violations[0]
+    ).groups()
+    assert 0.0 < float(e_fine) < float(e_coarse)
+
+
 def test_diagnose_clean_solution(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = heat_sine\nh_list = [0.125]\ndiagnostics.samples = 16\n")
@@ -520,6 +533,19 @@ def test_certify_names_the_line_the_replay_refuses(
     assert "RuntimeWarning" not in err and len(err.splitlines()) == 1
 
 
+def test_certify_names_the_first_row_for_an_operator_of_another_dimension(tmp_path, capsys, drift_grid):
+    out_dir = tmp_path / "diag"
+    assert run(capsys, "diagnose", "--config", str(drift_grid), "--out", str(out_dir))[0] == 0
+    rows = tmp_path / "rows.txt"
+    rows.write_text("# header\n" + (out_dir / "certificates.txt").read_text())
+    assert len(rows.read_text().splitlines()) > 2
+    cfg = tmp_path / "run2.cfg"
+    cfg.write_text(drift_grid.read_text().replace("[[1.0]]", "[[1.0, 0.0], [0.0, 1.0]]"))
+    code, out, err = run(capsys, "certify", str(rows), "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"parastep: error: {rows}:2: expected 2x2 matrices, got shape (1, 1)\n"
+
+
 def test_certify_refuses_a_side_that_is_not_super_or_sub(tmp_path, capsys, drift_grid):
     # side=banana used to replay as the sub side and print FAILED (margin mismatch)
     out_dir = tmp_path / "diag"
@@ -610,13 +636,30 @@ def test_stored_grid_gives_the_operator_its_dimension(tmp_path, capsys, drift_gr
 
 def test_scheme_dimension_zero_is_refused_on_its_line(tmp_path, capsys, drift_grid_2d):
     # it used to be read as "not set": the operator took dimension 1 and the
-    # run failed later with "F has dimension 1, mesh has 2", naming no line
+    # run failed later with "F has dimension 1, mesh has 2", naming no line;
+    # the key is gone now, as the stored grid gives the dimension
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"boundary.file = {drift_grid_2d}\nscheme.kind = pucci_plus\nscheme.dimension = 0\n")
     code, out, err = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path))
     assert (code, out) == (1, "")
-    assert err == f"parastep: error: {cfg}:3: scheme.dimension must be at least 1, got 0\n"
+    assert err == (
+        f"parastep: error: {cfg}:3: key 'scheme.dimension' was removed;"
+        " the operator takes the stored grid's dimension\n"
+    )
     assert not (tmp_path / "certificates.txt").exists()
+
+
+def test_a_stored_grid_refuses_domain(tmp_path, capsys, drift_grid_2d):
+    # domain only set the operator's dimension here, which the grid fixes
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"boundary.file = {drift_grid_2d}\nscheme.kind = linear\ndomain = [[0.0, 1.0], [0.0, 1.0]]\n"
+    )
+    for command in ("solve", "diagnose"):
+        code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == f"parastep: error: boundary.file = {drift_grid_2d} gives the mesh; drop domain\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_diagnose_and_certify_do_not_build_the_scheme(tmp_path, capsys, drift_grid_2d):
@@ -739,6 +782,9 @@ def test_diagnose_refuses_a_repeated_opening(tmp_path, capsys):
     code, out, err = run(capsys, "diagnose", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1 and "Traceback" not in err
     assert err == "parastep: error: M sweep repeats the opening 1.0\n"
+    # refused before the solve and the falsifier: the sweep's size line
+    # used to come first
+    assert out == ""
     assert not (tmp_path / "o" / "diagnostics.txt").exists()
 
 

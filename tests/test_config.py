@@ -1,9 +1,22 @@
-"""Config text format: round trips, coercions, and line-numbered failures."""
+"""Config text format: round trips, coercions, line-numbered failures, and
+the resolution of what a run works on (`cli._inputs`)."""
 
+import numpy as np
 import pytest
 
+from parastep.cli import _inputs, cli_main
 from parastep.config import ProblemConfig
-from parastep.errors import ConfigError, NonlinearityError
+from parastep.errors import ConfigError
+from parastep.geometry import MeshFunction, MeshSpec
+
+
+@pytest.fixture()
+def grid_2d(tmp_path):
+    """v = -t on the unit square at h = 1/4, stored."""
+    spec = MeshSpec(h=0.25, bounds=[(0.0, 1.0), (0.0, 1.0)], T=0.125, N=2)
+    path = tmp_path / "grid2.txt"
+    MeshFunction.from_callable(spec, lambda x, t: -t + 0.0 * x[..., 0]).write_text(path)
+    return path
 
 
 def test_scalars_and_sections():
@@ -193,23 +206,27 @@ SPD = "must be a symmetric positive definite matrix of finite numbers, got "
         ("scheme.matrix = [[1.0, 0.5], [0.0, 1.0]]", SPD + "[[1.0, 0.5], [0.0, 1.0]]"),
         ("scheme.matrix = [[1.0, 0.0]]", SPD + "[[1.0, 0.0]]"),
         ("scheme.matrix = [[nan]]", SPD + "[[nan]]"),
-        ("scheme.dimension = 0", "must be at least 1, got 0"),
-        ("scheme.dimension = -2", "must be at least 1, got -2"),
     ],
 )
 def test_scheme_keys_are_checked_on_their_line(text, must):
-    # each key's own part of NonlinearityDescriptor's checks, at parse time;
-    # scheme.dimension = 0 used to be replaced by the grid's dimension
+    # each key's own part of NonlinearityDescriptor's checks, at parse time
     key = text.split(" =")[0]
     with pytest.raises(ConfigError) as exc:
         ProblemConfig.from_text("# run\n" + text, source="run.cfg")
     assert str(exc.value) == f"run.cfg:2: {key} {must}"
 
 
-def test_lam_above_Lam_is_left_to_the_descriptor():
-    cfg = ProblemConfig.from_text("scheme.kind = pucci_plus\nscheme.lam = 3.0\nscheme.Lam = 2.0\n")
-    with pytest.raises(NonlinearityError, match=r"0 < lam <= Lam, got \(3\.0, 2\.0\)"):
-        cfg.descriptor()
+def test_lam_above_Lam_is_left_to_the_descriptor(tmp_path, capsys, grid_2d):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"boundary.file = {grid_2d}\nscheme.kind = pucci_plus\nscheme.lam = 3.0\nscheme.Lam = 2.0\n"
+    )
+    assert cli_main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "", "parastep: error: ellipticity constants need finite 0 < lam <= Lam, got (3.0, 2.0)\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key", ["solver.method", "solver.max_iterations"])
@@ -219,6 +236,14 @@ def test_removed_solver_keys_fail_loudly(key, tmp_path):
     want = rf"run\.cfg:2: key '{key}' was removed; Howard policy iteration is the only solver"
     with pytest.raises(ConfigError, match=want):
         ProblemConfig.from_file(path)
+
+
+def test_removed_dimension_key_names_its_reason():
+    with pytest.raises(ConfigError) as exc:
+        ProblemConfig.from_text("problem = heat_sine\n# n\nscheme.dimension = 2\n", source="run.cfg")
+    assert str(exc.value) == (
+        "run.cfg:3: key 'scheme.dimension' was removed; the operator takes the stored grid's dimension"
+    )
 
 
 def test_overrides_replace_only_given_fields():
@@ -232,28 +257,36 @@ def test_overrides_replace_only_given_fields():
         cfg.with_overrides({"--seed": ("seed", -3)})
 
 
-def test_descriptor_resolution():
-    lib = ProblemConfig.from_text("problem = heat_sine\n").descriptor()
-    assert lib.kind == "linear" and lib.dimension == 1
+def test_descriptor_resolution(grid_2d):
+    # the one place that picks the operator: the library problem's, else
+    # scheme.* with the stored grid's dimension
+    lib = _inputs(ProblemConfig.from_text("problem = heat_sine\n"), "diagnose")
+    assert lib.grid is None and lib.descriptor is lib.problem.descriptor
+    assert lib.descriptor.kind == "linear" and lib.descriptor.dimension == 1
 
-    pucci = ProblemConfig.from_text(
-        "scheme.kind = pucci_minus\nscheme.lam = 1.0\nscheme.Lam = 3.0\nscheme.dimension = 2\n"
-    ).descriptor()
-    assert pucci.kind == "pucci_minus" and pucci.dimension == 2
-
-    ident = ProblemConfig.from_text(
-        "scheme.kind = linear\ndomain = [[0.0, 1.0], [0.0, 1.0]]\n"
+    grid = f"boundary.file = {grid_2d}\n"
+    pucci = _inputs(
+        ProblemConfig.from_text(grid + "scheme.kind = pucci_minus\nscheme.lam = 1.0\nscheme.Lam = 3.0\n"),
+        "diagnose",
     )
-    A = ident.descriptor()
-    assert A.dimension == 2
+    assert pucci.problem is None and pucci.grid.spec.n == 2
+    F = pucci.descriptor
+    assert (F.kind, F.dimension, F.pucci_pair) == ("pucci_minus", 2, (1.0, 3.0))
 
-    with pytest.raises(ConfigError, match="problem = <name> or scheme.kind"):
-        ProblemConfig().descriptor()
+    F = _inputs(ProblemConfig.from_text(grid + "scheme.kind = linear\n"), "certify").descriptor
+    assert F.kind == "linear" and np.array_equal(F.matrix, np.eye(2))
+
+    with pytest.raises(ConfigError, match="^config needs problem = <name> or scheme.kind = <operator>$"):
+        _inputs(ProblemConfig.from_text(grid), "diagnose")
 
 
-def test_bounds_resolution():
-    assert ProblemConfig.from_text("problem = heat_sine\n").bounds() == ((0.0, 1.0),)
-    cfg = ProblemConfig.from_text("scheme.kind = linear\ndomain = [[-1.0, 2.0]]\n")
-    assert cfg.bounds() == ((-1.0, 2.0),)
-    with pytest.raises(ConfigError, match="needs domain"):
-        ProblemConfig.from_text("scheme.kind = linear\n").bounds()
+def test_bounds_resolution(tmp_path, capsys):
+    # solve takes domain over the library problem's own bounds
+    cases = [("", ((0.0, 1.0),)), ("domain = [[-1.0, 2.0]]\n", ((-1.0, 2.0),))]
+    for k, (domain, bounds) in enumerate(cases):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem = heat_sine\nh_list = [0.25]\nT = 0.0625\n{domain}")
+        out = tmp_path / f"o{k}"
+        assert cli_main(["solve", "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr()
+        grid = MeshFunction.read_text(out / "solution_heat_sine_h0.25.txt")
+        assert grid.spec.bounds == bounds

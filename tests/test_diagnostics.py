@@ -777,6 +777,19 @@ def test_a_probe_label_with_whitespace_is_refused(probe):
     assert row_to_certificate(row).probe == "a=b"
 
 
+@pytest.mark.parametrize("node", [(3.7, 5.9), (3.0, 5), (True, 5), (3, np.float64(5.0)), ("3", "5")])
+def test_a_certificate_node_takes_integers_only(node):
+    # int() used to truncate: node=(3.7, 5.9) was stored as (3, 5) and
+    # written as node=3,5, and (True, 5) as (1, 5)
+    P = Paraboloid(c=0.0, l=[0.0], m=-1.0, a=[0.0], Q=[[0.0]])
+    fields = dict(side="super", delta=0.125, margin=-1.0, touch_gap=0.0, probe="p")
+    with pytest.raises(DiagnosticsError, match=f"^{re.escape(f'node must hold ints, got {node!r}')}$"):
+        ViolationCertificate(paraboloid=P, node=node, **fields)
+    cert = ViolationCertificate(paraboloid=P, node=(np.int64(3), np.uint8(5)), **fields)
+    assert cert.node == (3, 5) and all(type(i) is int for i in cert.node)
+    assert " node=3,5 " in cert.row()
+
+
 def test_a_numpy_delta_writes_rows_that_read_back():
     # delta = np.float64(2.5) * h was written as delta=np.float64(0.15625)
     spec, v = drift_mesh(h=1 / 16)

@@ -241,6 +241,17 @@ def test_a_node_index_takes_integers_only(index):
         v.value(index)
 
 
+@pytest.mark.parametrize("index", [(3.7, 5), (3.0, 5), (True, 5), (3, False), ("3", "5"), (None, 5), (3,)])
+def test_a_node_point_takes_integers_only(index):
+    # int() used to truncate: (3.7, 5) gave x = 0.375, (True, 5) node (1, 5)
+    spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=0.125, N=2)
+    assert spec.node_point((3, 5)) == ParabolicPoint((0.375,), 5 * 0.125**2)
+    assert spec.node_point((np.int64(-3), np.uint8(9))) == ParabolicPoint((-0.375,), 9 * 0.125**2)
+    message = re.escape(f"index must be 2 integers, got {index}")
+    with pytest.raises(GridError, match=f"^{message}$"):
+        spec.node_point(index)
+
+
 def test_a_node_index_may_hold_numpy_integers():
     spec = MeshSpec(h=0.125, bounds=[(0.0, 1.0)], T=0.125, N=2)
     v = MeshFunction.from_callable(spec, lambda x, t: x[..., 0] + t)
@@ -779,6 +790,27 @@ def test_text_reader_errors_match_per_node_oracle(case, tmp_path, rng, read_chun
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("case", sorted(BROKEN_TEXT))
+def test_text_reader_opens_a_refused_file_once(case, tmp_path, rng, read_chunks, monkeypatch):
+    # a refused file used to be opened up to twice more, to find its error
+    spec = MeshSpec(**TEXT_MESHES["2d"])
+    good = tmp_path / "good.txt"
+    MeshFunction(spec, rng.standard_normal(spec.shape)).write_text(good)
+    path = tmp_path / "broken.txt"
+    path.write_text("".join(ln + "\n" for ln in BROKEN_TEXT[case](good.read_text().splitlines())))
+    opened = []
+
+    def counted(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "open", counted, raising=False)
+    read_chunks(spec.n)
+    with pytest.raises(GridError):
+        MeshFunction.read_text(path)
+    assert opened == [path]
+
+
 def test_text_reader_names_unparsable_node_line(tmp_path):
     spec = MeshSpec(h=0.25, bounds=[(0.0, 1.0)], T=0.125, N=2)
     path = tmp_path / "u.txt"
@@ -941,6 +973,29 @@ def test_holder_norm_finds_the_maximum_on_a_tight_tile_pair():
         for eta in (0.5, 1.0):
             got = discrete_holder_norm(u, eta)["seminorm"]
             assert np.array_equal(got, holder_pairs_oracle(u, eta)), (k, eta)
+
+
+def test_holder_norm_stops_at_the_first_row_bounded_by_the_maximum(monkeypatch):
+    # one spike on a zero grid: every pair of zero tiles has bound 0, so the
+    # search stops once the rows next to the spike are done, long before the
+    # 105 pairs of this mesh's 15 tiles
+    spec = MeshSpec(h=1 / 16, bounds=[(0.0, 1.0)], T=0.25, N=2)
+    v = np.zeros(spec.shape)
+    v[30, 7] = 1.0
+    u = MeshFunction(spec, v)
+    ratio_max, cross = geometry._ratio_max, []
+
+    def counted(P, V, Q, W, eta):
+        if len(P) == 1:  # one row tile against a batch of column tiles
+            cross.append(len(Q))
+        return ratio_max(P, V, Q, W, eta)
+
+    monkeypatch.setattr(geometry, "_ratio_max", counted)
+    for eta in (0.5, 1.0):
+        cross.clear()
+        got = discrete_holder_norm(u, eta)["seminorm"]
+        assert np.array_equal(got, holder_pairs_oracle(u, eta)) and got == 16.0**eta
+        assert 1 <= sum(cross) <= 8, cross
 
 
 def test_holder_norm_takes_the_mesh_node_times():
